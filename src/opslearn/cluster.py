@@ -23,6 +23,7 @@ from typing import Any
 import yaml
 
 from .metrics import MetricStore, SeriesId
+from .resources import load_yaml
 
 SAMPLE_INTERVAL = 15.0
 
@@ -198,10 +199,6 @@ class MutationRecord:
             "digest_after": self.digest_after,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "MutationRecord":
-        return cls(doc["seq"], doc["sim_time"], doc["action"], doc["args"], doc["digest_after"])
-
 
 @dataclass
 class ClusterState:
@@ -325,9 +322,8 @@ def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
     """Build a ClusterState from a topology document or a path to one."""
     if isinstance(source, str):
         try:
-            with open(source) as fh:
-                doc = yaml.safe_load(fh)
-        except OSError as exc:
+            doc = load_yaml(source)
+        except (OSError, yaml.YAMLError) as exc:
             raise LoadError(f"cannot read topology: {exc}") from None
     else:
         doc = source
@@ -429,11 +425,6 @@ def _substep_floats(state: ClusterState, dep_name: str, step_index: int, n: int)
     return [int.from_bytes(digest[4 * i : 4 * i + 4], "big") / 2**32 for i in range(n)]
 
 
-def _last_value(store: MetricStore, sid: SeriesId) -> float:
-    points = store.samples(sid)
-    return points[-1][1] if points else 0.0
-
-
 def _bucket_counts(total: int, buckets: list[tuple[float, float]]) -> list[int]:
     # largest-remainder apportionment keeps the sum exact
     weight_sum = sum(w for _, w in buckets)
@@ -447,13 +438,11 @@ def _bucket_counts(total: int, buckets: list[tuple[float, float]]) -> list[int]:
 
 def _ingest_counter(state: ClusterState, name: str, labels: dict[str, str], increment: float) -> None:
     sid = SeriesId.make(name, labels)
-    state.metrics.declare_kind(name, "counter")
-    state.metrics.ingest_value(name, labels, state.sim_time, _last_value(state.metrics, sid) + increment)
+    state.metrics.ingest(sid, state.sim_time, state.metrics.last_value(sid) + increment)
 
 
 def _ingest_gauge(state: ClusterState, name: str, labels: dict[str, str], value: float) -> None:
-    state.metrics.declare_kind(name, "gauge")
-    state.metrics.ingest_value(name, labels, state.sim_time, value)
+    state.metrics.ingest(SeriesId.make(name, labels), state.sim_time, value)
 
 
 def _scrape(state: ClusterState) -> None:
@@ -494,7 +483,7 @@ def _scrape(state: ClusterState) -> None:
         n_4xx = int(n_req * profile.error_4xx_share + 0.5)
         n_2xx = n_req - n_4xx - n_5xx
         for status, count in (("200", n_2xx), ("404", n_4xx), ("500", n_5xx)):
-            if count > 0 or _last_value(state.metrics, SeriesId.make("http_requests_total", {**job, "status": status})) > 0:
+            if count > 0 or state.metrics.last_value(SeriesId.make("http_requests_total", {**job, "status": status})) > 0:
                 _ingest_counter(state, "http_requests_total", {**job, "status": status}, float(count))
 
         counts = _bucket_counts(n_req, profile.latency_buckets)

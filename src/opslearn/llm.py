@@ -24,6 +24,8 @@ from typing import Any
 
 import yaml
 
+from .resources import load_yaml
+
 ROLES = ("curriculum", "planner", "curator")
 
 
@@ -114,8 +116,10 @@ class GatewayConfig:
 
 
 def load_config(path: str) -> GatewayConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
+    try:
+        doc = load_yaml(path) or {}
+    except yaml.YAMLError as exc:
+        raise GatewayConfigError(f"llm config: {exc}") from None
     config = GatewayConfig()
     config.mode = doc.get("mode", config.mode)
     if config.mode not in ("scripted", "live"):
@@ -215,8 +219,10 @@ class ScriptRecord:
 
 
 def load_script(path: str) -> list[ScriptRecord]:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        doc = load_yaml(path)
+    except yaml.YAMLError as exc:
+        raise GatewayConfigError(f"script: {exc}") from None
     records_doc = doc["records"] if isinstance(doc, dict) else doc
     records = []
     for i, rec in enumerate(records_doc or []):

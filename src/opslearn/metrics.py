@@ -22,8 +22,6 @@ class SeriesId:
 
     @classmethod
     def make(cls, metric_name: str, labels: dict[str, str]) -> "SeriesId":
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate label keys")
         return cls(metric_name, tuple(sorted(labels.items())))
 
     def label_dict(self) -> dict[str, str]:
@@ -34,13 +32,6 @@ class SeriesId:
         d = {"__name__": self.metric_name}
         d.update(self.labels)
         return d
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    series: SeriesId
-    timestamp: float
-    value: float
 
 
 @dataclass
@@ -69,32 +60,25 @@ class MetricStore:
 
     def __init__(self) -> None:
         self._samples: dict[SeriesId, list[tuple[float, float]]] = {}
-        self._kinds: dict[str, str] = {}
 
-    def declare_kind(self, metric_name: str, kind: str) -> None:
-        """Record whether a metric is a counter or gauge (informational)."""
-        self._kinds[metric_name] = kind
-
-    def kind_of(self, metric_name: str) -> str | None:
-        return self._kinds.get(metric_name)
-
-    def ingest(self, sample: MetricSample) -> None:
-        points = self._samples.setdefault(sample.series, [])
-        if points and sample.timestamp <= points[-1][0]:
+    def ingest(self, series: SeriesId, timestamp: float, value: float) -> None:
+        points = self._samples.setdefault(series, [])
+        if points and timestamp <= points[-1][0]:
             raise OrderViolation(
-                f"sample for {sample.series.metric_name} at t={sample.timestamp} "
-                f"is not after latest t={points[-1][0]}"
+                f"sample for {series.metric_name} at t={timestamp} is not after latest t={points[-1][0]}"
             )
-        points.append((sample.timestamp, sample.value))
+        points.append((timestamp, value))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
-        self.ingest(MetricSample(SeriesId.make(metric_name, labels), timestamp, value))
+        self.ingest(SeriesId.make(metric_name, labels), timestamp, value)
 
     def series_ids(self) -> list[SeriesId]:
         return list(self._samples)
 
-    def series_count(self) -> int:
-        return len(self._samples)
+    def last_value(self, series: SeriesId) -> float:
+        """Value of the series' latest sample, 0.0 when it has none; copies nothing."""
+        points = self._samples.get(series)
+        return points[-1][1] if points else 0.0
 
     def samples(self, series: SeriesId) -> list[tuple[float, float]]:
         return list(self._samples.get(series, ()))

@@ -449,8 +449,10 @@ def _eval_histogram_quantile(store: MetricStore, node: HistogramQuantile, at: fl
     for entry in inner:
         if "le" not in entry.labels:
             continue
-        le_text = entry.labels["le"]
-        le = float("inf") if le_text in ("+Inf", "Inf") else float(le_text)
+        try:
+            le = float(entry.labels["le"])
+        except ValueError:
+            continue  # a bucket whose bound is not a number is skipped, as Prometheus does
         key = tuple(sorted((k, v) for k, v in entry.labels.items() if k not in ("le", "__name__")))
         groups.setdefault(key, []).append((le, entry.value))
     out = []

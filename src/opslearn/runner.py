@@ -50,7 +50,7 @@ from .llm import (
     load_script,
 )
 from .planner import ExecutionPlanner
-from .resources import fixture_path
+from .resources import fixture_path, load_yaml
 from .shell import ShellGateway
 
 ROUND_TICK_SECONDS = 60.0
@@ -287,6 +287,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         truncated, truncation_reason = True, "budget"
     except RoundGenerationFailed as exc:
         truncated, truncation_reason = True, f"round-generation: {exc}"
+    finally:
+        planner.shell.report_sink = None  # break the planner -> shell -> sink -> planner cycle
 
     report = _build_report(
         config, state, all_tasks, tracker, library, gateway, completed_rounds, truncated, truncation_reason
@@ -347,8 +349,10 @@ def _build_report(
 
 
 def load_suite(path: str) -> list[dict[str, Any]]:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        doc = load_yaml(path)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"suite: {exc}") from None
     if not isinstance(doc, dict) or doc.get("suite_schema") != 1:
         raise ConfigurationError(f"{path}: not an evaluation suite")
     tasks = doc.get("tasks") or []

@@ -40,6 +40,28 @@ def test_run_reports_missing_script(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--fixture"],
+        ["run", "--script"],
+        ["run", "--llm-config"],
+        ["eval", "--library", "unused.json", "--suite"],
+    ],
+    ids=["fixture", "script", "llm-config", "suite"],
+)
+def test_malformed_yaml_fails_with_one_error_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("namespaces: [sock-shop\n")
+    code = main(argv + [str(bad), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_run_rejects_unknown_llm_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--llm", "telepathy", "--out-dir", str(tmp_path)])

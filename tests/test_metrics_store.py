@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opslearn.metrics import MetricStore, OrderViolation, SeriesId
 
@@ -77,3 +79,30 @@ def test_label_values_sorted_distinct():
     assert store.label_values("__name__") == ["a_total", "b_total"]
     assert store.label_values("job") == ["y", "z"]
     assert store.label_values("missing") == []
+
+
+_SERIES = [SeriesId.make("m", {"job": job}) for job in ("a", "b", "c")]
+_values = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    ingests=st.lists(st.tuples(st.integers(0, 2), st.floats(0.001, 100.0), _values), max_size=40),
+    behind=st.floats(0.0, 100.0),
+)
+def test_last_value_tracks_ordered_ingests(ingests, behind):
+    store = MetricStore()
+    assert store.last_value(_SERIES[0]) == 0.0
+    latest: dict[SeriesId, float] = {}
+    for index, step, value in ingests:
+        sid = _SERIES[index]
+        timestamp = latest.get(sid, 0.0) + step
+        store.ingest(sid, timestamp, value)
+        latest[sid] = timestamp
+        for other in _SERIES:
+            points = store.samples(other)
+            assert store.last_value(other) == (points[-1][1] if points else 0.0)
+    for sid, timestamp in latest.items():
+        before = store.last_value(sid)
+        with pytest.raises(OrderViolation):
+            store.ingest(sid, timestamp - behind, before + 1.0)
+        assert store.last_value(sid) == before

@@ -83,6 +83,13 @@ def _quantile_store(cumulatives: list[tuple[str, float]]) -> MetricStore:
     return store
 
 
+def test_histogram_quantile_skips_buckets_with_non_numeric_le():
+    store = _quantile_store([("0.1", 5.0), ("abc", 7.0), ("1", 10.0), ("+Inf", 10.0)])
+    assert _single_value(evaluate(store, "histogram_quantile(0.5, request_duration_seconds_bucket)", 0.0)) == 0.1
+    only_bad = _quantile_store([("abc", 7.0)])
+    assert evaluate(only_bad, "histogram_quantile(0.9, request_duration_seconds_bucket)", 0.0).entries == []
+
+
 def test_histogram_quantile_monotone_in_q():
     rng = random.Random(7)
     for _ in range(50):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -273,6 +274,19 @@ def test_observation_only_trial_leaves_no_mutations(tmp_path):
     (task,) = result.report["tasks"]
     assert task["kind"] == "observation"
     assert task["status"] == "succeeded"
+
+
+def test_run_trial_leaves_no_reference_cycles(tmp_path):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_trial(TrialConfig(seed=7, out_dir=str(tmp_path)))
+        gc.collect()
+        leaked = {type(obj).__qualname__ for obj in gc.garbage if type(obj).__module__.startswith("opslearn")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == set()
 
 
 def test_run_trial_rejects_bad_mode():

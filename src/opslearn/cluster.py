@@ -190,15 +190,6 @@ class MutationRecord:
     args: dict[str, Any]
     digest_after: str
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "sim_time": self.sim_time,
-            "action": self.action,
-            "args": self.args,
-            "digest_after": self.digest_after,
-        }
-
 
 @dataclass
 class ClusterState:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 
 from .cluster import ClusterState, clone, format_cpu, format_mem
-from .datalayer import SKILL_KINDS, History, InteractionRecord, SkillEntry, SkillLibrary, Task
-from .llm import BaseGateway
+from .datalayer import SKILL_KINDS, InteractionRecord, SkillEntry, SkillLibrary, Task
+from .llm import BaseGateway, ask_until_parsed
 from .resources import prompt_template
 from .shell import ShellGateway
 
@@ -87,11 +87,9 @@ class KnowledgeCurator:
         self,
         gateway: BaseGateway,
         components: tuple[str, ...] = ("catalogue", "front-end"),
-        history: History | None = None,
     ):
         self.gateway = gateway
         self.components = components
-        self.history = history
         self.template = prompt_template("curator")
 
     def _complete(self, text: str, task_id: str = "") -> str:
@@ -116,27 +114,33 @@ class KnowledgeCurator:
             .replace("{trajectory}", render_trajectory(trajectory))
         )
         commands = self._commands_in(trajectory)
-        prompt = base_prompt
-        entries: list[SkillEntry] = []
-        for attempt in range(2):
-            completion = self._complete(prompt, task.id)
+        parsed: list[SkillEntry] = []  # entries of the latest completion
+
+        def ask(note: str | None) -> str:
+            prompt = base_prompt if note is None else f"{base_prompt}\n\nRevision note: {note}"
+            return self._complete(prompt, task.id)
+
+        def parse(completion: str) -> list[SkillEntry]:
+            nonlocal parsed
+            parsed = []
             try:
-                entries = parse_skills(completion, task.id)
+                parsed = parse_skills(completion, task.id)
             except ValueError as exc:
-                prompt = f"{base_prompt}\n\nRevision note: previous answer was rejected ({exc})."
-                entries = []
-                continue
-            loose = [e for e in entries if e.kind == "Command" and e.body not in commands]
-            if not loose:
-                return entries
-            names = ", ".join(repr(e.body) for e in loose)
-            prompt = (
-                f"{base_prompt}\n\nRevision note: Command bodies must quote an executed "
-                f"command verbatim; these do not: {names}."
-            )
+                raise ValueError(f"previous answer was rejected ({exc}).") from None
+            loose = [e for e in parsed if e.kind == "Command" and e.body not in commands]
+            if loose:
+                names = ", ".join(repr(e.body) for e in loose)
+                raise ValueError(
+                    f"Command bodies must quote an executed command verbatim; these do not: {names}."
+                )
+            return parsed
+
+        entries = ask_until_parsed(ask, parse, 2)
+        if entries is not None:
+            return entries
         # After the one re-ask, drop Command entries that still match nothing
         # and keep the rest rather than losing the whole batch.
-        return [e for e in entries if e.kind != "Command" or e.body in commands]
+        return [e for e in parsed if e.kind != "Command" or e.body in commands]
 
     # -- validation --------------------------------------------------------------
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .datalayer import ACTION, OBSERVATION, History, InteractionRecord, RunningStateSnapshot, Task
-from .llm import BaseGateway
+from .datalayer import ACTION, OBSERVATION, InteractionRecord, RunningStateSnapshot, Task, task_close
+from .llm import BaseGateway, ask_until_parsed
 from .resources import prompt_template
 
 CONTEXT_CHAR_BUDGET = 6000
@@ -35,9 +35,9 @@ class TaskSummary:
 def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
     """Fold the raw log into one block per task, oldest first.
 
-    The manager closes every task with a report record carrying
-    `task=<id> status=<s> description=<d>`; feedback records in between
-    supply the most recent refinement signal.
+    The manager closes every task with a task-close record (see
+    `datalayer.task_close`); feedback records in between supply the most
+    recent refinement signal.
     """
     order: list[str] = []
     summaries: dict[str, TaskSummary] = {}
@@ -47,11 +47,10 @@ def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
             summaries[record.task_id] = TaskSummary(record.task_id, "", "unknown", None)
         if record.payload_kind == "feedback":
             summaries[record.task_id].last_feedback = record.payload
-        if record.payload_kind == "report" and record.actor == "manager":
-            m = re.match(r"task=(\S+) status=(\S+) description=(.*)", record.payload, re.S)
-            if m and m.group(1) == record.task_id:
-                summaries[record.task_id].outcome = m.group(2)
-                summaries[record.task_id].description = m.group(3)
+        closed = task_close(record)
+        if closed and closed[0] == record.task_id:
+            summary = summaries[record.task_id]
+            summary.outcome, summary.description = closed[1], closed[2]
     return [summaries[tid] for tid in order]
 
 
@@ -165,10 +164,9 @@ def difficulty_progression_check(prev_round: list[Task], new_round: list[Task]) 
 class CurriculumBuilder:
     """Drives the curriculum-role model and polices its output."""
 
-    def __init__(self, gateway: BaseGateway, mode: str = "full", history: History | None = None):
+    def __init__(self, gateway: BaseGateway, mode: str = "full"):
         self.gateway = gateway
         self.mode = mode  # full | observation_only
-        self.history = history
         self.directive = prompt_template("curriculum")
 
     def _prompt(self, context: str, round_no: int, tasks_per_round: int, note: str) -> str:
@@ -198,28 +196,38 @@ class CurriculumBuilder:
         tasks_per_round: int = 3,
         prev_round: list[Task] | None = None,
     ) -> list[Task]:
-        note = ""
-        tasks: list[Task] | None = None
-        for _ in range(3):  # first ask plus two re-asks
-            prompt = self._prompt(context, round_no, tasks_per_round, note)
-            completion = self.gateway.complete(
+        latest: list[Task] | None = None  # last parseable, mode-compliant candidate
+        sent_note = ""
+
+        def ask(note: str | None) -> str:
+            nonlocal sent_note
+            sent_note = note or ""
+            prompt = self._prompt(context, round_no, tasks_per_round, sent_note)
+            return self.gateway.complete(
                 "curriculum", [{"speaker": "curriculum", "text": prompt}], actor="curriculum"
             )
+
+        def parse(completion: str) -> list[Task]:
+            nonlocal latest
             try:
                 candidate = parse_round(completion, round_no, tasks_per_round)
             except ValueError as exc:
-                note = f"previous response was unusable ({exc}); follow the block format exactly"
-                continue
+                raise ValueError(f"previous response was unusable ({exc}); follow the block format exactly") from None
             if self.mode == "observation_only" and any(t.kind == ACTION for t in candidate):
-                note = "action tasks are not allowed in this deployment mode; regenerate all blocks as observation tasks"
-                continue
-            tasks = candidate
-            if prev_round:
-                violations = difficulty_progression_check(prev_round, candidate)
-                if violations and not note.startswith("difficulty progression"):
-                    note = "difficulty progression violations: " + "; ".join(violations)
-                    continue
-            break
-        if tasks is None:
+                raise ValueError(
+                    "action tasks are not allowed in this deployment mode; "
+                    "regenerate all blocks as observation tasks"
+                )
+            latest = candidate
+            violations = difficulty_progression_check(prev_round, candidate) if prev_round else []
+            # soft rule: a second progression violation in a row is accepted
+            if violations and not sent_note.startswith("difficulty progression"):
+                raise ValueError("difficulty progression violations: " + "; ".join(violations))
+            return candidate
+
+        # First ask plus two re-asks. An accepted candidate is also the latest
+        # one; once the asks run out, the latest candidate stands.
+        ask_until_parsed(ask, parse, 3)
+        if latest is None:
             raise RoundGenerationFailed(f"round {round_no}: no usable completion after 2 re-asks")
-        return tasks
+        return latest

@@ -1,10 +1,10 @@
 """Shared state between the cluster and the management modules.
 
-Four pieces: the task queue feeding the planner, the append-only
-interaction history, running-state snapshots summarizing the cluster
-for prompts, and the persistent skill library. History and library are
-the replay backbone: a finished trial's history log plus the bundled
-fixture is enough to rebuild the library byte for byte.
+Three pieces: the append-only interaction history, in which a manager
+task-close record ends each task; running-state snapshots summarizing
+the cluster for prompts; and the persistent skill library. History and
+library are the replay backbone: a finished trial's history log plus the
+bundled fixture is enough to rebuild the library byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ ACTION = "action"
 SKILL_KINDS = ("Command", "Configuration", "Reflection")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_CLOSE_RE = re.compile(r"task=(\S+) status=(\S+) description=(.*)", re.S)
 
 
 @dataclass
@@ -41,34 +42,6 @@ class Task:
             raise ValueError(f"bad task kind {self.kind!r}")
         if self.difficulty < 1:
             raise ValueError("difficulty must be >= 1")
-
-
-class TaskQueue:
-    """FIFO within a round, rounds in ascending order."""
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[int, int, Task]] = []
-        self._seq = 0
-
-    def enqueue(self, tasks: list[Task]) -> None:
-        for task in tasks:
-            self._entries.append((task.round, self._seq, task))
-            self._seq += 1
-        self._entries.sort(key=lambda e: (e[0], e[1]))
-
-    def next(self) -> Task | None:
-        for i, (_, _, task) in enumerate(self._entries):
-            if task.status == "pending":
-                task.status = "running"
-                del self._entries[i]
-                return task
-        return None
-
-    def pending(self) -> list[Task]:
-        return [task for _, _, task in self._entries if task.status == "pending"]
-
-    def __len__(self) -> int:
-        return len(self.pending())
 
 
 @dataclass
@@ -121,6 +94,11 @@ class History:
         self.records.append(record)
         return record
 
+    def close_task(self, task: Task, timestamp: float) -> InteractionRecord:
+        """The manager's report that ends a task; read back by task_close."""
+        payload = f"task={task.id} status={task.status} description={task.description}"
+        return self.add(task.id, "manager", payload, "report", timestamp=timestamp)
+
     def for_task(self, task_id: str) -> list[InteractionRecord]:
         return [r for r in self.records if r.task_id == task_id]
 
@@ -141,6 +119,14 @@ class History:
                 if line.strip():
                     history.records.append(InteractionRecord.from_doc(json.loads(line)))
         return history
+
+
+def task_close(record: InteractionRecord) -> tuple[str, str, str] | None:
+    """(task id, status, description) of a task-close record, else None."""
+    if record.payload_kind != "report" or record.actor != "manager":
+        return None
+    match = _CLOSE_RE.match(record.payload)
+    return match.groups() if match else None
 
 
 # ---------------------------------------------------------------------------

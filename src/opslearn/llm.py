@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
 from .resources import load_yaml
 
 ROLES = ("curriculum", "planner", "curator")
+T = TypeVar("T")
 
 
 class BudgetExhausted(Exception):
@@ -115,9 +116,15 @@ class GatewayConfig:
     cost_table: dict[str, dict[str, float]] = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COST_TABLE)))
 
 
+def _mapping(value: Any, what: str) -> dict[str, Any]:
+    if value is not None and not isinstance(value, dict):
+        raise GatewayConfigError(f"{what} must be a mapping")
+    return value or {}
+
+
 def load_config(path: str) -> GatewayConfig:
     try:
-        doc = load_yaml(path) or {}
+        doc = _mapping(load_yaml(path) or None, f"llm config {path}")
     except yaml.YAMLError as exc:
         raise GatewayConfigError(f"llm config: {exc}") from None
     config = GatewayConfig()
@@ -128,9 +135,10 @@ def load_config(path: str) -> GatewayConfig:
     config.api_key_env = doc.get("api_key_env", config.api_key_env)
     config.budget_usd = float(doc.get("budget_usd", config.budget_usd))
     config.script_path = doc.get("script_path", config.script_path)
-    for role, route_doc in (doc.get("routes") or {}).items():
+    for role, route_doc in _mapping(doc.get("routes"), f"llm config {path}: routes").items():
         if role not in ROLES:
             raise GatewayConfigError(f"unknown route role {role!r}")
+        route_doc = _mapping(route_doc, f"llm config {path}: route {role!r}")
         base = config.routes[role]
         config.routes[role] = ModelRoute(
             role=role,
@@ -139,12 +147,31 @@ def load_config(path: str) -> GatewayConfig:
             temperature=float(route_doc.get("temperature", base.temperature)),
             profile=route_doc.get("profile", base.profile),
         )
-    for model, prices in (doc.get("cost_table") or {}).items():
+    for model, prices in _mapping(doc.get("cost_table"), f"llm config {path}: cost_table").items():
+        prices = _mapping(prices, f"llm config {path}: cost_table {model!r}")
         config.cost_table[model] = {
             "prompt_per_1k": float(prices.get("prompt_per_1k", 0.0)),
             "completion_per_1k": float(prices.get("completion_per_1k", 0.0)),
         }
     return config
+
+
+def ask_until_parsed(ask: Callable[[str | None], str], parse: Callable[[str], T], asks: int) -> T | None:
+    """The role models propose, mechanical parsers dispose.
+
+    `ask(None)` makes the first request; each later ask gets the message of
+    the ValueError the parser raised on the previous completion, to send
+    back as a revision note. Returns the first parsed completion, or None
+    once `asks` completions have all been rejected.
+    """
+    note = None
+    for _ in range(asks):
+        completion = ask(note)  # outside the try: a failing ask is not a rejection
+        try:
+            return parse(completion)
+        except ValueError as exc:
+            note = str(exc)
+    return None
 
 
 def render_prompt(messages: list[dict[str, str]]) -> str:
@@ -223,9 +250,12 @@ def load_script(path: str) -> list[ScriptRecord]:
         doc = load_yaml(path)
     except yaml.YAMLError as exc:
         raise GatewayConfigError(f"script: {exc}") from None
-    records_doc = doc["records"] if isinstance(doc, dict) else doc
+    records_doc = doc.get("records", doc) if isinstance(doc, dict) else doc
+    if records_doc is not None and not isinstance(records_doc, list):
+        raise GatewayConfigError(f"script {path}: expected a records list, bare or under `records:`")
     records = []
     for i, rec in enumerate(records_doc or []):
+        rec = _mapping(rec, f"script {path}: record {i}")
         role = rec.get("role")
         if role not in ROLES:
             raise GatewayConfigError(f"script record {i}: unknown role {role!r}")

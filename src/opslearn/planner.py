@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
-from .llm import BaseGateway
+from .llm import BaseGateway, ask_until_parsed
 from .resources import prompt_template
 from .shell import ShellGateway
 
@@ -140,7 +140,12 @@ def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtas
             if depends_on not in seen_ids:
                 raise ValueError(f"subtask {number} depends on unknown subtask {depends_on}")
         expects = fields.get("expects", "nonempty")
-        if expects not in EXPECTATIONS and not expects.startswith("regex:"):
+        if expects.startswith("regex:"):
+            try:
+                re.compile(expects[len("regex:"):])
+            except re.error as exc:
+                raise ValueError(f"subtask {number}: bad expectation {expects!r} ({exc})") from None
+        elif expects not in EXPECTATIONS:
             raise ValueError(f"subtask {number}: bad expectation {expects!r}")
         seen_ids.add(number)
         subtasks.append(Subtask(number, assignee, fields["description"], depends_on, expects))
@@ -196,22 +201,25 @@ class ExecutionPlanner:
     # -- decomposition -----------------------------------------------------------
 
     def decompose(self, task: Task, skills: list[SkillEntry]) -> Plan:
-        assignees = self.agents + ("manager",)
         base_prompt = (
             self.manager_template.replace("{task_description}", task.description)
             .replace("{task_kind}", task.kind)
             .replace("{agents}", ", ".join(self.agents))
             .replace("{skills}", self._skills_text(skills))
         )
-        prompt = base_prompt
-        for attempt in range(2):
-            completion = self._complete("manager", [{"speaker": "manager", "text": prompt}])
-            try:
-                subtasks = parse_plan(completion, assignees)
-                return Plan(task.id, subtasks)
-            except ValueError as exc:
-                prompt = f"{base_prompt}\n\nRevision note: previous plan was rejected ({exc})."
-        raise PlanningFailed(f"task {task.id}: no usable plan after re-ask")
+        subtasks = self._ask_for_plan(base_prompt)
+        if subtasks is None:
+            raise PlanningFailed(f"task {task.id}: no usable plan after re-ask")
+        return Plan(task.id, subtasks)
+
+    def _ask_for_plan(self, base_prompt: str) -> list[Subtask] | None:
+        """Ask the manager for subtask blocks; one re-ask on a rejected plan."""
+
+        def ask(note: str | None) -> str:
+            revision = "" if note is None else f"\n\nRevision note: previous plan was rejected ({note})."
+            return self._complete("manager", [{"speaker": "manager", "text": base_prompt + revision}])
+
+        return ask_until_parsed(ask, lambda completion: parse_plan(completion, self.agents + ("manager",)), 2)
 
     # -- subtask execution ---------------------------------------------------------
 
@@ -362,22 +370,15 @@ class ExecutionPlanner:
         self._feedback(
             Feedback("hierarchical", "manager", 0, f"replan (revision {plan.revision + 1}): {trigger}")
         )
-        prompt = base_prompt
-        for attempt in range(2):
-            completion = self._complete("manager", [{"speaker": "manager", "text": prompt}])
-            try:
-                subtasks = parse_plan(completion, self.agents + ("manager",))
-                new_plan = Plan(plan.task_id, subtasks, revision=plan.revision + 1)
-                for st in new_plan.subtasks:
-                    prior = next((p for p in plan.subtasks if p.id == st.id and p.status == "succeeded"), None)
-                    if prior is not None:
-                        st.status = prior.status
-                        st.result = prior.result
-                        st.attempts = prior.attempts
-                return new_plan
-            except ValueError as exc:
-                prompt = f"{base_prompt}\n\nRevision note: previous plan was rejected ({exc})."
-        raise PlanningFailed(f"task {task.id}: replan produced no usable plan")
+        subtasks = self._ask_for_plan(base_prompt)
+        if subtasks is None:
+            raise PlanningFailed(f"task {task.id}: replan produced no usable plan")
+        new_plan = Plan(plan.task_id, subtasks, revision=plan.revision + 1)
+        for st in new_plan.subtasks:
+            prior = next((p for p in plan.subtasks if p.id == st.id and p.status == "succeeded"), None)
+            if prior is not None:
+                st.status, st.result, st.attempts = prior.status, prior.result, prior.attempts
+        return new_plan
 
     # -- assembly ----------------------------------------------------------------------
 
@@ -455,9 +456,6 @@ class ExecutionPlanner:
                 succeeded_at_last_replan = succeeded_now
                 replans += 1
                 plan = self.hierarchical_replan(plan, task, trigger, skills_text)
-        except ObservationViolation:
-            task.status = "failed"
-            return TaskOutcome(task, False, None, feedbacks)
-        except PlanningFailed:
+        except (ObservationViolation, PlanningFailed):
             task.status = "failed"
             return TaskOutcome(task, False, None, feedbacks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import os
 from typing import Any
 
@@ -16,13 +17,10 @@ def fixture_path(*parts: str) -> str:
     return os.path.join(_FIXTURES, *parts)
 
 
-def read_fixture(*parts: str) -> str:
-    with open(fixture_path(*parts)) as fh:
-        return fh.read()
-
-
+@functools.cache  # bundled templates do not change while the process runs
 def prompt_template(name: str) -> str:
-    return read_fixture("prompts", f"{name}.txt")
+    with open(fixture_path("prompts", f"{name}.txt")) as fh:
+        return fh.read()
 
 
 def load_yaml(path: str) -> Any:

@@ -31,13 +31,7 @@ from .cluster import (
 )
 from .curator import KnowledgeCurator
 from .curriculum import CurriculumBuilder, RoundGenerationFailed, build_context
-from .datalayer import (
-    History,
-    SkillLibrary,
-    Task,
-    TaskQueue,
-    build_snapshot,
-)
+from .datalayer import History, SkillLibrary, Task, build_snapshot, task_close
 from .llm import (
     BaseGateway,
     BudgetExhausted,
@@ -59,7 +53,6 @@ EVAL_WARMUP_SECONDS = 300.0
 RETRIEVE_K = 4
 
 _TASK_ID_RE = re.compile(r"r(\d+)t(\d+)")
-_REPORT_RE = re.compile(r"task=(\S+) status=(\S+) description=(.*)", re.S)
 
 
 class ConfigurationError(Exception):
@@ -208,7 +201,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
     history = History()
     gateway.history = history
     library = SkillLibrary()
-    queue = TaskQueue()
     tracker = KnowledgeTracker()
     agents = component_names(state)
     planner = ExecutionPlanner(
@@ -221,8 +213,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         "report",
         timestamp=state.sim_time,
     )
-    builder = CurriculumBuilder(gateway, mode=config.mode, history=history)
-    curator = KnowledgeCurator(gateway, components=agents, history=history)
+    builder = CurriculumBuilder(gateway, mode=config.mode)
+    curator = KnowledgeCurator(gateway, components=agents)
 
     os.makedirs(config.out_dir, exist_ok=True)
     all_tasks: list[Task] = []
@@ -247,11 +239,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
             tasks = builder.generate_round(
                 context, round_no, config.tasks_per_round, prev_round
             )
-            queue.enqueue(tasks)
-            while True:
-                task = queue.next()
-                if task is None:
-                    break
+            for task in tasks:
                 if over_time():
                     truncated, truncation_reason = True, "time"
                     break
@@ -271,13 +259,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                         round_no=round_no,
                     )
                     tracker.update(library, round_no, task.id)
-                history.add(
-                    task.id,
-                    "manager",
-                    f"task={task.id} status={task.status} description={task.description}",
-                    "report",
-                    timestamp=state.sim_time,
-                )
+                history.close_task(task, state.sim_time)
             if truncated:
                 break
             prev_round = tasks
@@ -357,6 +339,8 @@ def load_suite(path: str) -> list[dict[str, Any]]:
         raise ConfigurationError(f"{path}: not an evaluation suite")
     tasks = doc.get("tasks") or []
     for i, task in enumerate(tasks):
+        if not isinstance(task, dict):
+            raise ConfigurationError(f"{path}: task {i} is not a mapping")
         for key in ("id", "description"):
             if key not in task:
                 raise ConfigurationError(f"{path}: task {i} missing {key}")
@@ -515,12 +499,10 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
     library = SkillLibrary()
     current_round = 0
     for record in original.records:
-        if record.payload_kind != "report" or record.actor != "manager":
+        closed = task_close(record)
+        if closed is None:
             continue
-        match = _REPORT_RE.match(record.payload)
-        if not match:
-            continue
-        task_id, status, description = match.groups()
+        task_id, status, description = closed
         id_match = _TASK_ID_RE.fullmatch(task_id)
         round_no = int(id_match.group(1)) if id_match else current_round or 1
         if round_no != current_round:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from opslearn.cli import main
+from opslearn.datalayer import SkillLibrary
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +54,35 @@ def test_run_reports_missing_script(tmp_path, capsys):
 def test_malformed_yaml_fails_with_one_error_line(tmp_path, capsys, argv):
     bad = tmp_path / "bad.yaml"
     bad.write_text("namespaces: [sock-shop\n")
-    code = main(argv + [str(bad), "--out-dir", str(tmp_path)])
+    _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
+
+
+def _assert_one_error_line(code, capsys, bad):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["run", "--script"], "records:\n  - a string\n"),
+        (["run", "--script"], "mode: scripted\n"),
+        (["run", "--llm-config"], "routes:\n  planner: 5\n"),
+        (["run", "--llm-config"], "- mode: live\n"),
+        (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks:\n  - the id and the description\n"),
+    ],
+    ids=["script-string-record", "script-without-records", "llm-config-scalar-route", "llm-config-list", "suite-string-task"],
+)
+def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 
 
 def test_run_rejects_unknown_llm_flag(tmp_path):

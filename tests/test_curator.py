@@ -23,7 +23,7 @@ def _curator(records: list[ScriptRecord]) -> tuple[KnowledgeCurator, History]:
     gateway = ScriptedGateway(GatewayConfig(mode="scripted"), records)
     history = History()
     gateway.history = history
-    return KnowledgeCurator(gateway, components=COMPONENTS, history=history), history
+    return KnowledgeCurator(gateway, components=COMPONENTS), history
 
 
 def _task(description: str = "check catalogue memory") -> Task:

@@ -141,6 +141,39 @@ def test_generate_round_reasks_on_progression_violation():
     assert "difficulty progression violations" in prompts[1]
 
 
+# Progression is a soft rule: a violation is sent back once, a second one in
+# a row is accepted, and once the asks run out the latest parseable candidate
+# stands. Each case: the replies in order, the reply expected back, and the
+# revision note that opens each re-ask.
+_V1 = _block(1, "First regression.", stage=1, difficulty=1)
+_V2 = _block(1, "Second regression.", stage=1, difficulty=2)
+_V3 = _block(1, "Third regression.", stage=1, difficulty=1)
+_PROGRESSION = "Revision note: difficulty progression violations: stage 1: succeeded at difficulty 3"
+_UNUSABLE = "Revision note: previous response was unusable (expected 1 task blocks, found 0)"
+
+
+@pytest.mark.parametrize(
+    "replies, expected, notes",
+    [
+        ([_V1, _V2], "Second regression.", [_PROGRESSION]),
+        ([_V1, "junk", "junk"], "First regression.", [_PROGRESSION, _UNUSABLE]),
+        ([_V1, "junk", _V3], "Third regression.", [_PROGRESSION, _UNUSABLE]),
+        (["junk", "junk", _V3], "Third regression.", [_UNUSABLE, _UNUSABLE]),
+    ],
+    ids=["violation-violation", "violation-junk-junk", "violation-junk-violation", "junk-junk-violation"],
+)
+def test_generate_round_progression_reask_sequences(replies, expected, notes):
+    prev = [_done(_mk("r1t1", 1, 3), "succeeded")]
+    builder, history = _builder(replies)
+    tasks = builder.generate_round("ctx", round_no=2, tasks_per_round=1, prev_round=prev)
+    assert [t.description for t in tasks] == [expected]
+    prompts = [r.payload for r in history.records if r.payload_kind == "prompt"]
+    assert len(prompts) == len(notes) + 1
+    assert "Revision note:" not in prompts[0]
+    for prompt, note in zip(prompts[1:], notes):
+        assert prompt.split("\n")[-1].startswith(note)
+
+
 class _Snapshot:
     def to_text(self) -> str:
         return "2 deployments, 2 pods"
@@ -156,16 +189,12 @@ def test_build_context_without_history():
 def test_build_context_summarizes_and_trims():
     history = History()
     for i in range(1, 4):
-        task_id = f"r1t{i}"
-        history.add(task_id, "manager", f"prompt {i}", "prompt")
+        task = Task(id=f"r1t{i}", round=1, kind="observation", difficulty=1, description=f"step {i}")
+        task.status = "succeeded"
+        history.add(task.id, "manager", f"prompt {i}", "prompt")
         if i == 2:
-            history.add(task_id, "environment", "command failed: exit 22", "feedback", feedback_kind="environment")
-        history.add(
-            task_id,
-            "manager",
-            f"task={task_id} status=succeeded description=step {i}",
-            "report",
-        )
+            history.add(task.id, "environment", "command failed: exit 22", "feedback", feedback_kind="environment")
+        history.close_task(task, timestamp=0.0)
     summaries = summarize_history(history.records)
     assert [s.task_id for s in summaries] == ["r1t1", "r1t2", "r1t3"]
     assert summaries[1].last_feedback == "command failed: exit 22"

@@ -4,6 +4,7 @@ and the live HTTP backend against a local stub server."""
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -17,6 +18,7 @@ from opslearn.llm import (
     ScriptExhausted,
     ScriptRecord,
     ScriptedGateway,
+    ask_until_parsed,
     build_gateway,
     estimate_tokens,
     load_config,
@@ -94,6 +96,62 @@ def test_load_script_validates_records(tmp_path):
     missing.write_text("- role: planner\n")
     with pytest.raises(GatewayConfigError):
         load_script(str(missing))
+
+
+# Misshapen documents beyond the ones tests/test_cli.py runs end to end.
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_script, "a bare string\n"),
+        (load_script, "- role: planner\n  response: hi\n- [a, list]\n"),
+        (load_config, "routes: [planner]\n"),
+        (load_config, "cost_table:\n  gpt-4o: cheap\n"),
+    ],
+    ids=["script-scalar", "script-list-record", "config-list-of-routes", "config-scalar-prices"],
+)
+def test_loaders_reject_misshapen_documents(tmp_path, loader, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    with pytest.raises(GatewayConfigError, match=re.escape(str(path))):
+        loader(str(path))
+
+
+def _reject_short(completion: str) -> str:
+    if len(completion) < 5:
+        raise ValueError(f"too short: {completion!r}")
+    return completion.upper()
+
+
+def test_ask_until_parsed_passes_each_rejection_back_as_the_next_note():
+    notes = []
+    replies = iter(["no", "nope", "finally"])
+
+    def ask(note):
+        notes.append(note)
+        return next(replies)
+
+    # A budget of five: asking again after the parse would exhaust `replies`.
+    assert ask_until_parsed(ask, _reject_short, 5) == "FINALLY"
+    assert notes == [None, "too short: 'no'", "too short: 'nope'"]
+
+
+def test_ask_until_parsed_returns_none_once_the_budget_is_spent():
+    notes = []
+
+    def ask(note):
+        notes.append(note)
+        return "no"
+
+    assert ask_until_parsed(ask, _reject_short, 2) is None
+    assert notes == [None, "too short: 'no'"]  # exactly two completions spent
+
+
+def test_ask_until_parsed_lets_a_failing_ask_propagate():
+    def ask(note):
+        raise ValueError("transport error")
+
+    with pytest.raises(ValueError, match="transport error"):
+        ask_until_parsed(ask, _reject_short, 3)
 
 
 def _scripted(records: list[ScriptRecord], budget: float = 10.0) -> ScriptedGateway:

@@ -146,6 +146,14 @@ def test_parse_plan_bad_expectation():
         parse_plan(text, AGENTS)
 
 
+def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
+    text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:(\n"
+    with pytest.raises(ValueError, match=r"subtask 1: bad expectation 'regex:\('"):
+        parse_plan(text, AGENTS)
+    good = text.replace("regex:(", r"regex:^\d+$")
+    assert parse_plan(good, AGENTS)[0].expects == r"regex:^\d+$"
+
+
 def test_plan_subtask_lookup():
     plan = Plan("t1", parse_plan(PLAN_TEXT, AGENTS))
     assert plan.subtask(2).assignee == "front-end"
@@ -168,6 +176,21 @@ def test_decompose_retries_once_after_rejected_plan():
     prompts = [r.payload for r in history.records if r.payload_kind == "prompt"]
     assert len(prompts) == 2
     assert "previous plan was rejected (no subtask blocks found)" in prompts[1]
+
+
+def test_decompose_reasks_after_a_broken_regex_expectation():
+    broken = PLAN_TEXT.replace("expects: number", "expects: regex:(")
+    assert broken != PLAN_TEXT
+    records = [
+        ScriptRecord("planner", broken, guard="Task: check catalogue memory"),
+        ScriptRecord("planner", PLAN_TEXT, guard="Revision note: previous plan was rejected"),
+    ]
+    planner, history, _ = _planner(records)
+    plan = planner.decompose(_task("check catalogue memory"), [])
+    assert plan.subtasks[0].expects == "number"
+    prompts = [r.payload for r in history.records if r.payload_kind == "prompt"]
+    assert len(prompts) == 2
+    assert "previous plan was rejected (subtask 1: bad expectation 'regex:('" in prompts[1]
 
 
 def test_decompose_fails_after_two_bad_plans():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 
@@ -341,6 +342,29 @@ def test_assemble_grid_needs_columns():
 
 
 # -- replay -------------------------------------------------------------------------
+
+
+# The seed-7 scripted trial is byte-stable; a change that moves one of these
+# prefixes changes observable behaviour and must say why.
+SEED_7_FINGERPRINTS = {
+    "history.log": "3a7224d399c1fac5",
+    "library.json": "03b15a663ed6eb34",
+    "report.json": "1087b165bc4dbf29",
+}
+
+
+def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
+    _, out_dir = golden_trial
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+        for name in SEED_7_FINGERPRINTS
+    }
+    assert digests == SEED_7_FINGERPRINTS
+    library, _ = replay_history(
+        str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7
+    )
+    library.save(str(tmp_path / "library.json"))
+    assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
 
 
 def test_replay_rebuilds_identical_library(golden_trial):

@@ -111,7 +111,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite or str(fixture_path("eval_suite.yaml")))
     columns = []
     for lib_path in args.library:
-        library = SkillLibrary.load(lib_path)
+        try:
+            library = SkillLibrary.load(lib_path)
+        except (ValueError, TypeError) as exc:  # not JSON, or an entry of the wrong shape
+            raise ConfigurationError(f"library {lib_path}: {exc}") from None
         label = os.path.splitext(os.path.basename(lib_path))[0]
         config = TrialConfig(
             seed=args.seed,

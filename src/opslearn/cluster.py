@@ -8,8 +8,7 @@ simulated time.
 
 Determinism rules the design. Traffic randomness is derived by hashing
 (seed, deployment, sample index), never from shared RNG state, so reads
-can interleave with ticks freely, clones stay independent, and replaying
-a mutation log onto a fresh fixture reproduces the exact final digest.
+can interleave with ticks freely and clones stay independent.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,6 +26,7 @@ from .metrics import MetricStore, SeriesId
 from .resources import load_yaml
 
 SAMPLE_INTERVAL = 15.0
+MAX_REPLICAS = 100  # each pod costs memory and every later read walks all pods
 
 KI = 1024
 MI = 1024 * 1024
@@ -183,15 +184,6 @@ class Deployment:
 
 
 @dataclass
-class MutationRecord:
-    seq: int
-    sim_time: float
-    action: str
-    args: dict[str, Any]
-    digest_after: str
-
-
-@dataclass
 class ClusterState:
     namespaces: set[str]
     deployments: list[Deployment]
@@ -201,7 +193,7 @@ class ClusterState:
     metrics: MetricStore = field(default_factory=MetricStore)
     metrics_available: bool = True
     last_sample_time: float = 0.0
-    mutations: list[MutationRecord] = field(default_factory=list)
+    mutation_count: int = 0  # successful mutate() calls
 
     def find_deployment(self, namespace: str, name: str) -> Deployment | None:
         for dep in self.deployments:
@@ -347,8 +339,8 @@ def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
         if state.find_deployment(namespace, name) is not None:
             raise _fail(f"{path}.name", f"duplicate deployment {namespace}/{name}")
         replicas = int(dep_doc.get("replicas", 1))
-        if replicas < 0:
-            raise _fail(f"{path}.replicas", "must be >= 0")
+        if not 0 <= replicas <= MAX_REPLICAS:
+            raise _fail(f"{path}.replicas", f"must be between 0 and {MAX_REPLICAS}")
         args = dep_doc.get("args", [])
         if not isinstance(args, list):
             raise _fail(f"{path}.args", "expected a list")
@@ -528,8 +520,8 @@ def _target_deployment(state: ClusterState, args: dict) -> Deployment:
 
 def _apply_scale(state: ClusterState, args: dict) -> None:
     replicas = int(args["replicas"])
-    if replicas < 0:
-        raise InvalidArgument(f"replicas must be >= 0, got {replicas}")
+    if not 0 <= replicas <= MAX_REPLICAS:
+        raise InvalidArgument(f"replicas must be between 0 and {MAX_REPLICAS}, got {replicas}")
     dep = _target_deployment(state, args)
     current = state.deployment_pods(dep)
     if replicas > len(current):
@@ -555,7 +547,7 @@ def _apply_set_resources(state: ClusterState, args: dict) -> None:
             res.cpu_limit = parse_cpu(limits["cpu"])
         if "memory" in limits:
             res.mem_limit = parse_mem(limits["memory"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidArgument(f"bad quantity: {exc}") from None
     if res.cpu_request > res.cpu_limit or res.mem_request > res.mem_limit:
         raise InvalidArgument("requests must not exceed limits")
@@ -584,7 +576,18 @@ def _apply_set_label(state: ClusterState, args: dict) -> None:
     dep.labels[str(key)] = str(args.get("value", ""))
 
 
+_PROBE_FIELDS = {
+    "http_path": str,
+    "initial_delay": float,
+    "timeout": float,
+    "period": float,
+    "success_threshold": int,
+    "failure_threshold": int,
+}
+
+
 def _apply_patch(state: ClusterState, args: dict) -> None:
+    """Validate the whole patch on copies, then assign: a rejected patch changes nothing."""
     dep = _target_deployment(state, args)
     patch = args.get("patch")
     if not isinstance(patch, dict):
@@ -593,43 +596,47 @@ def _apply_patch(state: ClusterState, args: dict) -> None:
     unknown = set(patch) - allowed
     if unknown:
         raise InvalidArgument(f"unpatchable fields: {sorted(unknown)}")
+    image, command, dep_args, probes = dep.image, dep.command, dep.args, dep.probes
     if "image" in patch:
-        if not patch["image"] or not isinstance(patch["image"], str):
+        image = patch["image"]
+        if not image or not isinstance(image, str):
             raise InvalidArgument("image must be a non-empty string")
-        dep.image = patch["image"]
     if "command" in patch:
-        dep.command = str(patch["command"])
+        command = str(patch["command"])
     if "args" in patch:
         if not isinstance(patch["args"], list):
             raise InvalidArgument("args must be a list")
-        dep.args = [str(a) for a in patch["args"]]
+        dep_args = [str(a) for a in patch["args"]]
     if "probes" in patch:
         if not isinstance(patch["probes"], dict):
             raise InvalidArgument("probes patch must map kind to fields")
+        probes = [copy.copy(p) for p in dep.probes]
         for kind, fields in patch["probes"].items():
             if kind not in ("liveness", "readiness"):
                 raise InvalidArgument(f"unknown probe kind {kind!r}")
             if not isinstance(fields, dict):
                 raise InvalidArgument(f"probe patch for {kind} must be a mapping")
-            probe = next((p for p in dep.probes if p.kind == kind), None)
+            probe = next((p for p in probes if p.kind == kind), None)
             if probe is None:
                 if "http_path" not in fields:
                     raise InvalidArgument(f"new {kind} probe needs http_path")
                 probe = ProbeSpec(kind=kind, http_path=str(fields["http_path"]))
-                dep.probes.append(probe)
+                probes.append(probe)
             for key, value in fields.items():
-                if key == "http_path":
-                    probe.http_path = str(value)
-                elif key in ("initial_delay", "timeout", "period"):
-                    setattr(probe, key, float(value))
-                elif key in ("success_threshold", "failure_threshold"):
-                    setattr(probe, key, int(value))
-                else:
+                if key not in _PROBE_FIELDS:
                     raise InvalidArgument(f"unknown probe field {key!r}")
+                try:
+                    converted = _PROBE_FIELDS[key](value)
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise InvalidArgument(f"bad {kind} probe {key}: {exc}") from None
+                if isinstance(converted, float) and not math.isfinite(converted):
+                    raise InvalidArgument(f"bad {kind} probe {key}: {value!r} is not finite")
+                setattr(probe, key, converted)
             if probe.success_threshold < 1 or probe.failure_threshold < 1:
                 raise InvalidArgument("thresholds must be >= 1")
             if probe.timeout >= probe.period:
                 raise InvalidArgument("timeout must be below period")
+    dep.image, dep.command, dep.args, dep.probes = image, command, dep_args, probes
 
 
 _ACTIONS = {
@@ -642,28 +649,12 @@ _ACTIONS = {
 
 
 def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterState:
-    """Apply one named mutation and append its audit record."""
+    """Apply one named mutation; a rejected one changes nothing and is not counted."""
     handler = _ACTIONS.get(action)
     if handler is None:
         raise InvalidArgument(f"unknown mutation action {action!r}")
     handler(state, args)
-    state.mutations.append(
-        MutationRecord(
-            seq=len(state.mutations) + 1,
-            sim_time=state.sim_time,
-            action=action,
-            args=copy.deepcopy(args),
-            digest_after=state_digest(state),
-        )
-    )
-    return state
-
-
-def replay_mutations(state: ClusterState, records: list[MutationRecord]) -> ClusterState:
-    """Re-apply a mutation log; pod birth times follow the recorded clock."""
-    for record in records:
-        state.sim_time = record.sim_time
-        mutate(state, record.action, record.args)
+    state.mutation_count += 1
     return state
 
 

@@ -12,8 +12,7 @@ into three kinds of reusable knowledge:
 Every candidate is validated before it may enter the library: Command
 bodies re-execute against a cloned cluster, Configuration statements are
 checked against live deployment facts, Reflections must keep their
-citations in range. Anything that cannot be checked right now is
-deferred, not stored.
+citations in range.
 """
 
 from __future__ import annotations
@@ -147,12 +146,10 @@ class KnowledgeCurator:
     def validate(
         self,
         entry: SkillEntry,
-        state: ClusterState | None,
+        state: ClusterState,
         trajectory: list[InteractionRecord],
     ) -> str:
-        """Returns validated | rejected | deferred and stamps entry.validated."""
-        if state is None:
-            return "deferred"
+        """Returns validated | rejected and stamps entry.validated."""
         if entry.kind == "Command":
             status = self._validate_command(entry, state)
         elif entry.kind == "Configuration":
@@ -255,16 +252,14 @@ class KnowledgeCurator:
         task: Task,
         trajectory: list[InteractionRecord],
         solution: str,
-        state: ClusterState | None,
+        state: ClusterState,
         library: SkillLibrary,
         round_no: int = 0,
-        trial: int = 1,
     ) -> dict[str, int]:
         entries = self.extract(task, trajectory, solution)
         validated = []
         for entry in entries:
             entry.created_round = round_no
-            entry.trial = trial
             if self.validate(entry, state, trajectory) == "validated":
                 validated.append(entry)
         counts = self.consolidate(library, validated)

@@ -17,7 +17,6 @@ from .resources import prompt_template
 
 CONTEXT_CHAR_BUDGET = 6000
 NO_HISTORY_MARKER = "no prior interactions"
-EXTRAS_HEADING = "other resources"
 
 
 class RoundGenerationFailed(Exception):
@@ -57,10 +56,9 @@ def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
 def build_context(
     snapshot: RunningStateSnapshot,
     history: list[InteractionRecord],
-    extras: str | None = None,
     char_budget: int = CONTEXT_CHAR_BUDGET,
 ) -> str:
-    """Deterministic prompt context: state, then history, then extras."""
+    """Deterministic prompt context: state, then history."""
     sections = ["== running state ==", snapshot.to_text(), "", "== interaction history =="]
     summaries = summarize_history(history)
     if not summaries:
@@ -72,10 +70,7 @@ def build_context(
             if s.last_feedback:
                 block += f"\n  last feedback: {s.last_feedback}"
             blocks.append(block)
-        tail = []
-        if extras:
-            tail = ["", f"== {EXTRAS_HEADING} ==", extras]
-        fixed = "\n".join(sections + tail)
+        fixed = "\n".join(sections)
         dropped = 0
         while blocks and len(fixed) + len("\n".join(blocks)) > char_budget:
             blocks.pop(0)  # oldest summaries go first
@@ -83,8 +78,6 @@ def build_context(
         if dropped:
             blocks.insert(0, f"({dropped} earlier tasks omitted)")
         sections.extend(blocks)
-    if extras:
-        sections.extend(["", f"== {EXTRAS_HEADING} ==", extras])
     return "\n".join(sections)
 
 

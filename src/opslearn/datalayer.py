@@ -33,7 +33,6 @@ class Task:
     kind: str  # observation | action
     difficulty: int
     description: str
-    origin: str = "curriculum"  # curriculum | evaluation
     status: str = "pending"  # pending | running | succeeded | failed
     stage: int = 1  # exploration stage tag, 1..4
 
@@ -113,7 +112,7 @@ class History:
         history = cls()
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if header.get("history_schema") != HISTORY_SCHEMA:
+            if not isinstance(header, dict) or header.get("history_schema") != HISTORY_SCHEMA:
                 raise ValueError(f"unsupported history schema: {header}")
             for line in fh:
                 if line.strip():
@@ -224,7 +223,7 @@ class SkillLibrary:
     @classmethod
     def import_json(cls, text: str) -> "SkillLibrary":
         doc = json.loads(text)
-        if doc.get("library_schema") != 1:
+        if not isinstance(doc, dict) or doc.get("library_schema") != 1 or not isinstance(doc.get("skills"), list):
             raise ValueError("unsupported library schema")
         library = cls()
         for entry_doc in doc["skills"]:

@@ -53,7 +53,6 @@ class ModelRoute:
     model_id: str
     max_tokens: int = 1024
     temperature: float = 0.2
-    profile: str = "low-latency"  # low-latency | reasoning
 
 
 @dataclass
@@ -99,9 +98,9 @@ DEFAULT_COST_TABLE = {
 }
 
 DEFAULT_ROUTES = {
-    "curriculum": ModelRoute("curriculum", "o1", max_tokens=2048, temperature=1.0, profile="reasoning"),
-    "planner": ModelRoute("planner", "gpt-4o", max_tokens=1024, temperature=0.2, profile="low-latency"),
-    "curator": ModelRoute("curator", "o1", max_tokens=2048, temperature=1.0, profile="reasoning"),
+    "curriculum": ModelRoute("curriculum", "o1", max_tokens=2048, temperature=1.0),
+    "planner": ModelRoute("planner", "gpt-4o", max_tokens=1024, temperature=0.2),
+    "curator": ModelRoute("curator", "o1", max_tokens=2048, temperature=1.0),
 }
 
 
@@ -122,6 +121,13 @@ def _mapping(value: Any, what: str) -> dict[str, Any]:
     return value or {}
 
 
+def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise GatewayConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def load_config(path: str) -> GatewayConfig:
     try:
         doc = _mapping(load_yaml(path) or None, f"llm config {path}")
@@ -133,25 +139,25 @@ def load_config(path: str) -> GatewayConfig:
         raise GatewayConfigError(f"unknown llm mode {config.mode!r}")
     config.endpoint = doc.get("endpoint", config.endpoint)
     config.api_key_env = doc.get("api_key_env", config.api_key_env)
-    config.budget_usd = float(doc.get("budget_usd", config.budget_usd))
+    config.budget_usd = _number(float, doc.get("budget_usd", config.budget_usd), f"llm config {path}: budget_usd")
     config.script_path = doc.get("script_path", config.script_path)
     for role, route_doc in _mapping(doc.get("routes"), f"llm config {path}: routes").items():
         if role not in ROLES:
             raise GatewayConfigError(f"unknown route role {role!r}")
-        route_doc = _mapping(route_doc, f"llm config {path}: route {role!r}")
+        what = f"llm config {path}: route {role!r}"
+        route_doc = _mapping(route_doc, what)
         base = config.routes[role]
         config.routes[role] = ModelRoute(
             role=role,
             model_id=route_doc.get("model", base.model_id),
-            max_tokens=int(route_doc.get("max_tokens", base.max_tokens)),
-            temperature=float(route_doc.get("temperature", base.temperature)),
-            profile=route_doc.get("profile", base.profile),
+            max_tokens=_number(int, route_doc.get("max_tokens", base.max_tokens), f"{what} max_tokens"),
+            temperature=_number(float, route_doc.get("temperature", base.temperature), f"{what} temperature"),
         )
     for model, prices in _mapping(doc.get("cost_table"), f"llm config {path}: cost_table").items():
-        prices = _mapping(prices, f"llm config {path}: cost_table {model!r}")
+        what = f"llm config {path}: cost_table {model!r}"
+        prices = _mapping(prices, what)
         config.cost_table[model] = {
-            "prompt_per_1k": float(prices.get("prompt_per_1k", 0.0)),
-            "completion_per_1k": float(prices.get("completion_per_1k", 0.0)),
+            key: _number(float, prices.get(key, 0.0), f"{what} {key}") for key in ("prompt_per_1k", "completion_per_1k")
         }
     return config
 
@@ -266,7 +272,7 @@ def load_script(path: str) -> list[ScriptRecord]:
                 role=role,
                 response=str(rec["response"]),
                 guard=rec.get("guard"),
-                max_uses=int(rec.get("max_uses", 1)),
+                max_uses=_number(int, rec.get("max_uses", 1), f"script {path}: record {i} max_uses"),
             )
         )
     return records

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
 from .llm import BaseGateway, ask_until_parsed
@@ -27,6 +27,7 @@ from .resources import prompt_template
 from .shell import ShellGateway
 
 EXPECTATIONS = ("none", "number", "integer", "json", "nonempty")
+REPLAN_BUDGET = 2
 
 
 class PlanningFailed(Exception):
@@ -54,7 +55,6 @@ class Plan:
     task_id: str
     subtasks: list[Subtask]
     revision: int = 1
-    status: str = "active"
 
     def subtask(self, subtask_id: int) -> Subtask:
         for st in self.subtasks:
@@ -64,19 +64,10 @@ class Plan:
 
 
 @dataclass
-class Feedback:
-    kind: str  # environment | peer | hierarchical
-    source: str
-    target_subtask: int
-    content: str
-
-
-@dataclass
 class TaskOutcome:
     task: Task
     succeeded: bool
     solution: str | None
-    feedbacks: list[Feedback] = field(default_factory=list)
 
 
 def check_expectation(result: str, expects: str) -> str | None:
@@ -160,14 +151,12 @@ class ExecutionPlanner:
         history: History,
         agents: tuple[str, ...] = ("catalogue", "front-end"),
         attempt_budget: int = 4,
-        replan_budget: int = 2,
     ):
         self.gateway = gateway
         self.shell = shell
         self.history = history
         self.agents = agents
         self.attempt_budget = attempt_budget
-        self.replan_budget = replan_budget
         self.manager_template = prompt_template("manager")
         self.agent_template = prompt_template("agent")
         self.current_task_id = ""
@@ -187,16 +176,11 @@ class ExecutionPlanner:
         self.gateway.clock = self._now()
         return self.gateway.complete("planner", messages, actor=actor)
 
-    def _feedback(self, fb: Feedback) -> Feedback:
+    def _feedback(self, kind: str, source: str, content: str) -> None:
+        """Record one environment, peer or hierarchical feedback in the history."""
         self.history.add(
-            self.current_task_id,
-            fb.source,
-            fb.content,
-            "feedback",
-            feedback_kind=fb.kind,
-            timestamp=self._now(),
+            self.current_task_id, source, content, "feedback", feedback_kind=kind, timestamp=self._now()
         )
-        return fb
 
     # -- decomposition -----------------------------------------------------------
 
@@ -278,18 +262,13 @@ class ExecutionPlanner:
             )
             if task.kind == OBSERVATION and result.state_mutated:
                 self._feedback(
-                    Feedback(
-                        "environment",
-                        "environment",
-                        subtask.id,
-                        f"observation-safety violation: command mutated cluster state: {line}",
-                    )
+                    "environment",
+                    "environment",
+                    f"observation-safety violation: command mutated cluster state: {line}",
                 )
                 raise ObservationViolation(f"task {task.id}: {line!r} mutated state")
             if result.exit_code != 0:
-                self._feedback(
-                    Feedback("environment", "environment", subtask.id, result.stderr)
-                )
+                self._feedback("environment", "environment", result.stderr)
                 if subtask.attempts >= self.attempt_budget:
                     subtask.status = "failed"
                     return False
@@ -311,21 +290,16 @@ class ExecutionPlanner:
 
     # -- peer handoff -----------------------------------------------------------------
 
-    def peer_handoff(self, upstream: Subtask, downstream: Subtask, task: Task) -> tuple[bool, list[Feedback]]:
-        """Returns (escalated, feedbacks). One upstream revision is allowed."""
+    def peer_handoff(self, upstream: Subtask, downstream: Subtask) -> bool:
+        """True when the handoff escalates. One upstream revision is allowed."""
         gripe = check_expectation(upstream.result or "", downstream.expects)
         if gripe is None:
-            return False, []
-        feedbacks = [
-            self._feedback(
-                Feedback(
-                    "peer",
-                    downstream.assignee,
-                    upstream.id,
-                    f"handoff rejected: {gripe}; received: {(upstream.result or '')[:120]!r}",
-                )
-            )
-        ]
+            return False
+        self._feedback(
+            "peer",
+            downstream.assignee,
+            f"handoff rejected: {gripe}; received: {(upstream.result or '')[:120]!r}",
+        )
         revision_prompt = (
             f"Your result for subtask {upstream.id} was rejected by {downstream.assignee}: "
             f"{gripe}.\nPrevious result: {upstream.result!r}\n"
@@ -337,18 +311,9 @@ class ExecutionPlanner:
             upstream.result = stripped[len("ok:"):].strip()
         gripe = check_expectation(upstream.result or "", downstream.expects)
         if gripe is None:
-            return False, feedbacks
-        feedbacks.append(
-            self._feedback(
-                Feedback(
-                    "peer",
-                    downstream.assignee,
-                    upstream.id,
-                    f"handoff rejected again: {gripe}; escalating to manager",
-                )
-            )
-        )
-        return True, feedbacks
+            return False
+        self._feedback("peer", downstream.assignee, f"handoff rejected again: {gripe}; escalating to manager")
+        return True
 
     # -- hierarchical replanning ---------------------------------------------------------
 
@@ -367,9 +332,7 @@ class ExecutionPlanner:
             f"Respond with Subtask blocks (assignee, description, depends_on, expects). "
             f"Agents: {', '.join(self.agents)}, manager."
         )
-        self._feedback(
-            Feedback("hierarchical", "manager", 0, f"replan (revision {plan.revision + 1}): {trigger}")
-        )
+        self._feedback("hierarchical", "manager", f"replan (revision {plan.revision + 1}): {trigger}")
         subtasks = self._ask_for_plan(base_prompt)
         if subtasks is None:
             raise PlanningFailed(f"task {task.id}: replan produced no usable plan")
@@ -407,12 +370,11 @@ class ExecutionPlanner:
         self.current_task_id = task.id
         task.status = "running"
         skills_text = self._skills_text(skills)
-        feedbacks: list[Feedback] = []
         try:
             plan = self.decompose(task, skills)
         except PlanningFailed:
             task.status = "failed"
-            return TaskOutcome(task, False, None, feedbacks)
+            return TaskOutcome(task, False, None)
 
         replans = 0
         succeeded_at_last_replan = 0
@@ -426,9 +388,7 @@ class ExecutionPlanner:
                     upstream_result = None
                     if st.depends_on is not None:
                         upstream = plan.subtask(st.depends_on)
-                        escalated, fbs = self.peer_handoff(upstream, st, task)
-                        feedbacks.extend(fbs)
-                        if escalated:
+                        if self.peer_handoff(upstream, st):
                             trigger = (
                                 f"peer escalation: subtask {st.id} ({st.assignee}) rejected the "
                                 f"result of subtask {upstream.id} ({upstream.assignee}) twice"
@@ -444,18 +404,18 @@ class ExecutionPlanner:
                 if trigger is None:
                     solution, verdict = self.assemble(plan, task)
                     task.status = "succeeded" if verdict else "failed"
-                    return TaskOutcome(task, verdict, solution, feedbacks)
+                    return TaskOutcome(task, verdict, solution)
                 succeeded_now = sum(1 for st in plan.subtasks if st.status == "succeeded")
                 if succeeded_now > succeeded_at_last_replan:
                     fruitless_replans = 0
                 else:
                     fruitless_replans += 1
-                if replans >= self.replan_budget or fruitless_replans >= 2:
+                if replans >= REPLAN_BUDGET or fruitless_replans >= 2:
                     task.status = "failed"
-                    return TaskOutcome(task, False, None, feedbacks)
+                    return TaskOutcome(task, False, None)
                 succeeded_at_last_replan = succeeded_now
                 replans += 1
                 plan = self.hierarchical_replan(plan, task, trigger, skills_text)
         except (ObservationViolation, PlanningFailed):
             task.status = "failed"
-            return TaskOutcome(task, False, None, feedbacks)
+            return TaskOutcome(task, False, None)

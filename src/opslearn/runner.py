@@ -21,6 +21,7 @@ import yaml
 
 from .cluster import (
     ClusterState,
+    InvalidArgument,
     LoadError,
     NotFound,
     format_cpu,
@@ -322,7 +323,7 @@ def _build_report(
         "library_size": len(library.entries),
         "usage": gateway.ledger.to_doc(),
         "final_sim_time": state.sim_time,
-        "mutation_count": len(state.mutations),
+        "mutation_count": state.mutation_count,
     }
 
 
@@ -344,6 +345,10 @@ def load_suite(path: str) -> list[dict[str, Any]]:
         for key in ("id", "description"):
             if key not in task:
                 raise ConfigurationError(f"{path}: task {i} missing {key}")
+        for key in ("setup", "post_conditions"):
+            items = task.get(key) or []
+            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+                raise ConfigurationError(f"{path}: task {i} {key} must be a list of mappings")
     return tasks
 
 
@@ -422,7 +427,10 @@ def run_evaluation(
             state = load_topology(config.fixture_file(), seed=config.seed)
             tick(state, EVAL_WARMUP_SECONDS)
             for setup in suite_task.get("setup") or []:
-                mutate(state, setup["action"], setup.get("args") or {})
+                try:
+                    mutate(state, setup.get("action", ""), setup.get("args") or {})
+                except (InvalidArgument, NotFound) as exc:
+                    raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
             records = [
                 ScriptRecord(r.role, r.response, r.guard, r.max_uses) for r in base_records
             ]
@@ -438,7 +446,6 @@ def run_evaluation(
                 kind=suite_task.get("kind", "action"),
                 difficulty=int(suite_task.get("difficulty", 1)),
                 description=suite_task["description"],
-                origin="evaluation",
             )
             skills = library.retrieve_skills(task.description, RETRIEVE_K)
             outcome = planner.run_task(task, skills)
@@ -485,7 +492,10 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
     schedule, and the curator's recorded completions are fed back as an
     in-order script, so extraction, validation, and consolidation all
     land exactly where they did in the original run."""
-    original = History.load(history_path)
+    try:
+        original = History.load(history_path)
+    except (ValueError, TypeError) as exc:  # not JSON, or a record of the wrong shape
+        raise ConfigurationError(f"history {history_path}: {exc}") from None
     state = load_topology(fixture, seed=seed)
     agents = component_names(state)
     shell = ShellGateway(state, components=agents)

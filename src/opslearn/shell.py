@@ -614,7 +614,7 @@ class ShellGateway:
             raise _CommandError("error: -p is required")
         try:
             patch = json.loads(flags["patch"])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise _CommandError(f"error: cannot parse patch: {exc}") from None
         ns = self._namespace(flags)
         name = positionals[1]

@@ -66,6 +66,9 @@ def _assert_one_error_line(code, capsys, bad):
     assert "Traceback" not in err
 
 
+_SUITE_TASK = "suite_schema: 1\ntasks:\n  - id: scale-front-end\n    description: scale it\n"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -74,13 +77,47 @@ def _assert_one_error_line(code, capsys, bad):
         (["run", "--llm-config"], "routes:\n  planner: 5\n"),
         (["run", "--llm-config"], "- mode: live\n"),
         (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks:\n  - the id and the description\n"),
+        (["run", "--script"], "records:\n  - role: planner\n    response: ok\n    max_uses: many\n"),
+        (["run", "--llm-config"], "budget_usd: lots\n"),
+        (["run", "--llm-config"], "routes:\n  planner:\n    max_tokens: plenty\n"),
+        (["run", "--llm-config"], "cost_table:\n  o1:\n    prompt_per_1k: cheap\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup: [scale]\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions: replicas\n"),
     ],
-    ids=["script-string-record", "script-without-records", "llm-config-scalar-route", "llm-config-list", "suite-string-task"],
+    ids=[
+        "script-string-record",
+        "script-without-records",
+        "llm-config-scalar-route",
+        "llm-config-list",
+        "suite-string-task",
+        "script-word-max-uses",
+        "llm-config-word-budget",
+        "llm-config-word-max-tokens",
+        "llm-config-word-price",
+        "suite-string-setup",
+        "suite-scalar-post-conditions",
+    ],
 )
 def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
     monkeypatch.chdir(tmp_path)
     SkillLibrary().save("empty.json")
     bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval", "--library"], "not json\n"),
+        (["eval", "--library"], '{"library_schema": 1, "skills": [{"id": 1, "kind": "Command", "bogus": 2}]}\n'),
+        (["replay", "--history"], "not json\n"),
+        (["replay", "--history"], '{"history_schema": 1}\n{"id": 1, "bogus": 2}\n'),
+    ],
+    ids=["library-not-json", "library-unknown-key", "history-not-json", "history-unknown-key"],
+)
+def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text):
+    bad = tmp_path / "bad.json"
     bad.write_text(text)
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 

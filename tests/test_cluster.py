@@ -1,21 +1,22 @@
-"""Simulated cluster: determinism, mutation audit, digests, metric emission."""
+"""Simulated cluster: determinism, mutation count, digests, metric emission."""
 
 from __future__ import annotations
 
 import pytest
 
 from opslearn.cluster import (
+    MAX_REPLICAS,
     InvalidArgument,
+    LoadError,
     NotFound,
     clone,
     load_topology,
     mutate,
-    replay_mutations,
     state_digest,
     tick,
 )
 from opslearn.promql import evaluate
-from opslearn.resources import fixture_path
+from opslearn.resources import fixture_path, load_yaml
 
 
 def _fresh(seed: int = 7):
@@ -66,9 +67,7 @@ def test_scale_adjusts_pods_and_records_mutation():
     assert len(state.deployment_pods(dep)) == 3
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 1})
     assert len(state.deployment_pods(dep)) == 1
-    assert [record.action for record in state.mutations] == ["scale", "scale"]
-    assert state.mutations[0].seq == 1
-    assert state.mutations[1].seq == 2
+    assert state.mutation_count == 2
 
 
 def test_mutations_validate_arguments():
@@ -79,8 +78,26 @@ def test_mutations_validate_arguments():
         mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": -1})
     with pytest.raises(InvalidArgument):
         mutate(state, "warp", {})
-    # Failed mutations leave no audit record behind.
-    assert state.mutations == []
+    # Failed mutations are not counted.
+    assert state.mutation_count == 0
+
+
+def test_scale_above_the_replica_bound_is_rejected_before_any_pod_spawns():
+    state = _fresh()
+    before = (state_digest(state), len(state.pods))
+    with pytest.raises(InvalidArgument, match=f"between 0 and {MAX_REPLICAS}"):
+        mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": MAX_REPLICAS + 1})
+    assert (state_digest(state), len(state.pods)) == before
+    assert state.mutation_count == 0
+    mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": MAX_REPLICAS})
+    assert len(state.deployment_pods(state.find_deployment("sock-shop", "catalogue"))) == MAX_REPLICAS
+
+
+def test_topology_replicas_above_the_bound_are_rejected():
+    doc = load_yaml(fixture_path("sock_shop.yaml"))
+    doc["deployments"][0]["replicas"] = MAX_REPLICAS + 1
+    with pytest.raises(LoadError, match=r"deployments\[0\]\.replicas"):
+        load_topology(doc)
 
 
 def test_set_resources_enforces_request_limit_order():
@@ -140,19 +157,20 @@ def test_clone_is_independent():
     assert state_digest(copy_state) != state_digest(state)
 
 
-def test_replay_mutations_reproduces_digest():
-    state = _fresh()
-    tick(state, 60.0)
-    mutate(state, "scale", {"namespace": "sock-shop", "name": "front-end", "replicas": 2})
-    tick(state, 60.0)
-    mutate(
-        state,
-        "set_resources",
-        {"namespace": "sock-shop", "name": "catalogue", "limits": {"memory": "400Mi"}},
-    )
-    fresh = _fresh()
-    replay_mutations(fresh, state.mutations)
-    assert state_digest(fresh) == state_digest(state)
+def test_same_mutations_on_the_same_clock_give_the_same_digest():
+    def mutated() -> str:
+        state = _fresh()
+        tick(state, 60.0)
+        mutate(state, "scale", {"namespace": "sock-shop", "name": "front-end", "replicas": 2})
+        tick(state, 60.0)
+        mutate(
+            state,
+            "set_resources",
+            {"namespace": "sock-shop", "name": "catalogue", "limits": {"memory": "400Mi"}},
+        )
+        return state_digest(state)
+
+    assert mutated() == mutated() != state_digest(_fresh())
 
 
 def test_idle_catalogue_usage_is_steady():

@@ -190,13 +190,6 @@ def _entry(kind: str, body: str, **kwargs) -> SkillEntry:
     )
 
 
-def test_validate_defers_without_state():
-    curator, _ = _curator([])
-    entry = _entry("Command", "kubectl get pods -n sock-shop")
-    assert curator.validate(entry, None, TRAJECTORY) == "deferred"
-    assert entry.validated is False
-
-
 def test_validate_command_rejects_failing_line():
     curator, _ = _curator([])
     entry = _entry("Command", "kubectl get pods -n nope")
@@ -366,7 +359,7 @@ def test_curate_pipeline_extracts_validates_and_stores():
     curator, _ = _curator(records)
     library = SkillLibrary()
     counts = curator.curate(
-        _task(), TRAJECTORY, "memory is 9Mi", _state(), library, round_no=2, trial=1,
+        _task(), TRAJECTORY, "memory is 9Mi", _state(), library, round_no=2,
     )
     assert counts == {
         "stored": 3, "merged": 0, "conflicted": 0, "extracted": 3, "validated": 3,
@@ -374,16 +367,6 @@ def test_curate_pipeline_extracts_validates_and_stores():
     assert [e.kind for e in library.entries] == ["Command", "Configuration", "Reflection"]
     assert all(e.created_round == 2 and e.trial == 1 for e in library.entries)
     assert all(e.validated for e in library.entries)
-
-
-def test_curate_pipeline_defers_everything_without_state():
-    records = [ScriptRecord("curator", SKILLS_TEXT, guard="Trajectory:")]
-    curator, _ = _curator(records)
-    library = SkillLibrary()
-    counts = curator.curate(_task(), TRAJECTORY, "solution", None, library)
-    assert counts["extracted"] == 3
-    assert counts["validated"] == 0
-    assert library.entries == []
 
 
 def test_curate_pipeline_drops_rejected_candidates():

@@ -200,9 +200,8 @@ def test_build_context_summarizes_and_trims():
     assert summaries[1].last_feedback == "command failed: exit 22"
     assert summaries[0].outcome == "succeeded"
 
-    text = build_context(_Snapshot(), history.records, extras="library digest")
+    text = build_context(_Snapshot(), history.records)
     assert "- r1t2: step 2" in text
-    assert "library digest" in text
 
     # A tight budget drops the oldest summaries first and says so.
     tight = build_context(_Snapshot(), history.records, char_budget=170)

@@ -56,7 +56,7 @@ def test_load_config_overrides_and_defaults(tmp_path):
     assert config.routes["planner"].max_tokens == 256
     # Untouched roles keep their defaults.
     assert config.routes["curriculum"].model_id == "o1"
-    assert config.routes["curriculum"].profile == "reasoning"
+    assert config.routes["curriculum"].temperature == 1.0
     assert config.cost_table["gpt-4o-mini"]["completion_per_1k"] == 0.002
 
 

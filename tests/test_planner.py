@@ -11,7 +11,6 @@ from opslearn.datalayer import History, SkillEntry, Task
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
 from opslearn.planner import (
     ExecutionPlanner,
-    Feedback,
     ObservationViolation,
     Plan,
     PlanningFailed,
@@ -346,9 +345,7 @@ def test_peer_handoff_passes_when_expectation_holds():
     planner, history, _ = _planner([])
     upstream = Subtask(1, "catalogue", "measure", status="succeeded", result="12")
     downstream = Subtask(2, "front-end", "consume", depends_on=1, expects="integer")
-    escalated, feedbacks = planner.peer_handoff(upstream, downstream, _task("handoff"))
-    assert escalated is False
-    assert feedbacks == []
+    assert planner.peer_handoff(upstream, downstream) is False
     assert _feedback_records(history) == []
 
 
@@ -359,17 +356,12 @@ def test_peer_handoff_accepts_one_revision():
     planner, history, _ = _planner(records)
     upstream = Subtask(1, "catalogue", "measure", status="succeeded", result="lots of memory")
     downstream = Subtask(2, "front-end", "consume", depends_on=1, expects="integer")
-    escalated, feedbacks = planner.peer_handoff(upstream, downstream, _task("handoff"))
-    assert escalated is False
+    assert planner.peer_handoff(upstream, downstream) is False
     assert upstream.result == "12"
-    (fb,) = feedbacks
-    assert fb.kind == "peer"
-    assert fb.source == "front-end"
-    assert fb.target_subtask == 1
-    assert fb.content == "handoff rejected: expected a plain integer; received: 'lots of memory'"
     (rec,) = _feedback_records(history)
     assert rec.feedback_kind == "peer"
     assert rec.actor == "front-end"
+    assert rec.payload == "handoff rejected: expected a plain integer; received: 'lots of memory'"
 
 
 def test_peer_handoff_escalates_after_second_mismatch():
@@ -377,11 +369,10 @@ def test_peer_handoff_escalates_after_second_mismatch():
     planner, history, _ = _planner(records)
     upstream = Subtask(1, "catalogue", "measure", status="succeeded", result="lots")
     downstream = Subtask(2, "front-end", "consume", depends_on=1, expects="integer")
-    escalated, feedbacks = planner.peer_handoff(upstream, downstream, _task("handoff"))
-    assert escalated is True
-    assert [fb.kind for fb in feedbacks] == ["peer", "peer"]
-    assert feedbacks[1].content == "handoff rejected again: expected a plain integer; escalating to manager"
-    assert len(_feedback_records(history)) == 2
+    assert planner.peer_handoff(upstream, downstream) is True
+    records = _feedback_records(history)
+    assert [r.feedback_kind for r in records] == ["peer", "peer"]
+    assert records[1].payload == "handoff rejected again: expected a plain integer; escalating to manager"
 
 
 # -- hierarchical replanning ----------------------------------------------------------
@@ -498,8 +489,7 @@ def test_run_task_end_to_end_success():
     assert outcome.succeeded is True
     assert task.status == "succeeded"
     assert outcome.solution == "[catalogue] 9\n[front-end] manager notified\nmemory is 9Mi"
-    assert outcome.feedbacks == []  # clean run: no peer friction
-    assert _feedback_records(history) == []
+    assert _feedback_records(history) == []  # clean run: no peer friction
 
 
 def test_run_task_hands_upstream_result_downstream():
@@ -526,7 +516,7 @@ expects: integer
 """
 
 
-def test_run_task_collects_peer_feedback_in_outcome():
+def test_run_task_records_peer_feedback_in_history():
     records = [
         ScriptRecord("planner", FRICTION_PLAN, guard="Task:"),
         ScriptRecord("planner", "ok: plenty", guard="read the memory gauge"),
@@ -537,8 +527,7 @@ def test_run_task_collects_peer_feedback_in_outcome():
     planner, history, _ = _planner(records)
     outcome = planner.run_task(_task("peer friction"), [])
     assert outcome.succeeded is True
-    # the one revision round-trip surfaces in the outcome and the log
-    assert [fb.kind for fb in outcome.feedbacks] == ["peer"]
+    # the one revision round-trip surfaces in the log
     kinds = [r.feedback_kind for r in _feedback_records(history)]
     assert kinds == ["peer"]
 
@@ -581,7 +570,6 @@ def test_run_task_peer_escalation_reaches_manager():
     planner, history, _ = _planner(records)
     outcome = planner.run_task(_task("escalation arc"), [])
     assert outcome.succeeded is True
-    assert [fb.kind for fb in outcome.feedbacks] == ["peer", "peer"]
     kinds = [r.feedback_kind for r in _feedback_records(history)]
     assert kinds == ["peer", "peer", "hierarchical"]
 

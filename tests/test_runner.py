@@ -309,6 +309,17 @@ def test_run_evaluation_requires_scripted_gateway():
         run_evaluation(SkillLibrary(), [], TrialConfig(llm="live"))
 
 
+@pytest.mark.parametrize(
+    "setup",
+    [{"action": "warp"}, {"action": "scale", "args": {"namespace": "sock-shop", "name": "ghost", "replicas": 1}}],
+    ids=["unknown-action", "unknown-deployment"],
+)
+def test_run_evaluation_rejects_a_setup_the_cluster_refuses(setup):
+    suite = [{"id": "bad-setup", "description": "anything", "setup": [setup]}]
+    with pytest.raises(ConfigurationError, match="suite task bad-setup: setup: "):
+        run_evaluation(SkillLibrary(), suite, TrialConfig(seed=7), repeats=1)
+
+
 def test_run_evaluation_scores_suite_tasks(golden_trial, tmp_path):
     _, out_dir = golden_trial
     library = SkillLibrary.load(str(out_dir / "library.json"))

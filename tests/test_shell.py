@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from opslearn.cluster import load_topology, tick
+from opslearn.cluster import load_topology, state_digest, tick
 from opslearn.resources import fixture_path
 from opslearn.shell import ShellGateway
 
@@ -202,6 +202,51 @@ def test_noop_patch_does_not_count_as_mutation(gateway):
     result = gateway.execute(line)
     assert result.exit_code == 0
     assert result.state_mutated is False
+
+
+def test_scale_above_the_replica_bound_is_an_error_line(gateway):
+    before = (state_digest(gateway.state), len(gateway.state.pods))
+    result = gateway.execute("kubectl scale deployment catalogue -n sock-shop --replicas=100000000")
+    assert result.exit_code == 1
+    assert result.stderr == "error: replicas must be between 0 and 100, got 100000000"
+    assert result.state_mutated is False
+    assert (state_digest(gateway.state), len(gateway.state.pods)) == before
+    assert gateway.state.mutation_count == 0
+
+
+@pytest.mark.parametrize(
+    "liveness, message",
+    [
+        ('{"period": "abc"}', "error: bad liveness probe period: could not convert string to float: 'abc'"),
+        ('{"period": null}', "error: bad liveness probe period: float() argument must be"),
+        ('{"period": 1e400}', "error: bad liveness probe period: inf is not finite"),
+    ],
+    ids=["string", "null", "infinite"],
+)
+def test_patch_with_an_unconvertible_probe_value_is_an_error_line(gateway, liveness, message):
+    line = f"kubectl patch deployment catalogue -n sock-shop -p '{{\"probes\": {{\"liveness\": {liveness}}}}}'"
+    result = gateway.execute(line)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(message)
+    assert result.state_mutated is False
+    # describe still renders every probe field
+    assert gateway.execute("kubectl describe deployment catalogue -n sock-shop").exit_code == 0
+
+
+def test_rejected_patch_changes_nothing(gateway):
+    dep = gateway.state.find_deployment("sock-shop", "catalogue")
+    image = dep.image
+    line = (
+        "kubectl patch deployment catalogue -n sock-shop "
+        "-p '{\"image\": \"evil:1\", \"probes\": {\"liveness\": {\"timeout\": 99}}}'"
+    )
+    result = gateway.execute(line)
+    assert result.exit_code == 1
+    assert result.stderr == "error: timeout must be below period"
+    assert result.state_mutated is False
+    assert dep.image == image
+    assert next(p for p in dep.probes if p.kind == "liveness").timeout == 1.0
+    assert gateway.state.mutation_count == 0
 
 
 def test_delete_pod_respawns_replacement(gateway):

@@ -18,12 +18,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
 from .metrics import MetricStore, SeriesId
 from .resources import load_yaml
+
+T = TypeVar("T")
 
 SAMPLE_INTERVAL = 15.0
 MAX_REPLICAS = 100  # each pod costs memory and every later read walks all pods
@@ -135,6 +137,16 @@ class ProbeSpec:
     failure_threshold: int = 3
 
 
+_PROBE_FIELDS = {
+    "http_path": str,
+    "initial_delay": float,
+    "timeout": float,
+    "period": float,
+    "success_threshold": int,
+    "failure_threshold": int,
+}
+
+
 @dataclass
 class TrafficProfile:
     requests_per_second: float = 0.0
@@ -211,6 +223,11 @@ class ClusterState:
         return [p for p in self.pods if p.namespace == dep.namespace and p.deployment == dep.name]
 
 
+def component_names(state: ClusterState) -> tuple[str, ...]:
+    """The agent roster: one component agent per deployment outside kube-system."""
+    return tuple(sorted(d.name for d in state.deployments if d.namespace != "kube-system"))
+
+
 # ---------------------------------------------------------------------------
 # Topology loading
 
@@ -225,6 +242,24 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _finite(convert: Callable[[Any], T], value: Any) -> T:
+    """`convert(value)`; any failure to convert, or a non-finite float, is a ValueError."""
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+    if isinstance(converted, float) and not math.isfinite(converted):
+        raise ValueError(f"{value!r} is not finite")
+    return converted
+
+
+def _number_at(convert: Callable[[Any], T], value: Any, path: str) -> T:
+    try:
+        return _finite(convert, value)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+
+
 def _parse_resources(doc: Any, path: str) -> ResourceSpec:
     if not isinstance(doc, dict):
         raise _fail(path, "expected a mapping with requests/limits")
@@ -237,7 +272,7 @@ def _parse_resources(doc: Any, path: str) -> ResourceSpec:
             mem_request=parse_mem(_require(requests, "memory", f"{path}.requests")),
             mem_limit=parse_mem(_require(limits, "memory", f"{path}.limits")),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _fail(path, f"bad quantity: {exc}") from None
     if spec.cpu_request > spec.cpu_limit:
         raise _fail(f"{path}.requests.cpu", "request exceeds limit")
@@ -252,15 +287,12 @@ def _parse_probe(doc: Any, path: str) -> ProbeSpec:
     kind = _require(doc, "kind", path)
     if kind not in ("liveness", "readiness"):
         raise _fail(f"{path}.kind", f"unknown probe kind {kind!r}")
-    probe = ProbeSpec(
-        kind=kind,
-        http_path=_require(doc, "http_path", path),
-        initial_delay=float(doc.get("initial_delay", 10)),
-        timeout=float(doc.get("timeout", 1)),
-        period=float(doc.get("period", 3)),
-        success_threshold=int(doc.get("success_threshold", 1)),
-        failure_threshold=int(doc.get("failure_threshold", 3)),
-    )
+    numbers = {
+        key: _number_at(convert, doc[key], f"{path}.{key}")
+        for key, convert in _PROBE_FIELDS.items()
+        if key != "http_path" and key in doc
+    }
+    probe = ProbeSpec(kind=kind, http_path=_require(doc, "http_path", path), **numbers)
     if probe.success_threshold < 1 or probe.failure_threshold < 1:
         raise _fail(f"{path}.success_threshold", "thresholds must be >= 1")
     if probe.timeout >= probe.period:
@@ -275,20 +307,22 @@ def _parse_traffic(doc: Any, path: str) -> TrafficProfile:
         raise _fail(path, "expected a traffic profile mapping")
     buckets: list[tuple[float, float]] = []
     for i, item in enumerate(doc.get("latency_buckets", [])):
+        where = f"{path}.latency_buckets[{i}]"
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise _fail(f"{path}.latency_buckets[{i}]", "expected [upper_bound, weight]")
-        buckets.append((float(item[0]), float(item[1])))
+            raise _fail(where, "expected [upper_bound, weight]")
+        buckets.append((_number_at(float, item[0], where), _number_at(float, item[1], where)))
     if buckets != sorted(buckets):
         raise _fail(f"{path}.latency_buckets", "bucket bounds must ascend")
+    rates = {
+        key: _number_at(float, doc.get(key, 0), f"{path}.{key}")
+        for key in ("requests_per_second", "error_4xx_share", "error_5xx_share", "cpu_millicores_per_rps")
+    }
     profile = TrafficProfile(
-        requests_per_second=float(doc.get("requests_per_second", 0)),
-        error_4xx_share=float(doc.get("error_4xx_share", 0)),
-        error_5xx_share=float(doc.get("error_5xx_share", 0)),
         latency_buckets=buckets,
-        base_cpu_millicores=parse_cpu(doc.get("base_cpu", "2m")),
-        base_mem_bytes=parse_mem(doc.get("base_mem", "9Mi")),
-        cpu_millicores_per_rps=float(doc.get("cpu_millicores_per_rps", 0)),
+        base_cpu_millicores=_number_at(parse_cpu, doc.get("base_cpu", "2m"), f"{path}.base_cpu"),
+        base_mem_bytes=_number_at(parse_mem, doc.get("base_mem", "9Mi"), f"{path}.base_mem"),
         active_requests_metric=doc.get("active_requests_metric"),
+        **rates,
     )
     if profile.requests_per_second < 0:
         raise _fail(f"{path}.requests_per_second", "must be >= 0")
@@ -303,13 +337,19 @@ def _default_template_hash(name: str) -> str:
 
 def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
     """Build a ClusterState from a topology document or a path to one."""
-    if isinstance(source, str):
-        try:
-            doc = load_yaml(source)
-        except (OSError, yaml.YAMLError) as exc:
-            raise LoadError(f"cannot read topology: {exc}") from None
-    else:
-        doc = source
+    if not isinstance(source, str):
+        return _build_state(source, seed)
+    try:
+        doc = load_yaml(source)
+    except (OSError, yaml.YAMLError) as exc:
+        raise LoadError(f"cannot read topology: {exc}") from None
+    try:
+        return _build_state(doc, seed)
+    except LoadError as exc:
+        raise LoadError(f"{source}: {exc}") from None
+
+
+def _build_state(doc: Any, seed: int) -> ClusterState:
     if not isinstance(doc, dict):
         raise _fail("$", "topology must be a mapping")
 
@@ -338,7 +378,7 @@ def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
             raise _fail(f"{path}.namespace", f"undeclared namespace {namespace!r}")
         if state.find_deployment(namespace, name) is not None:
             raise _fail(f"{path}.name", f"duplicate deployment {namespace}/{name}")
-        replicas = int(dep_doc.get("replicas", 1))
+        replicas = _number_at(int, dep_doc.get("replicas", 1), f"{path}.replicas")
         if not 0 <= replicas <= MAX_REPLICAS:
             raise _fail(f"{path}.replicas", f"must be between 0 and {MAX_REPLICAS}")
         args = dep_doc.get("args", [])
@@ -357,7 +397,7 @@ def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
             resources=_parse_resources(_require(dep_doc, "resources", path), f"{path}.resources"),
             probes=[_parse_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.get("probes", []))],
             replicas=replicas,
-            port=int(dep_doc.get("port", 80)),
+            port=_number_at(int, dep_doc.get("port", 80), f"{path}.port"),
             pod_template_hash=dep_doc.get("pod_template_hash", _default_template_hash(name)),
             pod_suffixes=list(suffixes),
             traffic=_parse_traffic(dep_doc.get("traffic_profile"), f"{path}.traffic_profile"),
@@ -576,16 +616,6 @@ def _apply_set_label(state: ClusterState, args: dict) -> None:
     dep.labels[str(key)] = str(args.get("value", ""))
 
 
-_PROBE_FIELDS = {
-    "http_path": str,
-    "initial_delay": float,
-    "timeout": float,
-    "period": float,
-    "success_threshold": int,
-    "failure_threshold": int,
-}
-
-
 def _apply_patch(state: ClusterState, args: dict) -> None:
     """Validate the whole patch on copies, then assign: a rejected patch changes nothing."""
     dep = _target_deployment(state, args)
@@ -626,12 +656,9 @@ def _apply_patch(state: ClusterState, args: dict) -> None:
                 if key not in _PROBE_FIELDS:
                     raise InvalidArgument(f"unknown probe field {key!r}")
                 try:
-                    converted = _PROBE_FIELDS[key](value)
-                except (ValueError, TypeError, OverflowError) as exc:
+                    setattr(probe, key, _finite(_PROBE_FIELDS[key], value))
+                except ValueError as exc:
                     raise InvalidArgument(f"bad {kind} probe {key}: {exc}") from None
-                if isinstance(converted, float) and not math.isfinite(converted):
-                    raise InvalidArgument(f"bad {kind} probe {key}: {value!r} is not finite")
-                setattr(probe, key, converted)
             if probe.success_threshold < 1 or probe.failure_threshold < 1:
                 raise InvalidArgument("thresholds must be >= 1")
             if probe.timeout >= probe.period:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .cluster import ClusterState, clone, format_cpu, format_mem
+from .cluster import ClusterState, clone, component_names, format_cpu, format_mem
 from .datalayer import SKILL_KINDS, InteractionRecord, SkillEntry, SkillLibrary, Task
 from .llm import BaseGateway, ask_until_parsed
 from .resources import prompt_template
@@ -82,21 +82,15 @@ def parse_skills(completion: str, source_task: str) -> list[SkillEntry]:
 
 
 class KnowledgeCurator:
-    def __init__(
-        self,
-        gateway: BaseGateway,
-        components: tuple[str, ...] = ("catalogue", "front-end"),
-    ):
+    def __init__(self, gateway: BaseGateway):
         self.gateway = gateway
-        self.components = components
         self.template = prompt_template("curator")
 
-    def _complete(self, text: str, task_id: str = "") -> str:
-        self.gateway.task_id = task_id
+    def _complete(self, text: str) -> str:
         return self.gateway.complete("curator", [{"speaker": "curator", "text": text}], actor="curator")
 
-    def _judge(self, question: str, task_id: str = "") -> bool:
-        completion = self._complete(question, task_id)
+    def _judge(self, question: str) -> bool:
+        completion = self._complete(question)
         return completion.strip().lower().startswith("match")
 
     # -- extraction ------------------------------------------------------------
@@ -117,7 +111,7 @@ class KnowledgeCurator:
 
         def ask(note: str | None) -> str:
             prompt = base_prompt if note is None else f"{base_prompt}\n\nRevision note: {note}"
-            return self._complete(prompt, task.id)
+            return self._complete(prompt)
 
         def parse(completion: str) -> list[SkillEntry]:
             nonlocal parsed
@@ -160,7 +154,7 @@ class KnowledgeCurator:
         return status
 
     def _validate_command(self, entry: SkillEntry, state: ClusterState) -> str:
-        shell = ShellGateway(clone(state), components=self.components)
+        shell = ShellGateway(clone(state), components=component_names(state))
         result = shell.execute(entry.body)
         if result.exit_code != 0:
             return "rejected"
@@ -171,7 +165,7 @@ class KnowledgeCurator:
             f"Output:\n{result.stdout or '(empty)'}\n"
             "Answer `match` or `mismatch`."
         )
-        return "validated" if self._judge(question, entry.source_task) else "rejected"
+        return "validated" if self._judge(question) else "rejected"
 
     def _validate_configuration(self, entry: SkillEntry, state: ClusterState) -> str:
         dep = None
@@ -184,7 +178,7 @@ class KnowledgeCurator:
         if dep is None:
             return "rejected"
         if facet not in _SUBJECT_FACETS:
-            shell = ShellGateway(clone(state), components=self.components)
+            shell = ShellGateway(clone(state))
             described = shell.execute(
                 f"kubectl describe deployment {dep.name} -n {dep.namespace}"
             )
@@ -194,7 +188,7 @@ class KnowledgeCurator:
                 f"Description:\n{described.stdout}\n"
                 "Answer `match` or `mismatch`."
             )
-            return "validated" if self._judge(question, entry.source_task) else "rejected"
+            return "validated" if self._judge(question) else "rejected"
         required: list[str] = []
         if facet == "image":
             required = [dep.image]
@@ -233,7 +227,7 @@ class KnowledgeCurator:
             f"Cited records:\n{cited}\n"
             "Answer `match` or `mismatch`."
         )
-        return "validated" if self._judge(question, entry.source_task) else "rejected"
+        return "validated" if self._judge(question) else "rejected"
 
     # -- consolidation -------------------------------------------------------------
 

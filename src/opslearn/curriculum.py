@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .datalayer import ACTION, OBSERVATION, InteractionRecord, RunningStateSnapshot, Task, task_close
+from .datalayer import ACTION, OBSERVATION, InteractionRecord, Task, task_close
 from .llm import BaseGateway, ask_until_parsed
 from .resources import prompt_template
 
@@ -54,12 +54,12 @@ def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
 
 
 def build_context(
-    snapshot: RunningStateSnapshot,
+    snapshot: str,
     history: list[InteractionRecord],
     char_budget: int = CONTEXT_CHAR_BUDGET,
 ) -> str:
-    """Deterministic prompt context: state, then history."""
-    sections = ["== running state ==", snapshot.to_text(), "", "== interaction history =="]
+    """Deterministic prompt context: the running-state snapshot text, then history."""
+    sections = ["== running state ==", snapshot, "", "== interaction history =="]
     summaries = summarize_history(history)
     if not summaries:
         sections.append(f"({NO_HISTORY_MARKER})")

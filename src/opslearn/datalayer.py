@@ -1,7 +1,7 @@
 """Shared state between the cluster and the management modules.
 
 Three pieces: the append-only interaction history, in which a manager
-task-close record ends each task; running-state snapshots summarizing
+task-close record ends each task; the running-state snapshot summarizing
 the cluster for prompts; and the persistent skill library. History and
 library are the replay backbone: a finished trial's history log plus the
 bundled fixture is enough to rebuild the library byte for byte.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, asdict
-from typing import Any
+from typing import Any, Callable
 
 from . import promql
 from .cluster import ClusterState
@@ -65,38 +65,44 @@ HISTORY_SCHEMA = 1
 
 
 class History:
-    """Append-only, totally ordered interaction log."""
+    """Append-only, totally ordered interaction log.
 
-    def __init__(self) -> None:
+    The history stamps each record itself: with the task opened by
+    `open_task` (empty between tasks) and the simulation time `clock()`.
+    """
+
+    def __init__(self, clock: Callable[[], float] = lambda: 0.0) -> None:
         self.records: list[InteractionRecord] = []
+        self.clock = clock
+        self.task_id = ""
+
+    def open_task(self, task_id: str) -> None:
+        self.task_id = task_id
 
     def add(
-        self,
-        task_id: str,
-        actor: str,
-        payload: str,
-        payload_kind: str,
-        feedback_kind: str | None = None,
-        timestamp: float = 0.0,
+        self, actor: str, payload: str, payload_kind: str, feedback_kind: str | None = None
     ) -> InteractionRecord:
         if (payload_kind == "feedback") != (feedback_kind is not None):
             raise ValueError("feedback_kind is present exactly when payload_kind is feedback")
         record = InteractionRecord(
             id=len(self.records) + 1,
-            task_id=task_id,
+            task_id=self.task_id,
             actor=actor,
             payload=payload,
             payload_kind=payload_kind,
             feedback_kind=feedback_kind,
-            timestamp=timestamp,
+            timestamp=self.clock(),
         )
         self.records.append(record)
         return record
 
-    def close_task(self, task: Task, timestamp: float) -> InteractionRecord:
+    def close_task(self, task: Task) -> InteractionRecord:
         """The manager's report that ends a task; read back by task_close."""
         payload = f"task={task.id} status={task.status} description={task.description}"
-        return self.add(task.id, "manager", payload, "report", timestamp=timestamp)
+        self.task_id = task.id
+        record = self.add("manager", payload, "report")
+        self.task_id = ""
+        return record
 
     def for_task(self, task_id: str) -> list[InteractionRecord]:
         return [r for r in self.records if r.task_id == task_id]
@@ -276,38 +282,18 @@ class SkillLibrary:
 
 
 # ---------------------------------------------------------------------------
-# Running-state snapshots
+# Running-state snapshot
 
 
-@dataclass
-class RunningStateSnapshot:
-    sim_time: float
-    health: dict[str, str]  # "namespace/name" -> ok | degraded
-    traffic: dict[str, float]  # job -> requests/sec
-    anomalies: list[str]
-
-    def to_text(self) -> str:
-        lines = [f"Simulation time: {self.sim_time:.0f}s", "Deployments:"]
-        for target in sorted(self.health):
-            rps = self.traffic.get(target, 0.0)
-            lines.append(f"  - {target}: {self.health[target]}, traffic {rps:.2f} req/s")
-        if self.anomalies:
-            lines.append("Open anomalies:")
-            lines.extend(f"  - {a}" for a in self.anomalies)
-        else:
-            lines.append("Open anomalies: none")
-        return "\n".join(lines)
-
-
-def build_snapshot(state: ClusterState) -> RunningStateSnapshot:
-    """Pure derivation from cluster + metrics; same state, same snapshot."""
+def build_snapshot(state: ClusterState) -> str:
+    """Prompt text derived purely from cluster + metrics; same state, same text."""
     rates = {
         e.labels.get("job", ""): e.value
         for e in promql.evaluate(
             state.metrics, "sum by (job)(rate(http_requests_total[5m]))", state.sim_time
         ).entries
     }
-    health: dict[str, str] = {}
+    deployments: list[tuple[str, str]] = []  # (job, line), listed by job
     anomalies: list[str] = []
     for dep in sorted(state.deployments, key=lambda d: (d.namespace, d.name)):
         pods = state.deployment_pods(dep)
@@ -318,10 +304,15 @@ def build_snapshot(state: ClusterState) -> RunningStateSnapshot:
             or dep.resources.current_mem >= 0.9 * dep.resources.mem_limit
             or dep.resources.current_cpu >= 0.9 * dep.resources.cpu_limit
         )
-        health[dep.job] = "degraded" if degraded else "ok"
+        rps = rates.get(dep.job, 0.0) if dep.scrape else 0.0
+        deployments.append((dep.job, f"  - {dep.job}: {'degraded' if degraded else 'ok'}, traffic {rps:.2f} req/s"))
         if degraded:
             anomalies.append(f"{dep.job}: {ready}/{dep.replicas} ready, usage near limits")
-    traffic = {dep.job: rates.get(dep.job, 0.0) for dep in state.deployments if dep.scrape}
-    return RunningStateSnapshot(
-        sim_time=state.sim_time, health=health, traffic=traffic, anomalies=anomalies
-    )
+    lines = [f"Simulation time: {state.sim_time:.0f}s", "Deployments:"]
+    lines.extend(line for _, line in sorted(deployments))
+    if anomalies:
+        lines.append("Open anomalies:")
+        lines.extend(f"  - {a}" for a in anomalies)
+    else:
+        lines.append("Open anomalies: none")
+    return "\n".join(lines)

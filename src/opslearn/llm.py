@@ -191,8 +191,6 @@ class BaseGateway:
         self.config = config
         self.ledger = UsageLedger()
         self.history = None  # optional datalayer.History
-        self.task_id = ""  # context set by the calling module
-        self.clock = 0.0
 
     def _route(self, role: str) -> ModelRoute:
         route = self.config.routes.get(role)
@@ -217,7 +215,7 @@ class BaseGateway:
 
     def _note(self, actor: str, payload: str, payload_kind: str) -> None:
         if self.history is not None:
-            self.history.add(self.task_id, actor, payload, payload_kind, timestamp=self.clock)
+            self.history.add(actor, payload, payload_kind)
 
     def complete(self, role: str, messages: list[dict[str, str]], actor: str | None = None) -> str:
         route = self._route(role)
@@ -238,17 +236,12 @@ class BaseGateway:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptRecord:
     role: str
     response: str
     guard: str | None = None
     max_uses: int = 1  # -1 = unlimited
-    uses: int = 0
-
-    @property
-    def available(self) -> bool:
-        return self.max_uses < 0 or self.uses < self.max_uses
 
 
 def load_script(path: str) -> list[ScriptRecord]:
@@ -279,17 +272,20 @@ def load_script(path: str) -> list[ScriptRecord]:
 
 
 class ScriptedGateway(BaseGateway):
+    """Replays `records`; the gateway counts their uses, so gateways can share one list."""
+
     def __init__(self, config: GatewayConfig, records: list[ScriptRecord]):
         super().__init__(config)
         self.records = records
+        self.uses = [0] * len(records)
 
     def _complete(self, route: ModelRoute, prompt: str) -> tuple[str, int, int]:
-        for record in self.records:
-            if record.role != route.role or not record.available:
+        for i, record in enumerate(self.records):
+            if record.role != route.role or 0 <= record.max_uses <= self.uses[i]:
                 continue
             if record.guard is not None and record.guard not in prompt:
                 continue
-            record.uses += 1
+            self.uses[i] += 1
             return record.response, estimate_tokens(prompt), estimate_tokens(record.response)
         raise ScriptExhausted(
             f"no scripted response left for role {route.role!r} "

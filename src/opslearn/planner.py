@@ -149,22 +149,16 @@ class ExecutionPlanner:
         gateway: BaseGateway,
         shell: ShellGateway,
         history: History,
-        agents: tuple[str, ...] = ("catalogue", "front-end"),
         attempt_budget: int = 4,
     ):
         self.gateway = gateway
         self.shell = shell
         self.history = history
-        self.agents = agents
         self.attempt_budget = attempt_budget
         self.manager_template = prompt_template("manager")
         self.agent_template = prompt_template("agent")
-        self.current_task_id = ""
 
     # -- helpers ---------------------------------------------------------------
-
-    def _now(self) -> float:
-        return self.shell.state.sim_time
 
     def _skills_text(self, skills: list[SkillEntry]) -> str:
         if not skills:
@@ -172,15 +166,7 @@ class ExecutionPlanner:
         return "\n".join(f"- [{e.kind}] {e.body} :: {e.description}" for e in skills)
 
     def _complete(self, actor: str, messages: list[dict[str, str]]) -> str:
-        self.gateway.task_id = self.current_task_id
-        self.gateway.clock = self._now()
         return self.gateway.complete("planner", messages, actor=actor)
-
-    def _feedback(self, kind: str, source: str, content: str) -> None:
-        """Record one environment, peer or hierarchical feedback in the history."""
-        self.history.add(
-            self.current_task_id, source, content, "feedback", feedback_kind=kind, timestamp=self._now()
-        )
 
     # -- decomposition -----------------------------------------------------------
 
@@ -188,7 +174,7 @@ class ExecutionPlanner:
         base_prompt = (
             self.manager_template.replace("{task_description}", task.description)
             .replace("{task_kind}", task.kind)
-            .replace("{agents}", ", ".join(self.agents))
+            .replace("{agents}", ", ".join(self.shell.components))
             .replace("{skills}", self._skills_text(skills))
         )
         subtasks = self._ask_for_plan(base_prompt)
@@ -203,7 +189,8 @@ class ExecutionPlanner:
             revision = "" if note is None else f"\n\nRevision note: previous plan was rejected ({note})."
             return self._complete("manager", [{"speaker": "manager", "text": base_prompt + revision}])
 
-        return ask_until_parsed(ask, lambda completion: parse_plan(completion, self.agents + ("manager",)), 2)
+        assignees = self.shell.components + ("manager",)
+        return ask_until_parsed(ask, lambda completion: parse_plan(completion, assignees), 2)
 
     # -- subtask execution ---------------------------------------------------------
 
@@ -240,12 +227,9 @@ class ExecutionPlanner:
                 continue
             subtask.attempts += 1
             line = stripped[len("command:"):].strip()
-            self.history.add(
-                self.current_task_id, subtask.assignee, line, "command", timestamp=self._now()
-            )
+            self.history.add(subtask.assignee, line, "command")
             result = self.shell.execute(line)
             self.history.add(
-                self.current_task_id,
                 "environment",
                 json.dumps(
                     {
@@ -258,17 +242,13 @@ class ExecutionPlanner:
                     sort_keys=True,
                 ),
                 "execution_result",
-                timestamp=self._now(),
             )
             if task.kind == OBSERVATION and result.state_mutated:
-                self._feedback(
-                    "environment",
-                    "environment",
-                    f"observation-safety violation: command mutated cluster state: {line}",
-                )
+                violation = f"observation-safety violation: command mutated cluster state: {line}"
+                self.history.add("environment", violation, "feedback", "environment")
                 raise ObservationViolation(f"task {task.id}: {line!r} mutated state")
             if result.exit_code != 0:
-                self._feedback("environment", "environment", result.stderr)
+                self.history.add("environment", result.stderr, "feedback", "environment")
                 if subtask.attempts >= self.attempt_budget:
                     subtask.status = "failed"
                     return False
@@ -295,11 +275,8 @@ class ExecutionPlanner:
         gripe = check_expectation(upstream.result or "", downstream.expects)
         if gripe is None:
             return False
-        self._feedback(
-            "peer",
-            downstream.assignee,
-            f"handoff rejected: {gripe}; received: {(upstream.result or '')[:120]!r}",
-        )
+        rejection = f"handoff rejected: {gripe}; received: {(upstream.result or '')[:120]!r}"
+        self.history.add(downstream.assignee, rejection, "feedback", "peer")
         revision_prompt = (
             f"Your result for subtask {upstream.id} was rejected by {downstream.assignee}: "
             f"{gripe}.\nPrevious result: {upstream.result!r}\n"
@@ -312,7 +289,8 @@ class ExecutionPlanner:
         gripe = check_expectation(upstream.result or "", downstream.expects)
         if gripe is None:
             return False
-        self._feedback("peer", downstream.assignee, f"handoff rejected again: {gripe}; escalating to manager")
+        escalation = f"handoff rejected again: {gripe}; escalating to manager"
+        self.history.add(downstream.assignee, escalation, "feedback", "peer")
         return True
 
     # -- hierarchical replanning ---------------------------------------------------------
@@ -330,9 +308,10 @@ class ExecutionPlanner:
             f"Re-plan the remaining work. Reuse completed results where possible.\n"
             f"Known skills:\n{skills_text}\n"
             f"Respond with Subtask blocks (assignee, description, depends_on, expects). "
-            f"Agents: {', '.join(self.agents)}, manager."
+            f"Agents: {', '.join(self.shell.components)}, manager."
         )
-        self._feedback("hierarchical", "manager", f"replan (revision {plan.revision + 1}): {trigger}")
+        replan = f"replan (revision {plan.revision + 1}): {trigger}"
+        self.history.add("manager", replan, "feedback", "hierarchical")
         subtasks = self._ask_for_plan(base_prompt)
         if subtasks is None:
             raise PlanningFailed(f"task {task.id}: replan produced no usable plan")
@@ -367,7 +346,7 @@ class ExecutionPlanner:
     # -- whole-task loop ------------------------------------------------------------------
 
     def run_task(self, task: Task, skills: list[SkillEntry]) -> TaskOutcome:
-        self.current_task_id = task.id
+        self.history.open_task(task.id)
         task.status = "running"
         skills_text = self._skills_text(skills)
         try:

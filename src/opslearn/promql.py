@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .metrics import MetricStore, QueryEntry, QueryResult, SeriesId
 
 LOOKBACK_SECONDS = 300.0
+MAX_NESTING = 50  # sub-expression depth, divisions included; the bundled commands nest 5
 
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 
@@ -178,6 +179,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -202,13 +204,23 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return expr
 
+    def _nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", pos)
+
     def _parse_expr(self) -> Expr:
+        outer = self.depth
+        tok = self._peek()
+        self._nest(tok.pos if tok else len(self.text))
         left = self._parse_atom()
         while True:
             tok = self._peek()
             if tok is None or tok.text != "/":
+                self.depth = outer
                 return left
             self._next()
+            self._nest(tok.pos)  # evaluation recurses once per division of a chain
             left = Division(left, self._parse_atom())
 
     def _parse_atom(self) -> Expr:

@@ -2,10 +2,11 @@
 
 A trial is the whole learning loop: per round, snapshot the cluster,
 ask the curriculum builder for tasks, run each through the execution
-planner, and curate skills from the successes. The runner also owns
-the clock policy — the simulation advances a fixed amount before each
-round and each task, so metric windows fill deterministically and a
-replay can reproduce the exact same timeline from the history log.
+planner, and curate skills from the successes. `run_trial` owns the
+clock policy — the simulation advances a fixed amount before each round
+and each task, so metric windows fill deterministically; the history
+stamps every record with that clock, and a replay reads the timeline
+back from those stamps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import yaml
@@ -24,6 +25,7 @@ from .cluster import (
     InvalidArgument,
     LoadError,
     NotFound,
+    component_names,
     format_cpu,
     format_mem,
     load_topology,
@@ -38,6 +40,7 @@ from .llm import (
     BudgetExhausted,
     GatewayConfig,
     GatewayConfigError,
+    ScriptExhausted,
     ScriptRecord,
     ScriptedGateway,
     build_gateway,
@@ -102,13 +105,7 @@ class KnowledgePoint:
     acquired_task: str | None = None
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "category": self.category,
-            "acquired_round": self.acquired_round,
-            "acquired_task": self.acquired_task,
-        }
+        return asdict(self)
 
 
 def default_knowledge_points() -> list[KnowledgePoint]:
@@ -162,10 +159,6 @@ class KnowledgeTracker:
 # Trial loop
 
 
-def component_names(state: ClusterState) -> tuple[str, ...]:
-    return tuple(sorted(d.name for d in state.deployments if d.namespace != "kube-system"))
-
-
 def _build_gateway(config: TrialConfig) -> BaseGateway:
     if config.llm_config:
         gw_config = load_config(config.llm_config)
@@ -199,29 +192,18 @@ def run_trial(config: TrialConfig) -> TrialResult:
         raise ConfigurationError(f"unknown trial mode {config.mode!r}")
     gateway = _build_gateway(config)
 
-    history = History()
+    history = History(lambda: state.sim_time)
     gateway.history = history
     library = SkillLibrary()
     tracker = KnowledgeTracker()
-    agents = component_names(state)
-    planner = ExecutionPlanner(
-        gateway, ShellGateway(state, components=agents), history, agents=agents
-    )
-    planner.shell.report_sink = lambda component, message, message_type: history.add(
-        planner.current_task_id,
-        component,
-        f"[{message_type}] {message}",
-        "report",
-        timestamp=state.sim_time,
-    )
+    planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state), history=history), history)
     builder = CurriculumBuilder(gateway, mode=config.mode)
-    curator = KnowledgeCurator(gateway, components=agents)
+    curator = KnowledgeCurator(gateway)
 
     os.makedirs(config.out_dir, exist_ok=True)
     all_tasks: list[Task] = []
     completed_rounds = 0
-    truncated = False
-    truncation_reason: str | None = None
+    truncation_reason: str | None = None  # set when the trial stops early
     prev_round: list[Task] | None = None
 
     def over_time() -> bool:
@@ -230,22 +212,18 @@ def run_trial(config: TrialConfig) -> TrialResult:
     try:
         for round_no in range(1, config.rounds + 1):
             if over_time():
-                truncated, truncation_reason = True, "time"
+                truncation_reason = "time"
                 break
             tick(state, ROUND_TICK_SECONDS)
-            gateway.task_id = ""
-            gateway.clock = state.sim_time
-            snapshot = build_snapshot(state)
-            context = build_context(snapshot, history.records)
+            context = build_context(build_snapshot(state), history.records)
             tasks = builder.generate_round(
                 context, round_no, config.tasks_per_round, prev_round
             )
             for task in tasks:
                 if over_time():
-                    truncated, truncation_reason = True, "time"
+                    truncation_reason = "time"
                     break
                 tick(state, TASK_TICK_SECONDS)
-                gateway.clock = state.sim_time
                 skills = library.retrieve_skills(task.description, RETRIEVE_K)
                 outcome = planner.run_task(task, skills)
                 all_tasks.append(task)
@@ -260,21 +238,21 @@ def run_trial(config: TrialConfig) -> TrialResult:
                         round_no=round_no,
                     )
                     tracker.update(library, round_no, task.id)
-                history.close_task(task, state.sim_time)
-            if truncated:
+                history.close_task(task)
+            if truncation_reason:
                 break
             prev_round = tasks
             completed_rounds = round_no
             library.save(os.path.join(config.out_dir, f"library_round_{round_no}.json"))
     except BudgetExhausted:
-        truncated, truncation_reason = True, "budget"
+        truncation_reason = "budget"
     except RoundGenerationFailed as exc:
-        truncated, truncation_reason = True, f"round-generation: {exc}"
-    finally:
-        planner.shell.report_sink = None  # break the planner -> shell -> sink -> planner cycle
+        truncation_reason = f"round-generation: {exc}"
+    except ScriptExhausted as exc:
+        truncation_reason = f"script: {exc}"
 
     report = _build_report(
-        config, state, all_tasks, tracker, library, gateway, completed_rounds, truncated, truncation_reason
+        config, state, all_tasks, tracker, library, gateway, completed_rounds, truncation_reason
     )
     history.dump(os.path.join(config.out_dir, "history.log"))
     library.save(os.path.join(config.out_dir, "library.json"))
@@ -282,7 +260,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         fh.write(library.export_markdown())
     with open(os.path.join(config.out_dir, "report.json"), "w") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return TrialResult(report, 2 if truncated else 0)
+    return TrialResult(report, 2 if truncation_reason else 0)
 
 
 def _build_report(
@@ -293,7 +271,6 @@ def _build_report(
     library: SkillLibrary,
     gateway: BaseGateway,
     completed_rounds: int,
-    truncated: bool,
     truncation_reason: str | None,
 ) -> dict[str, Any]:
     skill_counts = {"Command": 0, "Configuration": 0, "Reflection": 0}
@@ -303,7 +280,7 @@ def _build_report(
         "report_schema": 1,
         "config": config.to_doc(),
         "completed_rounds": completed_rounds,
-        "truncated": truncated,
+        "truncated": truncation_reason is not None,
         "truncation_reason": truncation_reason,
         "tasks": [
             {
@@ -358,6 +335,9 @@ def _field_value(state: ClusterState, ref: str, path: str) -> str:
     if dep is None:
         raise NotFound(f"deployment {ref} not found")
     parts = path.split(".")
+    needed = {"labels": 2, "resources": 2, "probes": 3}.get(parts[0], 1)
+    if len(parts) < needed:
+        raise ConfigurationError(f"post-condition field {path!r} needs {needed} dotted parts")
     if parts[0] == "replicas":
         return str(dep.replicas)
     if parts[0] == "image":
@@ -419,7 +399,7 @@ def run_evaluation(
     if config.llm != "scripted":
         raise ConfigurationError("evaluation runs with the scripted gateway only")
     script_file = config.script or str(fixture_path("scripts/evaluation.yaml"))
-    base_records = load_script(script_file)
+    records = load_script(script_file)
     cells: dict[str, list[int]] = {}
     for suite_task in suite:
         successes = 0
@@ -431,15 +411,8 @@ def run_evaluation(
                     mutate(state, setup.get("action", ""), setup.get("args") or {})
                 except (InvalidArgument, NotFound) as exc:
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
-            records = [
-                ScriptRecord(r.role, r.response, r.guard, r.max_uses) for r in base_records
-            ]
-            gw_config = GatewayConfig(mode="scripted", budget_usd=config.budget_usd)
-            gateway = ScriptedGateway(gw_config, records)
-            history = History()
-            gateway.history = history
-            agents = component_names(state)
-            planner = ExecutionPlanner(gateway, ShellGateway(state, components=agents), history, agents=agents)
+            gateway = ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=config.budget_usd), records)
+            planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
             task = Task(
                 id=f"eval-{suite_task['id']}-{repeat + 1}",
                 round=0,
@@ -488,37 +461,36 @@ def assemble_grid(columns: list[tuple[str, dict[str, Any]]]) -> dict[str, Any]:
 def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLibrary, ClusterState]:
     """Rebuild the skill library from a finished trial's history log.
 
-    Commands re-execute against a fresh fixture on the original tick
-    schedule, and the curator's recorded completions are fed back as an
-    in-order script, so extraction, validation, and consolidation all
-    land exactly where they did in the original run."""
+    Commands re-execute against a fresh fixture at the times recorded in
+    the log (each task's close-record timestamp), and the curator's
+    recorded completions are fed back as an in-order script, so
+    extraction, validation, and consolidation all land exactly where
+    they did in the original run."""
     try:
         original = History.load(history_path)
     except (ValueError, TypeError) as exc:  # not JSON, or a record of the wrong shape
         raise ConfigurationError(f"history {history_path}: {exc}") from None
     state = load_topology(fixture, seed=seed)
-    agents = component_names(state)
-    shell = ShellGateway(state, components=agents)
+    shell = ShellGateway(state, component_names(state))
     curator_records = [
         ScriptRecord(role="curator", response=r.payload)
         for r in original.records
         if r.actor == "curator" and r.payload_kind == "completion"
     ]
     gateway = ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=float("inf")), curator_records)
-    curator = KnowledgeCurator(gateway, components=agents)
+    curator = KnowledgeCurator(gateway)
     library = SkillLibrary()
-    current_round = 0
     for record in original.records:
         closed = task_close(record)
         if closed is None:
             continue
         task_id, status, description = closed
         id_match = _TASK_ID_RE.fullmatch(task_id)
-        round_no = int(id_match.group(1)) if id_match else current_round or 1
-        if round_no != current_round:
-            tick(state, ROUND_TICK_SECONDS)
-            current_round = round_no
-        tick(state, TASK_TICK_SECONDS)
+        if id_match is None:
+            raise ConfigurationError(f"history {history_path}: task id {task_id!r} names no round (r<round>t<n>)")
+        round_no = int(id_match.group(1))
+        if record.timestamp > state.sim_time:
+            tick(state, record.timestamp - state.sim_time)
         task_records = original.for_task(task_id)
         for task_record in task_records:
             if task_record.payload_kind == "command":

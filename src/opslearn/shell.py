@@ -24,10 +24,9 @@ import json
 import re
 import shlex
 from dataclasses import dataclass
-from typing import Callable
-
 from . import cluster as cl
 from . import httpapi
+from .datalayer import History
 
 REPORT_MESSAGE_TYPES = ("RESPONSE", "INFO", "ERROR")
 
@@ -200,19 +199,13 @@ class ShellGateway:
     """Executes one command line against a cluster state.
 
     `components` names the agent identities report_result may address;
-    `report_sink` receives (component, message, message_type) for every
-    accepted report and is how reports reach the interaction history.
+    every accepted report goes into `history`, when given, as `[TYPE] message`.
     """
 
-    def __init__(
-        self,
-        state: cl.ClusterState,
-        components: tuple[str, ...] = (),
-        report_sink: Callable[[str, str, str], None] | None = None,
-    ):
+    def __init__(self, state: cl.ClusterState, components: tuple[str, ...] = (), history: History | None = None):
         self.state = state
         self.components = tuple(components)
-        self.report_sink = report_sink
+        self.history = history
 
     # -- entry point --------------------------------------------------------
 
@@ -291,8 +284,8 @@ class ShellGateway:
             raise _CommandError(f"error: unknown component '{component}'")
         if message_type not in REPORT_MESSAGE_TYPES:
             raise _CommandError(f"error: unknown message_type '{message_type}'")
-        if self.report_sink is not None:
-            self.report_sink(component, kwargs["message"], message_type)
+        if self.history is not None:
+            self.history.add(component, f"[{message_type}] {kwargs['message']}", "report")
         return f"message delivered to manager from '{component}' ({message_type})"
 
     def _query_prometheus(self, kwargs: dict[str, str]) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from opslearn.cli import main
 from opslearn.datalayer import SkillLibrary
+from opslearn.resources import fixture_path
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,14 @@ def _assert_one_error_line(code, capsys, bad):
 _SUITE_TASK = "suite_schema: 1\ntasks:\n  - id: scale-front-end\n    description: scale it\n"
 
 
+def _topology(old: str, new: str) -> str:
+    """The bundled topology with the first `old` replaced by `new`."""
+    with open(fixture_path("sock_shop.yaml")) as fh:
+        text = fh.read()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -83,6 +92,13 @@ _SUITE_TASK = "suite_schema: 1\ntasks:\n  - id: scale-front-end\n    description
         (["run", "--llm-config"], "cost_table:\n  o1:\n    prompt_per_1k: cheap\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup: [scale]\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions: replicas\n"),
+        (["run", "--fixture"], _topology("replicas: 1", "replicas: many")),
+        (["run", "--fixture"], _topology("replicas: 1", "replicas: .inf")),
+        (["run", "--fixture"], _topology("port: 80", "port: eighty")),
+        (["run", "--fixture"], _topology("timeout: 1", "timeout: .nan")),
+        (["run", "--fixture"], _topology("cpu: 100m", "cpu: 1e400")),
+        (["run", "--fixture"], _topology("[0.001, 20]", "[fast, 20]")),
+        (["eval", "--library", "empty.json", "--fixture"], _topology("replicas: 1", "replicas: many")),
     ],
     ids=[
         "script-string-record",
@@ -96,6 +112,13 @@ _SUITE_TASK = "suite_schema: 1\ntasks:\n  - id: scale-front-end\n    description
         "llm-config-word-price",
         "suite-string-setup",
         "suite-scalar-post-conditions",
+        "fixture-word-replicas",
+        "fixture-infinite-replicas",
+        "fixture-word-port",
+        "fixture-nan-probe-timeout",
+        "fixture-overflowing-cpu",
+        "fixture-word-bucket-bound",
+        "eval-fixture-word-replicas",
     ],
 )
 def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
@@ -106,6 +129,12 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 
 
+_CLOSE_WITHOUT_ROUND = {
+    "id": 1, "task_id": "t1", "actor": "manager", "payload": "task=t1 status=failed description=x",
+    "payload_kind": "report", "feedback_kind": None, "timestamp": 30.0,
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -113,8 +142,15 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
         (["eval", "--library"], '{"library_schema": 1, "skills": [{"id": 1, "kind": "Command", "bogus": 2}]}\n'),
         (["replay", "--history"], "not json\n"),
         (["replay", "--history"], '{"history_schema": 1}\n{"id": 1, "bogus": 2}\n'),
+        (["replay", "--history"], '{"history_schema": 1}\n' + json.dumps(_CLOSE_WITHOUT_ROUND) + "\n"),
     ],
-    ids=["library-not-json", "library-unknown-key", "history-not-json", "history-unknown-key"],
+    ids=[
+        "library-not-json",
+        "library-unknown-key",
+        "history-not-json",
+        "history-unknown-key",
+        "history-close-without-round",
+    ],
 )
 def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text):
     bad = tmp_path / "bad.json"

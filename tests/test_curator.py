@@ -10,9 +10,6 @@ from opslearn.datalayer import History, InteractionRecord, SkillEntry, SkillLibr
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
 from opslearn.resources import fixture_path
 
-COMPONENTS = ("catalogue", "front-end")
-
-
 def _state():
     state = load_topology(fixture_path("sock_shop.yaml"), seed=7)
     tick(state, 300.0)
@@ -23,7 +20,7 @@ def _curator(records: list[ScriptRecord]) -> tuple[KnowledgeCurator, History]:
     gateway = ScriptedGateway(GatewayConfig(mode="scripted"), records)
     history = History()
     gateway.history = history
-    return KnowledgeCurator(gateway, components=COMPONENTS), history
+    return KnowledgeCurator(gateway), history
 
 
 def _task(description: str = "check catalogue memory") -> Task:

@@ -174,13 +174,11 @@ def test_generate_round_progression_reask_sequences(replies, expected, notes):
         assert prompt.split("\n")[-1].startswith(note)
 
 
-class _Snapshot:
-    def to_text(self) -> str:
-        return "2 deployments, 2 pods"
+_SNAPSHOT = "2 deployments, 2 pods"
 
 
 def test_build_context_without_history():
-    text = build_context(_Snapshot(), [])
+    text = build_context(_SNAPSHOT, [])
     assert "== running state ==" in text
     assert "2 deployments, 2 pods" in text
     assert NO_HISTORY_MARKER in text
@@ -191,20 +189,21 @@ def test_build_context_summarizes_and_trims():
     for i in range(1, 4):
         task = Task(id=f"r1t{i}", round=1, kind="observation", difficulty=1, description=f"step {i}")
         task.status = "succeeded"
-        history.add(task.id, "manager", f"prompt {i}", "prompt")
+        history.open_task(task.id)
+        history.add("manager", f"prompt {i}", "prompt")
         if i == 2:
-            history.add(task.id, "environment", "command failed: exit 22", "feedback", feedback_kind="environment")
-        history.close_task(task, timestamp=0.0)
+            history.add("environment", "command failed: exit 22", "feedback", feedback_kind="environment")
+        history.close_task(task)
     summaries = summarize_history(history.records)
     assert [s.task_id for s in summaries] == ["r1t1", "r1t2", "r1t3"]
     assert summaries[1].last_feedback == "command failed: exit 22"
     assert summaries[0].outcome == "succeeded"
 
-    text = build_context(_Snapshot(), history.records)
+    text = build_context(_SNAPSHOT, history.records)
     assert "- r1t2: step 2" in text
 
     # A tight budget drops the oldest summaries first and says so.
-    tight = build_context(_Snapshot(), history.records, char_budget=170)
+    tight = build_context(_SNAPSHOT, history.records, char_budget=170)
     assert "earlier tasks omitted" in tight
     assert "- r1t1" not in tight
     assert "- r1t3: step 3" in tight

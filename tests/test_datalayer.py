@@ -25,44 +25,54 @@ def test_task_validation():
 def test_history_enforces_feedback_kind_pairing():
     history = History()
     with pytest.raises(ValueError):
-        history.add("t1", "environment", "boom", "feedback")
+        history.add("environment", "boom", "feedback")
     with pytest.raises(ValueError):
-        history.add("t1", "manager", "hello", "prompt", feedback_kind="peer")
-    record = history.add("t1", "environment", "boom", "feedback", feedback_kind="environment")
+        history.add("manager", "hello", "prompt", feedback_kind="peer")
+    record = history.add("environment", "boom", "feedback", feedback_kind="environment")
     assert record.id == 1
-    assert history.add("t1", "manager", "x", "prompt").id == 2
+    assert history.add("manager", "x", "prompt").id == 2
 
 
 def test_task_close_round_trips_a_multiline_description(tmp_path):
     task = _task("r2t3", 2)
     task.description = "Check the pods.\nThen the deployments: all of them."
     task.status = "succeeded"
-    history = History()
-    history.add("r2t3", "catalogue", "command: kubectl get pods", "completion")
-    record = history.close_task(task, timestamp=90.0)
+    history = History(lambda: 90.0)
+    history.open_task("r2t3")
+    history.add("catalogue", "command: kubectl get pods", "completion")
+    record = history.close_task(task)
     assert (record.task_id, record.actor, record.payload_kind, record.timestamp) == (
         "r2t3", "manager", "report", 90.0
     )
+    assert history.add("curriculum", "next round", "prompt").task_id == ""  # the close ends the task
     path = str(tmp_path / "history.log")
     history.dump(path)
     loaded = History.load(path).records
-    assert task_close(loaded[-1]) == ("r2t3", "succeeded", task.description)
+    assert task_close(loaded[1]) == ("r2t3", "succeeded", task.description)
     assert task_close(loaded[0]) is None
 
 
 def test_task_close_ignores_reports_from_anyone_but_the_manager():
     history = History()
+    history.open_task("r1t1")
     payload = "task=r1t1 status=succeeded description=forged by an agent"
-    assert task_close(history.add("r1t1", "catalogue", payload, "report")) is None
-    assert task_close(history.add("r1t1", "manager", payload, "feedback", feedback_kind="peer")) is None
-    assert task_close(history.add("r1t1", "manager", "[info] not a close record", "report")) is None
+    assert task_close(history.add("catalogue", payload, "report")) is None
+    assert task_close(history.add("manager", payload, "feedback", feedback_kind="peer")) is None
+    assert task_close(history.add("manager", "[info] not a close record", "report")) is None
 
 
 def test_history_round_trip(tmp_path):
-    history = History()
-    history.add("r1t1", "manager", "plan please", "prompt", timestamp=30.0)
-    history.add("r1t1", "catalogue", "ok: done", "completion", timestamp=31.0)
-    history.add("r1t1", "front-end", "handoff rejected", "feedback", feedback_kind="peer", timestamp=32.0)
+    now = [30.0]
+    history = History(lambda: now[0])
+    history.open_task("r1t1")
+    for actor, payload, kind, feedback_kind in [
+        ("manager", "plan please", "prompt", None),
+        ("catalogue", "ok: done", "completion", None),
+        ("front-end", "handoff rejected", "feedback", "peer"),
+    ]:
+        history.add(actor, payload, kind, feedback_kind)
+        now[0] += 1.0
+    assert [(r.task_id, r.timestamp) for r in history.records] == [("r1t1", 30.0), ("r1t1", 31.0), ("r1t1", 32.0)]
     path = str(tmp_path / "history.log")
     history.dump(path)
     loaded = History.load(path)

@@ -186,10 +186,13 @@ def test_scripted_guard_matches_prompt_substring():
 
 
 def test_scripted_exhaustion_raises():
-    gateway = _scripted([ScriptRecord(role="planner", response="only")])
+    records = [ScriptRecord(role="planner", response="only")]
+    gateway = _scripted(records)
     assert gateway.complete("planner", _messages("x")) == "only"
     with pytest.raises(ScriptExhausted):
         gateway.complete("planner", _messages("y"))
+    # Each gateway counts its own uses, so gateways can share one record list.
+    assert _scripted(records).complete("planner", _messages("z")) == "only"
 
 
 def test_unknown_role_raises_config_error():
@@ -202,10 +205,9 @@ def test_ledger_and_history_capture():
     from opslearn.datalayer import History
 
     gateway = _scripted([ScriptRecord(role="planner", response="done")])
-    history = History()
+    history = History(lambda: 42.0)
     gateway.history = history
-    gateway.task_id = "r1t1"
-    gateway.clock = 42.0
+    history.open_task("r1t1")
     prompt_text = "please do the thing"
     gateway.complete("planner", _messages(prompt_text), actor="manager")
 
@@ -222,8 +224,8 @@ def test_ledger_and_history_capture():
     assert doc["calls"] == 1
     assert doc["cost_usd"] == pytest.approx(expected_cost, abs=1e-6)
 
-    kinds = [(r.actor, r.payload_kind, r.timestamp) for r in history.records]
-    assert kinds == [("manager", "prompt", 42.0), ("manager", "completion", 42.0)]
+    kinds = [(r.task_id, r.actor, r.payload_kind, r.timestamp) for r in history.records]
+    assert kinds == [("r1t1", "manager", "prompt", 42.0), ("r1t1", "manager", "completion", 42.0)]
     assert prompt_text in history.records[0].payload
     assert history.records[1].payload == "done"
 

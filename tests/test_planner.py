@@ -35,7 +35,7 @@ def _planner(records: list[ScriptRecord], **kwargs) -> tuple[ExecutionPlanner, H
     history = History()
     gateway.history = history
     shell = _shell()
-    planner = ExecutionPlanner(gateway, shell, history, agents=AGENTS, **kwargs)
+    planner = ExecutionPlanner(gateway, shell, history, **kwargs)
     return planner, history, shell
 
 
@@ -225,8 +225,8 @@ def test_decompose_prompt_carries_skills_and_agents():
 
 def test_execute_subtask_settles_on_ok():
     records = [ScriptRecord("planner", "ok: 9Mi", guard="Your subtask: read the gauge")]
-    planner, _, _ = _planner(records)
-    planner.current_task_id = "t1"
+    planner, history, _ = _planner(records)
+    history.open_task("t1")
     st = Subtask(1, "catalogue", "read the gauge")
     assert planner.execute_subtask(st, _task("memory check"), "(none)", None) is True
     assert st.status == "succeeded"
@@ -240,7 +240,7 @@ def test_execute_subtask_runs_command_and_logs_result():
         ScriptRecord("planner", "ok: pods listed", guard="command output:"),
     ]
     planner, history, _ = _planner(records)
-    planner.current_task_id = "t1"
+    history.open_task("t1")
     st = Subtask(1, "catalogue", "list the pods")
     assert planner.execute_subtask(st, _task("inventory"), "(none)", None) is True
     assert st.attempts == 1
@@ -272,7 +272,7 @@ def test_execute_subtask_feeds_back_failure_then_recovers():
         ScriptRecord("planner", "ok: recovered", guard="command failed (exit 1):"),
     ]
     planner, history, _ = _planner(records)
-    planner.current_task_id = "t1"
+    history.open_task("t1")
     st = Subtask(1, "catalogue", "poke a namespace")
     assert planner.execute_subtask(st, _task("recovery"), "(none)", None) is True
     (fb,) = _feedback_records(history)
@@ -313,7 +313,7 @@ def test_observation_task_aborts_on_mutating_command():
         )
     ]
     planner, history, shell = _planner(records)
-    planner.current_task_id = "t1"
+    history.open_task("t1")
     st = Subtask(1, "catalogue", "just look around")
     with pytest.raises(ObservationViolation, match="mutated state"):
         planner.execute_subtask(st, _task("watch only", kind="observation"), "(none)", None)
@@ -392,7 +392,7 @@ description: try a simpler report instead
 def test_hierarchical_replan_preserves_finished_work():
     records = [ScriptRecord("planner", REPLAN_TEXT, guard="Trigger: subtask 2 (front-end) failed")]
     planner, history, _ = _planner(records)
-    planner.current_task_id = "t1"
+    history.open_task("t1")
     old = Plan(
         "t1",
         [

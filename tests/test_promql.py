@@ -3,15 +3,20 @@ reference, frozen hand-computed cases, and grammar/edge behavior."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle_promql as oracle
 import promql_cases
+from opslearn.cluster import load_topology, tick
 from opslearn.metrics import MetricStore
 from opslearn.promql import ParseError, RangeError, evaluate
+from opslearn.resources import fixture_path
 
 # Fixed per-production seeds keep the randomized suite reproducible.
 _SEEDS = {
@@ -243,6 +248,30 @@ def test_grammar_violations_raise_parse_error(text):
     store = MetricStore()
     with pytest.raises(ParseError):
         evaluate(store, text, 0.0)
+
+
+@functools.cache
+def _fixture_store() -> MetricStore:
+    return tick(load_topology(fixture_path("sock_shop.yaml"), seed=7), 300.0).metrics
+
+
+_PIECES = [
+    "(", ")", "{", "}", "[", "]", ",", "/", "=", "=~", '"', " ", "5m", "0s", "0.5", "1e400",
+    "sum", "count", "by", "rate", "histogram_quantile", "avg", "up", "le",
+    "http_requests_total", "request_duration_seconds_bucket", 'job="sock-shop/catalogue"',
+    'job=~"(a|b)+"', 'le="+Inf"', 'le="x"',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)))
+@example(text="(" * 600 + "up" + ")" * 600)  # used to overflow the parser's recursion
+@example(text=" / ".join(["up"] * 2000))  # used to overflow the evaluator's recursion
+def test_evaluate_raises_only_parse_or_range_errors(text):
+    try:
+        evaluate(_fixture_store(), text, 300.0)
+    except (ParseError, RangeError):
+        pass
 
 
 def test_result_entries_are_sorted_by_labels():

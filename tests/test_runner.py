@@ -8,10 +8,12 @@ import json
 import os
 
 import pytest
+import yaml
 
+from opslearn import runner
 from opslearn.cluster import load_topology
 from opslearn.datalayer import SkillEntry, SkillLibrary
-from opslearn.resources import fixture_path
+from opslearn.resources import fixture_path, load_yaml
 from opslearn.runner import (
     ConfigurationError,
     KnowledgePoint,
@@ -213,7 +215,7 @@ def test_post_condition_conjunction(fixture_state):
 
 
 def test_post_condition_field_errors(fixture_state):
-    for field in ("resources.gpu", "probes.liveness.port", "annotations"):
+    for field in ("resources.gpu", "probes.liveness.port", "annotations", "labels", "resources", "probes.liveness"):
         cond = {"deployment": "sock-shop/catalogue", "field": field, "equals": "x"}
         with pytest.raises(ConfigurationError):
             check_post_conditions(fixture_state, None, [cond])
@@ -288,6 +290,22 @@ def test_run_trial_leaves_no_reference_cycles(tmp_path):
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == set()
+
+
+def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_path):
+    records = load_yaml(fixture_path("scripts/golden_trial.yaml"))["records"]
+    script = tmp_path / "cut.yaml"
+    script.write_text(yaml.safe_dump({"records": records[:50]}))
+    out_dir = tmp_path / "out"
+    result = run_trial(TrialConfig(seed=7, script=str(script), out_dir=str(out_dir)))
+    assert result.exit_code == 2
+    for name in ("history.log", "library.json", "library.md", "report.json"):
+        assert (out_dir / name).exists()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report == result.report
+    assert report["truncated"] is True
+    assert report["truncation_reason"].startswith("script: no scripted response left for role")
+    assert 0 < len(report["tasks"]) < 15
 
 
 def test_run_trial_rejects_bad_mode():
@@ -378,13 +396,16 @@ def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
     assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
 
 
-def test_replay_rebuilds_identical_library(golden_trial):
+def test_replay_rebuilds_identical_library(golden_trial, monkeypatch):
     result, out_dir = golden_trial
+    # Replay reads its clock from the log, not from the trial's tick schedule.
+    monkeypatch.setattr(runner, "ROUND_TICK_SECONDS", 1.0)
+    monkeypatch.setattr(runner, "TASK_TICK_SECONDS", 7.0)
     library, state = replay_history(
         str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7
     )
     assert library.export_json() == (out_dir / "library.json").read_text().rstrip("\n")
-    assert state.sim_time > 0
+    assert state.sim_time == result.report["final_sim_time"]
 
 
 # -- report emission -----------------------------------------------------------------

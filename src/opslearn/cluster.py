@@ -16,14 +16,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
 import yaml
 
 from .metrics import MetricStore, SeriesId
-from .resources import load_yaml
+from .resources import finite_number, load_yaml
 
 T = TypeVar("T")
 
@@ -242,20 +241,9 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
-def _finite(convert: Callable[[Any], T], value: Any) -> T:
-    """`convert(value)`; any failure to convert, or a non-finite float, is a ValueError."""
-    try:
-        converted = convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(str(exc)) from None
-    if isinstance(converted, float) and not math.isfinite(converted):
-        raise ValueError(f"{value!r} is not finite")
-    return converted
-
-
 def _number_at(convert: Callable[[Any], T], value: Any, path: str) -> T:
     try:
-        return _finite(convert, value)
+        return finite_number(convert, value)
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
 
@@ -656,7 +644,7 @@ def _apply_patch(state: ClusterState, args: dict) -> None:
                 if key not in _PROBE_FIELDS:
                     raise InvalidArgument(f"unknown probe field {key!r}")
                 try:
-                    setattr(probe, key, _finite(_PROBE_FIELDS[key], value))
+                    setattr(probe, key, finite_number(_PROBE_FIELDS[key], value))
                 except ValueError as exc:
                     raise InvalidArgument(f"bad {kind} probe {key}: {exc}") from None
             if probe.success_threshold < 1 or probe.failure_threshold < 1:

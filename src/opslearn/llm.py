@@ -24,7 +24,7 @@ from typing import Any, Callable, TypeVar
 
 import yaml
 
-from .resources import load_yaml
+from .resources import finite_number, load_yaml
 
 ROLES = ("curriculum", "planner", "curator")
 T = TypeVar("T")
@@ -123,9 +123,9 @@ def _mapping(value: Any, what: str) -> dict[str, Any]:
 
 def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise GatewayConfigError(f"{what} must be a number, got {value!r}") from None
+        return finite_number(convert, value)
+    except ValueError:
+        raise GatewayConfigError(f"{what} must be a finite number, got {value!r}") from None
 
 
 def load_config(path: str) -> GatewayConfig:

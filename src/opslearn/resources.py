@@ -1,16 +1,20 @@
-"""Access to bundled fixture files (topologies, prompts, scripts)."""
+"""Reading input: bundled fixture files (topologies, prompts, scripts), YAML
+documents, and the numbers read from them."""
 
 from __future__ import annotations
 
 import copy
 import functools
+import math
 import os
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 _parsed: dict[str, Any] = {}  # parsed documents by file text
+
+T = TypeVar("T")
 
 
 def fixture_path(*parts: str) -> str:
@@ -43,3 +47,14 @@ def load_yaml(path: str) -> Any:
             raise yaml.YAMLError(f"{path}: {where}{problem}") from None
         _parsed[text] = doc
     return copy.deepcopy(_parsed[text])
+
+
+def finite_number(convert: Callable[[Any], T], value: Any) -> T:
+    """`convert(value)`; any failure to convert, or a non-finite float, is a ValueError."""
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+    if isinstance(converted, float) and not math.isfinite(converted):
+        raise ValueError(f"{value!r} is not finite")
+    return converted

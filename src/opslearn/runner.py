@@ -54,6 +54,9 @@ from .shell import ShellGateway
 ROUND_TICK_SECONDS = 60.0
 TASK_TICK_SECONDS = 30.0
 EVAL_WARMUP_SECONDS = 300.0
+# A trial closes its tasks seconds apart. Replay refuses a close stamped later
+# than this after the one before it, which bounds the scrapes one record costs.
+REPLAY_MAX_STEP_SECONDS = 3600.0
 RETRIEVE_K = 4
 
 _TASK_ID_RE = re.compile(r"r(\d+)t(\d+)")
@@ -81,15 +84,8 @@ class TrialConfig:
         return self.fixture or str(fixture_path("sock_shop.yaml"))
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "tasks_per_round": self.tasks_per_round,
-            "mode": self.mode,
-            "budget_usd": self.budget_usd,
-            "time_budget_min": self.time_budget_min,
-            "llm": self.llm,
-        }
+        keys = ("seed", "rounds", "tasks_per_round", "mode", "budget_usd", "time_budget_min", "llm")
+        return {key: getattr(self, key) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +156,10 @@ class KnowledgeTracker:
 
 
 def _build_gateway(config: TrialConfig) -> BaseGateway:
-    if config.llm_config:
-        gw_config = load_config(config.llm_config)
-    else:
-        gw_config = GatewayConfig()
+    gw_config = load_config(config.llm_config) if config.llm_config else GatewayConfig()
     gw_config.mode = config.llm
     gw_config.budget_usd = config.budget_usd
-    if config.script:
-        gw_config.script_path = config.script
+    gw_config.script_path = config.script or gw_config.script_path
     if gw_config.mode == "scripted" and not gw_config.script_path:
         gw_config.script_path = str(fixture_path("scripts/golden_trial.yaml"))
     try:
@@ -335,35 +327,36 @@ def _field_value(state: ClusterState, ref: str, path: str) -> str:
     if dep is None:
         raise NotFound(f"deployment {ref} not found")
     parts = path.split(".")
-    needed = {"labels": 2, "resources": 2, "probes": 3}.get(parts[0], 1)
-    if len(parts) < needed:
-        raise ConfigurationError(f"post-condition field {path!r} needs {needed} dotted parts")
-    if parts[0] == "replicas":
-        return str(dep.replicas)
-    if parts[0] == "image":
-        return dep.image
-    if parts[0] == "labels":
-        return dep.labels.get(parts[1], "")
-    if parts[0] == "resources":
-        spec = dep.resources
-        values = {
-            "cpu_request": format_cpu(spec.cpu_request),
-            "cpu_limit": format_cpu(spec.cpu_limit),
-            "mem_request": format_mem(spec.mem_request),
-            "mem_limit": format_mem(spec.mem_limit),
-        }
-        if parts[1] not in values:
-            raise ConfigurationError(f"unknown resources field {parts[1]!r}")
-        return values[parts[1]]
-    if parts[0] == "probes":
-        probe = next((p for p in dep.probes if p.kind == parts[1]), None)
-        if probe is None:
-            return ""
-        if parts[2] == "http_path":
-            return probe.http_path
-        if parts[2] == "initial_delay":
-            return f"{probe.initial_delay:g}"
-        raise ConfigurationError(f"unknown probe field {parts[2]!r}")
+    try:
+        if parts[0] == "replicas":
+            return str(dep.replicas)
+        if parts[0] == "image":
+            return dep.image
+        if parts[0] == "labels":
+            return dep.labels.get(parts[1], "")
+        if parts[0] == "resources":
+            spec = dep.resources
+            values = {
+                "cpu_request": format_cpu(spec.cpu_request),
+                "cpu_limit": format_cpu(spec.cpu_limit),
+                "mem_request": format_mem(spec.mem_request),
+                "mem_limit": format_mem(spec.mem_limit),
+            }
+            if parts[1] not in values:
+                raise ConfigurationError(f"unknown resources field {parts[1]!r}")
+            return values[parts[1]]
+        if parts[0] == "probes":
+            kind, probe_field = parts[1], parts[2]
+            probe = next((p for p in dep.probes if p.kind == kind), None)
+            if probe is None:
+                return ""
+            if probe_field == "http_path":
+                return probe.http_path
+            if probe_field == "initial_delay":
+                return f"{probe.initial_delay:g}"
+            raise ConfigurationError(f"unknown probe field {probe_field!r}")
+    except IndexError:
+        raise ConfigurationError(f"post-condition field {path!r} has too few dotted parts") from None
     raise ConfigurationError(f"unknown post-condition field {path!r}")
 
 
@@ -489,8 +482,11 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
         if id_match is None:
             raise ConfigurationError(f"history {history_path}: task id {task_id!r} names no round (r<round>t<n>)")
         round_no = int(id_match.group(1))
-        if record.timestamp > state.sim_time:
-            tick(state, record.timestamp - state.sim_time)
+        stamp = record.timestamp
+        if type(stamp) not in (int, float) or not float("-inf") < stamp <= state.sim_time + REPLAY_MAX_STEP_SECONDS:
+            raise ConfigurationError(f"history {history_path}: task {task_id!r} closes at {stamp!r}, not a time in reach")
+        if stamp > state.sim_time:
+            tick(state, stamp - state.sim_time)
         task_records = original.for_task(task_id)
         for task_record in task_records:
             if task_record.payload_kind == "command":

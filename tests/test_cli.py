@@ -88,6 +88,7 @@ def _topology(old: str, new: str) -> str:
         (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks:\n  - the id and the description\n"),
         (["run", "--script"], "records:\n  - role: planner\n    response: ok\n    max_uses: many\n"),
         (["run", "--llm-config"], "budget_usd: lots\n"),
+        (["run", "--llm-config"], "budget_usd: .nan\n"),
         (["run", "--llm-config"], "routes:\n  planner:\n    max_tokens: plenty\n"),
         (["run", "--llm-config"], "cost_table:\n  o1:\n    prompt_per_1k: cheap\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup: [scale]\n"),
@@ -108,6 +109,7 @@ def _topology(old: str, new: str) -> str:
         "suite-string-task",
         "script-word-max-uses",
         "llm-config-word-budget",
+        "llm-config-nan-budget",
         "llm-config-word-max-tokens",
         "llm-config-word-price",
         "suite-string-setup",
@@ -129,10 +131,13 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 
 
-_CLOSE_WITHOUT_ROUND = {
-    "id": 1, "task_id": "t1", "actor": "manager", "payload": "task=t1 status=failed description=x",
-    "payload_kind": "report", "feedback_kind": None, "timestamp": 30.0,
-}
+def _history_closing(task_id: str, timestamp) -> str:
+    """A history of one task-close record."""
+    record = {
+        "id": 1, "task_id": task_id, "actor": "manager", "payload": f"task={task_id} status=failed description=x",
+        "payload_kind": "report", "feedback_kind": None, "timestamp": timestamp,
+    }
+    return '{"history_schema": 1}\n' + json.dumps(record) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -142,7 +147,10 @@ _CLOSE_WITHOUT_ROUND = {
         (["eval", "--library"], '{"library_schema": 1, "skills": [{"id": 1, "kind": "Command", "bogus": 2}]}\n'),
         (["replay", "--history"], "not json\n"),
         (["replay", "--history"], '{"history_schema": 1}\n{"id": 1, "bogus": 2}\n'),
-        (["replay", "--history"], '{"history_schema": 1}\n' + json.dumps(_CLOSE_WITHOUT_ROUND) + "\n"),
+        (["replay", "--history"], _history_closing("t1", 30.0)),
+        (["replay", "--history"], _history_closing("r1t1", float("inf"))),
+        (["replay", "--history"], _history_closing("r1t1", 1e12)),
+        (["replay", "--history"], _history_closing("r1t1", "30")),
     ],
     ids=[
         "library-not-json",
@@ -150,6 +158,9 @@ _CLOSE_WITHOUT_ROUND = {
         "history-not-json",
         "history-unknown-key",
         "history-close-without-round",
+        "history-infinite-close-time",
+        "history-far-close-time",
+        "history-string-close-time",
     ],
 )
 def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text):

@@ -21,12 +21,11 @@ import re
 
 from .cluster import ClusterState, clone, component_names, format_cpu, format_mem
 from .datalayer import SKILL_KINDS, InteractionRecord, SkillEntry, SkillLibrary, Task
-from .llm import BaseGateway, ask_until_parsed
+from .llm import BaseGateway, ask_until_parsed, parse_blocks
 from .resources import prompt_template
 from .shell import ShellGateway
 
-_SKILL_SPLIT_RE = re.compile(r"^Skill\s+(\d+)\s*:\s*$", re.M)
-_SKILL_FIELD_RE = re.compile(r"^(kind|body|description|subject|cites)\s*:\s*(.*)$")
+_SKILL_FIELDS = ("kind", "body", "description", "subject", "cites")
 _CITE_RE = re.compile(r"#(\d+)")
 
 _SUBJECT_FACETS = ("image", "resources", "command", "probes", "replicas")
@@ -45,27 +44,17 @@ def render_trajectory(trajectory: list[InteractionRecord]) -> str:
 
 
 def parse_skills(completion: str, source_task: str) -> list[SkillEntry]:
-    pieces = _SKILL_SPLIT_RE.split(completion)
-    if len(pieces) < 3:
+    blocks = parse_blocks(completion, "Skill", _SKILL_FIELDS, multiline="body")
+    if not blocks:
         raise ValueError("no skill blocks found")
     entries = []
-    for i in range(1, len(pieces) - 1, 2):
-        block = pieces[i + 1]
-        fields: dict[str, str] = {}
-        current: str | None = None
-        for line in block.splitlines():
-            m = _SKILL_FIELD_RE.match(line.strip())
-            if m:
-                current = m.group(1)
-                fields[current] = m.group(2).strip()
-            elif current == "body" and line.strip():
-                fields["body"] += "\n" + line.strip()
+    for number, fields in blocks:
         kind = fields.get("kind", "")
         if kind not in SKILL_KINDS:
-            raise ValueError(f"skill {pieces[i]}: bad kind {kind!r}")
+            raise ValueError(f"skill {number}: bad kind {kind!r}")
         body = fields.get("body", "").strip()
         if not body:
-            raise ValueError(f"skill {pieces[i]}: empty body")
+            raise ValueError(f"skill {number}: empty body")
         cites = [int(n) for n in _CITE_RE.findall(fields.get("cites", ""))]
         entries.append(
             SkillEntry(

@@ -8,11 +8,10 @@ and the progression check dispose.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .datalayer import ACTION, OBSERVATION, InteractionRecord, Task, task_close
-from .llm import BaseGateway, ask_until_parsed
+from .llm import BaseGateway, ask_until_parsed, parse_blocks
 from .resources import prompt_template
 
 CONTEXT_CHAR_BUDGET = 6000
@@ -81,24 +80,17 @@ def build_context(
     return "\n".join(sections)
 
 
-_TASK_BLOCK_RE = re.compile(r"^Task\s+\d+\s*:\s*$", re.M)
-_FIELD_RE = re.compile(r"^(description|kind|stage|difficulty)\s*:\s*(.+)$")
+_ROUND_FIELDS = ("description", "kind", "stage", "difficulty")
 
 
 def parse_round(completion: str, round_no: int, tasks_per_round: int) -> list[Task]:
     """Parse labeled task blocks; any deviation raises ValueError."""
-    pieces = _TASK_BLOCK_RE.split(completion)
-    blocks = [p for p in pieces[1:]]
+    blocks = parse_blocks(completion, "Task", _ROUND_FIELDS)
     if len(blocks) != tasks_per_round:
         raise ValueError(f"expected {tasks_per_round} task blocks, found {len(blocks)}")
     tasks = []
-    for i, block in enumerate(blocks, start=1):
-        fields: dict[str, str] = {}
-        for line in block.strip().splitlines():
-            m = _FIELD_RE.match(line.strip())
-            if m:
-                fields[m.group(1)] = m.group(2).strip()
-        missing = {"description", "kind", "stage", "difficulty"} - set(fields)
+    for i, (_, fields) in enumerate(blocks, start=1):
+        missing = set(_ROUND_FIELDS) - set(fields)
         if missing:
             raise ValueError(f"task block {i} missing {sorted(missing)}")
         kind = fields["kind"].lower()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
@@ -178,6 +179,36 @@ def ask_until_parsed(ask: Callable[[str | None], str], parse: Callable[[str], T]
         except ValueError as exc:
             note = str(exc)
     return None
+
+
+def parse_blocks(
+    text: str, header: str, fields: tuple[str, ...], multiline: str | None = None
+) -> list[tuple[str, dict[str, str]]]:
+    """The reply grammar every role shares: `<header> <n>:` lines open blocks of `field: value` lines.
+
+    Returns (number text, {field: value}) per block, in order. Text before the
+    first header and lines naming none of `fields` are ignored; lines are
+    stripped; a field's last non-empty value wins, and an empty one leaves it
+    absent. Unlabelled lines after a `multiline` field's line continue it.
+    """
+    pieces = re.split(rf"^{header}\s+(\d+)\s*:\s*$", text, flags=re.M)
+    field_line = re.compile(rf"^({'|'.join(fields)})\s*:\s*(.*)$")
+    blocks = []
+    for number, block in zip(pieces[1::2], pieces[2::2]):
+        values: dict[str, str] = {}
+        continuing = False
+        for line in block.splitlines():
+            line = line.strip()
+            match = field_line.match(line)
+            if match:
+                name, value = match.groups()
+                continuing = name == multiline
+                if value:
+                    values[name] = value
+            elif line and continuing:
+                values[name] = values.get(name, "") + "\n" + line
+        blocks.append((number, values))
+    return blocks
 
 
 def render_prompt(messages: list[dict[str, str]]) -> str:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
-from .llm import BaseGateway, ask_until_parsed
+from .llm import BaseGateway, ask_until_parsed, parse_blocks
 from .resources import prompt_template
 from .shell import ShellGateway
 
@@ -100,25 +100,18 @@ def check_expectation(result: str, expects: str) -> str | None:
     return f"unknown expectation {expects!r}"
 
 
-_SUBTASK_SPLIT_RE = re.compile(r"^Subtask\s+(\d+)\s*:\s*$", re.M)
-_PLAN_FIELD_RE = re.compile(r"^(assignee|description|depends_on|expects)\s*:\s*(.+)$")
+_PLAN_FIELDS = ("assignee", "description", "depends_on", "expects")
 
 
 def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtask]:
-    pieces = _SUBTASK_SPLIT_RE.split(completion)
-    if len(pieces) < 3:
+    blocks = [(int(number), fields) for number, fields in parse_blocks(completion, "Subtask", _PLAN_FIELDS)]
+    if not blocks:
         raise ValueError("no subtask blocks found")
-    blocks = [(int(pieces[i]), pieces[i + 1]) for i in range(1, len(pieces) - 1, 2)]
-    if not 1 <= len(blocks) <= 4:
+    if len(blocks) > 4:
         raise ValueError(f"expected 1..4 subtasks, found {len(blocks)}")
     subtasks = []
     seen_ids = set()
-    for number, block in blocks:
-        fields: dict[str, str] = {}
-        for line in block.strip().splitlines():
-            m = _PLAN_FIELD_RE.match(line.strip())
-            if m:
-                fields[m.group(1)] = m.group(2).strip()
+    for number, fields in blocks:
         if "assignee" not in fields or "description" not in fields:
             raise ValueError(f"subtask {number} missing assignee or description")
         assignee = fields["assignee"]
@@ -141,6 +134,12 @@ def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtas
         seen_ids.add(number)
         subtasks.append(Subtask(number, assignee, fields["description"], depends_on, expects))
     return subtasks
+
+
+def _labelled(completion: str, label: str) -> str | None:
+    """The text after `label:` when the stripped reply starts with it, else None."""
+    stripped = completion.strip()
+    return stripped[len(label) + 1:].strip() if stripped.startswith(f"{label}:") else None
 
 
 class ExecutionPlanner:
@@ -212,12 +211,13 @@ class ExecutionPlanner:
         completions_cap = 2 * self.attempt_budget + 2
         for _ in range(completions_cap):
             completion = self._complete(subtask.assignee, messages)
-            stripped = completion.strip()
-            if stripped.startswith("ok:"):
-                subtask.result = stripped[len("ok:"):].strip()
+            answer = _labelled(completion, "ok")
+            if answer is not None:
+                subtask.result = answer
                 subtask.status = "succeeded"
                 return True
-            if not stripped.startswith("command:"):
+            line = _labelled(completion, "command")
+            if line is None:
                 messages.append(
                     {
                         "speaker": "manager",
@@ -226,23 +226,9 @@ class ExecutionPlanner:
                 )
                 continue
             subtask.attempts += 1
-            line = stripped[len("command:"):].strip()
             self.history.add(subtask.assignee, line, "command")
             result = self.shell.execute(line)
-            self.history.add(
-                "environment",
-                json.dumps(
-                    {
-                        "exit_code": result.exit_code,
-                        "stdout": result.stdout,
-                        "stderr": result.stderr,
-                        "state_mutated": result.state_mutated,
-                        "duration_ms": result.duration_ms,
-                    },
-                    sort_keys=True,
-                ),
-                "execution_result",
-            )
+            self.history.add("environment", json.dumps(asdict(result), sort_keys=True), "execution_result")
             if task.kind == OBSERVATION and result.state_mutated:
                 violation = f"observation-safety violation: command mutated cluster state: {line}"
                 self.history.add("environment", violation, "feedback", "environment")
@@ -283,9 +269,9 @@ class ExecutionPlanner:
             f"Respond with `ok: <revised result>` only."
         )
         completion = self._complete(upstream.assignee, [{"speaker": downstream.assignee, "text": revision_prompt}])
-        stripped = completion.strip()
-        if stripped.startswith("ok:"):
-            upstream.result = stripped[len("ok:"):].strip()
+        revised = _labelled(completion, "ok")
+        if revised is not None:
+            upstream.result = revised
         gripe = check_expectation(upstream.result or "", downstream.expects)
         if gripe is None:
             return False

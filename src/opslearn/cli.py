@@ -141,9 +141,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for name in ("report.json", "grid.json"):
         path = os.path.join(args.out_dir, name)
         if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            emitted.extend(emit_report(data, args.out_dir, formats))
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+                emitted.extend(emit_report(data, args.out_dir, formats))
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:  # not JSON, or not shaped like a run's
+                raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from None
     if not emitted:
         raise ConfigurationError(f"no report.json or grid.json under {args.out_dir}/")
     for path in emitted:

@@ -241,6 +241,17 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+_REQUIRED = object()
+
+
+def _typed(doc: dict, key: str, path: str, kind: type | tuple[type, ...], default: Any = _REQUIRED) -> Any:
+    """`doc[key]`, or `default` when the key is absent, checked to be a `kind`."""
+    value = _require(doc, key, path) if default is _REQUIRED else doc.get(key, default)
+    if not isinstance(value, kind):
+        raise _fail(f"{path}.{key}", f"unexpected {type(value).__name__} {value!r}")
+    return value
+
+
 def _number_at(convert: Callable[[Any], T], value: Any, path: str) -> T:
     try:
         return finite_number(convert, value)
@@ -280,7 +291,7 @@ def _parse_probe(doc: Any, path: str) -> ProbeSpec:
         for key, convert in _PROBE_FIELDS.items()
         if key != "http_path" and key in doc
     }
-    probe = ProbeSpec(kind=kind, http_path=_require(doc, "http_path", path), **numbers)
+    probe = ProbeSpec(kind=kind, http_path=_typed(doc, "http_path", path, str), **numbers)
     if probe.success_threshold < 1 or probe.failure_threshold < 1:
         raise _fail(f"{path}.success_threshold", "thresholds must be >= 1")
     if probe.timeout >= probe.period:
@@ -294,13 +305,15 @@ def _parse_traffic(doc: Any, path: str) -> TrafficProfile:
     if not isinstance(doc, dict):
         raise _fail(path, "expected a traffic profile mapping")
     buckets: list[tuple[float, float]] = []
-    for i, item in enumerate(doc.get("latency_buckets", [])):
+    for i, item in enumerate(_typed(doc, "latency_buckets", path, list, [])):
         where = f"{path}.latency_buckets[{i}]"
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise _fail(where, "expected [upper_bound, weight]")
         buckets.append((_number_at(float, item[0], where), _number_at(float, item[1], where)))
     if buckets != sorted(buckets):
         raise _fail(f"{path}.latency_buckets", "bucket bounds must ascend")
+    if buckets and (min(w for _, w in buckets) < 0 or sum(w for _, w in buckets) <= 0):
+        raise _fail(f"{path}.latency_buckets", "weights must be >= 0 with a positive sum")
     rates = {
         key: _number_at(float, doc.get(key, 0), f"{path}.{key}")
         for key in ("requests_per_second", "error_4xx_share", "error_5xx_share", "cpu_millicores_per_rps")
@@ -309,7 +322,7 @@ def _parse_traffic(doc: Any, path: str) -> TrafficProfile:
         latency_buckets=buckets,
         base_cpu_millicores=_number_at(parse_cpu, doc.get("base_cpu", "2m"), f"{path}.base_cpu"),
         base_mem_bytes=_number_at(parse_mem, doc.get("base_mem", "9Mi"), f"{path}.base_mem"),
-        active_requests_metric=doc.get("active_requests_metric"),
+        active_requests_metric=_typed(doc, "active_requests_metric", path, (str, type(None)), None),
         **rates,
     )
     if profile.requests_per_second < 0:
@@ -360,8 +373,8 @@ def _build_state(doc: Any, seed: int) -> ClusterState:
         path = f"deployments[{i}]"
         if not isinstance(dep_doc, dict):
             raise _fail(path, "expected a deployment mapping")
-        name = _require(dep_doc, "name", path)
-        namespace = _require(dep_doc, "namespace", path)
+        name = _typed(dep_doc, "name", path, str)
+        namespace = _typed(dep_doc, "namespace", path, str)
         if namespace not in state.namespaces:
             raise _fail(f"{path}.namespace", f"undeclared namespace {namespace!r}")
         if state.find_deployment(namespace, name) is not None:
@@ -369,25 +382,27 @@ def _build_state(doc: Any, seed: int) -> ClusterState:
         replicas = _number_at(int, dep_doc.get("replicas", 1), f"{path}.replicas")
         if not 0 <= replicas <= MAX_REPLICAS:
             raise _fail(f"{path}.replicas", f"must be between 0 and {MAX_REPLICAS}")
-        args = dep_doc.get("args", [])
-        if not isinstance(args, list):
-            raise _fail(f"{path}.args", "expected a list")
-        suffixes = dep_doc.get("pod_suffixes", [])
-        if len(set(suffixes)) != len(suffixes):
-            raise _fail(f"{path}.pod_suffixes", "suffixes must be unique")
+        suffixes = _typed(dep_doc, "pod_suffixes", path, list, [])
+        if not all(isinstance(x, str) for x in suffixes) or len(set(suffixes)) != len(suffixes):
+            raise _fail(f"{path}.pod_suffixes", "suffixes must be unique strings")
+        labels = _typed(dep_doc, "labels", path, dict, {})
+        if not all(isinstance(x, str) for x in [*labels, *labels.values()]):
+            raise _fail(f"{path}.labels", "label names and values must be strings")
         dep = Deployment(
             name=name,
             namespace=namespace,
-            labels=dict(dep_doc.get("labels", {})),
-            image=_require(dep_doc, "image", path),
-            command=dep_doc.get("command", ""),
-            args=[str(a) for a in args],
+            labels=labels,
+            image=_typed(dep_doc, "image", path, str),
+            command=_typed(dep_doc, "command", path, str, ""),
+            args=[str(a) for a in _typed(dep_doc, "args", path, list, [])],
             resources=_parse_resources(_require(dep_doc, "resources", path), f"{path}.resources"),
-            probes=[_parse_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.get("probes", []))],
+            probes=[
+                _parse_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(_typed(dep_doc, "probes", path, list, []))
+            ],
             replicas=replicas,
             port=_number_at(int, dep_doc.get("port", 80), f"{path}.port"),
-            pod_template_hash=dep_doc.get("pod_template_hash", _default_template_hash(name)),
-            pod_suffixes=list(suffixes),
+            pod_template_hash=_typed(dep_doc, "pod_template_hash", path, str, _default_template_hash(name)),
+            pod_suffixes=suffixes,
             traffic=_parse_traffic(dep_doc.get("traffic_profile"), f"{path}.traffic_profile"),
             scrape=bool(dep_doc.get("scrape", True)),
         )

@@ -44,6 +44,8 @@ def render_trajectory(trajectory: list[InteractionRecord]) -> str:
 
 
 def parse_skills(completion: str, source_task: str) -> list[SkillEntry]:
+    if completion.strip() == "no skills.":  # the empty answer curator.txt documents
+        return []
     blocks = parse_blocks(completion, "Skill", _SKILL_FIELDS, multiline="body")
     if not blocks:
         raise ValueError("no skill blocks found")

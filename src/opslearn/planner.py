@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
-from .resources import prompt_template
+from .resources import compile_pattern, prompt_template
 from .shell import ShellGateway
 
 EXPECTATIONS = ("none", "number", "integer", "json", "nonempty")
@@ -126,8 +126,8 @@ def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtas
         expects = fields.get("expects", "nonempty")
         if expects.startswith("regex:"):
             try:
-                re.compile(expects[len("regex:"):])
-            except re.error as exc:
+                compile_pattern(expects[len("regex:"):])
+            except ValueError as exc:
                 raise ValueError(f"subtask {number}: bad expectation {expects!r} ({exc})") from None
         elif expects not in EXPECTATIONS:
             raise ValueError(f"subtask {number}: bad expectation {expects!r}")

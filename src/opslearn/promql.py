@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .metrics import MetricStore, QueryEntry, QueryResult, SeriesId
+from .resources import compile_pattern
 
 LOOKBACK_SECONDS = 300.0
 MAX_NESTING = 50  # sub-expression depth, divisions included; the bundled commands nest 5
@@ -272,8 +273,8 @@ class _Parser:
                     raise ParseError("matcher value must be a quoted string", value_tok.pos)
                 if op_tok.text == "=~":
                     try:
-                        re.compile(value_tok.text)
-                    except re.error as exc:
+                        compile_pattern(value_tok.text)
+                    except ValueError as exc:
                         raise ParseError(f"bad regex: {exc}", value_tok.pos) from None
                 matchers.append(Matcher(label_tok.text, op_tok.text, value_tok.text))
                 tok = self._peek()

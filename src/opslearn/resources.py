@@ -7,6 +7,7 @@ import copy
 import functools
 import math
 import os
+import re
 from typing import Any, Callable, TypeVar
 
 import yaml
@@ -58,3 +59,11 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
     if isinstance(converted, float) and not math.isfinite(converted):
         raise ValueError(f"{value!r} is not finite")
     return converted
+
+
+def compile_pattern(pattern: Any) -> re.Pattern[str]:
+    """`re.compile(pattern)` for a pattern from outside; any failure to compile is a ValueError."""
+    try:
+        return re.compile(pattern)
+    except (re.error, TypeError, OverflowError, RecursionError) as exc:
+        raise ValueError(str(exc)) from None

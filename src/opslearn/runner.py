@@ -48,7 +48,7 @@ from .llm import (
     load_script,
 )
 from .planner import ExecutionPlanner
-from .resources import fixture_path, load_yaml
+from .resources import compile_pattern, finite_number, fixture_path, load_yaml
 from .shell import ShellGateway
 
 ROUND_TICK_SECONDS = 60.0
@@ -308,17 +308,38 @@ def load_suite(path: str) -> list[dict[str, Any]]:
     if not isinstance(doc, dict) or doc.get("suite_schema") != 1:
         raise ConfigurationError(f"{path}: not an evaluation suite")
     tasks = doc.get("tasks") or []
+    if not isinstance(tasks, list):
+        raise ConfigurationError(f"{path}: tasks must be a list")
     for i, task in enumerate(tasks):
         if not isinstance(task, dict):
             raise ConfigurationError(f"{path}: task {i} is not a mapping")
         for key in ("id", "description"):
             if key not in task:
                 raise ConfigurationError(f"{path}: task {i} missing {key}")
+            if not isinstance(task[key], str):
+                raise ConfigurationError(f"{path}: task {i} {key} must be a string")
         for key in ("setup", "post_conditions"):
             items = task.get(key) or []
             if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
                 raise ConfigurationError(f"{path}: task {i} {key} must be a list of mappings")
+        try:
+            _suite_task(task, 1)
+            for cond in task.get("post_conditions") or []:
+                if "solution_matches" in cond:
+                    compile_pattern(cond["solution_matches"])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: task {i}: {exc}") from None
     return tasks
+
+
+def _suite_task(suite_task: dict[str, Any], repeat: int) -> Task:
+    return Task(
+        id=f"eval-{suite_task['id']}-{repeat}",
+        round=0,
+        kind=suite_task.get("kind", "action"),
+        difficulty=finite_number(int, suite_task.get("difficulty", 1)),
+        description=suite_task["description"],
+    )
 
 
 def _field_value(state: ClusterState, ref: str, path: str) -> str:
@@ -406,13 +427,7 @@ def run_evaluation(
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
             gateway = ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=config.budget_usd), records)
             planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
-            task = Task(
-                id=f"eval-{suite_task['id']}-{repeat + 1}",
-                round=0,
-                kind=suite_task.get("kind", "action"),
-                difficulty=int(suite_task.get("difficulty", 1)),
-                description=suite_task["description"],
-            )
+            task = _suite_task(suite_task, repeat + 1)
             skills = library.retrieve_skills(task.description, RETRIEVE_K)
             outcome = planner.run_task(task, skills)
             passed = outcome.succeeded and check_post_conditions(

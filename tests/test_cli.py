@@ -67,7 +67,11 @@ def _assert_one_error_line(code, capsys, bad):
     assert "Traceback" not in err
 
 
-_SUITE_TASK = "suite_schema: 1\ntasks:\n  - id: scale-front-end\n    description: scale it\n"
+_SUITE_TASK = (
+    "suite_schema: 1\ntasks:\n  - id: scale-front-end\n"
+    "    description: Scale the front-end deployment in sock-shop to 2 replicas.\n"
+)
+_BUCKETS = "      latency_buckets:\n        - [0.001, 20]\n        - [0.0025, 30]\n        - [0.005, 46]\n        - [0.01, 4]"
 
 
 def _topology(old: str, new: str) -> str:
@@ -100,6 +104,21 @@ def _topology(old: str, new: str) -> str:
         (["run", "--fixture"], _topology("cpu: 100m", "cpu: 1e400")),
         (["run", "--fixture"], _topology("[0.001, 20]", "[fast, 20]")),
         (["eval", "--library", "empty.json", "--fixture"], _topology("replicas: 1", "replicas: many")),
+        (["run", "--fixture"], _topology(_BUCKETS, "      latency_buckets: 5")),
+        (["run", "--fixture"], _topology("    scrape: false", "    scrape: false\n    probes: 7")),
+        (["run", "--fixture"], _topology("    pod_suffixes:\n      - q8f2n", "    pod_suffixes: 5")),
+        (["run", "--fixture"], _topology("    labels:\n      k8s-app: metrics-server", "    labels: [a]")),
+        (["run", "--fixture"], _topology(_BUCKETS, "      latency_buckets:\n        - [0.001, 0]\n        - [0.01, 0]")),
+        (["run", "--fixture"], _topology("  - name: metrics-server", "  - name: [x]")),
+        (["run", "--fixture"], _topology("    image: registry.k8s.io/metrics-server/metrics-server:v0.6.3", "    image: 5")),
+        (["run", "--fixture"], _topology("        http_path: /health", "        http_path: 5")),
+        (["run", "--fixture"], _topology("active_requests_metric: nodejs_active_requests_total", "active_requests_metric: 5")),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    difficulty: hard\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    difficulty: 0\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    kind: foo\n"),
+        (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks:\n  - id: [x]\n    description: scale it\n"),
+        (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks: 5\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions:\n      - solution_matches: '('\n"),
     ],
     ids=[
         "script-string-record",
@@ -121,6 +140,21 @@ def _topology(old: str, new: str) -> str:
         "fixture-overflowing-cpu",
         "fixture-word-bucket-bound",
         "eval-fixture-word-replicas",
+        "fixture-scalar-latency-buckets",
+        "fixture-scalar-probes",
+        "fixture-scalar-pod-suffixes",
+        "fixture-list-labels",
+        "fixture-zero-bucket-weights",
+        "fixture-list-name",
+        "fixture-number-image",
+        "fixture-number-probe-path",
+        "fixture-number-active-requests-metric",
+        "suite-word-difficulty",
+        "suite-zero-difficulty",
+        "suite-unknown-kind",
+        "suite-list-id",
+        "suite-scalar-tasks",
+        "suite-broken-solution-pattern",
     ],
 )
 def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
@@ -167,6 +201,22 @@ def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, 
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("report.json", "not json\n"),
+        ("report.json", '{"report_schema": 1, "tasks": [{"id": "r1t1", "kind": "action", "stage": 1, "difficulty": 1, '
+                        '"status": "failed"}]}\n'),
+        ("grid.json", '{"grid_schema": 1, "tasks": ["a"], "columns": ["library"], "cells": [["x/y"]]}\n'),
+    ],
+    ids=["report-not-json", "report-task-without-round", "grid-word-cell"],
+)
+def test_malformed_report_input_fails_with_one_error_line(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    _assert_one_error_line(main(["report", "--out-dir", str(tmp_path)]), capsys, bad)
 
 
 def test_run_rejects_unknown_llm_flag(tmp_path):

@@ -105,7 +105,12 @@ def test_parse_skills_multiline_body():
 
 def test_parse_skills_rejects_prose():
     with pytest.raises(ValueError, match="no skill blocks found"):
-        parse_skills("no skills.", "t1")
+        parse_skills("nothing worth keeping here.", "t1")
+
+
+@pytest.mark.parametrize("answer", ["no skills.", "  no skills.\n"])
+def test_parse_skills_accepts_the_documented_empty_answer(answer):
+    assert parse_skills(answer, "t1") == []
 
 
 def test_parse_skills_rejects_bad_kind():
@@ -174,7 +179,7 @@ def test_extract_accepts_empty_harvest():
     curator, _ = _curator(records)
     entries = curator.extract(_task(), TRAJECTORY, "solution")
     assert entries == []
-    assert len(curator.gateway.ledger.entries) == 2  # one re-ask, then give up
+    assert len(curator.gateway.ledger.entries) == 1  # the documented empty answer needs no re-ask
 
 
 # -- validation ----------------------------------------------------------------------

@@ -146,6 +146,9 @@ def test_parse_plan_bad_expectation():
 
 
 def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
+    for pattern in ("a{99999999999}", "(" * 2000):  # the compiler raised OverflowError and RecursionError
+        with pytest.raises(ValueError, match="subtask 1: bad expectation 'regex:"):
+            parse_plan(f"Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:{pattern}\n", AGENTS)
     text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:(\n"
     with pytest.raises(ValueError, match=r"subtask 1: bad expectation 'regex:\('"):
         parse_plan(text, AGENTS)

@@ -267,6 +267,8 @@ _PIECES = [
 @given(text=st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)))
 @example(text="(" * 600 + "up" + ")" * 600)  # used to overflow the parser's recursion
 @example(text=" / ".join(["up"] * 2000))  # used to overflow the evaluator's recursion
+@example(text='up{job=~"a{99999999999}"}')  # the regex compiler raised OverflowError
+@example(text='up{job=~"' + "(" * 2000 + '"}')  # ... and RecursionError
 def test_evaluate_raises_only_parse_or_range_errors(text):
     try:
         evaluate(_fixture_store(), text, 300.0)

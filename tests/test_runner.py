@@ -308,6 +308,24 @@ def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_p
     assert 0 < len(report["tasks"]) < 15
 
 
+@pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 2000], ids=["huge-repeat", "deep-nesting"])
+def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_evidence(tmp_path, pattern):
+    records = load_yaml(fixture_path("scripts/observation_only.yaml"))["records"]
+    assert "expects: nonempty" in records[1]["response"]
+    records[1]["response"] = records[1]["response"].replace("expects: nonempty", f"expects: regex:{pattern}")
+    script = tmp_path / "plan.yaml"
+    script.write_text(yaml.safe_dump({"records": records}))
+    out_dir = tmp_path / "out"
+    config = TrialConfig(
+        seed=7, rounds=1, tasks_per_round=1, mode="observation_only", script=str(script), out_dir=str(out_dir)
+    )
+    result = run_trial(config)
+    assert result.exit_code in (0, 2)
+    for name in ("history.log", "library.json", "report.json"):
+        assert (out_dir / name).exists()
+    assert [task["status"] for task in result.report["tasks"]] == ["failed"]
+
+
 def test_run_trial_rejects_bad_mode():
     with pytest.raises(ConfigurationError, match="unknown trial mode"):
         run_trial(TrialConfig(mode="chaotic"))

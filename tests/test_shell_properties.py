@@ -152,6 +152,8 @@ def _assert_contract(shell: ShellGateway, line: str):
 @example(line=_PATCH_LINES[0])
 @example(line=_PATCH_LINES[1])
 @example(line=_PATCH_LINES[2])
+@example(line="""query_prometheus(promQL='up{job=~"a{99999999999}"}')""")  # raised OverflowError
+@example(line="query_prometheus(promQL='up{job=~\"" + "(" * 2000 + "\"}')")  # raised RecursionError
 def test_execute_never_raises_and_exit_code_matches_stderr(line):
     shell = _fresh_shell()
     before = state_digest(shell.state)

@@ -14,6 +14,7 @@ can interleave with ticks freely and clones stay independent.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -113,10 +114,26 @@ def format_age(seconds: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Domain types
+#
+# `clone` deep-copies a state; these two bases keep that O(config) and cheap.
+
+
+class _Scalars:
+    """A record whose fields are all immutable scalars: a shallow copy is a deep one."""
+
+    def __deepcopy__(self, memo: dict) -> Any:
+        return copy.copy(self)
+
+
+class _Shared:
+    """An immutable record: every clone of a state shares it."""
+
+    def __deepcopy__(self, memo: dict) -> Any:
+        return self
 
 
 @dataclass
-class ResourceSpec:
+class ResourceSpec(_Scalars):
     cpu_request: int  # millicores
     cpu_limit: int
     mem_request: int  # bytes
@@ -126,7 +143,7 @@ class ResourceSpec:
 
 
 @dataclass
-class ProbeSpec:
+class ProbeSpec(_Scalars):
     kind: str  # liveness | readiness
     http_path: str
     initial_delay: float = 10.0
@@ -146,13 +163,15 @@ _PROBE_FIELDS = {
 }
 
 
-@dataclass
-class TrafficProfile:
+@dataclass(frozen=True)
+class TrafficProfile(_Shared):
+    """What a deployment's scrape emits; fixed once loaded."""
+
     requests_per_second: float = 0.0
     error_4xx_share: float = 0.0
     error_5xx_share: float = 0.0
     # (upper bound in seconds, relative weight) per latency bucket
-    latency_buckets: list[tuple[float, float]] = field(default_factory=list)
+    latency_buckets: tuple[tuple[float, float], ...] = ()
     base_cpu_millicores: int = 2
     base_mem_bytes: int = 9 * MI
     cpu_millicores_per_rps: float = 0.0
@@ -160,7 +179,7 @@ class TrafficProfile:
 
 
 @dataclass
-class Pod:
+class Pod(_Scalars):
     name: str
     namespace: str
     deployment: str
@@ -192,6 +211,47 @@ class Deployment:
     @property
     def job(self) -> str:
         return f"{self.namespace}/{self.name}"
+
+    @functools.cached_property
+    def series(self) -> "ScrapeSeries":
+        """The series this deployment's scrape writes; its job and traffic never change after loading."""
+        return ScrapeSeries.of(self.job, self.traffic)
+
+
+@dataclass(frozen=True)
+class ScrapeSeries(_Shared):
+    """Every series one deployment's scrape writes, named once instead of once per sample."""
+
+    cpu: SeriesId
+    mem: SeriesId
+    requests: tuple[SeriesId, ...]  # status 200, 404, 500
+    buckets: tuple[SeriesId, ...]  # one per latency bucket, then le="+Inf"
+    duration_sum: SeriesId
+    duration_count: SeriesId
+    http_duration_sum: SeriesId
+    http_duration_count: SeriesId
+    active_requests: SeriesId | None
+
+    @classmethod
+    def of(cls, job: str, traffic: TrafficProfile) -> "ScrapeSeries":
+        labels = {"job": job}
+
+        def sid(name: str, **extra: str) -> SeriesId:
+            return SeriesId.make(name, {**labels, **extra})
+
+        les = [_format_le(le) for le, _ in traffic.latency_buckets] + ["+Inf"]
+        active = traffic.active_requests_metric
+        return cls(
+            cpu=sid("process_cpu_seconds_total"),
+            mem=sid("process_resident_memory_bytes"),
+            requests=tuple(sid("http_requests_total", status=status) for status in ("200", "404", "500")),
+            buckets=tuple(sid("request_duration_seconds_bucket", le=le) for le in les),
+            duration_sum=sid("request_duration_seconds_sum"),
+            duration_count=sid("request_duration_seconds_count"),
+            http_duration_sum=sid("http_request_duration_seconds_sum"),
+            http_duration_count=sid("http_request_duration_seconds_count"),
+            active_requests=sid(active) if active else None,
+        )
 
 
 @dataclass
@@ -319,7 +379,7 @@ def _parse_traffic(doc: Any, path: str) -> TrafficProfile:
         for key in ("requests_per_second", "error_4xx_share", "error_5xx_share", "cpu_millicores_per_rps")
     }
     profile = TrafficProfile(
-        latency_buckets=buckets,
+        latency_buckets=tuple(buckets),
         base_cpu_millicores=_number_at(parse_cpu, doc.get("base_cpu", "2m"), f"{path}.base_cpu"),
         base_mem_bytes=_number_at(parse_mem, doc.get("base_mem", "9Mi"), f"{path}.base_mem"),
         active_requests_metric=_typed(doc, "active_requests_metric", path, (str, type(None)), None),
@@ -451,7 +511,7 @@ def _substep_floats(state: ClusterState, dep_name: str, step_index: int, n: int)
     return [int.from_bytes(digest[4 * i : 4 * i + 4], "big") / 2**32 for i in range(n)]
 
 
-def _bucket_counts(total: int, buckets: list[tuple[float, float]]) -> list[int]:
+def _bucket_counts(total: int, buckets: tuple[tuple[float, float], ...]) -> list[int]:
     # largest-remainder apportionment keeps the sum exact
     weight_sum = sum(w for _, w in buckets)
     raw = [total * w / weight_sum for _, w in buckets]
@@ -462,13 +522,12 @@ def _bucket_counts(total: int, buckets: list[tuple[float, float]]) -> list[int]:
     return counts
 
 
-def _ingest_counter(state: ClusterState, name: str, labels: dict[str, str], increment: float) -> None:
-    sid = SeriesId.make(name, labels)
+def _ingest_counter(state: ClusterState, sid: SeriesId, increment: float) -> None:
     state.metrics.ingest(sid, state.sim_time, state.metrics.last_value(sid) + increment)
 
 
-def _ingest_gauge(state: ClusterState, name: str, labels: dict[str, str], value: float) -> None:
-    state.metrics.ingest(SeriesId.make(name, labels), state.sim_time, value)
+def _ingest_gauge(state: ClusterState, sid: SeriesId, value: float) -> None:
+    state.metrics.ingest(sid, state.sim_time, value)
 
 
 def _scrape(state: ClusterState) -> None:
@@ -478,7 +537,7 @@ def _scrape(state: ClusterState) -> None:
             continue
         profile = dep.traffic
         res = dep.resources
-        job = {"job": dep.job}
+        ids = dep.series
 
         if profile.requests_per_second <= 0:
             cpu = profile.base_cpu_millicores
@@ -499,8 +558,8 @@ def _scrape(state: ClusterState) -> None:
             pod.usage_cpu_millicores = res.current_cpu
             pod.usage_mem_bytes = res.current_mem
 
-        _ingest_counter(state, "process_cpu_seconds_total", job, res.current_cpu / 1000 * SAMPLE_INTERVAL)
-        _ingest_gauge(state, "process_resident_memory_bytes", job, float(res.current_mem))
+        _ingest_counter(state, ids.cpu, res.current_cpu / 1000 * SAMPLE_INTERVAL)
+        _ingest_gauge(state, ids.mem, float(res.current_mem))
 
         if profile.requests_per_second <= 0:
             continue
@@ -508,27 +567,27 @@ def _scrape(state: ClusterState) -> None:
         n_5xx = int(n_req * profile.error_5xx_share + 0.5)
         n_4xx = int(n_req * profile.error_4xx_share + 0.5)
         n_2xx = n_req - n_4xx - n_5xx
-        for status, count in (("200", n_2xx), ("404", n_4xx), ("500", n_5xx)):
-            if count > 0 or state.metrics.last_value(SeriesId.make("http_requests_total", {**job, "status": status})) > 0:
-                _ingest_counter(state, "http_requests_total", {**job, "status": status}, float(count))
+        for sid, count in zip(ids.requests, (n_2xx, n_4xx, n_5xx)):
+            if count > 0 or state.metrics.last_value(sid) > 0:
+                _ingest_counter(state, sid, float(count))
 
         counts = _bucket_counts(n_req, profile.latency_buckets)
         duration_sum = 0.0
         lower = 0.0
         cumulative = 0
-        for (le, _), count in zip(profile.latency_buckets, counts):
+        for (le, _), count, sid in zip(profile.latency_buckets, counts, ids.buckets):
             duration_sum += count * (lower + le) / 2
             cumulative += count
-            _ingest_counter(state, "request_duration_seconds_bucket", {**job, "le": _format_le(le)}, float(cumulative))
+            _ingest_counter(state, sid, float(cumulative))
             lower = le
-        _ingest_counter(state, "request_duration_seconds_bucket", {**job, "le": "+Inf"}, float(n_req))
-        _ingest_counter(state, "request_duration_seconds_sum", job, duration_sum)
-        _ingest_counter(state, "request_duration_seconds_count", job, float(n_req))
-        _ingest_counter(state, "http_request_duration_seconds_sum", job, duration_sum)
-        _ingest_counter(state, "http_request_duration_seconds_count", job, float(n_req))
+        _ingest_counter(state, ids.buckets[-1], float(n_req))
+        _ingest_counter(state, ids.duration_sum, duration_sum)
+        _ingest_counter(state, ids.duration_count, float(n_req))
+        _ingest_counter(state, ids.http_duration_sum, duration_sum)
+        _ingest_counter(state, ids.http_duration_count, float(n_req))
 
-        if profile.active_requests_metric:
-            _ingest_gauge(state, profile.active_requests_metric, job, float(round(u[0] * 4)))
+        if ids.active_requests:
+            _ingest_gauge(state, ids.active_requests, float(round(u[0] * 4)))
 
 
 def _format_le(le: float) -> str:

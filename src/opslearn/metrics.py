@@ -1,12 +1,27 @@
 """In-memory time-series store with Prometheus-shaped series identity.
 
 Series are keyed by metric name plus a sorted label set. Ingestion is
-single-writer and strictly ordered per series; queries are pure reads.
+single-writer and strictly ordered per series; queries are pure reads
+that bisect on the timestamps.
+
+Sharing contract: `copy.deepcopy` of a store (and so `cluster.clone` of a
+state) forks it in O(series). The fork and its source share every
+per-series sample list, and neither side owns a shared list any more.
+`ingest` copies a series' list the first time its side appends to it
+after a fork, so an append on one side never shows through on the other.
+A side that only reads, as a curator's validation clone does, copies no
+samples at all. Samples are immutable tuples, so a shallow list copy is a
+full copy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+
+_time = itemgetter(0)  # a sample's timestamp
 
 
 class OrderViolation(Exception):
@@ -60,13 +75,23 @@ class MetricStore:
 
     def __init__(self) -> None:
         self._samples: dict[SeriesId, list[tuple[float, float]]] = {}
+        self._owned: set[SeriesId] = set()  # series whose list no fork shares
+
+    def __deepcopy__(self, memo: dict) -> "MetricStore":
+        fork = MetricStore()
+        fork._samples = dict(self._samples)
+        self._owned = set()  # every list is shared now
+        return fork
 
     def ingest(self, series: SeriesId, timestamp: float, value: float) -> None:
-        points = self._samples.setdefault(series, [])
-        if points and timestamp <= points[-1][0]:
+        points = self._samples.get(series)
+        if points and not timestamp > points[-1][0]:  # a NaN is not after anything either
             raise OrderViolation(
                 f"sample for {series.metric_name} at t={timestamp} is not after latest t={points[-1][0]}"
             )
+        if series not in self._owned:  # new, or shared with a fork: append to a private copy
+            points = self._samples[series] = list(points or ())
+            self._owned.add(series)
         points.append((timestamp, value))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
@@ -85,17 +110,15 @@ class MetricStore:
 
     def samples_in_window(self, series: SeriesId, start: float, end: float) -> list[tuple[float, float]]:
         """Samples with start <= t <= end, in timestamp order."""
-        return [(t, v) for (t, v) in self._samples.get(series, ()) if start <= t <= end]
+        points = self._samples.get(series, [])
+        return points[bisect_left(points, start, key=_time) : bisect_right(points, end, key=_time)]
 
     def latest_at(self, series: SeriesId, at: float, lookback: float) -> tuple[float, float] | None:
         """Most recent sample at or before `at`, no older than the lookback window."""
-        best = None
-        for t, v in self._samples.get(series, ()):
-            if t > at:
-                break
-            best = (t, v)
-        if best is not None and at - best[0] <= lookback:
-            return best
+        points = self._samples.get(series, [])
+        i = bisect_right(points, at, key=_time)
+        if i and at - points[i - 1][0] <= lookback:
+            return points[i - 1]
         return None
 
     def label_values(self, label: str) -> list[str]:

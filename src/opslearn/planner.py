@@ -70,6 +70,14 @@ class TaskOutcome:
     solution: str | None
 
 
+QUOTE_LIMIT = 80  # characters of an expectation quoted back in a gripe or revision note
+
+
+def _clip(text: str) -> str:
+    """`text` cut to QUOTE_LIMIT characters, the last of them `…` when it was longer."""
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 1] + "…"
+
+
 def check_expectation(result: str, expects: str) -> str | None:
     """None when the result satisfies the declared format, else the gripe."""
     if expects == "none":
@@ -96,7 +104,7 @@ def check_expectation(result: str, expects: str) -> str | None:
             return "expected valid JSON"
     if expects.startswith("regex:"):
         pattern = expects[len("regex:"):]
-        return None if re.search(pattern, result) else f"expected a match for /{pattern}/"
+        return None if re.search(pattern, result) else f"expected a match for /{_clip(pattern)}/"
     return f"unknown expectation {expects!r}"
 
 
@@ -128,9 +136,9 @@ def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtas
             try:
                 compile_pattern(expects[len("regex:"):])
             except ValueError as exc:
-                raise ValueError(f"subtask {number}: bad expectation {expects!r} ({exc})") from None
+                raise ValueError(f"subtask {number}: bad expectation {_clip(expects)!r} ({exc})") from None
         elif expects not in EXPECTATIONS:
-            raise ValueError(f"subtask {number}: bad expectation {expects!r}")
+            raise ValueError(f"subtask {number}: bad expectation {_clip(expects)!r}")
         seen_ids.add(number)
         subtasks.append(Subtask(number, assignee, fields["description"], depends_on, expects))
     return subtasks

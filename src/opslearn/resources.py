@@ -12,6 +12,11 @@ from typing import Any, Callable, TypeVar
 
 import yaml
 
+try:  # the regex parser moved in Python 3.11
+    from re import _parser as _sre
+except ImportError:  # pragma: no cover - Python 3.10
+    import sre_parse as _sre  # type: ignore[no-redef]
+
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 _parsed: dict[str, Any] = {}  # parsed documents by file text
 
@@ -61,9 +66,53 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
     return converted
 
 
+# Python's `re` backtracks, so a pattern that can match one text in many ways
+# takes exponential or high-polynomial time on a subject that almost matches.
+# A pattern from outside may hold at most one unbounded repeat on any path and
+# at most CHOICE_LIMIT ways through its bounded choices (`?`, `{m,n}`, `|`), and
+# a repeated part may hold no quantifier or alternation (the parser folds
+# single-character alternatives such as `(a|b)` into a class, which matches one
+# way). Backreferences and lookaround are refused too; Prometheus' RE2 has neither.
+CHOICE_LIMIT = 16
+_REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", None)}
+
+
 def compile_pattern(pattern: Any) -> re.Pattern[str]:
-    """`re.compile(pattern)` for a pattern from outside; any failure to compile is a ValueError."""
+    """`re.compile(pattern)` for a pattern from outside; any failure to compile,
+    or a shape that can backtrack without bound, is a ValueError."""
     try:
-        return re.compile(pattern)
+        compiled = re.compile(pattern)
+        unbounded, choices = _backtracking(_sre.parse(pattern))
     except (re.error, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(str(exc)) from None
+    if unbounded > 1:
+        raise ValueError("more than one unbounded repeat")
+    if choices > CHOICE_LIMIT:
+        raise ValueError(f"more than {CHOICE_LIMIT} ways to match")
+    return compiled
+
+
+def _backtracking(items: Any) -> tuple[int, int]:
+    """(unbounded repeats, ways through the bounded choices) on the costliest
+    path through a parsed pattern; a ValueError for a shape refused outright."""
+    unbounded, choices = 0, 1
+    for op, arg in items:
+        u, c = 0, 1
+        if op in (_sre.GROUPREF, _sre.GROUPREF_EXISTS):
+            raise ValueError("backreferences are not allowed")
+        if op in (_sre.ASSERT, _sre.ASSERT_NOT):
+            raise ValueError("lookaround is not allowed")
+        if op is _sre.SUBPATTERN:
+            u, c = _backtracking(arg[-1])
+        elif op is getattr(_sre, "ATOMIC_GROUP", None):
+            u, c = _backtracking(arg)
+        elif op is _sre.BRANCH:
+            paths = [_backtracking(branch) for branch in arg[1]]
+            u, c = max(u for u, _ in paths), sum(c for _, c in paths)
+        elif op in _REPEATS:
+            low, high, body = arg
+            if _backtracking(body) != (0, 1):
+                raise ValueError("a repeated part may not hold a quantifier or an alternation")
+            u, c = (1, 1) if high - low >= CHOICE_LIMIT else (0, high - low + 1)
+        unbounded, choices = unbounded + u, choices * c
+    return unbounded, choices

@@ -310,6 +310,7 @@ def load_suite(path: str) -> list[dict[str, Any]]:
     tasks = doc.get("tasks") or []
     if not isinstance(tasks, list):
         raise ConfigurationError(f"{path}: tasks must be a list")
+    first_index: dict[str, int] = {}  # grid rows are keyed by task id
     for i, task in enumerate(tasks):
         if not isinstance(task, dict):
             raise ConfigurationError(f"{path}: task {i} is not a mapping")
@@ -318,6 +319,9 @@ def load_suite(path: str) -> list[dict[str, Any]]:
                 raise ConfigurationError(f"{path}: task {i} missing {key}")
             if not isinstance(task[key], str):
                 raise ConfigurationError(f"{path}: task {i} {key} must be a string")
+        first = first_index.setdefault(task["id"], i)
+        if first != i:
+            raise ConfigurationError(f"{path}: task {i} repeats the id {task['id']!r} of task {first}")
         for key in ("setup", "post_conditions"):
             items = task.get(key) or []
             if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):

@@ -165,6 +165,19 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 
 
+def test_eval_rejects_a_repeated_suite_task_id(tmp_path, monkeypatch, capsys):
+    """Grid rows are keyed by task id: a repeat would print one task's score twice."""
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    suite = tmp_path / "suite.yaml"
+    suite.write_text(
+        _SUITE_TASK + "  - id: other\n    description: x\n  - id: scale-front-end\n    description: Scale it to 9.\n"
+    )
+    code = main(["eval", "--library", "empty.json", "--suite", str(suite), "--out-dir", str(tmp_path)])
+    _assert_one_error_line(code, capsys, f"{suite}: task 2 repeats the id 'scale-front-end' of task 0")
+    assert not (tmp_path / "grid.json").exists()
+
+
 def _history_closing(task_id: str, timestamp) -> str:
     """A history of one task-close record."""
     record = {

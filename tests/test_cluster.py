@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opslearn.cluster import (
     MAX_REPLICAS,
+    ClusterState,
     InvalidArgument,
     LoadError,
     NotFound,
@@ -155,6 +158,80 @@ def test_clone_is_independent():
     mutate(copy_state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 2})
     assert state.find_deployment("sock-shop", "catalogue").replicas == 1
     assert state_digest(copy_state) != state_digest(state)
+
+
+def test_a_fresh_clone_shares_every_sample_list_and_the_fixed_config():
+    state = _fresh()
+    tick(state, 300.0)
+    copy_state = clone(state)
+    for sid, points in state.metrics._samples.items():
+        assert copy_state.metrics._samples[sid] is points
+    for dep, copied in zip(state.deployments, copy_state.deployments):
+        assert copied.traffic is dep.traffic
+        assert not dep.scrape or copied.series is dep.series
+        assert copied.resources is not dep.resources and copied.labels is not dep.labels
+
+
+_MUTATIONS = [
+    ("scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 0}),
+    ("scale", {"namespace": "sock-shop", "name": "front-end", "replicas": 3}),
+    ("set_resources", {"namespace": "sock-shop", "name": "catalogue", "limits": {"memory": "400Mi"}}),
+    ("set_label", {"namespace": "sock-shop", "name": "front-end", "key": "tier", "value": "web"}),
+    ("kill_pod", {"namespace": "sock-shop", "pod": "catalogue-5b877d88b4-g9tc4"}),  # pinned; NotFound once gone
+    ("patch", {"namespace": "sock-shop", "name": "catalogue", "patch": {"probes": {"liveness": {"period": 7}}}}),
+    ("scale", {"namespace": "sock-shop", "name": "ghost", "replicas": 1}),  # always NotFound
+]
+_steps = st.one_of(
+    st.tuples(st.just("tick"), st.sampled_from([1.0, 14.0, 15.0, 31.5, 90.0])),
+    st.tuples(st.just("mutate"), st.integers(0, len(_MUTATIONS) - 1)),
+)
+
+
+def _apply(state: ClusterState, step: tuple) -> None:
+    kind, arg = step
+    if kind == "tick":
+        tick(state, arg)
+        return
+    action, args = _MUTATIONS[arg]
+    try:
+        mutate(state, action, args)
+    except (NotFound, InvalidArgument):
+        pass
+
+
+def _observed(state: ClusterState) -> tuple:
+    store = state.metrics
+    return state.sim_time, state_digest(state), [(sid, store.samples(sid)) for sid in store.series_ids()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moves=st.lists(
+        st.one_of(
+            st.tuples(st.just("step"), st.integers(0, 3), _steps),
+            st.tuples(st.just("clone"), st.integers(0, 3)),
+        ),
+        max_size=14,
+    )
+)
+def test_clones_and_their_sources_evolve_as_if_never_cloned(moves):
+    """Whatever ticks and mutations either side takes after a clone, each
+    state looks exactly like a fresh one that took its steps with no clone."""
+    states = [_fresh()]
+    histories: list[list[tuple]] = [[]]
+    for move in moves:
+        index = move[1] % len(states)
+        if move[0] == "clone":
+            states.append(clone(states[index]))
+            histories.append(list(histories[index]))
+        else:
+            _apply(states[index], move[2])
+            histories[index].append(move[2])
+    for state, history in zip(states, histories):
+        fresh = _fresh()
+        for step in history:
+            _apply(fresh, step)
+        assert _observed(state) == _observed(fresh)
 
 
 def test_same_mutations_on_the_same_clock_give_the_same_digest():

@@ -49,6 +49,8 @@ def test_out_of_order_sample_rejected():
     # timestamp is also out of order.
     with pytest.raises(OrderViolation):
         store.ingest_value("m", {}, 20.0, 3.0)
+    with pytest.raises(OrderViolation):  # reads bisect, so no NaN may break the order
+        store.ingest_value("m", {}, float("nan"), 4.0)
     # Other series keep their own clocks.
     store.ingest_value("m", {"job": "x"}, 0.0, 1.0)
 
@@ -106,3 +108,30 @@ def test_last_value_tracks_ordered_ingests(ingests, behind):
         with pytest.raises(OrderViolation):
             store.ingest(sid, timestamp - behind, before + 1.0)
         assert store.last_value(sid) == before
+
+
+_times = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(
+    times=st.lists(_times, max_size=30, unique=True).map(sorted),  # empty included
+    lookback=st.floats(0.0, 1e6),
+    data=st.data(),
+)
+def test_bisected_reads_equal_a_linear_scan(times, lookback, data):
+    """`latest_at` and `samples_in_window` bisect; a brute-force scan is the oracle.
+
+    Query times are often drawn from the sample times themselves, so `at == t`
+    and windows that open or shut on a sample come up; `start > end` comes up
+    in about half the windows."""
+    moments = st.one_of(_times, st.sampled_from(times)) if times else _times
+    at, start, end = data.draw(moments), data.draw(moments), data.draw(moments)
+    store = MetricStore()
+    sid = SeriesId.make("m", {})
+    for i, t in enumerate(times):
+        store.ingest(sid, t, float(i))
+    points = [(t, float(i)) for i, t in enumerate(times)]
+
+    before = [p for p in points if p[0] <= at]
+    assert store.latest_at(sid, at, lookback) == (before[-1] if before and at - before[-1][0] <= lookback else None)
+    assert store.samples_in_window(sid, start, end) == [p for p in points if start <= p[0] <= end]

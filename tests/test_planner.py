@@ -10,6 +10,7 @@ from opslearn.cluster import load_topology, tick
 from opslearn.datalayer import History, SkillEntry, Task
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
 from opslearn.planner import (
+    QUOTE_LIMIT,
     ExecutionPlanner,
     ObservationViolation,
     Plan,
@@ -146,7 +147,8 @@ def test_parse_plan_bad_expectation():
 
 
 def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
-    for pattern in ("a{99999999999}", "(" * 2000):  # the compiler raised OverflowError and RecursionError
+    # the compiler raised OverflowError and RecursionError; the last backtracks exponentially
+    for pattern in ("a{99999999999}", "(" * 2000, "(a|aa)+b"):
         with pytest.raises(ValueError, match="subtask 1: bad expectation 'regex:"):
             parse_plan(f"Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:{pattern}\n", AGENTS)
     text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:(\n"
@@ -154,6 +156,15 @@ def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
         parse_plan(text, AGENTS)
     good = text.replace("regex:(", r"regex:^\d+$")
     assert parse_plan(good, AGENTS)[0].expects == r"regex:^\d+$"
+
+
+def test_a_rejected_expectation_is_quoted_clipped_in_the_revision_note():
+    for expects in ("regex:" + "(" * 2000, "maybe" * 400):
+        with pytest.raises(ValueError) as caught:
+            parse_plan(f"Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: {expects}\n", AGENTS)
+        quoted = str(caught.value).split("'")[1]
+        assert len(quoted) == QUOTE_LIMIT and quoted.endswith("…") and expects.startswith(quoted[:-1])
+        assert len(str(caught.value)) < 2 * QUOTE_LIMIT
 
 
 def test_plan_subtask_lookup():

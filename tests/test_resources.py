@@ -1,13 +1,17 @@
-"""The shared YAML loader: libyaml parity, fallback, caching by content."""
+"""Reading input: the shared YAML loader (libyaml parity, fallback, caching
+by content) and the regex gate for patterns from outside."""
 
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opslearn.resources import fixture_path, load_yaml
+from opslearn.resources import compile_pattern, fixture_path, load_yaml
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
 
@@ -74,3 +78,67 @@ def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         load_yaml(str(tmp_path / "absent.yaml"))
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["4..", "5..", r"0\.00\d+ seconds", r"^\d+m$", "sock-shop/.*", "a|b", "(a|b)+", "x{2,5}y?", "(?:ab)*c", ""],
+)
+def test_compile_pattern_accepts_patterns_that_match_one_way(pattern):
+    assert compile_pattern(pattern).pattern == pattern
+
+
+@pytest.mark.parametrize(
+    "pattern, reason",
+    [
+        ("(a|aa)+b", "may not hold a quantifier or an alternation"),
+        ("(a+)+b", "may not hold a quantifier or an alternation"),
+        ("(?:a*b?){2}", "may not hold a quantifier or an alternation"),
+        (r"(a)\1", "backreferences"),
+        ("(a)?(?(1)b|c)", "backreferences"),
+        ("(?=a)a", "lookaround"),
+        ("(?<!a)b", "lookaround"),
+        ("a*a*b", "more than one unbounded repeat"),
+        (".*a.*b", "more than one unbounded repeat"),
+        ("a{0,99}a{0,99}b", "more than one unbounded repeat"),
+        ("a?a?a?a?a?b", "more than 16 ways to match"),
+        ("(", "unterminated subpattern"),
+    ],
+)
+def test_compile_pattern_refuses_patterns_that_backtrack_without_bound(pattern, reason):
+    with pytest.raises(ValueError, match=reason):
+        compile_pattern(pattern)
+
+
+MATCH_BOUND_S = 1.0  # the slowest accepted shapes found took about 0.25 s on a 2-vCPU Xeon
+
+_atoms = st.sampled_from(["a", "b", "aa", ".", "[ab]", r"\d", r"\w", r"\s", "1", "(?:ab)", "^", "$", "[^b]"])
+_quantifiers = st.sampled_from(["", "", "*", "+", "?", "*?", "+?", "{2}", "{0,3}", "{1,20}", "{2,}"])
+_patterns = st.recursive(
+    st.tuples(_atoms, _quantifiers).map("".join),
+    lambda parts: st.one_of(
+        st.lists(parts, min_size=1, max_size=4).map("".join),
+        st.lists(parts, min_size=2, max_size=3).map(lambda alternatives: f"(?:{'|'.join(alternatives)})"),
+        st.tuples(parts, _quantifiers).map(lambda repeat: f"(?:{repeat[0]}){repeat[1]}"),
+    ),
+    max_leaves=10,
+)
+_subjects = st.one_of(
+    st.sampled_from(["a" * 1000, "ab" * 500, "a" * 999 + "!", "1" * 1000]),
+    st.text("ab1 !", min_size=1000, max_size=1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=_patterns, subject=_subjects)
+@example(pattern="a*a*a{0,3}b", subject="a" * 1000)  # refused; unguarded, one search took 3.4 s
+@example(pattern="a*a?a?a?a?b", subject="a" * 1000)  # the most choices beside an unbounded repeat
+@example(pattern=".*(?:a|aa)(?:a|aa)(?:a|aa)(?:a|aa)b", subject="a" * 1000)
+def test_an_accepted_pattern_searches_a_long_subject_within_a_bound(pattern, subject):
+    try:
+        compiled = compile_pattern(pattern)
+    except ValueError:
+        return
+    started = time.perf_counter()
+    compiled.search(subject)
+    assert time.perf_counter() - started < MATCH_BOUND_S

@@ -16,8 +16,8 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, TypeVar
 
 import yaml
@@ -522,15 +522,9 @@ def _bucket_counts(total: int, buckets: tuple[tuple[float, float], ...]) -> list
     return counts
 
 
-def _ingest_counter(state: ClusterState, sid: SeriesId, increment: float) -> None:
-    state.metrics.ingest(sid, state.sim_time, state.metrics.last_value(sid) + increment)
-
-
-def _ingest_gauge(state: ClusterState, sid: SeriesId, value: float) -> None:
-    state.metrics.ingest(sid, state.sim_time, value)
-
-
 def _scrape(state: ClusterState) -> None:
+    store = state.metrics
+    now = state.sim_time
     step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
     for dep in sorted(state.deployments, key=lambda d: (d.namespace, d.name)):
         if not dep.scrape:
@@ -558,8 +552,8 @@ def _scrape(state: ClusterState) -> None:
             pod.usage_cpu_millicores = res.current_cpu
             pod.usage_mem_bytes = res.current_mem
 
-        _ingest_counter(state, ids.cpu, res.current_cpu / 1000 * SAMPLE_INTERVAL)
-        _ingest_gauge(state, ids.mem, float(res.current_mem))
+        store.add(ids.cpu, now, res.current_cpu / 1000 * SAMPLE_INTERVAL)
+        store.ingest(ids.mem, now, float(res.current_mem))
 
         if profile.requests_per_second <= 0:
             continue
@@ -568,8 +562,8 @@ def _scrape(state: ClusterState) -> None:
         n_4xx = int(n_req * profile.error_4xx_share + 0.5)
         n_2xx = n_req - n_4xx - n_5xx
         for sid, count in zip(ids.requests, (n_2xx, n_4xx, n_5xx)):
-            if count > 0 or state.metrics.last_value(sid) > 0:
-                _ingest_counter(state, sid, float(count))
+            if count > 0 or store.last_value(sid) > 0:
+                store.add(sid, now, float(count))
 
         counts = _bucket_counts(n_req, profile.latency_buckets)
         duration_sum = 0.0
@@ -578,16 +572,16 @@ def _scrape(state: ClusterState) -> None:
         for (le, _), count, sid in zip(profile.latency_buckets, counts, ids.buckets):
             duration_sum += count * (lower + le) / 2
             cumulative += count
-            _ingest_counter(state, sid, float(cumulative))
+            store.add(sid, now, float(cumulative))
             lower = le
-        _ingest_counter(state, ids.buckets[-1], float(n_req))
-        _ingest_counter(state, ids.duration_sum, duration_sum)
-        _ingest_counter(state, ids.duration_count, float(n_req))
-        _ingest_counter(state, ids.http_duration_sum, duration_sum)
-        _ingest_counter(state, ids.http_duration_count, float(n_req))
+        store.add(ids.buckets[-1], now, float(n_req))
+        store.add(ids.duration_sum, now, duration_sum)
+        store.add(ids.duration_count, now, float(n_req))
+        store.add(ids.http_duration_sum, now, duration_sum)
+        store.add(ids.http_duration_count, now, float(n_req))
 
         if ids.active_requests:
-            _ingest_gauge(state, ids.active_requests, float(round(u[0] * 4)))
+            store.ingest(ids.active_requests, now, float(round(u[0] * 4)))
 
 
 def _format_le(le: float) -> str:
@@ -751,43 +745,50 @@ def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterSta
 # Digest and cloning
 
 
+_BY_NAMESPACE_AND_NAME = attrgetter("namespace", "name")
+_BY_NAME = attrgetter("name")
+_PROBE_CONFIG = attrgetter(
+    "kind", "http_path", "initial_delay", "timeout", "period", "success_threshold", "failure_threshold"
+)
+_POD_IDENTITY = attrgetter("name", "namespace", "deployment", "phase", "start_time")
+
+
 def state_digest(state: ClusterState) -> str:
     """Canonical hash of configuration state.
 
     Usage gauges and the clock stay out: the digest answers "did an agent
     change the system", and ticking time must not look like a mutation.
+    The hash is the sha256 of the `repr` of one canonical sequence: the
+    sorted namespaces and `metrics_available`; then, for each deployment
+    in (namespace, name) order, the same 15 configuration fields, labels
+    as sorted items and probes as tuples; then each pod's identity and
+    phase, in name order. Each deployment adds exactly 15 items, so the
+    sequence splits back into its fields: two states digest alike exactly
+    when those fields are equal. Nothing stores the value; callers only
+    compare digests.
     """
-    doc = {
-        "namespaces": sorted(state.namespaces),
-        "metrics_available": state.metrics_available,
-        "deployments": [
-            {
-                "name": d.name,
-                "namespace": d.namespace,
-                "labels": dict(sorted(d.labels.items())),
-                "image": d.image,
-                "command": d.command,
-                "args": d.args,
-                "requests": [d.resources.cpu_request, d.resources.mem_request],
-                "limits": [d.resources.cpu_limit, d.resources.mem_limit],
-                "probes": [
-                    [p.kind, p.http_path, p.initial_delay, p.timeout, p.period, p.success_threshold, p.failure_threshold]
-                    for p in d.probes
-                ],
-                "replicas": d.replicas,
-                "port": d.port,
-                "pod_template_hash": d.pod_template_hash,
-                "next_ordinal": d.next_ordinal,
-            }
-            for d in sorted(state.deployments, key=lambda d: (d.namespace, d.name))
-        ],
-        "pods": [
-            [p.name, p.namespace, p.deployment, p.phase, p.start_time]
-            for p in sorted(state.pods, key=lambda p: p.name)
-        ],
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    canon = [sorted(state.namespaces), state.metrics_available]
+    for d in sorted(state.deployments, key=_BY_NAMESPACE_AND_NAME):
+        res = d.resources
+        canon += (
+            d.name,
+            d.namespace,
+            sorted(d.labels.items()),
+            d.image,
+            d.command,
+            d.args,
+            res.cpu_request,
+            res.mem_request,
+            res.cpu_limit,
+            res.mem_limit,
+            list(map(_PROBE_CONFIG, d.probes)),
+            d.replicas,
+            d.port,
+            d.pod_template_hash,
+            d.next_ordinal,
+        )
+    canon.append(list(map(_POD_IDENTITY, sorted(state.pods, key=_BY_NAME))))
+    return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
 def clone(state: ClusterState) -> ClusterState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import promql
@@ -54,7 +54,7 @@ class InteractionRecord:
     timestamp: float = 0.0
 
     def to_doc(self) -> dict[str, Any]:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar, so a shallow copy is a full one
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "InteractionRecord":
@@ -62,6 +62,8 @@ class InteractionRecord:
 
 
 HISTORY_SCHEMA = 1
+
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # one encoder for every history line
 
 
 class History:
@@ -108,10 +110,11 @@ class History:
         return [r for r in self.records if r.task_id == task_id]
 
     def dump(self, path: str) -> None:
+        lines = [json.dumps({"history_schema": HISTORY_SCHEMA})]
+        lines.extend(_RECORD_ENCODER.encode(record.to_doc()) for record in self.records)
+        lines.append("")  # the file ends with a newline
         with open(path, "w") as fh:
-            fh.write(json.dumps({"history_schema": HISTORY_SCHEMA}) + "\n")
-            for record in self.records:
-                fh.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+            fh.write("\n".join(lines))
 
     @classmethod
     def load(cls, path: str) -> "History":
@@ -157,7 +160,7 @@ class SkillEntry:
             raise ValueError(f"bad skill kind {self.kind!r}")
 
     def to_doc(self) -> dict[str, Any]:
-        return asdict(self)
+        return {**vars(self), "cites": list(self.cites)}  # the doc must not alias `cites`
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "SkillEntry":

@@ -66,22 +66,23 @@ class UsageEntry:
 
 @dataclass
 class UsageLedger:
-    entries: list[UsageEntry] = field(default_factory=list)
+    """Every call's usage, and running totals of it.
+
+    `record` adds to each total in entry order, starting from the integer
+    0, so a total is the left-to-right sum of the entries (what `sum` gives
+    on Python 3.11), and a budget check reads it in O(1).
+    """
+
+    entries: list[UsageEntry] = field(default_factory=list, init=False)
+    total_cost: float = field(default=0, init=False)
+    total_prompt_tokens: int = field(default=0, init=False)
+    total_completion_tokens: int = field(default=0, init=False)
 
     def record(self, role: str, prompt_tokens: int, completion_tokens: int, cost: float) -> None:
         self.entries.append(UsageEntry(role, prompt_tokens, completion_tokens, cost))
-
-    @property
-    def total_cost(self) -> float:
-        return sum(e.cost_estimate for e in self.entries)
-
-    @property
-    def total_prompt_tokens(self) -> int:
-        return sum(e.prompt_tokens for e in self.entries)
-
-    @property
-    def total_completion_tokens(self) -> int:
-        return sum(e.completion_tokens for e in self.entries)
+        self.total_cost += cost
+        self.total_prompt_tokens += prompt_tokens
+        self.total_completion_tokens += completion_tokens
 
     def to_doc(self) -> dict[str, Any]:
         return {

@@ -2,13 +2,17 @@
 
 Series are keyed by metric name plus a sorted label set. Ingestion is
 single-writer and strictly ordered per series; queries are pure reads
-that bisect on the timestamps.
+that bisect on the timestamps. Gauges go in through `ingest`, which
+stores the value given. Counters go in through `add`, which stores the
+series' latest value plus an increment in one lookup; both share the
+order check and the copy-on-first-append rule below.
 
 Sharing contract: `copy.deepcopy` of a store (and so `cluster.clone` of a
 state) forks it in O(series). The fork and its source share every
 per-series sample list, and neither side owns a shared list any more.
-`ingest` copies a series' list the first time its side appends to it
-after a fork, so an append on one side never shows through on the other.
+`ingest` (and `add`) copies a series' list the first time its side
+appends to it after a fork, so an append on one side never shows through
+on the other.
 A side that only reads, as a curator's validation clone does, copies no
 samples at all. Samples are immutable tuples, so a shallow list copy is a
 full copy.
@@ -83,7 +87,8 @@ class MetricStore:
         self._owned = set()  # every list is shared now
         return fork
 
-    def ingest(self, series: SeriesId, timestamp: float, value: float) -> None:
+    def _points_for_append(self, series: SeriesId, timestamp: float) -> list[tuple[float, float]]:
+        """The series' own sample list, ready for a sample at `timestamp`."""
         points = self._samples.get(series)
         if points and not timestamp > points[-1][0]:  # a NaN is not after anything either
             raise OrderViolation(
@@ -92,7 +97,15 @@ class MetricStore:
         if series not in self._owned:  # new, or shared with a fork: append to a private copy
             points = self._samples[series] = list(points or ())
             self._owned.add(series)
-        points.append((timestamp, value))
+        return points
+
+    def ingest(self, series: SeriesId, timestamp: float, value: float) -> None:
+        self._points_for_append(series, timestamp).append((timestamp, value))
+
+    def add(self, series: SeriesId, timestamp: float, increment: float) -> None:
+        """Append the series' latest value (0.0 when it has none) plus `increment`."""
+        points = self._points_for_append(series, timestamp)
+        points.append((timestamp, (points[-1][1] if points else 0.0) + increment))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
         self.ingest(SeriesId.make(metric_name, labels), timestamp, value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
@@ -71,6 +71,10 @@ class TaskOutcome:
 
 
 QUOTE_LIMIT = 80  # characters of an expectation quoted back in a gripe or revision note
+# Longest result a `regex:` expectation searches. An accepted pattern can
+# still backtrack quadratically in the subject: `a*a?a?a?a?b` and
+# `.*(?:a|aa)(?:a|aa)(?:a|aa)(?:a|aa)b` take about 0.1 s over 640 `a`s.
+REGEX_SUBJECT_LIMIT = 640
 
 
 def _clip(text: str) -> str:
@@ -104,7 +108,10 @@ def check_expectation(result: str, expects: str) -> str | None:
             return "expected valid JSON"
     if expects.startswith("regex:"):
         pattern = expects[len("regex:"):]
-        return None if re.search(pattern, result) else f"expected a match for /{_clip(pattern)}/"
+        gripe = f"expected a match for /{_clip(pattern)}/"
+        if len(result) > REGEX_SUBJECT_LIMIT:
+            return f"{gripe} in at most {REGEX_SUBJECT_LIMIT} characters, got {len(result)}"
+        return None if re.search(pattern, result) else gripe
     return f"unknown expectation {expects!r}"
 
 
@@ -236,7 +243,7 @@ class ExecutionPlanner:
             subtask.attempts += 1
             self.history.add(subtask.assignee, line, "command")
             result = self.shell.execute(line)
-            self.history.add("environment", json.dumps(asdict(result), sort_keys=True), "execution_result")
+            self.history.add("environment", json.dumps(vars(result), sort_keys=True), "execution_result")
             if task.kind == OBSERVATION and result.state_mutated:
                 violation = f"observation-safety violation: command mutated cluster state: {line}"
                 self.history.add("environment", violation, "feedback", "environment")

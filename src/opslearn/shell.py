@@ -78,43 +78,41 @@ def _columns(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _split_outside_quotes(line: str, sep: str) -> list[str]:
-    parts = []
-    buf = []
-    quote = None
-    for c in line:
-        if quote:
-            buf.append(c)
-            if c == quote:
-                quote = None
-        elif c in "'\"":
-            quote = c
-            buf.append(c)
-        elif c == sep:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(c)
-    parts.append("".join(buf))
-    return parts
+# A quoted span runs to its closing quote, or to the end of the line when
+# it has none; outside quotes each regex picks out what its scanner wants.
+_QUOTED = r"""'[^']*'?|"[^"]*"?"""
+_CONSTRUCT_RE = re.compile(f"{_QUOTED}|({'|'.join(map(re.escape, _FORBIDDEN_CONSTRUCTS))})")
+_STAGE_RE = re.compile(f"""(?:{_QUOTED}|[^'"|])*""")
 
 
-def _contains_outside_quotes(line: str, needles: tuple[str, ...]) -> str | None:
-    quote = None
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if quote:
-            if c == quote:
-                quote = None
-        elif c in "'\"":
-            quote = c
-        else:
-            for needle in needles:
-                if line.startswith(needle, i):
-                    return needle
-        i += 1
+def _construct_outside_quotes(line: str) -> str | None:
+    """The first forbidden construct that stands outside quotes, else None."""
+    for m in _CONSTRUCT_RE.finditer(line):
+        if m.group(1):
+            return m.group(1)
     return None
+
+
+def _split_pipes_outside_quotes(line: str) -> list[str]:
+    """`line` cut at each `|` that stands outside quotes."""
+    stages = []
+    pos = 0
+    while pos <= len(line):
+        stage = _STAGE_RE.match(line, pos).group()
+        stages.append(stage)
+        pos += len(stage) + 1
+    return stages
+
+
+_PLAIN_WORD_RE = re.compile(r"[^ \t\r\n]+")  # shlex's blanks are exactly these four
+
+
+def _split_words(text: str) -> list[str]:
+    """`shlex.split(text)`; a line with no quote or backslash, the common
+    case, is split by one regex instead of shlex's character loop."""
+    if "'" in text or '"' in text or "\\" in text:
+        return shlex.split(text)
+    return _PLAIN_WORD_RE.findall(text)
 
 
 _CALL_RE = re.compile(r"^\s*(\w+)\((.*)\)\s*$", re.S)
@@ -223,10 +221,10 @@ class ShellGateway:
         return ExecutionResult(stdout, stderr, exit_code, mutated, _duration_ms(line))
 
     def _run_pipeline(self, line: str) -> str:
-        construct = _contains_outside_quotes(line, _FORBIDDEN_CONSTRUCTS)
+        construct = _construct_outside_quotes(line)
         if construct is not None:
             raise _unknown(construct)
-        stages = _split_outside_quotes(line, "|")
+        stages = _split_pipes_outside_quotes(line)
         if len(stages) > 2:
             raise _unknown("|")
         stdout = self._run_stage(stages[0].strip())
@@ -246,7 +244,7 @@ class ShellGateway:
                 return self._query_prometheus(kwargs)
             raise _unknown(name)
         try:
-            tokens = shlex.split(stage)
+            tokens = _split_words(stage)
         except ValueError as exc:
             raise _CommandError(f"error: {exc}")
         if not tokens:
@@ -259,7 +257,7 @@ class ShellGateway:
 
     def _run_grep(self, stage: str, upstream: str) -> str:
         try:
-            tokens = shlex.split(stage)
+            tokens = _split_words(stage)
         except ValueError as exc:
             raise _CommandError(f"error: {exc}")
         if not tokens or tokens[0] != "grep":

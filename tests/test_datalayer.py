@@ -4,6 +4,7 @@ dedup/conflict handling, retrieval ranking, exports)."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -78,6 +79,56 @@ def test_history_round_trip(tmp_path):
     loaded = History.load(path)
     assert [r.to_doc() for r in loaded.records] == [r.to_doc() for r in history.records]
     assert [r.id for r in loaded.for_task("r1t1")] == [1, 2, 3]
+
+
+def test_history_dump_writes_the_sort_keys_json_of_each_record(tmp_path):
+    """The dump's lines are pinned to `json.dumps(asdict(record), sort_keys=True)`:
+    non-ASCII text, embedded newlines and quotes, a None feedback kind and
+    float timestamps included."""
+    now = [0.0]
+    history = History(lambda: now[0])
+    history.open_task("r2t3")
+    for actor, payload, kind, feedback_kind, at in [
+        ("manager", "plan für café ✓ — 日本", "prompt", None, 0.1),
+        ("catalogue", 'line one\nline "two"\n\ttabbed \\ end', "completion", None, 1e-7),
+        ("environment", "", "feedback", "environment", 12345.678),
+        ("front-end", "\x00\x1f\u2028 \U0001f600", "report", None, 1e300),
+    ]:
+        now[0] = at
+        history.add(actor, payload, kind, feedback_kind)
+    history.open_task("")
+    history.add("manager", "between tasks", "report")
+    path = tmp_path / "history.log"
+    history.dump(str(path))
+    expected = [json.dumps({"history_schema": 1})]
+    expected += [json.dumps(asdict(record), sort_keys=True) for record in history.records]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert [r.to_doc() for r in History.load(str(path)).records] == [asdict(r) for r in history.records]
+
+
+def test_an_empty_history_dumps_only_its_header(tmp_path):
+    path = tmp_path / "history.log"
+    History().dump(str(path))
+    assert path.read_text() == '{"history_schema": 1}\n'
+
+
+def test_skill_entry_doc_equals_asdict_and_copies_its_cites():
+    entry = SkillEntry(
+        id=4,
+        kind="Configuration",
+        body="kubectl set resources deployment catalogue --limits=memory=400Mi",
+        description="raise the ceiling",
+        source_task="r2t1",
+        validated=True,
+        subject="catalogue/limits",
+        cites=[3, 9],
+        conflict_group="catalogue/limits#1",
+    )
+    doc = entry.to_doc()
+    assert doc == asdict(entry)
+    assert doc["cites"] is not entry.cites
+    doc["cites"].append(99)
+    assert entry.cites == [3, 9]
 
 
 def test_history_rejects_unknown_schema(tmp_path):

@@ -3,12 +3,16 @@ and the live HTTP backend against a local stub server."""
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opslearn.llm import (
     BudgetExhausted,
@@ -18,6 +22,7 @@ from opslearn.llm import (
     ScriptExhausted,
     ScriptRecord,
     ScriptedGateway,
+    UsageLedger,
     ask_until_parsed,
     build_gateway,
     estimate_tokens,
@@ -228,6 +233,39 @@ def test_ledger_and_history_capture():
     assert kinds == [("r1t1", "manager", "prompt", 42.0), ("r1t1", "manager", "completion", 42.0)]
     assert prompt_text in history.records[0].payload
     assert history.records[1].payload == "done"
+
+
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["curriculum", "planner", "curator"]),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.floats(0.0, 1e3, allow_nan=False),
+        ),
+        max_size=40,
+    )
+)
+def test_ledger_running_totals_equal_a_fresh_sum(calls):
+    """The totals a budget check reads in O(1) are the left-to-right sums of
+    the entries from the integer 0 (what `sum` gives on Python 3.11), so
+    `to_doc`, and with it report.json, keeps its bytes."""
+    ledger = UsageLedger()
+    for role, prompt_tokens, completion_tokens, cost in calls:
+        ledger.record(role, prompt_tokens, completion_tokens, cost)
+        entries = ledger.entries
+        assert ledger.total_cost == functools.reduce(operator.add, (e.cost_estimate for e in entries), 0)
+        assert ledger.total_prompt_tokens == sum(e.prompt_tokens for e in entries)
+        assert ledger.total_completion_tokens == sum(e.completion_tokens for e in entries)
+    doc = json.dumps(ledger.to_doc())
+    assert doc == json.dumps(
+        {
+            "calls": len(calls),
+            "prompt_tokens": sum(c[1] for c in calls),
+            "completion_tokens": sum(c[2] for c in calls),
+            "cost_usd": round(functools.reduce(operator.add, (c[3] for c in calls), 0), 6),
+        }
+    )
 
 
 def test_budget_precheck_blocks_oversized_first_call():

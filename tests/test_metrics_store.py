@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -135,3 +138,53 @@ def test_bisected_reads_equal_a_linear_scan(times, lookback, data):
     before = [p for p in points if p[0] <= at]
     assert store.latest_at(sid, at, lookback) == (before[-1] if before and at - before[-1][0] <= lookback else None)
     assert store.samples_in_window(sid, start, end) == [p for p in points if start <= p[0] <= end]
+
+
+def _add_by_two_lookups(store: MetricStore, sid: SeriesId, timestamp: float, increment: float) -> None:
+    """The counter path `add` replaces: read the latest value, then ingest."""
+    store.ingest(sid, timestamp, store.last_value(sid) + increment)
+
+
+@given(
+    moves=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 2), st.floats(-1.0, 100.0), _values),
+            st.tuples(st.just("gauge"), st.integers(0, 3), st.integers(0, 2), st.floats(-1.0, 100.0), _values),
+            st.tuples(st.just("fork"), st.integers(0, 3)),
+        ),
+        max_size=40,
+    )
+)
+def test_add_equals_last_value_plus_ingest_on_forked_and_unforked_stores(moves):
+    """`add` against the two-lookup path it replaces, move by move, on a
+    family of stores forked from each other: the same samples and the same
+    OrderViolation on a sample that is not after the latest. Plain lists,
+    copied on every fork, say what each store must hold, so an append on
+    one side of a fork must never show on the other."""
+    family = [(MetricStore(), MetricStore(), {})]  # (store under test, two-lookup store, expected lists)
+    for move in moves:
+        store, oracle, expected = family[move[1] % len(family)]
+        if move[0] == "fork":
+            family.append((copy.deepcopy(store), copy.deepcopy(oracle), copy.deepcopy(expected)))
+            continue
+        _, _, index, step, value = move
+        sid = _SERIES[index]
+        points = expected.setdefault(sid, [])
+        timestamp = (points[-1][0] if points else 0.0) + step
+        if move[0] == "add":
+            write, write_oracle = store.add, functools.partial(_add_by_two_lookups, oracle)
+            sample = (timestamp, (points[-1][1] if points else 0.0) + value)
+        else:
+            write, write_oracle = store.ingest, oracle.ingest
+            sample = (timestamp, value)
+        if points and not timestamp > points[-1][0]:
+            for writer in (write, write_oracle):
+                with pytest.raises(OrderViolation):
+                    writer(sid, timestamp, value)
+        else:
+            write(sid, timestamp, value)
+            write_oracle(sid, timestamp, value)
+            points.append(sample)
+        for tested, two_lookups, lists in family:
+            for other in _SERIES:
+                assert tested.samples(other) == two_lookups.samples(other) == lists.get(other, [])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from opslearn.datalayer import History, SkillEntry, Task
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
 from opslearn.planner import (
     QUOTE_LIMIT,
+    REGEX_SUBJECT_LIMIT,
     ExecutionPlanner,
     ObservationViolation,
     Plan,
@@ -19,7 +21,7 @@ from opslearn.planner import (
     check_expectation,
     parse_plan,
 )
-from opslearn.resources import fixture_path
+from opslearn.resources import compile_pattern, fixture_path
 from opslearn.shell import ShellGateway
 
 AGENTS = ("catalogue", "front-end")
@@ -71,6 +73,23 @@ def _feedback_records(history: History) -> list:
 )
 def test_check_expectation(expects, result, gripe):
     assert check_expectation(result, expects) == gripe
+
+
+# accepted by the regex gate, yet each search backtracks quadratically in the subject
+_QUADRATIC_PATTERNS = (r".*(?:a|aa)(?:a|aa)(?:a|aa)(?:a|aa)b", r"a*a?a?a?a?b")
+
+
+@pytest.mark.parametrize("pattern", _QUADRATIC_PATTERNS)
+def test_a_regex_expectation_refuses_a_result_beyond_the_limit_without_searching(pattern):
+    compile_pattern(pattern)
+    started = time.perf_counter()
+    gripe = check_expectation("a" * 100_000, f"regex:{pattern}")
+    assert time.perf_counter() - started < 0.1
+    assert gripe == f"expected a match for /{pattern}/ in at most {REGEX_SUBJECT_LIMIT} characters, got 100000"
+    started = time.perf_counter()  # at the limit the result is searched, within a bound
+    assert check_expectation("a" * REGEX_SUBJECT_LIMIT, f"regex:{pattern}") == f"expected a match for /{pattern}/"
+    assert time.perf_counter() - started < 1.0
+    assert check_expectation("a" * (REGEX_SUBJECT_LIMIT - 1) + "b", f"regex:{pattern}") is None
 
 
 # -- plan parsing ------------------------------------------------------------------

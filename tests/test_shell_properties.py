@@ -4,6 +4,10 @@ Whatever line an agent emits, `execute` returns a result and never raises;
 exit code 0 goes with an empty stderr and a non-zero code with an
 explanation on it; a failed command without a pipe changes nothing; and the
 read verbs never change the configuration digest.
+
+The regex scanners, the word splitter and the configuration digest are also
+checked against the implementations they replaced, which are kept here as
+oracles: the character loops, `shlex.split` and the sort-keys JSON document.
 """
 
 from __future__ import annotations
@@ -15,9 +19,15 @@ import shlex
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opslearn.cluster import clone, load_topology, state_digest, tick
+from opslearn.cluster import InvalidArgument, NotFound, clone, load_topology, mutate, state_digest, tick
 from opslearn.resources import fixture_path
-from opslearn.shell import ShellGateway
+from opslearn.shell import (
+    _FORBIDDEN_CONSTRUCTS,
+    ShellGateway,
+    _construct_outside_quotes,
+    _split_pipes_outside_quotes,
+    _split_words,
+)
 
 _POD = "catalogue-5b877d88b4-g9tc4"  # pinned in the fixture
 _FOLLOW_UPS = [
@@ -173,3 +183,179 @@ def test_read_lines_leave_the_digest_unchanged(line):
     result = _assert_contract(shell, line)
     assert not result.state_mutated
     assert state_digest(shell.state) == before
+
+
+# -- the regex scanners against the character loops they replaced -------------------
+
+
+def _split_outside_quotes_by_loop(line: str, sep: str) -> list[str]:
+    parts = []
+    buf = []
+    quote = None
+    for c in line:
+        if quote:
+            buf.append(c)
+            if c == quote:
+                quote = None
+        elif c in "'\"":
+            quote = c
+            buf.append(c)
+        elif c == sep:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(c)
+    parts.append("".join(buf))
+    return parts
+
+
+def _contains_outside_quotes_by_loop(line: str, needles: tuple[str, ...]) -> str | None:
+    quote = None
+    i = 0
+    while i < len(line):
+        c = line[i]
+        if quote:
+            if c == quote:
+                quote = None
+        elif c in "'\"":
+            quote = c
+        else:
+            for needle in needles:
+                if line.startswith(needle, i):
+                    return needle
+        i += 1
+    return None
+
+
+_scanned_lines = st.one_of(
+    st.text(alphabet="'\"&|;$`<>ab ", max_size=24),
+    _writes,
+    _reads,
+    _anything,
+    st.lists(st.one_of(_reads, _writes, st.sampled_from(["'", '"', "|", *_FORBIDDEN_CONSTRUCTS])), max_size=4).map(
+        " ".join
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(line=_scanned_lines)
+@example(line="a'|'|\"b|\"|c")
+@example(line="&&&|||;'")
+def test_the_quote_scanners_agree_with_the_character_loops(line):
+    assert _construct_outside_quotes(line) == _contains_outside_quotes_by_loop(line, _FORBIDDEN_CONSTRUCTS)
+    assert _split_pipes_outside_quotes(line) == _split_outside_quotes_by_loop(line, "|")
+
+
+def _words_or_error(split, text: str):
+    try:
+        return split(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet="'\"\\ \t\r\n\x0bab|#", max_size=16),
+        _scanned_lines,
+    )
+)
+@example(text='a"b\\"c\\d"e \'f\\g\' \\ h ""')
+@example(text='x "unclosed\\')
+@example(text='x "unclosed\\\\')
+def test_the_word_splitter_agrees_with_shlex(text):
+    assert _words_or_error(_split_words, text) == _words_or_error(shlex.split, text)
+
+
+# -- the digest against the JSON document it replaced -------------------------------
+
+
+def _digest_document(state) -> str:
+    """The sort-keys JSON document the configuration digest used to hash."""
+    doc = {
+        "namespaces": sorted(state.namespaces),
+        "metrics_available": state.metrics_available,
+        "deployments": [
+            {
+                "name": d.name,
+                "namespace": d.namespace,
+                "labels": dict(sorted(d.labels.items())),
+                "image": d.image,
+                "command": d.command,
+                "args": d.args,
+                "requests": [d.resources.cpu_request, d.resources.mem_request],
+                "limits": [d.resources.cpu_limit, d.resources.mem_limit],
+                "probes": [
+                    [p.kind, p.http_path, p.initial_delay, p.timeout, p.period, p.success_threshold, p.failure_threshold]
+                    for p in d.probes
+                ],
+                "replicas": d.replicas,
+                "port": d.port,
+                "pod_template_hash": d.pod_template_hash,
+                "next_ordinal": d.next_ordinal,
+            }
+            for d in sorted(state.deployments, key=lambda d: (d.namespace, d.name))
+        ],
+        "pods": [
+            [p.name, p.namespace, p.deployment, p.phase, p.start_time]
+            for p in sorted(state.pods, key=lambda p: p.name)
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+_CATALOGUE = {"namespace": "sock-shop", "name": "catalogue"}
+# pairs that set a field and set it back, so that different paths meet again, and a pod kill
+_DIGEST_MUTATIONS = [
+    ("set_label", {**_CATALOGUE, "key": "tier", "value": "web"}),
+    ("set_label", {**_CATALOGUE, "key": "tier", "value": "api"}),
+    ("patch", {**_CATALOGUE, "patch": {"image": "weaveworksdemos/catalogue:0.3.6"}}),
+    ("patch", {**_CATALOGUE, "patch": {"image": "weaveworksdemos/catalogue:0.3.5"}}),
+    ("patch", {**_CATALOGUE, "patch": {"args": ["-port=80"]}}),
+    ("patch", {**_CATALOGUE, "patch": {"args": ["-port=80", "-v"]}}),
+    ("patch", {**_CATALOGUE, "patch": {"probes": {"liveness": {"period": 7}}}}),
+    ("patch", {**_CATALOGUE, "patch": {"probes": {"liveness": {"period": 3.0}}}}),
+    ("set_resources", {**_CATALOGUE, "limits": {"memory": "400Mi"}}),
+    ("set_resources", {**_CATALOGUE, "limits": {"memory": "200Mi"}}),
+    ("scale", {**_CATALOGUE, "replicas": 2}),
+    ("scale", {**_CATALOGUE, "replicas": 1}),
+    ("kill_pod", {"namespace": "sock-shop", "pod": _POD}),
+]
+_SCALE_UP_AND_BACK = [("mutate", 10), ("mutate", 11)]  # same pods, next_ordinal one higher
+_KILL = ("mutate", 12)
+_digest_steps = st.one_of(
+    st.tuples(st.just("mutate"), st.integers(0, len(_DIGEST_MUTATIONS) - 1)),
+    st.tuples(st.just("kubectl"), _writes),
+    st.tuples(st.just("tick"), st.sampled_from([15.0, 90.0])),
+)
+
+
+def _take(shell: ShellGateway, step: tuple) -> None:
+    kind, arg = step
+    if kind == "mutate":
+        try:
+            mutate(shell.state, *_DIGEST_MUTATIONS[arg])
+        except (NotFound, InvalidArgument):
+            pass
+    elif kind == "kubectl":
+        shell.execute(arg)
+    else:
+        tick(shell.state, arg)
+
+
+@settings(max_examples=120, deadline=None)
+@given(paths=st.lists(st.lists(_digest_steps, max_size=6), min_size=2, max_size=4))
+@example(paths=[_SCALE_UP_AND_BACK, []])
+@example(paths=[[_KILL], [("tick", 15.0), _KILL]])  # the replacement pods differ only in start time
+def test_digests_are_equal_exactly_when_the_json_documents_are(paths):
+    states = []
+    for path in paths:
+        shell = _fresh_shell()
+        for step in path:
+            _take(shell, step)
+        states.append(shell.state)
+    for a in states:
+        for b in states:
+            same_document = _digest_document(a) == _digest_document(b)
+            assert (state_digest(a) == state_digest(b)) == same_document

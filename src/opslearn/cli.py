@@ -10,12 +10,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .cluster import LoadError
 from .datalayer import SkillLibrary
 from .llm import GatewayConfigError, ScriptExhausted
 from .resources import fixture_path
 from .runner import (
+    LLM_BACKENDS,
+    TRIAL_MODES,
     ConfigurationError,
     TrialConfig,
     assemble_grid,
@@ -27,18 +30,26 @@ from .runner import (
 )
 
 
+def trial_config(args: argparse.Namespace) -> TrialConfig:
+    """The TrialConfig of the flags given. A flag named after a TrialConfig
+    field has no argparse default, so a flag left out stays None and the
+    field keeps TrialConfig's default."""
+    names = {f.name for f in fields(TrialConfig)}
+    return TrialConfig(**{k: v for k, v in vars(args).items() if k in names and v is not None})
+
+
 def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--tasks-per-round", type=int, default=3)
-    parser.add_argument("--mode", choices=("full", "observation_only"), default="full")
-    parser.add_argument("--budget-usd", type=float, default=10.0)
-    parser.add_argument("--time-budget-min", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, help="deterministic run seed")
+    parser.add_argument("--rounds", type=int)
+    parser.add_argument("--tasks-per-round", type=int)
+    parser.add_argument("--mode", choices=TRIAL_MODES)
+    parser.add_argument("--budget-usd", type=float)
+    parser.add_argument("--time-budget-min", type=float)
     parser.add_argument("--fixture", help="cluster topology YAML (default: bundled)")
-    parser.add_argument("--llm", choices=("scripted", "live"), default="scripted")
+    parser.add_argument("--llm", choices=LLM_BACKENDS)
     parser.add_argument("--script", help="scripted-oracle YAML (default: bundled)")
-    parser.add_argument("--llm-config", help="gateway config YAML (endpoint, routes, prices)")
-    parser.add_argument("--out-dir", default="out")
+    parser.add_argument("--llm-config", help="gateway config YAML (endpoint, api_key_env, routes, cost_table)")
+    parser.add_argument("--out-dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,15 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eval_p.add_argument("--suite", help="evaluation suite YAML (default: bundled)")
     eval_p.add_argument("--repeats", type=int, default=3)
-    eval_p.add_argument("--seed", type=int, default=0)
-    eval_p.add_argument("--budget-usd", type=float, default=10.0)
+    eval_p.add_argument("--seed", type=int)
+    eval_p.add_argument("--budget-usd", type=float)
     eval_p.add_argument("--fixture", help="cluster topology YAML (default: bundled)")
-    eval_p.add_argument("--llm", choices=("scripted",), default="scripted")
     eval_p.add_argument("--script", help="scripted-oracle YAML (default: bundled)")
-    eval_p.add_argument("--out-dir", default="out")
+    eval_p.add_argument("--out-dir")
 
     report_p = sub.add_parser("report", help="emit csv/json/svg views of a finished run")
-    report_p.add_argument("--out-dir", default="out")
+    report_p.add_argument("--out-dir")
     report_p.add_argument(
         "--formats", default="csv,json,svg", help="comma-separated subset of csv,json,svg"
     )
@@ -76,25 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser("replay", help="rebuild the skill library from a history log")
     replay_p.add_argument("--history", required=True, help="history.log from a finished run")
     replay_p.add_argument("--fixture", help="cluster topology YAML (default: bundled)")
-    replay_p.add_argument("--seed", type=int, default=0)
-    replay_p.add_argument("--out-dir", default="out")
+    replay_p.add_argument("--seed", type=int)
+    replay_p.add_argument("--out-dir")
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = TrialConfig(
-        seed=args.seed,
-        rounds=args.rounds,
-        tasks_per_round=args.tasks_per_round,
-        mode=args.mode,
-        budget_usd=args.budget_usd,
-        time_budget_min=args.time_budget_min,
-        fixture=args.fixture,
-        llm=args.llm,
-        script=args.script,
-        llm_config=args.llm_config,
-        out_dir=args.out_dir,
-    )
+    config = trial_config(args)
     result = run_trial(config)
     report = result.report
     statuses = [t["status"] for t in report["tasks"]]
@@ -109,6 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite or str(fixture_path("eval_suite.yaml")))
+    config = trial_config(args)
     columns = []
     for lib_path in args.library:
         try:
@@ -116,20 +115,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         except (ValueError, TypeError) as exc:  # not JSON, or an entry of the wrong shape
             raise ConfigurationError(f"library {lib_path}: {exc}") from None
         label = os.path.splitext(os.path.basename(lib_path))[0]
-        config = TrialConfig(
-            seed=args.seed,
-            budget_usd=args.budget_usd,
-            fixture=args.fixture,
-            llm=args.llm,
-            script=args.script,
-            out_dir=args.out_dir,
-        )
         columns.append((label, run_evaluation(library, suite, config, repeats=args.repeats)))
     grid = assemble_grid(columns)
-    emit_report(grid, args.out_dir, ("json",))
+    emit_report(grid, config.out_dir, ("json",))
     for task_id, cells in zip(grid["tasks"], grid["cells"]):
         print(f"{task_id}: " + "  ".join(f"{c} ({l})" for c, l in zip(cells, grid["columns"])))
-    print(f"grid written to {os.path.join(args.out_dir, 'grid.json')}")
+    print(f"grid written to {os.path.join(config.out_dir, 'grid.json')}")
     return 0
 
 
@@ -137,31 +128,32 @@ def _cmd_report(args: argparse.Namespace) -> int:
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     if not formats:
         raise ConfigurationError("no report formats requested")
+    out_dir = trial_config(args).out_dir
     emitted = []
     for name in ("report.json", "grid.json"):
-        path = os.path.join(args.out_dir, name)
+        path = os.path.join(out_dir, name)
         if os.path.exists(path):
             try:
                 with open(path) as fh:
                     data = json.load(fh)
-                emitted.extend(emit_report(data, args.out_dir, formats))
+                emitted.extend(emit_report(data, out_dir, formats))
             except (ValueError, TypeError, KeyError, AttributeError) as exc:  # not JSON, or not shaped like a run's
                 raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from None
     if not emitted:
-        raise ConfigurationError(f"no report.json or grid.json under {args.out_dir}/")
+        raise ConfigurationError(f"no report.json or grid.json under {out_dir}/")
     for path in emitted:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    fixture = args.fixture or str(fixture_path("sock_shop.yaml"))
-    library, _state = replay_history(args.history, fixture, args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    library.save(os.path.join(args.out_dir, "library.json"))
-    with open(os.path.join(args.out_dir, "library.md"), "w") as fh:
+    config = trial_config(args)
+    library, _state = replay_history(args.history, config.fixture_file(), config.seed)
+    os.makedirs(config.out_dir, exist_ok=True)
+    library.save(os.path.join(config.out_dir, "library.json"))
+    with open(os.path.join(config.out_dir, "library.md"), "w") as fh:
         fh.write(library.export_markdown())
-    print(f"replayed library: {len(library.entries)} skills -> {args.out_dir}/library.json")
+    print(f"replayed library: {len(library.entries)} skills -> {config.out_dir}/library.json")
     return 0
 
 

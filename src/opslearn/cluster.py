@@ -257,7 +257,7 @@ class ScrapeSeries(_Shared):
 @dataclass
 class ClusterState:
     namespaces: set[str]
-    deployments: list[Deployment]
+    deployments: list[Deployment]  # in (namespace, name) order; none is added or removed after load
     pods: list[Pod]
     sim_time: float = 0.0
     rng_seed: int = 0
@@ -476,6 +476,7 @@ def _build_state(doc: Any, seed: int) -> ClusterState:
             pod.usage_cpu_millicores = dep.resources.current_cpu
             pod.usage_mem_bytes = dep.resources.current_mem
 
+    state.deployments.sort(key=attrgetter("namespace", "name"))  # after the spawns, which keep document order
     _scrape(state)
     return state
 
@@ -526,7 +527,7 @@ def _scrape(state: ClusterState) -> None:
     store = state.metrics
     now = state.sim_time
     step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
-    for dep in sorted(state.deployments, key=lambda d: (d.namespace, d.name)):
+    for dep in state.deployments:
         if not dep.scrape:
             continue
         profile = dep.traffic
@@ -745,7 +746,6 @@ def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterSta
 # Digest and cloning
 
 
-_BY_NAMESPACE_AND_NAME = attrgetter("namespace", "name")
 _BY_NAME = attrgetter("name")
 _PROBE_CONFIG = attrgetter(
     "kind", "http_path", "initial_delay", "timeout", "period", "success_threshold", "failure_threshold"
@@ -768,7 +768,7 @@ def state_digest(state: ClusterState) -> str:
     compare digests.
     """
     canon = [sorted(state.namespaces), state.metrics_available]
-    for d in sorted(state.deployments, key=_BY_NAMESPACE_AND_NAME):
+    for d in state.deployments:
         res = d.resources
         canon += (
             d.name,

@@ -298,7 +298,7 @@ def build_snapshot(state: ClusterState) -> str:
     }
     deployments: list[tuple[str, str]] = []  # (job, line), listed by job
     anomalies: list[str] = []
-    for dep in sorted(state.deployments, key=lambda d: (d.namespace, d.name)):
+    for dep in state.deployments:
         pods = state.deployment_pods(dep)
         ready = sum(1 for p in pods if p.phase == "Running")
         degraded = (

@@ -108,11 +108,11 @@ DEFAULT_ROUTES = {
 
 @dataclass
 class GatewayConfig:
-    mode: str = "scripted"  # scripted | live
+    """Gateway settings: an `--llm-config` file sets every field but `budget_usd`, which the run sets."""
+
     endpoint: str = ""
     api_key_env: str = "OPENAI_API_KEY"
     budget_usd: float = 10.0
-    script_path: str | None = None
     routes: dict[str, ModelRoute] = field(default_factory=lambda: dict(DEFAULT_ROUTES))
     cost_table: dict[str, dict[str, float]] = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COST_TABLE)))
 
@@ -130,19 +130,24 @@ def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
         raise GatewayConfigError(f"{what} must be a finite number, got {value!r}") from None
 
 
+# The top-level keys of an `--llm-config` file. The backend, the budget and the
+# script are run settings: each has one flag, and the file may not carry a copy.
+CONFIG_KEYS = ("endpoint", "api_key_env", "routes", "cost_table")
+FLAG_OWNED_KEYS = {"mode": "--llm", "budget_usd": "--budget-usd", "script_path": "--script"}
+
+
 def load_config(path: str) -> GatewayConfig:
     try:
         doc = _mapping(load_yaml(path) or None, f"llm config {path}")
     except yaml.YAMLError as exc:
         raise GatewayConfigError(f"llm config: {exc}") from None
+    unknown = sorted(str(key) for key in doc if key not in CONFIG_KEYS)
+    if unknown:
+        owners = "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in unknown if key in FLAG_OWNED_KEYS)
+        raise GatewayConfigError(f"llm config {path}: unknown keys {unknown}{owners}")
     config = GatewayConfig()
-    config.mode = doc.get("mode", config.mode)
-    if config.mode not in ("scripted", "live"):
-        raise GatewayConfigError(f"unknown llm mode {config.mode!r}")
     config.endpoint = doc.get("endpoint", config.endpoint)
     config.api_key_env = doc.get("api_key_env", config.api_key_env)
-    config.budget_usd = _number(float, doc.get("budget_usd", config.budget_usd), f"llm config {path}: budget_usd")
-    config.script_path = doc.get("script_path", config.script_path)
     for role, route_doc in _mapping(doc.get("routes"), f"llm config {path}: routes").items():
         if role not in ROLES:
             raise GatewayConfigError(f"unknown route role {role!r}")
@@ -350,14 +355,3 @@ class LiveGateway(BaseGateway):
             int(usage.get("completion_tokens", estimate_tokens(text))),
         )
 
-
-def build_gateway(config: GatewayConfig, records: list[ScriptRecord] | None = None) -> BaseGateway:
-    if config.mode == "scripted":
-        if records is None:
-            if not config.script_path:
-                raise GatewayConfigError("scripted mode needs a script")
-            records = load_script(config.script_path)
-        return ScriptedGateway(config, records)
-    if not config.endpoint:
-        raise GatewayConfigError("live mode needs an endpoint")
-    return LiveGateway(config)

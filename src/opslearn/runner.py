@@ -39,11 +39,10 @@ from .llm import (
     BaseGateway,
     BudgetExhausted,
     GatewayConfig,
-    GatewayConfigError,
+    LiveGateway,
     ScriptExhausted,
     ScriptRecord,
     ScriptedGateway,
-    build_gateway,
     load_config,
     load_script,
 )
@@ -59,6 +58,9 @@ EVAL_WARMUP_SECONDS = 300.0
 REPLAY_MAX_STEP_SECONDS = 3600.0
 RETRIEVE_K = 4
 
+TRIAL_MODES = ("full", "observation_only")
+LLM_BACKENDS = ("scripted", "live")
+
 _TASK_ID_RE = re.compile(r"r(\d+)t(\d+)")
 
 
@@ -68,17 +70,30 @@ class ConfigurationError(Exception):
 
 @dataclass
 class TrialConfig:
+    """Every run setting and its default; the CLI passes only the flags it was given."""
+
     seed: int = 0
     rounds: int = 5
     tasks_per_round: int = 3
-    mode: str = "full"  # full | observation_only
+    mode: str = "full"  # one of TRIAL_MODES
     budget_usd: float = 10.0
     time_budget_min: float = 30.0
     fixture: str | None = None
-    llm: str = "scripted"  # scripted | live
+    llm: str = "scripted"  # one of LLM_BACKENDS
     script: str | None = None
     llm_config: str | None = None
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        if self.mode not in TRIAL_MODES:
+            raise ConfigurationError(f"unknown trial mode {self.mode!r}")
+        if self.llm not in LLM_BACKENDS:
+            raise ConfigurationError(f"unknown llm backend {self.llm!r}")
+        for key in ("budget_usd", "time_budget_min"):
+            try:
+                finite_number(float, getattr(self, key))
+            except ValueError:
+                raise ConfigurationError(f"{key} must be a finite number, got {getattr(self, key)!r}") from None
 
     def fixture_file(self) -> str:
         return self.fixture or str(fixture_path("sock_shop.yaml"))
@@ -156,16 +171,14 @@ class KnowledgeTracker:
 
 
 def _build_gateway(config: TrialConfig) -> BaseGateway:
+    """The one place that turns a trial's settings into a backend."""
     gw_config = load_config(config.llm_config) if config.llm_config else GatewayConfig()
-    gw_config.mode = config.llm
     gw_config.budget_usd = config.budget_usd
-    gw_config.script_path = config.script or gw_config.script_path
-    if gw_config.mode == "scripted" and not gw_config.script_path:
-        gw_config.script_path = str(fixture_path("scripts/golden_trial.yaml"))
-    try:
-        return build_gateway(gw_config)
-    except GatewayConfigError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    if config.llm == "scripted":
+        return ScriptedGateway(gw_config, load_script(config.script or str(fixture_path("scripts/golden_trial.yaml"))))
+    if not gw_config.endpoint:
+        raise ConfigurationError("live mode needs an endpoint in --llm-config")
+    return LiveGateway(gw_config)
 
 
 @dataclass
@@ -180,8 +193,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
         state = load_topology(config.fixture_file(), seed=config.seed)
     except (LoadError, OSError) as exc:
         raise ConfigurationError(f"fixture: {exc}") from exc
-    if config.mode not in ("full", "observation_only"):
-        raise ConfigurationError(f"unknown trial mode {config.mode!r}")
     gateway = _build_gateway(config)
 
     history = History(lambda: state.sim_time)
@@ -429,7 +440,7 @@ def run_evaluation(
                     mutate(state, setup.get("action", ""), setup.get("args") or {})
                 except (InvalidArgument, NotFound) as exc:
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
-            gateway = ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=config.budget_usd), records)
+            gateway = ScriptedGateway(GatewayConfig(budget_usd=config.budget_usd), records)
             planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
             task = _suite_task(suite_task, repeat + 1)
             skills = library.retrieve_skills(task.description, RETRIEVE_K)
@@ -489,7 +500,7 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
         for r in original.records
         if r.actor == "curator" and r.payload_kind == "completion"
     ]
-    gateway = ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=float("inf")), curator_records)
+    gateway = ScriptedGateway(GatewayConfig(budget_usd=float("inf")), curator_records)
     curator = KnowledgeCurator(gateway)
     library = SkillLibrary()
     for record in original.records:

@@ -41,10 +41,6 @@ class ExecutionResult:
     state_mutated: bool
     duration_ms: int
 
-    @property
-    def ok(self) -> bool:
-        return self.exit_code == 0
-
 
 class _CommandError(Exception):
     def __init__(self, message: str, exit_code: int = 1):
@@ -374,12 +370,10 @@ class ShellGateway:
 
     def _scope_deployments(self, name: str | None, flags: dict) -> list[cl.Deployment]:
         if flags.get("all_namespaces"):
-            deps = sorted(self.state.deployments, key=lambda d: (d.namespace, d.name))
+            deps = self.state.deployments
         else:
             ns = self._namespace(flags)
-            deps = sorted(
-                (d for d in self.state.deployments if d.namespace == ns), key=lambda d: d.name
-            )
+            deps = [d for d in self.state.deployments if d.namespace == ns]
         if name is not None:
             deps = [d for d in deps if d.name == name]
             if not deps:

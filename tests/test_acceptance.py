@@ -314,7 +314,7 @@ def test_criterion_9_budget_guard(tmp_path):
     try:
         config_file = tmp_path / "live.yaml"
         config_file.write_text(
-            f"mode: live\nendpoint: http://127.0.0.1:{server.server_port}/v1/chat/completions\n"
+            f"endpoint: http://127.0.0.1:{server.server_port}/v1/chat/completions\n"
         )
         out_dir = tmp_path / "out"
         result = run_trial(

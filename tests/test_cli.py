@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from opslearn.cli import main
+from opslearn.cli import build_parser, main, trial_config
 from opslearn.datalayer import SkillLibrary
 from opslearn.resources import fixture_path
+from opslearn.runner import TrialConfig
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,7 @@ def _assert_one_error_line(code, capsys, bad):
     assert err.count("\n") == 1
     assert str(bad) in err
     assert "Traceback" not in err
+    return err
 
 
 _SUITE_TASK = (
@@ -95,6 +97,9 @@ def _topology(old: str, new: str) -> str:
         (["run", "--llm-config"], "budget_usd: .nan\n"),
         (["run", "--llm-config"], "routes:\n  planner:\n    max_tokens: plenty\n"),
         (["run", "--llm-config"], "cost_table:\n  o1:\n    prompt_per_1k: cheap\n"),
+        (["run", "--llm-config"], "mode: live\n"),
+        (["run", "--llm-config"], "script_path: x.yaml\n"),
+        (["run", "--llm-config"], "endpiont: http://x\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup: [scale]\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions: replicas\n"),
         (["run", "--fixture"], _topology("replicas: 1", "replicas: many")),
@@ -131,6 +136,9 @@ def _topology(old: str, new: str) -> str:
         "llm-config-nan-budget",
         "llm-config-word-max-tokens",
         "llm-config-word-price",
+        "llm-config-mode",
+        "llm-config-script-path",
+        "llm-config-misspelt-endpoint",
         "suite-string-setup",
         "suite-scalar-post-conditions",
         "fixture-word-replicas",
@@ -230,6 +238,37 @@ def test_malformed_report_input_fails_with_one_error_line(tmp_path, capsys, name
     bad = tmp_path / name
     bad.write_text(text)
     _assert_one_error_line(main(["report", "--out-dir", str(tmp_path)]), capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "text, owner",
+    [("mode: live\n", "mode is set by --llm"), ("budget_usd: 0.001\n", "budget_usd is set by --budget-usd"),
+     ("script_path: x.yaml\n", "script_path is set by --script")],
+    ids=["mode", "budget", "script"],
+)
+def test_an_llm_config_key_a_flag_owns_names_the_flag(tmp_path, capsys, text, owner):
+    config = tmp_path / "llm.yaml"
+    config.write_text(text)
+    code = main(["run", "--seed", "7", "--llm-config", str(config), "--out-dir", str(tmp_path)])
+    assert owner in _assert_one_error_line(code, capsys, f"llm config {config}: unknown keys")
+    assert not (tmp_path / "history.log").exists()
+
+
+def test_the_bundled_llm_config_still_runs(tmp_path):
+    code = main(["run", "--seed", "7", "--llm-config", str(fixture_path("llm_default.yaml")), "--out-dir", str(tmp_path)])
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--budget-usd", "--time-budget-min"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_budget_flag_fails_with_one_error_line(tmp_path, capsys, flag, value):
+    code = main(["run", "--seed", "7", flag, value, "--out-dir", str(tmp_path)])
+    _assert_one_error_line(code, capsys, "must be a finite number")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_flags_left_out_give_the_trial_defaults():
+    assert trial_config(build_parser().parse_args(["run"])) == TrialConfig()
 
 
 def test_run_rejects_unknown_llm_flag(tmp_path):

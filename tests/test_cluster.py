@@ -13,6 +13,7 @@ from opslearn.cluster import (
     LoadError,
     NotFound,
     clone,
+    component_names,
     load_topology,
     mutate,
     state_digest,
@@ -20,6 +21,7 @@ from opslearn.cluster import (
 )
 from opslearn.promql import evaluate
 from opslearn.resources import fixture_path, load_yaml
+from opslearn.shell import ShellGateway
 
 
 def _fresh(seed: int = 7):
@@ -232,6 +234,19 @@ def test_clones_and_their_sources_evolve_as_if_never_cloned(moves):
         for step in history:
             _apply(fresh, step)
         assert _observed(state) == _observed(fresh)
+
+
+def test_deployment_order_in_the_topology_does_not_matter():
+    """The loader sorts the deployments once; the digest, the shell and the scrape read that order."""
+    doc = load_yaml(str(fixture_path("sock_shop.yaml")))
+    reversed_doc = {**doc, "deployments": doc["deployments"][::-1]}
+    states = [_fresh(), load_topology(reversed_doc, seed=7)]
+    listings = [ShellGateway(s, component_names(s)).execute("kubectl get deployments --all-namespaces") for s in states]
+    assert listings[0].exit_code == 0
+    assert listings[0].stdout == listings[1].stdout
+    for state in states:
+        tick(state, 300.0)
+    assert _observed(states[0]) == _observed(states[1])
 
 
 def test_same_mutations_on_the_same_clock_give_the_same_digest():

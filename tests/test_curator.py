@@ -17,7 +17,7 @@ def _state():
 
 
 def _curator(records: list[ScriptRecord]) -> tuple[KnowledgeCurator, History]:
-    gateway = ScriptedGateway(GatewayConfig(mode="scripted"), records)
+    gateway = ScriptedGateway(GatewayConfig(), records)
     history = History()
     gateway.history = history
     return KnowledgeCurator(gateway), history

@@ -97,7 +97,7 @@ def test_progression_is_stage_scoped():
 
 def _builder(responses: list[str], mode: str = "full") -> tuple[CurriculumBuilder, History]:
     records = [ScriptRecord(role="curriculum", response=text) for text in responses]
-    gateway = ScriptedGateway(GatewayConfig(mode="scripted"), records)
+    gateway = ScriptedGateway(GatewayConfig(), records)
     history = History()
     gateway.history = history
     return CurriculumBuilder(gateway, mode=mode), history

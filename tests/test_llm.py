@@ -24,7 +24,6 @@ from opslearn.llm import (
     ScriptedGateway,
     UsageLedger,
     ask_until_parsed,
-    build_gateway,
     estimate_tokens,
     load_config,
     load_script,
@@ -40,9 +39,7 @@ def test_load_config_overrides_and_defaults(tmp_path):
     path.write_text(
         "\n".join(
             [
-                "mode: live",
                 "endpoint: http://127.0.0.1:9/v1/chat/completions",
-                "budget_usd: 2.5",
                 "routes:",
                 "  planner:",
                 "    model: gpt-4o-mini",
@@ -55,8 +52,6 @@ def test_load_config_overrides_and_defaults(tmp_path):
         )
     )
     config = load_config(str(path))
-    assert config.mode == "live"
-    assert config.budget_usd == 2.5
     assert config.routes["planner"].model_id == "gpt-4o-mini"
     assert config.routes["planner"].max_tokens == 256
     # Untouched roles keep their defaults.
@@ -160,7 +155,7 @@ def test_ask_until_parsed_lets_a_failing_ask_propagate():
 
 
 def _scripted(records: list[ScriptRecord], budget: float = 10.0) -> ScriptedGateway:
-    return ScriptedGateway(GatewayConfig(mode="scripted", budget_usd=budget), records)
+    return ScriptedGateway(GatewayConfig(budget_usd=budget), records)
 
 
 def test_scripted_records_are_fifo_per_role():
@@ -289,7 +284,7 @@ def test_budget_crossing_aborts_next_call():
     records = [
         ScriptRecord(role="curriculum", response="big", max_uses=-1),
     ]
-    gateway = _PricyGateway(GatewayConfig(mode="scripted", budget_usd=10.0), records)
+    gateway = _PricyGateway(GatewayConfig(budget_usd=10.0), records)
     # The first call looks cheap up front (the estimate uses max_tokens),
     # so it is allowed through ...
     first = gateway.complete("curriculum", _messages("hello"))
@@ -300,13 +295,6 @@ def test_budget_crossing_aborts_next_call():
     with pytest.raises(BudgetExhausted):
         gateway.complete("curriculum", _messages("hello again"))
     assert len(gateway.ledger.entries) == 1
-
-
-def test_build_gateway_picks_backend():
-    config = GatewayConfig(mode="scripted")
-    assert isinstance(build_gateway(config, []), ScriptedGateway)
-    live = GatewayConfig(mode="live", endpoint="http://127.0.0.1:9/")
-    assert isinstance(build_gateway(live), LiveGateway)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -346,7 +334,7 @@ def stub_server():
 
 def test_live_gateway_round_trip(stub_server, monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
-    config = GatewayConfig(mode="live", endpoint=stub_server)
+    config = GatewayConfig(endpoint=stub_server)
     gateway = LiveGateway(config)
     reply = gateway.complete("planner", _messages("ping"))
     assert reply == "stub says hi"
@@ -368,7 +356,7 @@ def test_live_gateway_round_trip(stub_server, monkeypatch):
 
 def test_live_gateway_works_without_api_key(stub_server, monkeypatch):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-    gateway = LiveGateway(GatewayConfig(mode="live", endpoint=stub_server))
+    gateway = LiveGateway(GatewayConfig(endpoint=stub_server))
     assert gateway.complete("planner", _messages("ping")) == "stub says hi"
     assert _StubHandler.seen[0]["authorization"] is None
 

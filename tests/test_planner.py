@@ -34,7 +34,7 @@ def _shell() -> ShellGateway:
 
 
 def _planner(records: list[ScriptRecord], **kwargs) -> tuple[ExecutionPlanner, History, ShellGateway]:
-    gateway = ScriptedGateway(GatewayConfig(mode="scripted"), records)
+    gateway = ScriptedGateway(GatewayConfig(), records)
     history = History()
     gateway.history = history
     shell = _shell()

@@ -13,6 +13,7 @@ import yaml
 from opslearn import runner
 from opslearn.cluster import load_topology
 from opslearn.datalayer import SkillEntry, SkillLibrary
+from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, load_yaml
 from opslearn.runner import (
     ConfigurationError,
@@ -329,6 +330,26 @@ def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_
 def test_run_trial_rejects_bad_mode():
     with pytest.raises(ConfigurationError, match="unknown trial mode"):
         run_trial(TrialConfig(mode="chaotic"))
+
+
+def test_trial_config_rejects_an_unknown_backend():
+    with pytest.raises(ConfigurationError, match="unknown llm backend 'dream'"):
+        TrialConfig(llm="dream")
+
+
+def test_the_trial_backend_comes_from_the_llm_setting(tmp_path):
+    assert isinstance(runner._build_gateway(TrialConfig(llm="scripted")), ScriptedGateway)
+    with_endpoint = tmp_path / "live.yaml"
+    with_endpoint.write_text("endpoint: http://127.0.0.1:9/v1/chat/completions\n")
+    live = runner._build_gateway(TrialConfig(llm="live", budget_usd=0.5, llm_config=str(with_endpoint)))
+    assert isinstance(live, LiveGateway)
+    assert live.config.budget_usd == 0.5
+    without_endpoint = tmp_path / "routes.yaml"
+    without_endpoint.write_text("routes:\n  planner:\n    model: gpt-4o\n")
+    with pytest.raises(ConfigurationError, match="needs an endpoint"):
+        runner._build_gateway(TrialConfig(llm="live", llm_config=str(without_endpoint)))
+    with pytest.raises(ConfigurationError, match="needs an endpoint"):
+        runner._build_gateway(TrialConfig(llm="live"))
 
 
 def test_run_trial_rejects_missing_fixture(tmp_path):

@@ -110,6 +110,65 @@ def test_get_pods_scoped_to_namespace(gateway):
     assert any(line.startswith("front-end-") for line in lines)
 
 
+_POD_HEADER = "NAME                         READY   STATUS    RESTARTS   AGE"
+
+
+@pytest.mark.parametrize(
+    "line, stdout",
+    [
+        (
+            "kubectl get deployments -n sock-shop",
+            "NAME        READY   UP-TO-DATE   AVAILABLE   AGE\n"
+            "catalogue   1/1     1            1           5m\n"
+            "front-end   1/1     1            1           5m",
+        ),
+        (
+            "kubectl get deployment catalogue -n sock-shop",
+            "NAME        READY   UP-TO-DATE   AVAILABLE   AGE\n"
+            "catalogue   1/1     1            1           5m",
+        ),
+        (
+            "kubectl get pods --all-namespaces",
+            "NAMESPACE     NAME                              READY   STATUS    RESTARTS   AGE\n"
+            "kube-system   metrics-server-7f8c9d5b6c-q8f2n   1/1     Running   0          5m\n"
+            "sock-shop     catalogue-5b877d88b4-g9tc4        1/1     Running   0          5m\n"
+            "sock-shop     front-end-6b8bb4c7d9-w4m82        1/1     Running   0          5m",
+        ),
+        (
+            "kubectl get pod catalogue-5b877d88b4-g9tc4 -n sock-shop",
+            _POD_HEADER + "\ncatalogue-5b877d88b4-g9tc4   1/1     Running   0          5m",
+        ),
+        ("kubectl get pods -n default", "No resources found."),
+        (
+            "kubectl top pods -n sock-shop",
+            "NAME                         CPU(cores)   MEMORY(bytes)\n"
+            "catalogue-5b877d88b4-g9tc4   2m           9Mi\n"
+            "front-end-6b8bb4c7d9-w4m82   48m          122Mi",
+        ),
+        ("kubectl top pods --all-namespaces", "No resources found."),  # top lists one namespace
+    ],
+)
+def test_listing_exact_output(gateway, line, stdout):
+    result = gateway.execute(line)
+    assert (result.stdout, result.stderr, result.exit_code) == (stdout, "", 0)
+
+
+@pytest.mark.parametrize(
+    "line, stderr",
+    [
+        ("kubectl get pod ghost", 'Error from server (NotFound): pods "ghost" not found'),
+        ("kubectl top pod ghost", 'Error from server (NotFound): pods "ghost" not found'),
+        ("kubectl get deployment ghost -n sock-shop", 'Error from server (NotFound): deployments.apps "ghost" not found'),
+        ("kubectl get pods -n", "error: flag needs an argument: -n"),
+        ("kubectl scale deployment catalogue --replicas", "error: unknown flag: --replicas"),
+        ("kubectl get pods -n=x", "error: unknown flag: -n=x"),
+    ],
+)
+def test_listing_and_flag_errors_exact_output(gateway, line, stderr):
+    result = gateway.execute(line)
+    assert (result.stdout, result.stderr, result.exit_code) == ("", stderr, 1)
+
+
 def test_pipe_grep_filters_stdout(gateway):
     result = gateway.execute("kubectl get deployments --all-namespaces | grep catalogue")
     assert result.exit_code == 0

@@ -114,57 +114,31 @@ class _Token:
     pos: int
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_:]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+# One alternative per token kind, tried in this order at each position; blanks
+# have no group and make no token. A string runs to its first unescaped quote,
+# and a backslash in it stands for the character after it.
+_TOKEN_RE = re.compile(
+    r'\s+|"(?P<string>(?:\\.|[^"\\])*)"|(?P<punct>[(){}\[\],/]|=~?)'
+    r"|(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_:][A-Za-z0-9_:]*)",
+    re.S,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", i)
-            tokens.append(_Token("string", "".join(buf), i))
-            i = j + 1
-            continue
-        if c in "(){}[],/":
-            tokens.append(_Token("punct", c, i))
-            i += 1
-            continue
-        if c == "=":
-            if i + 1 < n and text[i + 1] == "~":
-                tokens.append(_Token("punct", "=~", i))
-                i += 2
-            else:
-                tokens.append(_Token("punct", "=", i))
-                i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (c.isdigit()):
-            tokens.append(_Token("number", m.group(0), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(0), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            c = text[pos]
+            raise ParseError("unterminated string" if c == '"' else f"unexpected character {c!r}", pos)
+        kind = m.lastgroup
+        if kind == "string":
+            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", m.group(kind)), pos))
+        elif kind is not None:
+            tokens.append(_Token(kind, m.group(kind), pos))
+        pos = m.end()
     return tokens
 
 

@@ -138,45 +138,45 @@ def _duration_ms(line: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kubectl flag handling
+# kubectl grammar
+
+# The flags, each mapped to the key it sets: on/off switches, `--flag=value`
+# flags and `--flag value` flags.
+_SWITCHES = {"--all-namespaces": "all_namespaces", "--overwrite": "overwrite"}
+_VALUED = {"--namespace": "namespace", "--replicas": "replicas", "--requests": "requests", "--limits": "limits",
+           "--patch": "patch"}
+_SPACED = {"-n": "namespace", "--namespace": "namespace", "-p": "patch", "--patch": "patch"}
+
+# The resource words, each mapped to the resource it names in kubectl's replies.
+_DEPLOYMENTS = "deployments.apps"
+_PODS = "pods"
+_RESOURCES = {"deployment": _DEPLOYMENTS, "deployments": _DEPLOYMENTS, "pod": _PODS, "pods": _PODS}
 
 
 def _parse_flags(tokens: list[str]) -> tuple[list[str], dict]:
     positionals: list[str] = []
     flags: dict = {}
-    i = 0
-    while i < len(tokens):
-        t = tokens[i]
-        if t == "--all-namespaces":
-            flags["all_namespaces"] = True
-        elif t in ("-n", "--namespace"):
-            i += 1
-            if i >= len(tokens):
+    words = iter(tokens)
+    for t in words:
+        flag, eq, value = t.partition("=")
+        if t in _SWITCHES:
+            flags[_SWITCHES[t]] = True
+        elif t in _SPACED:
+            value = next(words, None)
+            if value is None:
                 raise _CommandError(f"error: flag needs an argument: {t}")
-            flags["namespace"] = tokens[i]
-        elif t.startswith("--namespace="):
-            flags["namespace"] = t.split("=", 1)[1]
-        elif t.startswith("--replicas="):
-            flags["replicas"] = t.split("=", 1)[1]
-        elif t.startswith("--requests="):
-            flags["requests"] = t.split("=", 1)[1]
-        elif t.startswith("--limits="):
-            flags["limits"] = t.split("=", 1)[1]
-        elif t == "--overwrite":
-            flags["overwrite"] = True
-        elif t in ("-p", "--patch"):
-            i += 1
-            if i >= len(tokens):
-                raise _CommandError(f"error: flag needs an argument: {t}")
-            flags["patch"] = tokens[i]
-        elif t.startswith("--patch="):
-            flags["patch"] = t.split("=", 1)[1]
+            flags[_SPACED[t]] = value
+        elif eq and flag in _VALUED:
+            flags[_VALUED[flag]] = value
         elif t.startswith("-"):
             raise _CommandError(f"error: unknown flag: {t}")
         else:
             positionals.append(t)
-        i += 1
     return positionals, flags
+
+
+def _not_found(kind: str, name: str) -> _CommandError:
+    return _CommandError(f'Error from server (NotFound): {kind} "{name}" not found')
 
 
 def _parse_quantities(text: str) -> dict[str, str]:
@@ -320,29 +320,15 @@ class ShellGateway:
         if not tokens:
             raise _unknown("kubectl")
         positionals, flags = _parse_flags(tokens[1:])
-        verb = tokens[0]
-        if verb == "get":
-            return self._get(positionals, flags)
-        if verb == "describe":
-            return self._describe(positionals, flags)
-        if verb == "top":
-            return self._top(positionals, flags)
-        if verb == "scale":
-            return self._scale(positionals, flags)
-        if verb == "set":
-            return self._set(positionals, flags)
-        if verb == "label":
-            return self._label(positionals, flags)
-        if verb == "patch":
-            return self._patch(positionals, flags)
-        if verb == "delete":
-            return self._delete(positionals, flags)
-        raise _unknown(f"kubectl {verb}")
+        verb = self._VERBS.get(tokens[0])
+        if verb is None:
+            raise _unknown(f"kubectl {tokens[0]}")
+        return verb(self, positionals, flags)
 
     def _namespace(self, flags: dict) -> str:
         ns = flags.get("namespace", "default")
         if ns not in self.state.namespaces:
-            raise _CommandError(f'Error from server (NotFound): namespaces "{ns}" not found')
+            raise _not_found("namespaces", ns)
         return ns
 
     def _mutate(self, action: str, args: dict) -> None:
@@ -353,105 +339,69 @@ class ShellGateway:
         except cl.InvalidArgument as exc:
             raise _CommandError(f"error: {exc}") from None
 
+    def _list(self, kind: str, items: list, name: str | None, flags: dict, header: list[str], row) -> str:
+        """kubectl's table of `items` (in display order): those of one namespace,
+        or of all with a NAMESPACE column, and only `name` when one is given."""
+        all_ns = flags.get("all_namespaces")
+        if not all_ns:
+            ns = self._namespace(flags)
+            items = [item for item in items if item.namespace == ns]
+        if name is not None:
+            items = [item for item in items if item.name == name]
+            if not items:
+                raise _not_found(kind, name)
+        if not items:
+            return "No resources found."
+        if all_ns:
+            return _columns([["NAMESPACE", *header]] + [[item.namespace, *row(item)] for item in items])
+        return _columns([header] + [row(item) for item in items])
+
+    def _pods_in_order(self) -> list[cl.Pod]:
+        return sorted(self.state.pods, key=lambda p: (p.namespace, p.name))
+
     # get
 
     def _get(self, positionals: list[str], flags: dict) -> str:
         if not positionals:
             raise _CommandError("error: you must specify the type of resource to get")
-        kind = positionals[0]
-        name = positionals[1] if len(positionals) > 1 else None
         if len(positionals) > 2:
             raise _unknown(" ".join(positionals[2:]))
-        if kind in ("deployments", "deployment"):
-            return self._get_deployments(name, flags)
-        if kind in ("pods", "pod"):
-            return self._get_pods(name, flags)
-        raise _CommandError(f'error: the server doesn\'t have a resource type "{kind}"')
-
-    def _scope_deployments(self, name: str | None, flags: dict) -> list[cl.Deployment]:
-        if flags.get("all_namespaces"):
-            deps = self.state.deployments
-        else:
-            ns = self._namespace(flags)
-            deps = [d for d in self.state.deployments if d.namespace == ns]
-        if name is not None:
-            deps = [d for d in deps if d.name == name]
-            if not deps:
-                raise _CommandError(f'Error from server (NotFound): deployments.apps "{name}" not found')
-        return deps
-
-    def _get_deployments(self, name: str | None, flags: dict) -> str:
-        deps = self._scope_deployments(name, flags)
-        if not deps:
-            return "No resources found."
-        all_ns = bool(flags.get("all_namespaces"))
-        header = ["NAME", "READY", "UP-TO-DATE", "AVAILABLE", "AGE"]
-        if all_ns:
-            header = ["NAMESPACE"] + header
-        rows = [header]
-        for dep in deps:
-            pods = self.state.deployment_pods(dep)
-            ready = sum(1 for p in pods if p.phase == "Running")
-            row = [
-                dep.name,
-                f"{ready}/{dep.replicas}",
-                str(dep.replicas),
-                str(ready),
-                cl.format_age(self.state.sim_time),
-            ]
-            if all_ns:
-                row = [dep.namespace] + row
-            rows.append(row)
-        return _columns(rows)
-
-    def _get_pods(self, name: str | None, flags: dict) -> str:
-        if flags.get("all_namespaces"):
-            pods = sorted(self.state.pods, key=lambda p: (p.namespace, p.name))
-        else:
-            ns = self._namespace(flags)
-            pods = sorted((p for p in self.state.pods if p.namespace == ns), key=lambda p: p.name)
-        if name is not None:
-            pods = [p for p in pods if p.name == name]
-            if not pods:
-                raise _CommandError(f'Error from server (NotFound): pods "{name}" not found')
-        if not pods:
-            return "No resources found."
-        all_ns = bool(flags.get("all_namespaces"))
+        kind = _RESOURCES.get(positionals[0])
+        if kind is None:
+            raise _CommandError(f'error: the server doesn\'t have a resource type "{positionals[0]}"')
+        name = positionals[1] if len(positionals) > 1 else None
+        if kind == _DEPLOYMENTS:
+            header = ["NAME", "READY", "UP-TO-DATE", "AVAILABLE", "AGE"]
+            return self._list(kind, self.state.deployments, name, flags, header, self._deployment_row)
         header = ["NAME", "READY", "STATUS", "RESTARTS", "AGE"]
-        if all_ns:
-            header = ["NAMESPACE"] + header
-        rows = [header]
-        for pod in pods:
-            row = [
-                pod.name,
-                "1/1" if pod.phase == "Running" else "0/1",
-                pod.phase,
-                str(pod.restarts),
-                cl.format_age(self.state.sim_time - pod.start_time),
-            ]
-            if all_ns:
-                row = [pod.namespace] + row
-            rows.append(row)
-        return _columns(rows)
+        return self._list(kind, self._pods_in_order(), name, flags, header, self._pod_row)
+
+    def _deployment_row(self, dep: cl.Deployment) -> list[str]:
+        ready = sum(1 for p in self.state.deployment_pods(dep) if p.phase == "Running")
+        age = cl.format_age(self.state.sim_time)
+        return [dep.name, f"{ready}/{dep.replicas}", str(dep.replicas), str(ready), age]
+
+    def _pod_row(self, pod: cl.Pod) -> list[str]:
+        ready = "1/1" if pod.phase == "Running" else "0/1"
+        return [pod.name, ready, pod.phase, str(pod.restarts), cl.format_age(self.state.sim_time - pod.start_time)]
 
     # describe
 
     def _describe(self, positionals: list[str], flags: dict) -> str:
         if len(positionals) != 2:
             raise _CommandError("error: describe takes a resource type and a name")
-        kind, name = positionals
+        word, name = positionals
         ns = self._namespace(flags)
-        if kind in ("deployment", "deployments"):
-            dep = self.state.find_deployment(ns, name)
-            if dep is None:
-                raise _CommandError(f'Error from server (NotFound): deployments.apps "{name}" not found')
-            return self._describe_deployment(dep)
-        if kind in ("pod", "pods"):
-            pod = self.state.find_pod(ns, name)
-            if pod is None:
-                raise _CommandError(f'Error from server (NotFound): pods "{name}" not found')
-            return self._describe_pod(pod)
-        raise _CommandError(f'error: the server doesn\'t have a resource type "{kind}"')
+        kind = _RESOURCES.get(word)
+        if kind is None:
+            raise _CommandError(f'error: the server doesn\'t have a resource type "{word}"')
+        if kind == _DEPLOYMENTS:
+            found, describe = self.state.find_deployment(ns, name), self._describe_deployment
+        else:
+            found, describe = self.state.find_pod(ns, name), self._describe_pod
+        if found is None:
+            raise _not_found(kind, name)
+        return describe(found)
 
     def _container_section(self, dep: cl.Deployment) -> list[str]:
         res = dep.resources
@@ -523,30 +473,19 @@ class ShellGateway:
     # top
 
     def _top(self, positionals: list[str], flags: dict) -> str:
-        if not positionals or positionals[0] not in ("pod", "pods"):
+        if not positionals or _RESOURCES.get(positionals[0]) != _PODS:
             raise _CommandError("error: top supports pods only")
         if not self.state.metrics_available:
             raise _CommandError("Metrics API not available")
-        ns = self._namespace(flags)
-        pods = sorted((p for p in self.state.pods if p.namespace == ns), key=lambda p: p.name)
-        if len(positionals) > 1:
-            name = positionals[1]
-            pods = [p for p in pods if p.name == name]
-            if not pods:
-                raise _CommandError(f'Error from server (NotFound): pods "{name}" not found')
-        if not pods:
-            return "No resources found."
-        rows = [["NAME", "CPU(cores)", "MEMORY(bytes)"]]
-        for pod in pods:
-            rows.append(
-                [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]
-            )
-        return _columns(rows)
+        name = positionals[1] if len(positionals) > 1 else None
+        header = ["NAME", "CPU(cores)", "MEMORY(bytes)"]
+        # top lists one namespace, whether or not --all-namespaces is given
+        return self._list(_PODS, self._pods_in_order(), name, dict(flags, all_namespaces=False), header, _top_row)
 
     # write verbs
 
     def _scale(self, positionals: list[str], flags: dict) -> str:
-        if len(positionals) != 2 or positionals[0] not in ("deployment", "deployments"):
+        if len(positionals) != 2 or _RESOURCES.get(positionals[0]) != _DEPLOYMENTS:
             raise _CommandError("error: scale takes: deployment NAME --replicas=K")
         if "replicas" not in flags:
             raise _CommandError("error: --replicas is required")
@@ -560,7 +499,7 @@ class ShellGateway:
         return f"deployment.apps/{name} scaled"
 
     def _set(self, positionals: list[str], flags: dict) -> str:
-        if len(positionals) != 3 or positionals[0] != "resources" or positionals[1] not in ("deployment", "deployments"):
+        if len(positionals) != 3 or positionals[0] != "resources" or _RESOURCES.get(positionals[1]) != _DEPLOYMENTS:
             raise _CommandError("error: set supports: resources deployment NAME")
         if "requests" not in flags and "limits" not in flags:
             raise _CommandError("error: at least one of --requests or --limits is required")
@@ -575,7 +514,7 @@ class ShellGateway:
         return f"deployment.apps/{name} resource requirements updated"
 
     def _label(self, positionals: list[str], flags: dict) -> str:
-        if len(positionals) != 3 or positionals[0] not in ("deployment", "deployments"):
+        if len(positionals) != 3 or _RESOURCES.get(positionals[0]) != _DEPLOYMENTS:
             raise _CommandError("error: label takes: deployment NAME KEY=VALUE")
         name = positionals[1]
         key, eq, value = positionals[2].partition("=")
@@ -584,7 +523,7 @@ class ShellGateway:
         ns = self._namespace(flags)
         dep = self.state.find_deployment(ns, name)
         if dep is None:
-            raise _CommandError(f'Error from server (NotFound): deployments.apps "{name}" not found')
+            raise _not_found(_DEPLOYMENTS, name)
         if key in dep.labels and not flags.get("overwrite"):
             raise _CommandError(
                 f"error: '{key}' already has a value ({dep.labels[key]}), and --overwrite is false"
@@ -593,7 +532,7 @@ class ShellGateway:
         return f"deployment.apps/{name} labeled"
 
     def _patch(self, positionals: list[str], flags: dict) -> str:
-        if len(positionals) != 2 or positionals[0] not in ("deployment", "deployments"):
+        if len(positionals) != 2 or _RESOURCES.get(positionals[0]) != _DEPLOYMENTS:
             raise _CommandError("error: patch takes: deployment NAME -p '<json>'")
         if "patch" not in flags:
             raise _CommandError("error: -p is required")
@@ -607,12 +546,19 @@ class ShellGateway:
         return f"deployment.apps/{name} patched"
 
     def _delete(self, positionals: list[str], flags: dict) -> str:
-        if len(positionals) != 2 or positionals[0] not in ("pod", "pods"):
+        if len(positionals) != 2 or _RESOURCES.get(positionals[0]) != _PODS:
             raise _CommandError("error: delete supports pods only")
         ns = self._namespace(flags)
         name = positionals[1]
         self._mutate("kill_pod", {"namespace": ns, "pod": name})
         return f'pod "{name}" deleted'
+
+    _VERBS = {"get": _get, "describe": _describe, "top": _top, "scale": _scale, "set": _set, "label": _label,
+              "patch": _patch, "delete": _delete}
+
+
+def _top_row(pod: cl.Pod) -> list[str]:
+    return [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]
 
 
 def _fmt_secs(value: float) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ import oracle_promql as oracle
 import promql_cases
 from opslearn.cluster import load_topology, tick
 from opslearn.metrics import MetricStore
-from opslearn.promql import ParseError, RangeError, evaluate
+from opslearn.promql import ParseError, RangeError, _tokenize, evaluate
 from opslearn.resources import fixture_path
 
 # Fixed per-production seeds keep the randomized suite reproducible.
@@ -274,6 +275,67 @@ def test_evaluate_raises_only_parse_or_range_errors(text):
         evaluate(_fixture_store(), text, 300.0)
     except (ParseError, RangeError):
         pass
+
+
+def _tokenize_by_loop(text: str) -> list[tuple[str, str, int]]:
+    """The character loop the regex scanner replaced, kept as its reference."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == '"':
+            j, buf = i + 1, []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string", i)
+            tokens.append(("string", "".join(buf), i))
+            i = j + 1
+        elif c in "(){}[],/":
+            tokens.append(("punct", c, i))
+            i += 1
+        elif c == "=":
+            op = "=~" if text[i + 1:i + 2] == "~" else "="
+            tokens.append(("punct", op, i))
+            i += len(op)
+        elif (m := re.match(r"\d+(\.\d+)?", text[i:])) and c.isdigit():
+            tokens.append(("number", m.group(0), i))
+            i += m.end()
+        elif m := re.match(r"[A-Za-z_:][A-Za-z0-9_:]*", text[i:]):
+            tokens.append(("ident", m.group(0), i))
+            i += m.end()
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return [tuple(vars(tok).values()) if not isinstance(tok, tuple) else tok for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(max_size=30),
+        st.lists(st.sampled_from(_PIECES + ["\\", '\\"', "~", "\x1c", "\u3000", "\u0663", "\u00b2", "."]), max_size=12)
+        .map("".join),
+    )
+)
+@example(text='x{a="b\\"c\\\\" , d=~"e\\')  # escapes, and an unterminated string ending in a backslash
+@example(text="\u0663\u00b2")  # a decimal digit outside ASCII is a number; a superscript two is not
+@example(text='"a\\\nb"')  # an escaped line break
+def test_the_token_scanner_agrees_with_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_tokenize_by_loop, text)
 
 
 def test_result_entries_are_sorted_by_labels():

@@ -115,30 +115,27 @@ class _Token:
 
 
 # One alternative per token kind, tried in this order at each position; blanks
-# have no group and make no token. A string runs to its first unescaped quote,
-# and a backslash in it stands for the character after it.
+# have no group and make no token, and any other character is `bad`. A string
+# runs to its first unescaped quote; a backslash in it stands for the next character.
 _TOKEN_RE = re.compile(
     r'\s+|"(?P<string>(?:\\.|[^"\\])*)"|(?P<punct>[(){}\[\],/]|=~?)'
-    r"|(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_:][A-Za-z0-9_:]*)",
+    r"|(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_:][A-Za-z0-9_:]*)|(?P<bad>.)",
     re.S,
 )
-_ESCAPE_RE = re.compile(r"\\(.)", re.S)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            c = text[pos]
-            raise ParseError("unterminated string" if c == '"' else f"unexpected character {c!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
+        value, pos = m.group(kind), m.start()
+        if kind == "bad":
+            raise ParseError("unterminated string" if value == '"' else f"unexpected character {value!r}", pos)
         if kind == "string":
-            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", m.group(kind)), pos))
-        elif kind is not None:
-            tokens.append(_Token(kind, m.group(kind), pos))
-        pos = m.end()
+            value = re.sub(r"\\(.)", r"\1", value, flags=re.S)
+        tokens.append(_Token(kind, value, pos))
     return tokens
 
 

@@ -231,25 +231,21 @@ class ShellGateway:
     def _run_stage(self, stage: str) -> str:
         if not stage:
             raise _unknown("")
-        call = _parse_call(stage) if re.match(r"^\s*\w+\(", stage) else None
+        call = _parse_call(stage)
         if call is not None:
             name, kwargs = call
-            if name == "report_result":
-                return self._report_result(kwargs)
-            if name == "query_prometheus":
-                return self._query_prometheus(kwargs)
-            raise _unknown(name)
+            if name not in self._PRIMITIVES:
+                raise _unknown(name)
+            return self._PRIMITIVES[name](self, kwargs)
         try:
             tokens = _split_words(stage)
         except ValueError as exc:
             raise _CommandError(f"error: {exc}")
         if not tokens:
             raise _unknown(stage)
-        if tokens[0] == "kubectl":
-            return self._kubectl(tokens[1:])
-        if tokens[0] == "curl":
-            return self._curl(tokens[1:])
-        raise _unknown(tokens[0])
+        if tokens[0] not in self._PROGRAMS:
+            raise _unknown(tokens[0])
+        return self._PROGRAMS[tokens[0]](self, tokens[1:])
 
     def _run_grep(self, stage: str, upstream: str) -> str:
         try:
@@ -320,10 +316,9 @@ class ShellGateway:
         if not tokens:
             raise _unknown("kubectl")
         positionals, flags = _parse_flags(tokens[1:])
-        verb = self._VERBS.get(tokens[0])
-        if verb is None:
+        if tokens[0] not in self._VERBS:
             raise _unknown(f"kubectl {tokens[0]}")
-        return verb(self, positionals, flags)
+        return self._VERBS[tokens[0]](self, positionals, flags)
 
     def _namespace(self, flags: dict) -> str:
         ns = flags.get("namespace", "default")
@@ -480,7 +475,10 @@ class ShellGateway:
         name = positionals[1] if len(positionals) > 1 else None
         header = ["NAME", "CPU(cores)", "MEMORY(bytes)"]
         # top lists one namespace, whether or not --all-namespaces is given
-        return self._list(_PODS, self._pods_in_order(), name, dict(flags, all_namespaces=False), header, _top_row)
+        return self._list(_PODS, self._pods_in_order(), name, dict(flags, all_namespaces=False), header, self._top_row)
+
+    def _top_row(self, pod: cl.Pod) -> list[str]:
+        return [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]
 
     # write verbs
 
@@ -506,10 +504,9 @@ class ShellGateway:
         ns = self._namespace(flags)
         name = positionals[2]
         args: dict = {"namespace": ns, "name": name}
-        if "requests" in flags:
-            args["requests"] = _parse_quantities(flags["requests"])
-        if "limits" in flags:
-            args["limits"] = _parse_quantities(flags["limits"])
+        for key in ("requests", "limits"):
+            if key in flags:
+                args[key] = _parse_quantities(flags[key])
         self._mutate("set_resources", args)
         return f"deployment.apps/{name} resource requirements updated"
 
@@ -553,12 +550,11 @@ class ShellGateway:
         self._mutate("kill_pod", {"namespace": ns, "pod": name})
         return f'pod "{name}" deleted'
 
+    # What a stage may run: the two programs, the agent primitives, and kubectl's verbs.
+    _PROGRAMS = {"kubectl": _kubectl, "curl": _curl}
+    _PRIMITIVES = {"report_result": _report_result, "query_prometheus": _query_prometheus}
     _VERBS = {"get": _get, "describe": _describe, "top": _top, "scale": _scale, "set": _set, "label": _label,
               "patch": _patch, "delete": _delete}
-
-
-def _top_row(pod: cl.Pod) -> list[str]:
-    return [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]
 
 
 def _fmt_secs(value: float) -> str:

@@ -54,12 +54,18 @@ class InvalidArgument(Exception):
 # Quantity helpers
 
 
+def _not_negative(quantity: T, given: Any) -> T:
+    if quantity < 0:
+        raise ValueError(f"{given!r} is negative")
+    return quantity
+
+
 def parse_cpu(text: str | int | float) -> int:
     """CPU quantity to millicores: '100m' -> 100, '1' -> 1000."""
     t = str(text).strip()
     if t.endswith("m"):
-        return int(t[:-1])
-    return int(round(float(t) * 1000))
+        return _not_negative(int(t[:-1]), text)
+    return _not_negative(int(round(float(t) * 1000)), text)
 
 
 def format_cpu(millicores: int) -> str:
@@ -73,8 +79,8 @@ def parse_mem(text: str | int) -> int:
     t = str(text).strip()
     for suffix, factor in (("Ki", KI), ("Mi", MI), ("Gi", GI)):
         if t.endswith(suffix):
-            return int(round(float(t[: -len(suffix)]) * factor))
-    return int(t)
+            return _not_negative(int(round(float(t[: -len(suffix)]) * factor)), text)
+    return _not_negative(int(t), text)
 
 
 def format_mem(size: int) -> str:
@@ -153,11 +159,15 @@ class ProbeSpec(_Scalars):
     failure_threshold: int = 3
 
 
+def _seconds(value: Any) -> float:
+    return _not_negative(float(value), value)
+
+
 _PROBE_FIELDS = {
     "http_path": str,
-    "initial_delay": float,
-    "timeout": float,
-    "period": float,
+    "initial_delay": _seconds,
+    "timeout": _seconds,
+    "period": _seconds,
     "success_threshold": int,
     "failure_threshold": int,
 }
@@ -616,7 +626,10 @@ def _target_deployment(state: ClusterState, args: dict) -> Deployment:
 
 
 def _apply_scale(state: ClusterState, args: dict) -> None:
-    replicas = int(args["replicas"])
+    try:
+        replicas = finite_number(int, args.get("replicas"))
+    except ValueError:
+        raise InvalidArgument(f"invalid replicas {args.get('replicas')!r}") from None
     if not 0 <= replicas <= MAX_REPLICAS:
         raise InvalidArgument(f"replicas must be between 0 and {MAX_REPLICAS}, got {replicas}")
     dep = _target_deployment(state, args)

@@ -123,6 +123,12 @@ def _mapping(value: Any, what: str) -> dict[str, Any]:
     return value or {}
 
 
+def _text(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise GatewayConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
     try:
         return finite_number(convert, value)
@@ -146,8 +152,8 @@ def load_config(path: str) -> GatewayConfig:
         owners = "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in unknown if key in FLAG_OWNED_KEYS)
         raise GatewayConfigError(f"llm config {path}: unknown keys {unknown}{owners}")
     config = GatewayConfig()
-    config.endpoint = doc.get("endpoint", config.endpoint)
-    config.api_key_env = doc.get("api_key_env", config.api_key_env)
+    config.endpoint = _text(doc.get("endpoint", config.endpoint), f"llm config {path}: endpoint")
+    config.api_key_env = _text(doc.get("api_key_env", config.api_key_env), f"llm config {path}: api_key_env")
     for role, route_doc in _mapping(doc.get("routes"), f"llm config {path}: routes").items():
         if role not in ROLES:
             raise GatewayConfigError(f"unknown route role {role!r}")
@@ -156,7 +162,7 @@ def load_config(path: str) -> GatewayConfig:
         base = config.routes[role]
         config.routes[role] = ModelRoute(
             role=role,
-            model_id=route_doc.get("model", base.model_id),
+            model_id=_text(route_doc.get("model", base.model_id), f"{what} model"),
             max_tokens=_number(int, route_doc.get("max_tokens", base.max_tokens), f"{what} max_tokens"),
             temperature=_number(float, route_doc.get("temperature", base.temperature), f"{what} temperature"),
         )

@@ -94,6 +94,9 @@ class TrialConfig:
                 finite_number(float, getattr(self, key))
             except ValueError:
                 raise ConfigurationError(f"{key} must be a finite number, got {getattr(self, key)!r}") from None
+        for key in ("rounds", "tasks_per_round"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)!r}")
 
     def fixture_file(self) -> str:
         return self.fixture or str(fixture_path("sock_shop.yaml"))
@@ -427,6 +430,8 @@ def run_evaluation(
     the curator disabled. Cells count mechanical post-condition passes."""
     if config.llm != "scripted":
         raise ConfigurationError("evaluation runs with the scripted gateway only")
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be at least 1, got {repeats!r}")
     script_file = config.script or str(fixture_path("scripts/evaluation.yaml"))
     records = load_script(script_file)
     cells: dict[str, list[int]] = {}

@@ -487,13 +487,9 @@ class ShellGateway:
             raise _CommandError("error: scale takes: deployment NAME --replicas=K")
         if "replicas" not in flags:
             raise _CommandError("error: --replicas is required")
-        try:
-            replicas = int(flags["replicas"])
-        except ValueError:
-            raise _CommandError(f"error: invalid replicas {flags['replicas']!r}") from None
         ns = self._namespace(flags)
         name = positionals[1]
-        self._mutate("scale", {"namespace": ns, "name": name, "replicas": replicas})
+        self._mutate("scale", {"namespace": ns, "name": name, "replicas": flags["replicas"]})
         return f"deployment.apps/{name} scaled"
 
     def _set(self, positionals: list[str], flags: dict) -> str:

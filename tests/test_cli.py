@@ -100,6 +100,9 @@ def _topology(old: str, new: str) -> str:
         (["run", "--llm-config"], "mode: live\n"),
         (["run", "--llm-config"], "script_path: x.yaml\n"),
         (["run", "--llm-config"], "endpiont: http://x\n"),
+        (["run", "--llm-config"], "endpoint: http://127.0.0.1:9/v1/chat/completions\napi_key_env: 5\n"),
+        (["run", "--llm-config"], "endpoint: [http://x]\n"),
+        (["run", "--llm-config"], "routes:\n  planner:\n    model: 4\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup: [scale]\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions: replicas\n"),
         (["run", "--fixture"], _topology("replicas: 1", "replicas: many")),
@@ -139,6 +142,9 @@ def _topology(old: str, new: str) -> str:
         "llm-config-mode",
         "llm-config-script-path",
         "llm-config-misspelt-endpoint",
+        "llm-config-number-api-key-env",
+        "llm-config-list-endpoint",
+        "llm-config-number-model",
         "suite-string-setup",
         "suite-scalar-post-conditions",
         "fixture-word-replicas",
@@ -171,6 +177,23 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [("{namespace: sock-shop, name: front-end}", "invalid replicas None"),
+     ("{namespace: sock-shop, name: front-end, replicas: many}", "invalid replicas 'many'")],
+    ids=["missing", "word"],
+)
+def test_a_suite_setup_scale_without_usable_replicas_fails_with_one_error_line(
+    tmp_path, monkeypatch, capsys, args, message
+):
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    suite = tmp_path / "suite.yaml"
+    suite.write_text(_SUITE_TASK + f"    setup:\n      - action: scale\n        args: {args}\n")
+    code = main(["eval", "--library", "empty.json", "--suite", str(suite), "--out-dir", str(tmp_path)])
+    _assert_one_error_line(code, capsys, f"suite task scale-front-end: setup: {message}")
 
 
 def test_eval_rejects_a_repeated_suite_task_id(tmp_path, monkeypatch, capsys):
@@ -265,6 +288,23 @@ def test_a_non_finite_budget_flag_fails_with_one_error_line(tmp_path, capsys, fl
     code = main(["run", "--seed", "7", flag, value, "--out-dir", str(tmp_path)])
     _assert_one_error_line(code, capsys, "must be a finite number")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--rounds", "-3"], "rounds must be at least 1, got -3"),
+        (["run", "--tasks-per-round", "0"], "tasks_per_round must be at least 1, got 0"),
+        (["eval", "--library", "empty.json", "--repeats", "-1"], "repeats must be at least 1, got -1"),
+    ],
+    ids=["rounds", "tasks-per-round", "repeats"],
+)
+def test_a_run_count_below_one_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    code = main(argv + ["--seed", "7", "--out-dir", str(tmp_path / "out")])
+    _assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_flags_left_out_give_the_trial_defaults():

@@ -81,6 +81,10 @@ def test_mutations_validate_arguments():
         mutate(state, "scale", {"namespace": "sock-shop", "name": "ghost", "replicas": 1})
     with pytest.raises(InvalidArgument):
         mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": -1})
+    with pytest.raises(InvalidArgument, match="invalid replicas None"):
+        mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue"})
+    with pytest.raises(InvalidArgument, match="invalid replicas 'many'"):
+        mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": "many"})
     with pytest.raises(InvalidArgument):
         mutate(state, "warp", {})
     # Failed mutations are not counted.
@@ -102,6 +106,26 @@ def test_topology_replicas_above_the_bound_are_rejected():
     doc = load_yaml(fixture_path("sock_shop.yaml"))
     doc["deployments"][0]["replicas"] = MAX_REPLICAS + 1
     with pytest.raises(LoadError, match=r"deployments\[0\]\.replicas"):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("resources", "requests", "cpu"), "-5", r"resources: bad quantity: '-5' is negative"),
+        (("resources", "limits", "memory"), "-1Mi", r"resources: bad quantity: '-1Mi' is negative"),
+        (("traffic_profile", "base_mem"), "-9Mi", r"traffic_profile\.base_mem: '-9Mi' is negative"),
+        (("probes", 0, "initial_delay"), -30, r"probes\[0\]\.initial_delay: -30 is negative"),
+    ],
+    ids=["cpu", "memory", "base-memory", "probe-delay"],
+)
+def test_topology_refuses_negative_quantities_and_probe_durations(path, value, message):
+    doc = load_yaml(fixture_path("sock_shop.yaml"))
+    node = doc["deployments"][1]  # front-end, the one with a traffic profile
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(LoadError, match=r"deployments\[1\]\." + message):
         load_topology(doc)
 
 

@@ -235,6 +235,15 @@ def test_set_resources_updates_limits(gateway):
     assert dep.resources.mem_limit == 400 * 1024 * 1024
 
 
+@pytest.mark.parametrize("spec, given", [("--requests=cpu=-5", "-5"), ("--limits=memory=-1Mi", "-1Mi")])
+def test_set_resources_refuses_a_negative_quantity(gateway, spec, given):
+    describe = "kubectl describe deployment catalogue -n sock-shop"
+    before = gateway.execute(describe).stdout
+    result = gateway.execute(f"kubectl set resources deployment catalogue -n sock-shop {spec}")
+    assert (result.stderr, result.exit_code, result.state_mutated) == (f"error: bad quantity: '{given}' is negative", 1, False)
+    assert gateway.execute(describe).stdout == before
+
+
 def test_label_updates_deployment(gateway):
     result = gateway.execute("kubectl label deployment front-end -n sock-shop env=prod")
     assert result.stdout == "deployment.apps/front-end labeled"
@@ -279,8 +288,9 @@ def test_scale_above_the_replica_bound_is_an_error_line(gateway):
         ('{"period": "abc"}', "error: bad liveness probe period: could not convert string to float: 'abc'"),
         ('{"period": null}', "error: bad liveness probe period: float() argument must be"),
         ('{"period": 1e400}', "error: bad liveness probe period: inf is not finite"),
+        ('{"initial_delay": -30}', "error: bad liveness probe initial_delay: -30 is negative"),
     ],
-    ids=["string", "null", "infinite"],
+    ids=["string", "null", "infinite", "negative"],
 )
 def test_patch_with_an_unconvertible_probe_value_is_an_error_line(gateway, liveness, message):
     line = f"kubectl patch deployment catalogue -n sock-shop -p '{{\"probes\": {{\"liveness\": {liveness}}}}}'"

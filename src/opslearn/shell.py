@@ -162,10 +162,10 @@ def _parse_flags(tokens: list[str]) -> tuple[list[str], dict]:
         if t in _SWITCHES:
             flags[_SWITCHES[t]] = True
         elif t in _SPACED:
-            value = next(words, None)
-            if value is None:
+            argument = next(words, None)
+            if argument is None:
                 raise _CommandError(f"error: flag needs an argument: {t}")
-            flags[_SPACED[t]] = value
+            flags[_SPACED[t]] = argument
         elif eq and flag in _VALUED:
             flags[_VALUED[flag]] = value
         elif t.startswith("-"):

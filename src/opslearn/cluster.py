@@ -18,17 +18,18 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, TypeVar
+from typing import Any, TypeVar
 
 import yaml
 
 from .metrics import MetricStore, SeriesId
-from .resources import finite_number, load_yaml
+from .resources import Misfit, conform, finite_number, load_yaml, number, one_of
 
 T = TypeVar("T")
 
 SAMPLE_INTERVAL = 15.0
 MAX_REPLICAS = 100  # each pod costs memory and every later read walks all pods
+MAX_RATE = 1e6  # requests/s, and millicores per request/s: a scrape's products stay finite
 
 KI = 1024
 MI = 1024 * 1024
@@ -160,7 +161,7 @@ class ProbeSpec(_Scalars):
 
 
 def _seconds(value: Any) -> float:
-    return _not_negative(float(value), value)
+    return _not_negative(finite_number(float, value), value)
 
 
 _PROBE_FIELDS = {
@@ -168,8 +169,8 @@ _PROBE_FIELDS = {
     "initial_delay": _seconds,
     "timeout": _seconds,
     "period": _seconds,
-    "success_threshold": int,
-    "failure_threshold": int,
+    "success_threshold": number(int, 1),
+    "failure_threshold": number(int, 1),
 }
 
 
@@ -301,105 +302,80 @@ def component_names(state: ClusterState) -> tuple[str, ...]:
 # Topology loading
 
 
-def _fail(path: str, message: str) -> LoadError:
-    return LoadError(f"topology error at {path}: {message}")
+def _bucket(item: Any) -> tuple[float, float]:
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValueError(f"expected [upper_bound, weight], got {item!r}")
+    return finite_number(float, item[0]), _not_negative(finite_number(float, item[1]), item[1])
 
 
-def _require(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise _fail(f"{path}.{key}", "missing required field")
-    return doc[key]
+_QUANTITIES = {"cpu": parse_cpu, "memory": parse_mem}
+_PROBE = {
+    "kind": one_of("liveness", "readiness"),
+    "http_path": str,
+    **{key: (convert, getattr(ProbeSpec, key)) for key, convert in _PROBE_FIELDS.items() if key != "http_path"},
+}
+_RATE = number(float, 0, MAX_RATE)
+_SHARE = number(float, 0, 1)
+_TRAFFIC = {
+    "requests_per_second": (_RATE, 0.0),
+    "error_4xx_share": (_SHARE, 0.0),
+    "error_5xx_share": (_SHARE, 0.0),
+    "latency_buckets": ([_bucket], []),
+    "base_cpu": (parse_cpu, "2m"),
+    "base_mem": (parse_mem, "9Mi"),
+    "cpu_millicores_per_rps": (_RATE, 0.0),
+    "active_requests_metric": (str, None),
+}
+_DEPLOYMENT = {
+    "name": str,
+    "namespace": str,
+    "labels": ({str: str}, {}),
+    "image": str,
+    "command": (str, ""),
+    "args": ([str], []),
+    "resources": {"requests": _QUANTITIES, "limits": _QUANTITIES},
+    "probes": ([_PROBE], []),
+    "replicas": (number(int, 0, MAX_REPLICAS), 1),
+    "port": (number(int), 80),
+    "pod_template_hash": (str, None),
+    "pod_suffixes": ([str], []),
+    "traffic_profile": (_TRAFFIC, {}),
+    "scrape": (bool, True),
+}
+TOPOLOGY = {"namespaces": ([str], []), "metrics_available": (bool, True), "deployments": ([_DEPLOYMENT], [])}
 
 
-_REQUIRED = object()
+def _resources(doc: dict[str, Any], path: str) -> ResourceSpec:
+    requests, limits = doc["requests"], doc["limits"]
+    for key in ("cpu", "memory"):
+        if requests[key] > limits[key]:
+            raise Misfit(f"{path}.requests.{key}", "request exceeds limit")
+    return ResourceSpec(requests["cpu"], limits["cpu"], requests["memory"], limits["memory"])
 
 
-def _typed(doc: dict, key: str, path: str, kind: type | tuple[type, ...], default: Any = _REQUIRED) -> Any:
-    """`doc[key]`, or `default` when the key is absent, checked to be a `kind`."""
-    value = _require(doc, key, path) if default is _REQUIRED else doc.get(key, default)
-    if not isinstance(value, kind):
-        raise _fail(f"{path}.{key}", f"unexpected {type(value).__name__} {value!r}")
-    return value
-
-
-def _number_at(convert: Callable[[Any], T], value: Any, path: str) -> T:
-    try:
-        return finite_number(convert, value)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
-
-
-def _parse_resources(doc: Any, path: str) -> ResourceSpec:
-    if not isinstance(doc, dict):
-        raise _fail(path, "expected a mapping with requests/limits")
-    requests = _require(doc, "requests", path)
-    limits = _require(doc, "limits", path)
-    try:
-        spec = ResourceSpec(
-            cpu_request=parse_cpu(_require(requests, "cpu", f"{path}.requests")),
-            cpu_limit=parse_cpu(_require(limits, "cpu", f"{path}.limits")),
-            mem_request=parse_mem(_require(requests, "memory", f"{path}.requests")),
-            mem_limit=parse_mem(_require(limits, "memory", f"{path}.limits")),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise _fail(path, f"bad quantity: {exc}") from None
-    if spec.cpu_request > spec.cpu_limit:
-        raise _fail(f"{path}.requests.cpu", "request exceeds limit")
-    if spec.mem_request > spec.mem_limit:
-        raise _fail(f"{path}.requests.memory", "request exceeds limit")
-    return spec
-
-
-def _parse_probe(doc: Any, path: str) -> ProbeSpec:
-    if not isinstance(doc, dict):
-        raise _fail(path, "expected a probe mapping")
-    kind = _require(doc, "kind", path)
-    if kind not in ("liveness", "readiness"):
-        raise _fail(f"{path}.kind", f"unknown probe kind {kind!r}")
-    numbers = {
-        key: _number_at(convert, doc[key], f"{path}.{key}")
-        for key, convert in _PROBE_FIELDS.items()
-        if key != "http_path" and key in doc
-    }
-    probe = ProbeSpec(kind=kind, http_path=_typed(doc, "http_path", path, str), **numbers)
-    if probe.success_threshold < 1 or probe.failure_threshold < 1:
-        raise _fail(f"{path}.success_threshold", "thresholds must be >= 1")
+def _probe(doc: dict[str, Any], path: str) -> ProbeSpec:
+    probe = ProbeSpec(**doc)
     if probe.timeout >= probe.period:
-        raise _fail(f"{path}.timeout", "timeout must be below period")
+        raise Misfit(f"{path}.timeout", "timeout must be below period")
     return probe
 
 
-def _parse_traffic(doc: Any, path: str) -> TrafficProfile:
-    if doc is None:
-        return TrafficProfile()
-    if not isinstance(doc, dict):
-        raise _fail(path, "expected a traffic profile mapping")
-    buckets: list[tuple[float, float]] = []
-    for i, item in enumerate(_typed(doc, "latency_buckets", path, list, [])):
-        where = f"{path}.latency_buckets[{i}]"
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise _fail(where, "expected [upper_bound, weight]")
-        buckets.append((_number_at(float, item[0], where), _number_at(float, item[1], where)))
+def _traffic(doc: dict[str, Any], path: str) -> TrafficProfile:
+    buckets = doc["latency_buckets"]
     if buckets != sorted(buckets):
-        raise _fail(f"{path}.latency_buckets", "bucket bounds must ascend")
-    if buckets and (min(w for _, w in buckets) < 0 or sum(w for _, w in buckets) <= 0):
-        raise _fail(f"{path}.latency_buckets", "weights must be >= 0 with a positive sum")
-    rates = {
-        key: _number_at(float, doc.get(key, 0), f"{path}.{key}")
-        for key in ("requests_per_second", "error_4xx_share", "error_5xx_share", "cpu_millicores_per_rps")
-    }
-    profile = TrafficProfile(
-        latency_buckets=tuple(buckets),
-        base_cpu_millicores=_number_at(parse_cpu, doc.get("base_cpu", "2m"), f"{path}.base_cpu"),
-        base_mem_bytes=_number_at(parse_mem, doc.get("base_mem", "9Mi"), f"{path}.base_mem"),
-        active_requests_metric=_typed(doc, "active_requests_metric", path, (str, type(None)), None),
-        **rates,
+        raise Misfit(f"{path}.latency_buckets", "bucket bounds must ascend")
+    if buckets and sum(w for _, w in buckets) <= 0:
+        raise Misfit(f"{path}.latency_buckets", "weights must have a positive sum")
+    if doc["requests_per_second"] > 0 and not buckets:
+        raise Misfit(f"{path}.latency_buckets", "required when traffic flows")
+    if doc["error_4xx_share"] + doc["error_5xx_share"] > 1:
+        raise Misfit(f"{path}.error_5xx_share", "error shares sum above 1")
+    return TrafficProfile(
+        latency_buckets=tuple(doc.pop("latency_buckets")),
+        base_cpu_millicores=doc.pop("base_cpu"),
+        base_mem_bytes=doc.pop("base_mem"),
+        **doc,
     )
-    if profile.requests_per_second < 0:
-        raise _fail(f"{path}.requests_per_second", "must be >= 0")
-    if profile.requests_per_second > 0 and not buckets:
-        raise _fail(f"{path}.latency_buckets", "required when traffic flows")
-    return profile
 
 
 def _default_template_hash(name: str) -> str:
@@ -408,76 +384,37 @@ def _default_template_hash(name: str) -> str:
 
 def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
     """Build a ClusterState from a topology document or a path to one."""
-    if not isinstance(source, str):
-        return _build_state(source, seed)
     try:
-        doc = load_yaml(source)
+        doc = load_yaml(source) if isinstance(source, str) else source
     except (OSError, yaml.YAMLError) as exc:
         raise LoadError(f"cannot read topology: {exc}") from None
     try:
-        return _build_state(doc, seed)
-    except LoadError as exc:
-        raise LoadError(f"{source}: {exc}") from None
+        return _build_state(conform(TOPOLOGY, doc), seed)
+    except Misfit as exc:
+        raise LoadError(f"{source if isinstance(source, str) else 'topology'}: {exc}") from None
 
 
-def _build_state(doc: Any, seed: int) -> ClusterState:
-    if not isinstance(doc, dict):
-        raise _fail("$", "topology must be a mapping")
-
-    namespaces = doc.get("namespaces", [])
-    if not isinstance(namespaces, list) or not all(isinstance(n, str) for n in namespaces):
-        raise _fail("namespaces", "expected a list of names")
-
-    state = ClusterState(
-        namespaces=set(namespaces),
-        deployments=[],
-        pods=[],
-        rng_seed=seed,
-        metrics_available=bool(doc.get("metrics_available", True)),
-    )
-
-    deployments = doc.get("deployments", [])
-    if not isinstance(deployments, list):
-        raise _fail("deployments", "expected a list")
-    for i, dep_doc in enumerate(deployments):
+def _build_state(doc: dict[str, Any], seed: int) -> ClusterState:
+    state = ClusterState(set(doc["namespaces"]), [], [], rng_seed=seed, metrics_available=doc["metrics_available"])
+    for i, dep_doc in enumerate(doc["deployments"]):
         path = f"deployments[{i}]"
-        if not isinstance(dep_doc, dict):
-            raise _fail(path, "expected a deployment mapping")
-        name = _typed(dep_doc, "name", path, str)
-        namespace = _typed(dep_doc, "namespace", path, str)
+        name, namespace, suffixes = dep_doc["name"], dep_doc["namespace"], dep_doc["pod_suffixes"]
         if namespace not in state.namespaces:
-            raise _fail(f"{path}.namespace", f"undeclared namespace {namespace!r}")
+            raise Misfit(f"{path}.namespace", f"undeclared namespace {namespace!r}")
         if state.find_deployment(namespace, name) is not None:
-            raise _fail(f"{path}.name", f"duplicate deployment {namespace}/{name}")
-        replicas = _number_at(int, dep_doc.get("replicas", 1), f"{path}.replicas")
-        if not 0 <= replicas <= MAX_REPLICAS:
-            raise _fail(f"{path}.replicas", f"must be between 0 and {MAX_REPLICAS}")
-        suffixes = _typed(dep_doc, "pod_suffixes", path, list, [])
-        if not all(isinstance(x, str) for x in suffixes) or len(set(suffixes)) != len(suffixes):
-            raise _fail(f"{path}.pod_suffixes", "suffixes must be unique strings")
-        labels = _typed(dep_doc, "labels", path, dict, {})
-        if not all(isinstance(x, str) for x in [*labels, *labels.values()]):
-            raise _fail(f"{path}.labels", "label names and values must be strings")
+            raise Misfit(f"{path}.name", f"duplicate deployment {namespace}/{name}")
+        if len(set(suffixes)) != len(suffixes):
+            raise Misfit(f"{path}.pod_suffixes", "suffixes must be unique")
+        template_hash = dep_doc.pop("pod_template_hash")
         dep = Deployment(
-            name=name,
-            namespace=namespace,
-            labels=labels,
-            image=_typed(dep_doc, "image", path, str),
-            command=_typed(dep_doc, "command", path, str, ""),
-            args=[str(a) for a in _typed(dep_doc, "args", path, list, [])],
-            resources=_parse_resources(_require(dep_doc, "resources", path), f"{path}.resources"),
-            probes=[
-                _parse_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(_typed(dep_doc, "probes", path, list, []))
-            ],
-            replicas=replicas,
-            port=_number_at(int, dep_doc.get("port", 80), f"{path}.port"),
-            pod_template_hash=_typed(dep_doc, "pod_template_hash", path, str, _default_template_hash(name)),
-            pod_suffixes=suffixes,
-            traffic=_parse_traffic(dep_doc.get("traffic_profile"), f"{path}.traffic_profile"),
-            scrape=bool(dep_doc.get("scrape", True)),
+            resources=_resources(dep_doc.pop("resources"), f"{path}.resources"),
+            probes=[_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.pop("probes"))],
+            pod_template_hash=_default_template_hash(name) if template_hash is None else template_hash,
+            traffic=_traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile"),
+            **dep_doc,
         )
         state.deployments.append(dep)
-        for _ in range(replicas):
+        for _ in range(dep.replicas):
             _spawn_pod(state, dep)
         base = dep.traffic
         dep.resources.current_cpu = min(base.base_cpu_millicores, dep.resources.cpu_limit)
@@ -729,14 +666,12 @@ def _apply_patch(state: ClusterState, args: dict) -> None:
                     setattr(probe, key, finite_number(_PROBE_FIELDS[key], value))
                 except ValueError as exc:
                     raise InvalidArgument(f"bad {kind} probe {key}: {exc}") from None
-            if probe.success_threshold < 1 or probe.failure_threshold < 1:
-                raise InvalidArgument("thresholds must be >= 1")
             if probe.timeout >= probe.period:
                 raise InvalidArgument("timeout must be below period")
     dep.image, dep.command, dep.args, dep.probes = image, command, dep_args, probes
 
 
-_ACTIONS = {
+ACTIONS = {
     "scale": _apply_scale,
     "set_resources": _apply_set_resources,
     "kill_pod": _apply_kill_pod,
@@ -747,7 +682,7 @@ _ACTIONS = {
 
 def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterState:
     """Apply one named mutation; a rejected one changes nothing and is not counted."""
-    handler = _ACTIONS.get(action)
+    handler = ACTIONS.get(action)
     if handler is None:
         raise InvalidArgument(f"unknown mutation action {action!r}")
     handler(state, args)

@@ -25,7 +25,7 @@ from typing import Any, Callable, TypeVar
 
 import yaml
 
-from .resources import finite_number, load_yaml
+from .resources import Misfit, conform, finite_number, load_yaml, number, one_of
 
 ROLES = ("curriculum", "planner", "curator")
 T = TypeVar("T")
@@ -117,61 +117,45 @@ class GatewayConfig:
     cost_table: dict[str, dict[str, float]] = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COST_TABLE)))
 
 
-def _mapping(value: Any, what: str) -> dict[str, Any]:
-    if value is not None and not isinstance(value, dict):
-        raise GatewayConfigError(f"{what} must be a mapping")
-    return value or {}
-
-
-def _text(value: Any, what: str) -> str:
-    if not isinstance(value, str):
-        raise GatewayConfigError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _number(convert: Callable[[Any], T], value: Any, what: str) -> T:
-    try:
-        return finite_number(convert, value)
-    except ValueError:
-        raise GatewayConfigError(f"{what} must be a finite number, got {value!r}") from None
-
-
-# The top-level keys of an `--llm-config` file. The backend, the budget and the
-# script are run settings: each has one flag, and the file may not carry a copy.
-CONFIG_KEYS = ("endpoint", "api_key_env", "routes", "cost_table")
+# An `--llm-config` file holds only the keys of _CONFIG. The backend, the budget
+# and the script are run settings: each has one flag, and the file may not carry a copy.
 FLAG_OWNED_KEYS = {"mode": "--llm", "budget_usd": "--budget-usd", "script_path": "--script"}
+_NOT_NEGATIVE = number(float, 0)
+_ROUTES = {
+    role: (
+        {
+            "model": (str, route.model_id),
+            "max_tokens": (number(int, 1), route.max_tokens),
+            "temperature": (_NOT_NEGATIVE, route.temperature),
+        },
+        {},
+    )
+    for role, route in DEFAULT_ROUTES.items()
+}
+_PRICES = {"prompt_per_1k": (_NOT_NEGATIVE, 0.0), "completion_per_1k": (_NOT_NEGATIVE, 0.0)}
+_CONFIG = {
+    "endpoint": (str, GatewayConfig.endpoint),
+    "api_key_env": (str, GatewayConfig.api_key_env),
+    "routes": (_ROUTES, {}),
+    "cost_table": ({str: _PRICES}, {}),
+}
 
 
 def load_config(path: str) -> GatewayConfig:
     try:
-        doc = _mapping(load_yaml(path) or None, f"llm config {path}")
+        doc = load_yaml(path)
     except yaml.YAMLError as exc:
         raise GatewayConfigError(f"llm config: {exc}") from None
-    unknown = sorted(str(key) for key in doc if key not in CONFIG_KEYS)
-    if unknown:
-        owners = "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in unknown if key in FLAG_OWNED_KEYS)
-        raise GatewayConfigError(f"llm config {path}: unknown keys {unknown}{owners}")
-    config = GatewayConfig()
-    config.endpoint = _text(doc.get("endpoint", config.endpoint), f"llm config {path}: endpoint")
-    config.api_key_env = _text(doc.get("api_key_env", config.api_key_env), f"llm config {path}: api_key_env")
-    for role, route_doc in _mapping(doc.get("routes"), f"llm config {path}: routes").items():
-        if role not in ROLES:
-            raise GatewayConfigError(f"unknown route role {role!r}")
-        what = f"llm config {path}: route {role!r}"
-        route_doc = _mapping(route_doc, what)
-        base = config.routes[role]
-        config.routes[role] = ModelRoute(
-            role=role,
-            model_id=_text(route_doc.get("model", base.model_id), f"{what} model"),
-            max_tokens=_number(int, route_doc.get("max_tokens", base.max_tokens), f"{what} max_tokens"),
-            temperature=_number(float, route_doc.get("temperature", base.temperature), f"{what} temperature"),
-        )
-    for model, prices in _mapping(doc.get("cost_table"), f"llm config {path}: cost_table").items():
-        what = f"llm config {path}: cost_table {model!r}"
-        prices = _mapping(prices, what)
-        config.cost_table[model] = {
-            key: _number(float, prices.get(key, 0.0), f"{what} {key}") for key in ("prompt_per_1k", "completion_per_1k")
-        }
+    try:
+        settings = conform(_CONFIG, {} if doc is None else doc)
+    except Misfit as exc:
+        owned = [key for key in FLAG_OWNED_KEYS if isinstance(doc, dict) and key in doc]
+        owners = "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in owned)
+        raise GatewayConfigError(f"llm config {path}: {exc}{owners}") from None
+    config = GatewayConfig(endpoint=settings["endpoint"], api_key_env=settings["api_key_env"])
+    for role, r in settings["routes"].items():
+        config.routes[role] = ModelRoute(role, r["model"], r["max_tokens"], r["temperature"])
+    config.cost_table.update(settings["cost_table"])
     return config
 
 
@@ -287,31 +271,27 @@ class ScriptRecord:
     max_uses: int = 1  # -1 = unlimited
 
 
+def _uses(value: Any) -> int:
+    uses = finite_number(int, value)
+    if uses != -1 and uses < 1:
+        raise ValueError(f"{value!r} is neither -1 (unlimited) nor at least 1")
+    return uses
+
+
+_SCRIPT = {"records": [{"role": one_of(*ROLES), "response": str, "guard": (str, None), "max_uses": (_uses, 1)}]}
+
+
 def load_script(path: str) -> list[ScriptRecord]:
+    """The records of a script file: a list, bare or under `records:`."""
     try:
         doc = load_yaml(path)
     except yaml.YAMLError as exc:
         raise GatewayConfigError(f"script: {exc}") from None
-    records_doc = doc.get("records", doc) if isinstance(doc, dict) else doc
-    if records_doc is not None and not isinstance(records_doc, list):
-        raise GatewayConfigError(f"script {path}: expected a records list, bare or under `records:`")
-    records = []
-    for i, rec in enumerate(records_doc or []):
-        rec = _mapping(rec, f"script {path}: record {i}")
-        role = rec.get("role")
-        if role not in ROLES:
-            raise GatewayConfigError(f"script record {i}: unknown role {role!r}")
-        if "response" not in rec:
-            raise GatewayConfigError(f"script record {i}: missing response")
-        records.append(
-            ScriptRecord(
-                role=role,
-                response=str(rec["response"]),
-                guard=rec.get("guard"),
-                max_uses=_number(int, rec.get("max_uses", 1), f"script {path}: record {i} max_uses"),
-            )
-        )
-    return records
+    try:
+        records = conform(_SCRIPT, {"records": doc} if isinstance(doc, list) else doc)["records"]
+    except Misfit as exc:
+        raise GatewayConfigError(f"script {path}: {exc}") from None
+    return [ScriptRecord(**record) for record in records]
 
 
 class ScriptedGateway(BaseGateway):

@@ -1,5 +1,5 @@
 """Reading input: bundled fixture files (topologies, prompts, scripts), YAML
-documents, and the numbers read from them."""
+documents, the schemas they are read through, and the numbers read from them."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import re
+import reprlib
 from typing import Any, Callable, TypeVar
 
 import yaml
@@ -64,6 +65,89 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
     if isinstance(converted, float) and not math.isfinite(converted):
         raise ValueError(f"{value!r} is not finite")
     return converted
+
+
+# Every input file is read through a schema, which is data. A schema
+# `{key: field, ...}` is a closed mapping: a document may hold no other key.
+# A field is a spec, and the key is required, or `(spec, default)`, and an
+# absent key reads as `default` read through the spec (None stays None). A spec is
+#   - a type: the value must be an instance (`object` takes anything);
+#   - a converter: a function whose result replaces the value, and whose
+#     ValueError, TypeError or OverflowError refuses it;
+#   - a schema, or `{str: spec}` for a mapping with any string keys;
+#   - `[spec]`: a list whose every item fits `spec`.
+# Mappings and lists come back new, so a caller may keep or change them.
+
+
+class Misfit(Exception):
+    """A document that does not fit its schema; `path` names the node, as in `deployments[1].replicas`."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}" if path else reason)
+        self.path, self.reason = path, reason
+
+
+def conform(spec: Any, value: Any, path: str = "") -> Any:
+    """`value` read through `spec`; a Misfit names the first node that does not fit."""
+    if isinstance(spec, type):
+        if not isinstance(value, spec):
+            raise Misfit(path, f"expected {spec.__name__}, got {reprlib.repr(value)}")
+        return value
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise Misfit(path, f"expected a mapping, got {reprlib.repr(value)}")
+        if str in spec:
+            if not all(isinstance(key, str) for key in value):
+                raise Misfit(path, f"keys must be strings, got {reprlib.repr(list(value))}")
+            return {key: conform(spec[str], item, f"{path}[{key!r}]") for key, item in value.items()}
+        unknown = [key for key in value if key not in spec]
+        if unknown:
+            raise Misfit(path, f"unknown keys {sorted(map(str, unknown))}")
+        checked = {}
+        for key, field in spec.items():
+            where = f"{path}.{key}" if path else key
+            if type(field) is tuple:
+                field, default = field
+                if key not in value:
+                    checked[key] = None if default is None else conform(field, default, where)
+                    continue
+            elif key not in value:
+                raise Misfit(where, "missing")
+            checked[key] = conform(field, value[key], where)
+        return checked
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise Misfit(path, f"expected a list, got {reprlib.repr(value)}")
+        return [conform(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    try:
+        return spec(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise Misfit(path, str(exc)) from None
+    except Misfit as exc:  # a converter that reads the value through a schema it picks
+        raise Misfit(f"{path}.{exc.path}" if exc.path else path, exc.reason) from None
+
+
+def number(convert: Callable[[Any], T], low: float = -math.inf, high: float = math.inf) -> Callable[[Any], T]:
+    """A converter: `finite_number(convert, value)`, refused outside [`low`, `high`]."""
+
+    def converted(value: Any) -> T:
+        result = finite_number(convert, value)
+        if not low <= result <= high:
+            raise ValueError(f"{value!r} is not in [{low:g}, {high:g}]")
+        return result
+
+    return converted
+
+
+def one_of(*choices: Any) -> Callable[[Any], Any]:
+    """A converter that passes only one of `choices`."""
+
+    def chosen(value: Any) -> Any:
+        if value not in choices:
+            raise ValueError(f"{reprlib.repr(value)} is not one of {', '.join(map(repr, choices))}")
+        return value
+
+    return chosen
 
 
 # Python's `re` backtracks, so a pattern that can match one text in many ways

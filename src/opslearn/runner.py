@@ -21,6 +21,7 @@ from typing import Any
 import yaml
 
 from .cluster import (
+    ACTIONS,
     ClusterState,
     InvalidArgument,
     LoadError,
@@ -34,7 +35,7 @@ from .cluster import (
 )
 from .curator import KnowledgeCurator
 from .curriculum import CurriculumBuilder, RoundGenerationFailed, build_context
-from .datalayer import History, SkillLibrary, Task, build_snapshot, task_close
+from .datalayer import ACTION, OBSERVATION, History, SkillLibrary, Task, build_snapshot, task_close
 from .llm import (
     BaseGateway,
     BudgetExhausted,
@@ -47,7 +48,7 @@ from .llm import (
     load_script,
 )
 from .planner import ExecutionPlanner
-from .resources import compile_pattern, finite_number, fixture_path, load_yaml
+from .resources import Misfit, compile_pattern, conform, finite_number, fixture_path, load_yaml, number, one_of
 from .shell import ShellGateway
 
 ROUND_TICK_SECONDS = 60.0
@@ -314,39 +315,41 @@ def _build_report(
 # Evaluation harness
 
 
+def _post_condition(cond: Any) -> dict[str, Any]:
+    """A post-condition is exactly `{solution_matches}` or `{deployment, field, equals}`."""
+    return conform(_SOLUTION_CHECK if isinstance(cond, dict) and "solution_matches" in cond else _FIELD_CHECK, cond)
+
+
+_SOLUTION_CHECK = {"solution_matches": lambda text: compile_pattern(conform(str, text)).pattern}
+_FIELD_CHECK = {"deployment": str, "field": str, "equals": object}
+_SUITE_TASK = {
+    "id": str,
+    "description": str,
+    "kind": (one_of(OBSERVATION, ACTION), ACTION),
+    "difficulty": (number(int, 1), 1),
+    "setup": ([{"action": one_of(*ACTIONS), "args": ({str: object}, {})}], []),
+    "post_conditions": ([_post_condition], []),
+}
+_SUITE = {"suite_schema": int, "tasks": ([_SUITE_TASK], [])}
+
+
 def load_suite(path: str) -> list[dict[str, Any]]:
+    """The tasks of an evaluation suite, each with every key its schema gives a default."""
     try:
         doc = load_yaml(path)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"suite: {exc}") from None
     if not isinstance(doc, dict) or doc.get("suite_schema") != 1:
         raise ConfigurationError(f"{path}: not an evaluation suite")
-    tasks = doc.get("tasks") or []
-    if not isinstance(tasks, list):
-        raise ConfigurationError(f"{path}: tasks must be a list")
+    try:
+        tasks = conform(_SUITE, doc)["tasks"]
+    except Misfit as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     first_index: dict[str, int] = {}  # grid rows are keyed by task id
     for i, task in enumerate(tasks):
-        if not isinstance(task, dict):
-            raise ConfigurationError(f"{path}: task {i} is not a mapping")
-        for key in ("id", "description"):
-            if key not in task:
-                raise ConfigurationError(f"{path}: task {i} missing {key}")
-            if not isinstance(task[key], str):
-                raise ConfigurationError(f"{path}: task {i} {key} must be a string")
         first = first_index.setdefault(task["id"], i)
         if first != i:
             raise ConfigurationError(f"{path}: task {i} repeats the id {task['id']!r} of task {first}")
-        for key in ("setup", "post_conditions"):
-            items = task.get(key) or []
-            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-                raise ConfigurationError(f"{path}: task {i} {key} must be a list of mappings")
-        try:
-            _suite_task(task, 1)
-            for cond in task.get("post_conditions") or []:
-                if "solution_matches" in cond:
-                    compile_pattern(cond["solution_matches"])
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: task {i}: {exc}") from None
     return tasks
 
 
@@ -354,8 +357,8 @@ def _suite_task(suite_task: dict[str, Any], repeat: int) -> Task:
     return Task(
         id=f"eval-{suite_task['id']}-{repeat}",
         round=0,
-        kind=suite_task.get("kind", "action"),
-        difficulty=finite_number(int, suite_task.get("difficulty", 1)),
+        kind=suite_task["kind"],
+        difficulty=suite_task["difficulty"],
         description=suite_task["description"],
     )
 
@@ -440,9 +443,9 @@ def run_evaluation(
         for repeat in range(repeats):
             state = load_topology(config.fixture_file(), seed=config.seed)
             tick(state, EVAL_WARMUP_SECONDS)
-            for setup in suite_task.get("setup") or []:
+            for setup in suite_task["setup"]:
                 try:
-                    mutate(state, setup.get("action", ""), setup.get("args") or {})
+                    mutate(state, setup["action"], setup.get("args", {}))
                 except (InvalidArgument, NotFound) as exc:
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
             gateway = ScriptedGateway(GatewayConfig(budget_usd=config.budget_usd), records)
@@ -450,9 +453,7 @@ def run_evaluation(
             task = _suite_task(suite_task, repeat + 1)
             skills = library.retrieve_skills(task.description, RETRIEVE_K)
             outcome = planner.run_task(task, skills)
-            passed = outcome.succeeded and check_post_conditions(
-                state, outcome.solution, suite_task.get("post_conditions") or []
-            )
+            passed = outcome.succeeded and check_post_conditions(state, outcome.solution, suite_task["post_conditions"])
             if passed:
                 successes += 1
         cells[suite_task["id"]] = [successes, repeats]

@@ -127,6 +127,31 @@ def _topology(old: str, new: str) -> str:
         (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks:\n  - id: [x]\n    description: scale it\n"),
         (["eval", "--library", "empty.json", "--suite"], "suite_schema: 1\ntasks: 5\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions:\n      - solution_matches: '('\n"),
+        (["run", "--fixture"], _topology("    traffic_profile:", "    traffic:")),
+        (["run", "--fixture"], _topology("metrics_available: true", "metrics_avialable: true")),
+        (["run", "--fixture"], _topology("      limits:", "      limts:")),
+        (["run", "--fixture"], _topology("metrics_available: true", 'metrics_available: "no"')),
+        (["run", "--fixture"], _topology("    scrape: false", '    scrape: "no"')),
+        (["run", "--fixture"], _topology("error_5xx_share: 0.02", "error_5xx_share: 1.5")),
+        (["run", "--fixture"], _topology("error_4xx_share: 0.05", "error_4xx_share: -0.05")),
+        (["run", "--fixture"], _topology("error_5xx_share: 0.02", "error_5xx_share: 0.96")),
+        (["run", "--fixture"], _topology("cpu_millicores_per_rps: 3", "cpu_millicores_per_rps: -3")),
+        (["run", "--script"], "records:\n  - role: planner\n    guard: 5\n    response: ok\n"),
+        (["run", "--script"], "records:\n  - role: planner\n    response: ok\n    max_uses: -7\n"),
+        (["run", "--script"], "records:\n  - role: planner\n    response: ok\n    max_uses: 0\n"),
+        (["run", "--script"], "records:\n  - role: planner\n    respones: ok\n"),
+        (["run", "--script"], "records:\n  - role: planner\n    response: ok\n    max_use: 2\n"),
+        (["run", "--llm-config"], "cost_table:\n  o1:\n    prompt_per_1k: -10\n"),
+        (["run", "--llm-config"], "cost_table:\n  o1:\n    completion_per_1k: -10\n"),
+        (["run", "--llm-config"], "routes:\n  planner:\n    max_tokens: 0\n"),
+        (["run", "--llm-config"], "routes:\n  planner:\n    temperature: -0.5\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    postconditions:\n      - solution_matches: x\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    setup:\n      - action: warp\n"),
+        (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    post_conditions:\n      - neither: shape\n"),
+        (
+            ["eval", "--library", "empty.json", "--suite"],
+            _SUITE_TASK + "    post_conditions:\n      - deployment: sock-shop/front-end\n        field: replicas\n",
+        ),
     ],
     ids=[
         "script-string-record",
@@ -169,6 +194,28 @@ def _topology(old: str, new: str) -> str:
         "suite-list-id",
         "suite-scalar-tasks",
         "suite-broken-solution-pattern",
+        "fixture-misspelt-traffic-profile",
+        "fixture-misspelt-metrics-available",
+        "fixture-misspelt-limits",
+        "fixture-word-metrics-available",
+        "fixture-word-scrape",
+        "fixture-share-above-one",
+        "fixture-negative-share",
+        "fixture-shares-sum-above-one",
+        "fixture-negative-cpu-per-rps",
+        "script-number-guard",
+        "script-negative-max-uses",
+        "script-zero-max-uses",
+        "script-misspelt-response",
+        "script-misspelt-max-uses",
+        "llm-config-negative-prompt-price",
+        "llm-config-negative-completion-price",
+        "llm-config-zero-max-tokens",
+        "llm-config-negative-temperature",
+        "suite-misspelt-post-conditions",
+        "suite-unknown-setup-action",
+        "suite-shapeless-post-condition",
+        "suite-post-condition-without-equals",
     ],
 )
 def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):

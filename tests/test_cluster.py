@@ -112,8 +112,8 @@ def test_topology_replicas_above_the_bound_are_rejected():
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("resources", "requests", "cpu"), "-5", r"resources: bad quantity: '-5' is negative"),
-        (("resources", "limits", "memory"), "-1Mi", r"resources: bad quantity: '-1Mi' is negative"),
+        (("resources", "requests", "cpu"), "-5", r"resources\.requests\.cpu: '-5' is negative"),
+        (("resources", "limits", "memory"), "-1Mi", r"resources\.limits\.memory: '-1Mi' is negative"),
         (("traffic_profile", "base_mem"), "-9Mi", r"traffic_profile\.base_mem: '-9Mi' is negative"),
         (("probes", 0, "initial_delay"), -30, r"probes\[0\]\.initial_delay: -30 is negative"),
     ],

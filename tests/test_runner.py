@@ -160,7 +160,7 @@ def test_load_suite_rejects_other_documents(tmp_path):
 def test_load_suite_rejects_incomplete_tasks(tmp_path):
     bad = tmp_path / "suite.yaml"
     bad.write_text("suite_schema: 1\ntasks:\n  - id: nameless\n")
-    with pytest.raises(ConfigurationError, match="task 0 missing description"):
+    with pytest.raises(ConfigurationError, match=r"tasks\[0\]\.description: missing"):
         load_suite(str(bad))
 
 

@@ -160,20 +160,6 @@ class ProbeSpec(_Scalars):
     failure_threshold: int = 3
 
 
-def _seconds(value: Any) -> float:
-    return _not_negative(finite_number(float, value), value)
-
-
-_PROBE_FIELDS = {
-    "http_path": str,
-    "initial_delay": _seconds,
-    "timeout": _seconds,
-    "period": _seconds,
-    "success_threshold": number(int, 1),
-    "failure_threshold": number(int, 1),
-}
-
-
 @dataclass(frozen=True)
 class TrafficProfile(_Shared):
     """What a deployment's scrape emits; fixed once loaded."""
@@ -308,11 +294,19 @@ def _bucket(item: Any) -> tuple[float, float]:
     return finite_number(float, item[0]), _not_negative(finite_number(float, item[1]), item[1])
 
 
+def _seconds(value: Any) -> float:
+    return _not_negative(finite_number(float, value), value)
+
+
 _QUANTITIES = {"cpu": parse_cpu, "memory": parse_mem}
 _PROBE = {
     "kind": one_of("liveness", "readiness"),
     "http_path": str,
-    **{key: (convert, getattr(ProbeSpec, key)) for key, convert in _PROBE_FIELDS.items() if key != "http_path"},
+    "initial_delay": (_seconds, ProbeSpec.initial_delay),
+    "timeout": (_seconds, ProbeSpec.timeout),
+    "period": (_seconds, ProbeSpec.period),
+    "success_threshold": (number(int, 1), ProbeSpec.success_threshold),
+    "failure_threshold": (number(int, 1), ProbeSpec.failure_threshold),
 }
 _RATE = number(float, 0, MAX_RATE)
 _SHARE = number(float, 0, 1)
@@ -349,7 +343,7 @@ def _resources(doc: dict[str, Any], path: str) -> ResourceSpec:
     requests, limits = doc["requests"], doc["limits"]
     for key in ("cpu", "memory"):
         if requests[key] > limits[key]:
-            raise Misfit(f"{path}.requests.{key}", "request exceeds limit")
+            raise Misfit(f"{path}.requests.{key}".lstrip("."), "request exceeds limit")  # mutate's path is ""
     return ResourceSpec(requests["cpu"], limits["cpu"], requests["memory"], limits["memory"])
 
 
@@ -475,7 +469,8 @@ def _scrape(state: ClusterState) -> None:
     now = state.sim_time
     step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
     for dep in state.deployments:
-        if not dep.scrape:
+        pods = state.deployment_pods(dep) if dep.scrape else None
+        if not pods:  # as Prometheus drops a target with no endpoints
             continue
         profile = dep.traffic
         res = dep.resources
@@ -496,7 +491,7 @@ def _scrape(state: ClusterState) -> None:
 
         res.current_cpu = max(0, min(cpu, res.cpu_limit))
         res.current_mem = max(0, min(mem, res.mem_limit))
-        for pod in state.deployment_pods(dep):
+        for pod in pods:
             pod.usage_cpu_millicores = res.current_cpu
             pod.usage_mem_bytes = res.current_mem
 
@@ -507,7 +502,7 @@ def _scrape(state: ClusterState) -> None:
             continue
 
         n_5xx = int(n_req * profile.error_5xx_share + 0.5)
-        n_4xx = int(n_req * profile.error_4xx_share + 0.5)
+        n_4xx = min(int(n_req * profile.error_4xx_share + 0.5), n_req - n_5xx)  # both round up at most
         n_2xx = n_req - n_4xx - n_5xx
         for sid, count in zip(ids.requests, (n_2xx, n_4xx, n_5xx)):
             if count > 0 or store.last_value(sid) > 0:
@@ -551,24 +546,42 @@ def tick(state: ClusterState, dt: float) -> ClusterState:
 
 # ---------------------------------------------------------------------------
 # Mutation API
+#
+# Each action declares the schema of its arguments next to its handler, and
+# `mutate` reads the arguments through it; a handler checks only what a
+# schema cannot say. An optional field reads as None when it is not given.
+
+
+def _nonempty(value: Any) -> str:
+    if not conform(str, value):
+        raise ValueError("must not be empty")
+    return value
+
+
+def _optional(schema: dict[str, Any]) -> dict[str, Any]:
+    return {key: (field[0] if type(field) is tuple else field, None) for key, field in schema.items()}
+
+
+def _given(fields: dict[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+_TARGET = {"namespace": str, "name": str}
 
 
 def _target_deployment(state: ClusterState, args: dict) -> Deployment:
-    namespace = args.get("namespace", "")
-    name = args.get("name", "")
+    namespace, name = args["namespace"], args["name"]
     dep = state.find_deployment(namespace, name)
     if dep is None:
         raise NotFound(f'deployments.apps "{name}" not found in namespace "{namespace}"')
     return dep
 
 
+_SCALE = {**_TARGET, "replicas": number(int, 0, MAX_REPLICAS)}
+
+
 def _apply_scale(state: ClusterState, args: dict) -> None:
-    try:
-        replicas = finite_number(int, args.get("replicas"))
-    except ValueError:
-        raise InvalidArgument(f"invalid replicas {args.get('replicas')!r}") from None
-    if not 0 <= replicas <= MAX_REPLICAS:
-        raise InvalidArgument(f"replicas must be between 0 and {MAX_REPLICAS}, got {replicas}")
+    replicas = args["replicas"]
     dep = _target_deployment(state, args)
     current = state.deployment_pods(dep)
     if replicas > len(current):
@@ -580,32 +593,26 @@ def _apply_scale(state: ClusterState, args: dict) -> None:
     dep.replicas = replicas
 
 
+_QUANTITY_CHANGES = _optional(_QUANTITIES)
+_SET_RESOURCES = {**_TARGET, "requests": (_QUANTITY_CHANGES, {}), "limits": (_QUANTITY_CHANGES, {})}
+
+
 def _apply_set_resources(state: ClusterState, args: dict) -> None:
     dep = _target_deployment(state, args)
-    res = copy.deepcopy(dep.resources)
-    try:
-        requests = args.get("requests") or {}
-        limits = args.get("limits") or {}
-        if "cpu" in requests:
-            res.cpu_request = parse_cpu(requests["cpu"])
-        if "memory" in requests:
-            res.mem_request = parse_mem(requests["memory"])
-        if "cpu" in limits:
-            res.cpu_limit = parse_cpu(limits["cpu"])
-        if "memory" in limits:
-            res.mem_limit = parse_mem(limits["memory"])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise InvalidArgument(f"bad quantity: {exc}") from None
-    if res.cpu_request > res.cpu_limit or res.mem_request > res.mem_limit:
-        raise InvalidArgument("requests must not exceed limits")
-    res.current_cpu = min(res.current_cpu, res.cpu_limit)
-    res.current_mem = min(res.current_mem, res.mem_limit)
+    old = dep.resources
+    requests = {"cpu": old.cpu_request, "memory": old.mem_request, **_given(args["requests"])}
+    limits = {"cpu": old.cpu_limit, "memory": old.mem_limit, **_given(args["limits"])}
+    res = _resources({"requests": requests, "limits": limits}, "")
+    res.current_cpu = min(old.current_cpu, res.cpu_limit)
+    res.current_mem = min(old.current_mem, res.mem_limit)
     dep.resources = res
 
 
+_KILL_POD = {"namespace": str, "pod": str}
+
+
 def _apply_kill_pod(state: ClusterState, args: dict) -> None:
-    namespace = args.get("namespace", "")
-    pod_name = args.get("pod", "")
+    namespace, pod_name = args["namespace"], args["pod"]
     pod = state.find_pod(namespace, pod_name)
     if pod is None:
         raise NotFound(f'pods "{pod_name}" not found in namespace "{namespace}"')
@@ -615,77 +622,60 @@ def _apply_kill_pod(state: ClusterState, args: dict) -> None:
         _spawn_pod(state, dep)
 
 
+_SET_LABEL = {**_TARGET, "key": _nonempty, "value": (str, "")}
+
+
 def _apply_set_label(state: ClusterState, args: dict) -> None:
-    dep = _target_deployment(state, args)
-    key = args.get("key")
-    if not key:
-        raise InvalidArgument("label key is required")
-    dep.labels[str(key)] = str(args.get("value", ""))
+    _target_deployment(state, args).labels[args["key"]] = args["value"]
+
+
+_PROBE_PATCH = {key: field for key, field in _optional(_PROBE).items() if key != "kind"}
+_PATCH = {
+    **_TARGET,
+    "patch": {
+        "image": (_nonempty, None),
+        "command": (str, None),
+        "args": ([str], None),
+        "probes": ({"liveness": (_PROBE_PATCH, None), "readiness": (_PROBE_PATCH, None)}, {}),
+    },
+}
 
 
 def _apply_patch(state: ClusterState, args: dict) -> None:
-    """Validate the whole patch on copies, then assign: a rejected patch changes nothing."""
+    """Build every patched probe before assigning anything: a rejected patch changes nothing."""
     dep = _target_deployment(state, args)
-    patch = args.get("patch")
-    if not isinstance(patch, dict):
-        raise InvalidArgument("patch must be a mapping")
-    allowed = {"image", "command", "args", "probes"}
-    unknown = set(patch) - allowed
-    if unknown:
-        raise InvalidArgument(f"unpatchable fields: {sorted(unknown)}")
-    image, command, dep_args, probes = dep.image, dep.command, dep.args, dep.probes
-    if "image" in patch:
-        image = patch["image"]
-        if not image or not isinstance(image, str):
-            raise InvalidArgument("image must be a non-empty string")
-    if "command" in patch:
-        command = str(patch["command"])
-    if "args" in patch:
-        if not isinstance(patch["args"], list):
-            raise InvalidArgument("args must be a list")
-        dep_args = [str(a) for a in patch["args"]]
-    if "probes" in patch:
-        if not isinstance(patch["probes"], dict):
-            raise InvalidArgument("probes patch must map kind to fields")
-        probes = [copy.copy(p) for p in dep.probes]
-        for kind, fields in patch["probes"].items():
-            if kind not in ("liveness", "readiness"):
-                raise InvalidArgument(f"unknown probe kind {kind!r}")
-            if not isinstance(fields, dict):
-                raise InvalidArgument(f"probe patch for {kind} must be a mapping")
-            probe = next((p for p in probes if p.kind == kind), None)
-            if probe is None:
-                if "http_path" not in fields:
-                    raise InvalidArgument(f"new {kind} probe needs http_path")
-                probe = ProbeSpec(kind=kind, http_path=str(fields["http_path"]))
-                probes.append(probe)
-            for key, value in fields.items():
-                if key not in _PROBE_FIELDS:
-                    raise InvalidArgument(f"unknown probe field {key!r}")
-                try:
-                    setattr(probe, key, finite_number(_PROBE_FIELDS[key], value))
-                except ValueError as exc:
-                    raise InvalidArgument(f"bad {kind} probe {key}: {exc}") from None
-            if probe.timeout >= probe.period:
-                raise InvalidArgument("timeout must be below period")
-    dep.image, dep.command, dep.args, dep.probes = image, command, dep_args, probes
+    patch = args["patch"]
+    probes = list(dep.probes)
+    for kind, fields in _given(patch.pop("probes")).items():
+        path = f"patch.probes.{kind}"
+        i = next((i for i, p in enumerate(probes) if p.kind == kind), len(probes))
+        doc = {**(vars(probes[i]) if i < len(probes) else {"kind": kind}), **_given(fields)}
+        if "http_path" not in doc:
+            raise Misfit(f"{path}.http_path", "required for a new probe")
+        probes[i : i + 1] = [_probe(doc, path)]  # replaces the probe of this kind, or appends one
+    for key, value in _given(patch).items():
+        setattr(dep, key, value)
+    dep.probes = probes
 
 
 ACTIONS = {
-    "scale": _apply_scale,
-    "set_resources": _apply_set_resources,
-    "kill_pod": _apply_kill_pod,
-    "set_label": _apply_set_label,
-    "patch": _apply_patch,
+    "scale": (_SCALE, _apply_scale),
+    "set_resources": (_SET_RESOURCES, _apply_set_resources),
+    "kill_pod": (_KILL_POD, _apply_kill_pod),
+    "set_label": (_SET_LABEL, _apply_set_label),
+    "patch": (_PATCH, _apply_patch),
 }
 
 
 def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterState:
     """Apply one named mutation; a rejected one changes nothing and is not counted."""
-    handler = ACTIONS.get(action)
-    if handler is None:
+    if action not in ACTIONS:
         raise InvalidArgument(f"unknown mutation action {action!r}")
-    handler(state, args)
+    schema, handler = ACTIONS[action]
+    try:
+        handler(state, conform(schema, args))
+    except Misfit as exc:
+        raise InvalidArgument(str(exc)) from None
     state.mutation_count += 1
     return state
 

@@ -16,16 +16,19 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 import yaml
 
 from .cluster import (
     ACTIONS,
     ClusterState,
+    Deployment,
     InvalidArgument,
     LoadError,
     NotFound,
+    ProbeSpec,
     component_names,
     format_cpu,
     format_mem,
@@ -320,14 +323,59 @@ def _post_condition(cond: Any) -> dict[str, Any]:
     return conform(_SOLUTION_CHECK if isinstance(cond, dict) and "solution_matches" in cond else _FIELD_CHECK, cond)
 
 
+# The deployment fields a post-condition reads, each as the text it compares
+# with `equals`: a path here, `labels.<key>`, or `probes.<kind>.<field>` for
+# a field in _PROBE_READS; an absent label or probe reads as "".
+_FIELD_READS: dict[str, Callable[[Deployment], str]] = {
+    "replicas": lambda dep: str(dep.replicas),
+    "image": attrgetter("image"),
+    "resources.cpu_request": lambda dep: format_cpu(dep.resources.cpu_request),
+    "resources.cpu_limit": lambda dep: format_cpu(dep.resources.cpu_limit),
+    "resources.mem_request": lambda dep: format_mem(dep.resources.mem_request),
+    "resources.mem_limit": lambda dep: format_mem(dep.resources.mem_limit),
+}
+_PROBE_READS: dict[str, Callable[[ProbeSpec], str]] = {
+    "http_path": attrgetter("http_path"),
+    "initial_delay": lambda probe: f"{probe.initial_delay:g}",
+}
+
+
+def _field_reader(path: str) -> Callable[[Deployment], str] | None:
+    """What reads post-condition field `path` off a deployment, or None when nothing does."""
+    if path in _FIELD_READS:
+        return _FIELD_READS[path]
+    group, _, rest = path.partition(".")
+    if group == "labels" and rest:
+        return lambda dep: dep.labels.get(rest, "")
+    kind, _, probe_field = rest.partition(".")
+    if group == "probes" and kind and probe_field in _PROBE_READS:
+        read = _PROBE_READS[probe_field]
+        return lambda dep: next((read(probe) for probe in dep.probes if probe.kind == kind), "")
+    return None
+
+
+def _readable_field(path: Any) -> str:
+    if _field_reader(conform(str, path)) is None:
+        raise ValueError(f"{path!r} names no readable deployment field")
+    return path
+
+
+def _setup_step(step: Any) -> dict[str, Any]:
+    """A setup step whose args fit its action's schema. The args stay as written:
+    `mutate` reads them at eval, and a quantity read twice changes (`100m` becomes 100 cores)."""
+    step = conform({"action": one_of(*ACTIONS), "args": ({str: object}, {})}, step)
+    conform(ACTIONS[step["action"]][0], step["args"], "args")
+    return step
+
+
 _SOLUTION_CHECK = {"solution_matches": lambda text: compile_pattern(conform(str, text)).pattern}
-_FIELD_CHECK = {"deployment": str, "field": str, "equals": object}
+_FIELD_CHECK = {"deployment": str, "field": _readable_field, "equals": object}
 _SUITE_TASK = {
     "id": str,
     "description": str,
     "kind": (one_of(OBSERVATION, ACTION), ACTION),
     "difficulty": (number(int, 1), 1),
-    "setup": ([{"action": one_of(*ACTIONS), "args": ({str: object}, {})}], []),
+    "setup": ([_setup_step], []),
     "post_conditions": ([_post_condition], []),
 }
 _SUITE = {"suite_schema": int, "tasks": ([_SUITE_TASK], [])}
@@ -363,45 +411,6 @@ def _suite_task(suite_task: dict[str, Any], repeat: int) -> Task:
     )
 
 
-def _field_value(state: ClusterState, ref: str, path: str) -> str:
-    namespace, _, name = ref.partition("/")
-    dep = state.find_deployment(namespace, name)
-    if dep is None:
-        raise NotFound(f"deployment {ref} not found")
-    parts = path.split(".")
-    try:
-        if parts[0] == "replicas":
-            return str(dep.replicas)
-        if parts[0] == "image":
-            return dep.image
-        if parts[0] == "labels":
-            return dep.labels.get(parts[1], "")
-        if parts[0] == "resources":
-            spec = dep.resources
-            values = {
-                "cpu_request": format_cpu(spec.cpu_request),
-                "cpu_limit": format_cpu(spec.cpu_limit),
-                "mem_request": format_mem(spec.mem_request),
-                "mem_limit": format_mem(spec.mem_limit),
-            }
-            if parts[1] not in values:
-                raise ConfigurationError(f"unknown resources field {parts[1]!r}")
-            return values[parts[1]]
-        if parts[0] == "probes":
-            kind, probe_field = parts[1], parts[2]
-            probe = next((p for p in dep.probes if p.kind == kind), None)
-            if probe is None:
-                return ""
-            if probe_field == "http_path":
-                return probe.http_path
-            if probe_field == "initial_delay":
-                return f"{probe.initial_delay:g}"
-            raise ConfigurationError(f"unknown probe field {probe_field!r}")
-    except IndexError:
-        raise ConfigurationError(f"post-condition field {path!r} has too few dotted parts") from None
-    raise ConfigurationError(f"unknown post-condition field {path!r}")
-
-
 def check_post_conditions(
     state: ClusterState, solution: str | None, conditions: list[dict[str, Any]]
 ) -> bool:
@@ -410,15 +419,13 @@ def check_post_conditions(
             if solution is None or not re.search(cond["solution_matches"], solution):
                 return False
             continue
-        if "deployment" in cond and "field" in cond:
-            try:
-                actual = _field_value(state, cond["deployment"], cond["field"])
-            except NotFound:
-                return False
-            if actual != str(cond.get("equals", "")):
-                return False
-            continue
-        raise ConfigurationError(f"unusable post-condition {cond!r}")
+        read = _field_reader(cond.get("field", ""))
+        if "deployment" not in cond or read is None:
+            raise ConfigurationError(f"unusable post-condition {cond!r}")
+        namespace, _, name = cond["deployment"].partition("/")
+        dep = state.find_deployment(namespace, name)
+        if dep is None or read(dep) != str(cond.get("equals", "")):
+            return False
     return True
 
 

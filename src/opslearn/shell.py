@@ -180,13 +180,8 @@ def _not_found(kind: str, name: str) -> _CommandError:
 
 
 def _parse_quantities(text: str) -> dict[str, str]:
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        if key not in ("cpu", "memory") or not value:
-            raise _CommandError(f"error: bad resource spec {part!r}")
-        out[key] = value
-    return out
+    """`cpu=100m,memory=1Gi` as a mapping; the cluster checks the keys and the quantities."""
+    return dict(part.partition("=")[::2] for part in text.split(","))
 
 
 class ShellGateway:
@@ -474,8 +469,7 @@ class ShellGateway:
             raise _CommandError("Metrics API not available")
         name = positionals[1] if len(positionals) > 1 else None
         header = ["NAME", "CPU(cores)", "MEMORY(bytes)"]
-        # top lists one namespace, whether or not --all-namespaces is given
-        return self._list(_PODS, self._pods_in_order(), name, dict(flags, all_namespaces=False), header, self._top_row)
+        return self._list(_PODS, self._pods_in_order(), name, flags, header, self._top_row)
 
     def _top_row(self, pod: cl.Pod) -> list[str]:
         return [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]

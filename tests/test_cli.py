@@ -152,6 +152,11 @@ def _topology(old: str, new: str) -> str:
             ["eval", "--library", "empty.json", "--suite"],
             _SUITE_TASK + "    post_conditions:\n      - deployment: sock-shop/front-end\n        field: replicas\n",
         ),
+        (
+            ["eval", "--library", "empty.json", "--suite"],
+            _SUITE_TASK + "    post_conditions:\n      - deployment: sock-shop/front-end\n        field: annotations\n"
+            "        equals: x\n",
+        ),
     ],
     ids=[
         "script-string-record",
@@ -216,6 +221,7 @@ def _topology(old: str, new: str) -> str:
         "suite-unknown-setup-action",
         "suite-shapeless-post-condition",
         "suite-post-condition-without-equals",
+        "suite-unreadable-post-condition-field",
     ],
 )
 def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys, argv, text):
@@ -228,8 +234,8 @@ def test_misshapen_yaml_fails_with_one_error_line(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize(
     "args, message",
-    [("{namespace: sock-shop, name: front-end}", "invalid replicas None"),
-     ("{namespace: sock-shop, name: front-end, replicas: many}", "invalid replicas 'many'")],
+    [("{namespace: sock-shop, name: front-end}", "replicas: missing"),
+     ("{namespace: sock-shop, name: front-end, replicas: many}", "replicas: invalid literal for int() with base 10: 'many'")],
     ids=["missing", "word"],
 )
 def test_a_suite_setup_scale_without_usable_replicas_fails_with_one_error_line(
@@ -240,7 +246,7 @@ def test_a_suite_setup_scale_without_usable_replicas_fails_with_one_error_line(
     suite = tmp_path / "suite.yaml"
     suite.write_text(_SUITE_TASK + f"    setup:\n      - action: scale\n        args: {args}\n")
     code = main(["eval", "--library", "empty.json", "--suite", str(suite), "--out-dir", str(tmp_path)])
-    _assert_one_error_line(code, capsys, f"suite task scale-front-end: setup: {message}")
+    _assert_one_error_line(code, capsys, f"{suite}: tasks[0].setup[0].args.{message}")
 
 
 def test_eval_rejects_a_repeated_suite_task_id(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,16 @@
-"""Property tests for the four input files: topology, suite, script and gateway config.
+"""Property tests for the four input files (topology, suite, script and gateway
+config) and for the arguments of a cluster mutation.
 
 Each loader reads its bundled document with one node spoiled: a key or list
 item dropped, a value replaced by one of another type, or a key added to a
 mapping. Whatever the spoiling, the loader returns a value or raises its own
-error, one line that names the file; it never raises anything else.
+error, one line that names the file; it never raises anything else. Spoiled
+mutation arguments either apply or are refused with the state left as it was.
 """
 
 from __future__ import annotations
 
+import copy
 from unittest import mock
 
 import pytest
@@ -18,6 +21,7 @@ from opslearn import cluster, llm, runner
 from opslearn.resources import fixture_path, load_yaml
 
 MAX_EXAMPLES = 150  # per loader: the four together take about 2 s
+MUTATION_EXAMPLES = 40  # per action: the five together take about 0.5 s
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
 _values = st.one_of(
@@ -78,3 +82,38 @@ def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(name, data):
             message = str(exc)
             assert message.startswith(prefix.format("spoiled.yaml"))
             assert "\n" not in message
+
+
+_TARGET = {"namespace": "sock-shop", "name": "catalogue"}
+# A valid args document for each action; each spoiled one must apply or change nothing.
+_MUTATIONS = {
+    "scale": {**_TARGET, "replicas": 2},
+    "set_resources": {**_TARGET, "requests": {"cpu": "50m", "memory": "64Mi"}, "limits": {"cpu": "1", "memory": "1Gi"}},
+    "kill_pod": {"namespace": "sock-shop", "pod": "catalogue-5b877d88b4-g9tc4"},
+    "set_label": {**_TARGET, "key": "tier", "value": "web"},
+    "patch": {
+        **_TARGET,
+        "patch": {
+            "image": "weaveworksdemos/catalogue:0.3.6",
+            "command": "/app",
+            "args": ["-port=80"],
+            "probes": {"liveness": {"http_path": "/healthz", "timeout": 2, "period": 5}, "readiness": {"initial_delay": 5}},
+        },
+    },
+}
+_STATE = cluster.load_topology(fixture_path("sock_shop.yaml"), seed=7)
+
+
+@pytest.mark.parametrize("action", _MUTATIONS)
+@settings(max_examples=MUTATION_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_spoiled_mutation_arguments_apply_or_change_nothing(action, data):
+    args = data.draw(_spoiled(copy.deepcopy(_MUTATIONS[action])))
+    state = cluster.clone(_STATE)
+    before = cluster.state_digest(state)
+    try:
+        cluster.mutate(state, action, args)
+    except (cluster.InvalidArgument, cluster.NotFound):
+        assert (cluster.state_digest(state), state.mutation_count) == (before, 0)
+    else:
+        assert state.mutation_count == 1

@@ -145,7 +145,13 @@ _POD_HEADER = "NAME                         READY   STATUS    RESTARTS   AGE"
             "catalogue-5b877d88b4-g9tc4   2m           9Mi\n"
             "front-end-6b8bb4c7d9-w4m82   48m          122Mi",
         ),
-        ("kubectl top pods --all-namespaces", "No resources found."),  # top lists one namespace
+        (
+            "kubectl top pods --all-namespaces",
+            "NAMESPACE     NAME                              CPU(cores)   MEMORY(bytes)\n"
+            "kube-system   metrics-server-7f8c9d5b6c-q8f2n   2m           9Mi\n"
+            "sock-shop     catalogue-5b877d88b4-g9tc4        2m           9Mi\n"
+            "sock-shop     front-end-6b8bb4c7d9-w4m82        48m          122Mi",
+        ),
     ],
 )
 def test_listing_exact_output(gateway, line, stdout):
@@ -224,7 +230,7 @@ def test_scale_mutates_state(gateway):
 def test_scale_rejects_bad_replicas(gateway):
     result = gateway.execute("kubectl scale deployment catalogue -n sock-shop --replicas=banana")
     assert result.exit_code == 1
-    assert "invalid replicas" in result.stderr
+    assert "error: replicas: invalid literal for int() with base 10: 'banana'" in result.stderr
     assert result.state_mutated is False
 
 
@@ -243,7 +249,8 @@ def test_set_resources_refuses_a_negative_quantity(gateway, spec, given):
     describe = "kubectl describe deployment catalogue -n sock-shop"
     before = gateway.execute(describe).stdout
     result = gateway.execute(f"kubectl set resources deployment catalogue -n sock-shop {spec}")
-    assert result.stderr == f"error: bad quantity: '{given}' is negative"
+    where = spec[2:].rpartition("=")[0].replace("=", ".")  # --requests=cpu=-5 names requests.cpu
+    assert result.stderr == f"error: {where}: '{given}' is negative"
     assert (result.exit_code, result.state_mutated) == (1, False)
     assert gateway.execute(describe).stdout == before
 
@@ -280,7 +287,7 @@ def test_scale_above_the_replica_bound_is_an_error_line(gateway):
     before = (state_digest(gateway.state), len(gateway.state.pods))
     result = gateway.execute("kubectl scale deployment catalogue -n sock-shop --replicas=100000000")
     assert result.exit_code == 1
-    assert result.stderr == "error: replicas must be between 0 and 100, got 100000000"
+    assert result.stderr == "error: replicas: '100000000' is not in [0, 100]"
     assert result.state_mutated is False
     assert (state_digest(gateway.state), len(gateway.state.pods)) == before
     assert gateway.state.mutation_count == 0
@@ -289,10 +296,10 @@ def test_scale_above_the_replica_bound_is_an_error_line(gateway):
 @pytest.mark.parametrize(
     "liveness, message",
     [
-        ('{"period": "abc"}', "error: bad liveness probe period: could not convert string to float: 'abc'"),
-        ('{"period": null}', "error: bad liveness probe period: float() argument must be"),
-        ('{"period": 1e400}', "error: bad liveness probe period: inf is not finite"),
-        ('{"initial_delay": -30}', "error: bad liveness probe initial_delay: -30 is negative"),
+        ('{"period": "abc"}', "error: patch.probes.liveness.period: could not convert string to float: 'abc'"),
+        ('{"period": null}', "error: patch.probes.liveness.period: float() argument must be"),
+        ('{"period": 1e400}', "error: patch.probes.liveness.period: inf is not finite"),
+        ('{"initial_delay": -30}', "error: patch.probes.liveness.initial_delay: -30 is negative"),
     ],
     ids=["string", "null", "infinite", "negative"],
 )
@@ -315,7 +322,7 @@ def test_rejected_patch_changes_nothing(gateway):
     )
     result = gateway.execute(line)
     assert result.exit_code == 1
-    assert result.stderr == "error: timeout must be below period"
+    assert result.stderr == "error: patch.probes.liveness.timeout: timeout must be below period"
     assert result.state_mutated is False
     assert dep.image == image
     assert next(p for p in dep.probes if p.kind == "liveness").timeout == 1.0

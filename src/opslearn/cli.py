@@ -112,7 +112,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for lib_path in args.library:
         try:
             library = SkillLibrary.load(lib_path)
-        except (ValueError, TypeError) as exc:  # not JSON, or an entry of the wrong shape
+        except ValueError as exc:  # not JSON, or an entry that does not fit its schema
             raise ConfigurationError(f"library {lib_path}: {exc}") from None
         label = os.path.splitext(os.path.basename(lib_path))[0]
         columns.append((label, run_evaluation(library, suite, config, repeats=args.repeats)))

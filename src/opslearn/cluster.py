@@ -18,7 +18,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, TypeVar
+from typing import Any, Callable, TypeVar
 
 import yaml
 
@@ -28,6 +28,7 @@ from .resources import Misfit, conform, finite_number, load_yaml, number, one_of
 T = TypeVar("T")
 
 SAMPLE_INTERVAL = 15.0
+PROBE_KINDS = ("liveness", "readiness")
 MAX_REPLICAS = 100  # each pod costs memory and every later read walks all pods
 MAX_RATE = 1e6  # requests/s, and millicores per request/s: a scrape's products stay finite
 
@@ -284,6 +285,38 @@ def component_names(state: ClusterState) -> tuple[str, ...]:
     return tuple(sorted(d.name for d in state.deployments if d.namespace != "kube-system"))
 
 
+# The deployment fields read as text, by a suite post-condition's `field` and
+# by the curator checking a Configuration skill: a path here, `labels.<key>`,
+# or `probes.<kind>.<field>` for a kind in PROBE_KINDS and a field in
+# PROBE_READS. An absent label or probe reads as "".
+FIELD_READS: dict[str, Callable[[Deployment], str]] = {
+    "replicas": lambda dep: str(dep.replicas),
+    "image": attrgetter("image"),
+    "resources.cpu_request": lambda dep: format_cpu(dep.resources.cpu_request),
+    "resources.cpu_limit": lambda dep: format_cpu(dep.resources.cpu_limit),
+    "resources.mem_request": lambda dep: format_mem(dep.resources.mem_request),
+    "resources.mem_limit": lambda dep: format_mem(dep.resources.mem_limit),
+}
+PROBE_READS: dict[str, Callable[[ProbeSpec], str]] = {
+    "http_path": attrgetter("http_path"),
+    "initial_delay": lambda probe: f"{probe.initial_delay:g}",
+}
+
+
+def field_reader(path: str) -> Callable[[Deployment], str] | None:
+    """What reads field `path` off a deployment, or None when nothing does."""
+    if path in FIELD_READS:
+        return FIELD_READS[path]
+    group, _, rest = path.partition(".")
+    if group == "labels" and rest:
+        return lambda dep: dep.labels.get(rest, "")
+    kind, _, probe_field = rest.partition(".")
+    if group == "probes" and kind in PROBE_KINDS and probe_field in PROBE_READS:
+        read = PROBE_READS[probe_field]
+        return lambda dep: next((read(probe) for probe in dep.probes if probe.kind == kind), "")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Topology loading
 
@@ -300,7 +333,7 @@ def _seconds(value: Any) -> float:
 
 _QUANTITIES = {"cpu": parse_cpu, "memory": parse_mem}
 _PROBE = {
-    "kind": one_of("liveness", "readiness"),
+    "kind": one_of(*PROBE_KINDS),
     "http_path": str,
     "initial_delay": (_seconds, ProbeSpec.initial_delay),
     "timeout": (_seconds, ProbeSpec.timeout),
@@ -569,7 +602,7 @@ def _given(fields: dict[str, Any]) -> dict[str, Any]:
 _TARGET = {"namespace": str, "name": str}
 
 
-def _target_deployment(state: ClusterState, args: dict) -> Deployment:
+def target_deployment(state: ClusterState, args: dict) -> Deployment:
     namespace, name = args["namespace"], args["name"]
     dep = state.find_deployment(namespace, name)
     if dep is None:
@@ -582,7 +615,7 @@ _SCALE = {**_TARGET, "replicas": number(int, 0, MAX_REPLICAS)}
 
 def _apply_scale(state: ClusterState, args: dict) -> None:
     replicas = args["replicas"]
-    dep = _target_deployment(state, args)
+    dep = target_deployment(state, args)
     current = state.deployment_pods(dep)
     if replicas > len(current):
         for _ in range(replicas - len(current)):
@@ -598,7 +631,7 @@ _SET_RESOURCES = {**_TARGET, "requests": (_QUANTITY_CHANGES, {}), "limits": (_QU
 
 
 def _apply_set_resources(state: ClusterState, args: dict) -> None:
-    dep = _target_deployment(state, args)
+    dep = target_deployment(state, args)
     old = dep.resources
     requests = {"cpu": old.cpu_request, "memory": old.mem_request, **_given(args["requests"])}
     limits = {"cpu": old.cpu_limit, "memory": old.mem_limit, **_given(args["limits"])}
@@ -606,6 +639,8 @@ def _apply_set_resources(state: ClusterState, args: dict) -> None:
     res.current_cpu = min(old.current_cpu, res.cpu_limit)
     res.current_mem = min(old.current_mem, res.mem_limit)
     dep.resources = res
+    for pod in state.deployment_pods(dep):  # `kubectl top` shows no pod above its new limit
+        pod.usage_cpu_millicores, pod.usage_mem_bytes = res.current_cpu, res.current_mem
 
 
 _KILL_POD = {"namespace": str, "pod": str}
@@ -626,7 +661,7 @@ _SET_LABEL = {**_TARGET, "key": _nonempty, "value": (str, "")}
 
 
 def _apply_set_label(state: ClusterState, args: dict) -> None:
-    _target_deployment(state, args).labels[args["key"]] = args["value"]
+    target_deployment(state, args).labels[args["key"]] = args["value"]
 
 
 _PROBE_PATCH = {key: field for key, field in _optional(_PROBE).items() if key != "kind"}
@@ -636,14 +671,14 @@ _PATCH = {
         "image": (_nonempty, None),
         "command": (str, None),
         "args": ([str], None),
-        "probes": ({"liveness": (_PROBE_PATCH, None), "readiness": (_PROBE_PATCH, None)}, {}),
+        "probes": ({kind: (_PROBE_PATCH, None) for kind in PROBE_KINDS}, {}),
     },
 }
 
 
 def _apply_patch(state: ClusterState, args: dict) -> None:
     """Build every patched probe before assigning anything: a rejected patch changes nothing."""
-    dep = _target_deployment(state, args)
+    dep = target_deployment(state, args)
     patch = args["patch"]
     probes = list(dep.probes)
     for kind, fields in _given(patch.pop("probes")).items():

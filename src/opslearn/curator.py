@@ -17,16 +17,11 @@ citations in range.
 
 from __future__ import annotations
 
-import re
-
-from .cluster import ClusterState, clone, component_names, format_cpu, format_mem
-from .datalayer import SKILL_KINDS, InteractionRecord, SkillEntry, SkillLibrary, Task
+from .cluster import FIELD_READS, PROBE_READS, ClusterState, clone, component_names
+from .datalayer import SKILL_BLOCK, InteractionRecord, SkillEntry, SkillLibrary, Task
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
-from .resources import prompt_template
+from .resources import conform, prompt_template
 from .shell import ShellGateway
-
-_SKILL_FIELDS = ("kind", "body", "description", "subject", "cites")
-_CITE_RE = re.compile(r"#(\d+)")
 
 _SUBJECT_FACETS = ("image", "resources", "command", "probes", "replicas")
 
@@ -46,30 +41,13 @@ def render_trajectory(trajectory: list[InteractionRecord]) -> str:
 def parse_skills(completion: str, source_task: str) -> list[SkillEntry]:
     if completion.strip() == "no skills.":  # the empty answer curator.txt documents
         return []
-    blocks = parse_blocks(completion, "Skill", _SKILL_FIELDS, multiline="body")
+    blocks = parse_blocks(completion, "Skill", tuple(SKILL_BLOCK), multiline="body")
     if not blocks:
         raise ValueError("no skill blocks found")
-    entries = []
-    for number, fields in blocks:
-        kind = fields.get("kind", "")
-        if kind not in SKILL_KINDS:
-            raise ValueError(f"skill {number}: bad kind {kind!r}")
-        body = fields.get("body", "").strip()
-        if not body:
-            raise ValueError(f"skill {number}: empty body")
-        cites = [int(n) for n in _CITE_RE.findall(fields.get("cites", ""))]
-        entries.append(
-            SkillEntry(
-                id=0,
-                kind=kind,
-                body=body,
-                description=fields.get("description", ""),
-                source_task=source_task,
-                subject=fields.get("subject") or None,
-                cites=cites,
-            )
-        )
-    return entries
+    return [
+        SkillEntry(id=0, source_task=source_task, **conform(SKILL_BLOCK, fields, f"skill {number}"))
+        for number, fields in blocks
+    ]
 
 
 class KnowledgeCurator:
@@ -180,26 +158,14 @@ class KnowledgeCurator:
                 "Answer `match` or `mismatch`."
             )
             return "validated" if self._judge(question) else "rejected"
-        required: list[str] = []
-        if facet == "image":
-            required = [dep.image]
-        elif facet == "resources":
-            required = [
-                format_cpu(dep.resources.cpu_request),
-                format_cpu(dep.resources.cpu_limit),
-                format_mem(dep.resources.mem_request),
-                format_mem(dep.resources.mem_limit),
-            ]
-        elif facet == "command":
+        if facet == "command":
             required = ([dep.command] if dep.command else []) + list(dep.args)
         elif facet == "probes":
-            paths = sorted({p.http_path for p in dep.probes})
-            delays = sorted({f"{p.initial_delay:g}" for p in dep.probes})
-            required = paths + delays
+            required = [text for read in PROBE_READS.values() for text in sorted({read(p) for p in dep.probes})]
             if not required:
                 return "rejected"
-        elif facet == "replicas":
-            required = [str(dep.replicas)]
+        else:  # the field texts a post-condition reads: image, replicas, the four resources
+            required = [read(dep) for path, read in FIELD_READS.items() if path.partition(".")[0] == facet]
         return "validated" if all(piece in entry.body for piece in required) else "rejected"
 
     def _validate_reflection(

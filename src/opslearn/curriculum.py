@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datalayer import ACTION, OBSERVATION, InteractionRecord, Task, task_close
+from .datalayer import ACTION, TASK_BLOCK, InteractionRecord, Task, task_close
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
-from .resources import prompt_template
+from .resources import conform, prompt_template
 
 CONTEXT_CHAR_BUDGET = 6000
 NO_HISTORY_MARKER = "no prior interactions"
@@ -80,39 +80,15 @@ def build_context(
     return "\n".join(sections)
 
 
-_ROUND_FIELDS = ("description", "kind", "stage", "difficulty")
-
-
 def parse_round(completion: str, round_no: int, tasks_per_round: int) -> list[Task]:
     """Parse labeled task blocks; any deviation raises ValueError."""
-    blocks = parse_blocks(completion, "Task", _ROUND_FIELDS)
+    blocks = parse_blocks(completion, "Task", tuple(TASK_BLOCK))
     if len(blocks) != tasks_per_round:
         raise ValueError(f"expected {tasks_per_round} task blocks, found {len(blocks)}")
-    tasks = []
-    for i, (_, fields) in enumerate(blocks, start=1):
-        missing = set(_ROUND_FIELDS) - set(fields)
-        if missing:
-            raise ValueError(f"task block {i} missing {sorted(missing)}")
-        kind = fields["kind"].lower()
-        if kind not in (OBSERVATION, ACTION):
-            raise ValueError(f"task block {i}: bad kind {fields['kind']!r}")
-        stage = int(fields["stage"])
-        if not 1 <= stage <= 4:
-            raise ValueError(f"task block {i}: stage must be 1..4")
-        difficulty = int(fields["difficulty"])
-        if difficulty < 1:
-            raise ValueError(f"task block {i}: difficulty must be >= 1")
-        tasks.append(
-            Task(
-                id=f"r{round_no}t{i}",
-                round=round_no,
-                kind=kind,
-                difficulty=difficulty,
-                description=fields["description"],
-                stage=stage,
-            )
-        )
-    return tasks
+    return [
+        Task(id=f"r{round_no}t{i}", round=round_no, **conform(TASK_BLOCK, fields, f"task block {i}"))
+        for i, (_, fields) in enumerate(blocks, start=1)
+    ]
 
 
 def difficulty_progression_check(prev_round: list[Task], new_round: list[Task]) -> list[str]:

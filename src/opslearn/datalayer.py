@@ -16,14 +16,22 @@ from typing import Any, Callable
 
 from . import promql
 from .cluster import ClusterState
+from .resources import conform, finite_number, maybe, number, one_of
 
 OBSERVATION = "observation"
 ACTION = "action"
 
 SKILL_KINDS = ("Command", "Configuration", "Reflection")
+PAYLOAD_KINDS = ("prompt", "completion", "command", "execution_result", "feedback", "report")
+FEEDBACK_KINDS = ("environment", "peer", "hierarchical")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _CLOSE_RE = re.compile(r"task=(\S+) status=(\S+) description=(.*)", re.S)
+_CITE_RE = re.compile(r"#(\d+)")
+
+# A record read from outside goes through one schema (`resources.conform`) whose
+# keys are the record's fields: a reply block, whose values are all text, or a
+# JSON line or entry, whose numbers must be JSON numbers (`"3"` is no id).
 
 
 @dataclass
@@ -31,16 +39,20 @@ class Task:
     id: str
     round: int
     kind: str  # observation | action
-    difficulty: int
+    difficulty: int  # at least 1
     description: str
     status: str = "pending"  # pending | running | succeeded | failed
     stage: int = 1  # exploration stage tag, 1..4
 
-    def __post_init__(self) -> None:
-        if self.kind not in (OBSERVATION, ACTION):
-            raise ValueError(f"bad task kind {self.kind!r}")
-        if self.difficulty < 1:
-            raise ValueError("difficulty must be >= 1")
+
+_TASK_KIND = one_of(OBSERVATION, ACTION)
+# A `Task <n>:` block of a curriculum reply.
+TASK_BLOCK = {
+    "description": str,
+    "kind": lambda text: _TASK_KIND(text.lower()),
+    "stage": number(int, 1, 4),
+    "difficulty": number(int, 1),
+}
 
 
 @dataclass
@@ -49,19 +61,30 @@ class InteractionRecord:
     task_id: str
     actor: str  # manager | agent name | environment
     payload: str
-    payload_kind: str  # prompt | completion | command | execution_result | feedback | report
-    feedback_kind: str | None = None  # environment | peer | hierarchical
+    payload_kind: str  # one of PAYLOAD_KINDS
+    feedback_kind: str | None = None  # one of FEEDBACK_KINDS
     timestamp: float = 0.0
 
     def to_doc(self) -> dict[str, Any]:
         return dict(vars(self))  # every field is a scalar, so a shallow copy is a full one
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "InteractionRecord":
-        return cls(**doc)
+
+def _finite(value: Any) -> float:
+    return finite_number(float, conform(float, value))
 
 
 HISTORY_SCHEMA = 1
+_HEADER = {"history_schema": one_of(HISTORY_SCHEMA)}
+# One `history.log` line after the header.
+_RECORD = {
+    "id": int,
+    "task_id": str,
+    "actor": str,
+    "payload": str,
+    "payload_kind": one_of(*PAYLOAD_KINDS),
+    "feedback_kind": (maybe(one_of(*FEEDBACK_KINDS)), None),
+    "timestamp": (_finite, 0.0),
+}
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # one encoder for every history line
 
@@ -118,14 +141,14 @@ class History:
 
     @classmethod
     def load(cls, path: str) -> "History":
+        """The history a `dump` wrote; a ValueError names the first line that is not JSON
+        or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
         history = cls()
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict) or header.get("history_schema") != HISTORY_SCHEMA:
-                raise ValueError(f"unsupported history schema: {header}")
-            for line in fh:
+            conform(_HEADER, json.loads(fh.readline()), "line 1")
+            for number, line in enumerate(fh, start=2):
                 if line.strip():
-                    history.records.append(InteractionRecord.from_doc(json.loads(line)))
+                    history.records.append(InteractionRecord(**conform(_RECORD, json.loads(line), f"line {number}")))
         return history
 
 
@@ -155,16 +178,35 @@ class SkillEntry:
     cites: list[int] = field(default_factory=list)  # trajectory record indexes
     conflict_group: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in SKILL_KINDS:
-            raise ValueError(f"bad skill kind {self.kind!r}")
-
     def to_doc(self) -> dict[str, Any]:
         return {**vars(self), "cites": list(self.cites)}  # the doc must not alias `cites`
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "SkillEntry":
-        return cls(**doc)
+
+_SKILL_KIND = one_of(*SKILL_KINDS)
+# A `Skill <n>:` block of a curator reply; `cites` lists the `#<k>` records its text names.
+# The grammar leaves no field empty, so a stripped body is never empty.
+SKILL_BLOCK = {
+    "kind": _SKILL_KIND,
+    "body": str.strip,
+    "description": (str, ""),
+    "subject": (str, None),
+    "cites": (lambda text: [int(k) for k in _CITE_RE.findall(text)], ""),
+}
+# One entry of `library.json`.
+_SKILL_ENTRY = {
+    "id": int,
+    "kind": _SKILL_KIND,
+    "body": str,
+    "description": str,
+    "source_task": str,
+    "validated": (bool, False),
+    "created_round": (int, 0),
+    "trial": (int, 1),
+    "subject": (maybe(str), None),
+    "cites": ([int], []),
+    "conflict_group": (maybe(str), None),
+}
+_LIBRARY = {"library_schema": one_of(1), "skills": [_SKILL_ENTRY]}
 
 
 def _tokens(text: str) -> set[str]:
@@ -231,14 +273,10 @@ class SkillLibrary:
 
     @classmethod
     def import_json(cls, text: str) -> "SkillLibrary":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("library_schema") != 1 or not isinstance(doc.get("skills"), list):
-            raise ValueError("unsupported library schema")
+        """The library `export_json` wrote; a ValueError when `text` is not JSON or does not fit the schema."""
         library = cls()
-        for entry_doc in doc["skills"]:
-            entry = SkillEntry.from_doc(entry_doc)
-            library.entries.append(entry)
-            library._next_id = max(library._next_id, entry.id + 1)
+        library.entries = [SkillEntry(**doc) for doc in conform(_LIBRARY, json.loads(text))["skills"]]
+        library._next_id = max([1] + [entry.id + 1 for entry in library.entries])
         return library
 
     def save(self, path: str) -> None:

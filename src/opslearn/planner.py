@@ -21,9 +21,9 @@ import json
 import re
 from dataclasses import dataclass
 
-from .datalayer import ACTION, OBSERVATION, History, SkillEntry, Task
+from .datalayer import OBSERVATION, History, SkillEntry, Task
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
-from .resources import compile_pattern, prompt_template
+from .resources import compile_pattern, conform, one_of, prompt_template
 from .shell import ShellGateway
 
 EXPECTATIONS = ("none", "number", "integer", "json", "nonempty")
@@ -48,6 +48,33 @@ class Subtask:
     attempts: int = 0
     status: str = "pending"  # pending | succeeded | failed
     result: str | None = None
+
+
+def _dependency(text: str) -> int | None:
+    return None if text.lower() == "none" else int(text)
+
+
+def _expectation(text: str) -> str:
+    """An expectation `check_expectation` knows; a `regex:` one must pass `compile_pattern`."""
+    if not text.startswith("regex:"):
+        if text not in EXPECTATIONS:
+            raise ValueError(f"bad expectation {_clip(text)!r}")
+        return text
+    try:
+        compile_pattern(text[len("regex:"):])
+    except ValueError as exc:
+        raise ValueError(f"bad expectation {_clip(text)!r} ({exc})") from None
+    return text
+
+
+def _subtask_block(known_assignees: tuple[str, ...]) -> dict:
+    """The schema of a `Subtask <n>:` block of a manager reply, for the agents that may take it."""
+    return {
+        "assignee": one_of(*known_assignees),
+        "description": str,
+        "depends_on": (_dependency, "none"),
+        "expects": (_expectation, "nonempty"),
+    }
 
 
 @dataclass
@@ -115,39 +142,19 @@ def check_expectation(result: str, expects: str) -> str | None:
     return f"unknown expectation {expects!r}"
 
 
-_PLAN_FIELDS = ("assignee", "description", "depends_on", "expects")
-
-
 def parse_plan(completion: str, known_assignees: tuple[str, ...]) -> list[Subtask]:
-    blocks = [(int(number), fields) for number, fields in parse_blocks(completion, "Subtask", _PLAN_FIELDS)]
+    schema = _subtask_block(known_assignees)
+    blocks = [(int(number), fields) for number, fields in parse_blocks(completion, "Subtask", tuple(schema))]
     if not blocks:
         raise ValueError("no subtask blocks found")
     if len(blocks) > 4:
         raise ValueError(f"expected 1..4 subtasks, found {len(blocks)}")
-    subtasks = []
-    seen_ids = set()
+    subtasks: list[Subtask] = []
     for number, fields in blocks:
-        if "assignee" not in fields or "description" not in fields:
-            raise ValueError(f"subtask {number} missing assignee or description")
-        assignee = fields["assignee"]
-        if assignee not in known_assignees:
-            raise ValueError(f"unknown assignee {assignee!r}")
-        depends_text = fields.get("depends_on", "none").lower()
-        depends_on: int | None = None
-        if depends_text != "none":
-            depends_on = int(depends_text)
-            if depends_on not in seen_ids:
-                raise ValueError(f"subtask {number} depends on unknown subtask {depends_on}")
-        expects = fields.get("expects", "nonempty")
-        if expects.startswith("regex:"):
-            try:
-                compile_pattern(expects[len("regex:"):])
-            except ValueError as exc:
-                raise ValueError(f"subtask {number}: bad expectation {_clip(expects)!r} ({exc})") from None
-        elif expects not in EXPECTATIONS:
-            raise ValueError(f"subtask {number}: bad expectation {_clip(expects)!r}")
-        seen_ids.add(number)
-        subtasks.append(Subtask(number, assignee, fields["description"], depends_on, expects))
+        subtask = Subtask(number, **conform(schema, fields, f"subtask {number}"))
+        if subtask.depends_on is not None and subtask.depends_on not in {st.id for st in subtasks}:
+            raise ValueError(f"subtask {number} depends on unknown subtask {subtask.depends_on}")
+        subtasks.append(subtask)
     return subtasks
 
 

@@ -71,7 +71,7 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
 # `{key: field, ...}` is a closed mapping: a document may hold no other key.
 # A field is a spec, and the key is required, or `(spec, default)`, and an
 # absent key reads as `default` read through the spec (None stays None). A spec is
-#   - a type: the value must be an instance (`object` takes anything);
+#   - a type: the value must be an instance (`object` takes anything, `int` no bool);
 #   - a converter: a function whose result replaces the value, and whose
 #     ValueError, TypeError or OverflowError refuses it;
 #   - a schema, or `{str: spec}` for a mapping with any string keys;
@@ -79,7 +79,7 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
 # Mappings and lists come back new, so a caller may keep or change them.
 
 
-class Misfit(Exception):
+class Misfit(ValueError):
     """A document that does not fit its schema; `path` names the node, as in `deployments[1].replicas`."""
 
     def __init__(self, path: str, reason: str):
@@ -90,7 +90,7 @@ class Misfit(Exception):
 def conform(spec: Any, value: Any, path: str = "") -> Any:
     """`value` read through `spec`; a Misfit names the first node that does not fit."""
     if isinstance(spec, type):
-        if not isinstance(value, spec):
+        if not isinstance(value, spec) or (spec is int and isinstance(value, bool)):
             raise Misfit(path, f"expected {spec.__name__}, got {reprlib.repr(value)}")
         return value
     if isinstance(spec, dict):
@@ -121,10 +121,10 @@ def conform(spec: Any, value: Any, path: str = "") -> Any:
         return [conform(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
     try:
         return spec(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise Misfit(path, str(exc)) from None
     except Misfit as exc:  # a converter that reads the value through a schema it picks
         raise Misfit(f"{path}.{exc.path}" if exc.path else path, exc.reason) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise Misfit(path, str(exc)) from None
 
 
 def number(convert: Callable[[Any], T], low: float = -math.inf, high: float = math.inf) -> Callable[[Any], T]:
@@ -137,6 +137,11 @@ def number(convert: Callable[[Any], T], low: float = -math.inf, high: float = ma
         return result
 
     return converted
+
+
+def maybe(spec: Any) -> Callable[[Any], Any]:
+    """A converter that passes None and reads any other value through `spec`."""
+    return lambda value: None if value is None else conform(spec, value)
 
 
 def one_of(*choices: Any) -> Callable[[Any], Any]:
@@ -167,7 +172,9 @@ def compile_pattern(pattern: Any) -> re.Pattern[str]:
     try:
         compiled = re.compile(pattern)
         unbounded, choices = _backtracking(_sre.parse(pattern))
-    except (re.error, TypeError, OverflowError, RecursionError) as exc:
+    except RecursionError:  # its message depends on how deep the caller's stack already was
+        raise ValueError("groups nest too deeply") from None
+    except (re.error, TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from None
     if unbounded > 1:
         raise ValueError("more than one unbounded repeat")

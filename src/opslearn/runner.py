@@ -16,22 +16,18 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass
-from operator import attrgetter
-from typing import Any, Callable
+from typing import Any
 
 import yaml
 
 from .cluster import (
     ACTIONS,
     ClusterState,
-    Deployment,
     InvalidArgument,
     LoadError,
     NotFound,
-    ProbeSpec,
     component_names,
-    format_cpu,
-    format_mem,
+    field_reader,
     load_topology,
     mutate,
     tick,
@@ -323,39 +319,8 @@ def _post_condition(cond: Any) -> dict[str, Any]:
     return conform(_SOLUTION_CHECK if isinstance(cond, dict) and "solution_matches" in cond else _FIELD_CHECK, cond)
 
 
-# The deployment fields a post-condition reads, each as the text it compares
-# with `equals`: a path here, `labels.<key>`, or `probes.<kind>.<field>` for
-# a field in _PROBE_READS; an absent label or probe reads as "".
-_FIELD_READS: dict[str, Callable[[Deployment], str]] = {
-    "replicas": lambda dep: str(dep.replicas),
-    "image": attrgetter("image"),
-    "resources.cpu_request": lambda dep: format_cpu(dep.resources.cpu_request),
-    "resources.cpu_limit": lambda dep: format_cpu(dep.resources.cpu_limit),
-    "resources.mem_request": lambda dep: format_mem(dep.resources.mem_request),
-    "resources.mem_limit": lambda dep: format_mem(dep.resources.mem_limit),
-}
-_PROBE_READS: dict[str, Callable[[ProbeSpec], str]] = {
-    "http_path": attrgetter("http_path"),
-    "initial_delay": lambda probe: f"{probe.initial_delay:g}",
-}
-
-
-def _field_reader(path: str) -> Callable[[Deployment], str] | None:
-    """What reads post-condition field `path` off a deployment, or None when nothing does."""
-    if path in _FIELD_READS:
-        return _FIELD_READS[path]
-    group, _, rest = path.partition(".")
-    if group == "labels" and rest:
-        return lambda dep: dep.labels.get(rest, "")
-    kind, _, probe_field = rest.partition(".")
-    if group == "probes" and kind and probe_field in _PROBE_READS:
-        read = _PROBE_READS[probe_field]
-        return lambda dep: next((read(probe) for probe in dep.probes if probe.kind == kind), "")
-    return None
-
-
 def _readable_field(path: Any) -> str:
-    if _field_reader(conform(str, path)) is None:
+    if field_reader(conform(str, path)) is None:
         raise ValueError(f"{path!r} names no readable deployment field")
     return path
 
@@ -419,7 +384,7 @@ def check_post_conditions(
             if solution is None or not re.search(cond["solution_matches"], solution):
                 return False
             continue
-        read = _field_reader(cond.get("field", ""))
+        read = field_reader(cond.get("field", ""))
         if "deployment" not in cond or read is None:
             raise ConfigurationError(f"unusable post-condition {cond!r}")
         namespace, _, name = cond["deployment"].partition("/")
@@ -504,7 +469,7 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
     they did in the original run."""
     try:
         original = History.load(history_path)
-    except (ValueError, TypeError) as exc:  # not JSON, or a record of the wrong shape
+    except ValueError as exc:  # not JSON, or a line that does not fit its schema
         raise ConfigurationError(f"history {history_path}: {exc}") from None
     state = load_topology(fixture, seed=seed)
     shell = ShellGateway(state, component_names(state))
@@ -526,7 +491,7 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
             raise ConfigurationError(f"history {history_path}: task id {task_id!r} names no round (r<round>t<n>)")
         round_no = int(id_match.group(1))
         stamp = record.timestamp
-        if type(stamp) not in (int, float) or not float("-inf") < stamp <= state.sim_time + REPLAY_MAX_STEP_SECONDS:
+        if stamp > state.sim_time + REPLAY_MAX_STEP_SECONDS:
             raise ConfigurationError(f"history {history_path}: task {task_id!r} closes at {stamp!r}, not a time in reach")
         if stamp > state.sim_time:
             tick(state, stamp - state.sim_time)
@@ -549,7 +514,10 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
             difficulty=1,
             description=description,
         )
-        curator.curate(task, trajectory, "", state, library, round_no=round_no)
+        try:
+            curator.curate(task, trajectory, "", state, library, round_no=round_no)
+        except ScriptExhausted as exc:  # the log holds fewer curator completions than its tasks ask for
+            raise ConfigurationError(f"history {history_path}: {exc}") from None
     return library, state
 
 

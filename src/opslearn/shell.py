@@ -321,9 +321,10 @@ class ShellGateway:
             raise _not_found("namespaces", ns)
         return ns
 
-    def _mutate(self, action: str, args: dict) -> None:
+    def _cluster(self, call, *args):
+        """`call(self.state, *args)`, a cluster NotFound or InvalidArgument worded as kubectl's error."""
         try:
-            cl.mutate(self.state, action, args)
+            return call(self.state, *args)
         except cl.NotFound as exc:
             raise _CommandError(f"Error from server (NotFound): {exc}") from None
         except cl.InvalidArgument as exc:
@@ -483,7 +484,7 @@ class ShellGateway:
             raise _CommandError("error: --replicas is required")
         ns = self._namespace(flags)
         name = positionals[1]
-        self._mutate("scale", {"namespace": ns, "name": name, "replicas": flags["replicas"]})
+        self._cluster(cl.mutate, "scale", {"namespace": ns, "name": name, "replicas": flags["replicas"]})
         return f"deployment.apps/{name} scaled"
 
     def _set(self, positionals: list[str], flags: dict) -> str:
@@ -497,7 +498,7 @@ class ShellGateway:
         for key in ("requests", "limits"):
             if key in flags:
                 args[key] = _parse_quantities(flags[key])
-        self._mutate("set_resources", args)
+        self._cluster(cl.mutate, "set_resources", args)
         return f"deployment.apps/{name} resource requirements updated"
 
     def _label(self, positionals: list[str], flags: dict) -> str:
@@ -507,15 +508,11 @@ class ShellGateway:
         key, eq, value = positionals[2].partition("=")
         if not eq or not key:
             raise _CommandError(f"error: bad label spec {positionals[2]!r}")
-        ns = self._namespace(flags)
-        dep = self.state.find_deployment(ns, name)
-        if dep is None:
-            raise _not_found(_DEPLOYMENTS, name)
-        if key in dep.labels and not flags.get("overwrite"):
-            raise _CommandError(
-                f"error: '{key}' already has a value ({dep.labels[key]}), and --overwrite is false"
-            )
-        self._mutate("set_label", {"namespace": ns, "name": name, "key": key, "value": value})
+        target = {"namespace": self._namespace(flags), "name": name}
+        labels = self._cluster(cl.target_deployment, target).labels
+        if key in labels and not flags.get("overwrite"):
+            raise _CommandError(f"error: '{key}' already has a value ({labels[key]}), and --overwrite is false")
+        self._cluster(cl.mutate, "set_label", {**target, "key": key, "value": value})
         return f"deployment.apps/{name} labeled"
 
     def _patch(self, positionals: list[str], flags: dict) -> str:
@@ -529,7 +526,7 @@ class ShellGateway:
             raise _CommandError(f"error: cannot parse patch: {exc}") from None
         ns = self._namespace(flags)
         name = positionals[1]
-        self._mutate("patch", {"namespace": ns, "name": name, "patch": patch})
+        self._cluster(cl.mutate, "patch", {"namespace": ns, "name": name, "patch": patch})
         return f"deployment.apps/{name} patched"
 
     def _delete(self, positionals: list[str], flags: dict) -> str:
@@ -537,7 +534,7 @@ class ShellGateway:
             raise _CommandError("error: delete supports pods only")
         ns = self._namespace(flags)
         name = positionals[1]
-        self._mutate("kill_pod", {"namespace": ns, "pod": name})
+        self._cluster(cl.mutate, "kill_pod", {"namespace": ns, "pod": name})
         return f'pod "{name}" deleted'
 
     # What a stage may run: the two programs, the agent primitives, and kubectl's verbs.

@@ -262,42 +262,81 @@ def test_eval_rejects_a_repeated_suite_task_id(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "grid.json").exists()
 
 
-def _history_closing(task_id: str, timestamp) -> str:
-    """A history of one task-close record."""
+def _history_closing(task_id: str, timestamp, *before: dict, **changes) -> str:
+    """A history of the `before` records (each a change to the close record), then one task-close record."""
     record = {
         "id": 1, "task_id": task_id, "actor": "manager", "payload": f"task={task_id} status=failed description=x",
         "payload_kind": "report", "feedback_kind": None, "timestamp": timestamp,
     }
-    return '{"history_schema": 1}\n' + json.dumps(record) + "\n"
+    lines = [{"history_schema": 1}] + [{**record, **change} for change in before] + [{**record, **changes}]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def _library_of(**changes) -> str:
+    """The bundled library with `changes` made to its first entry."""
+    with open(fixture_path("skill_library.json")) as fh:
+        doc = json.load(fh)
+    doc["skills"][0].update(changes)
+    return json.dumps(doc)
+
+
+_SUCCEEDED = "task=r1t1 status=succeeded description=x"
+_INT_COMMAND = {"actor": "catalogue", "payload_kind": "command", "payload": 5}
+_INT_COMPLETION = {"actor": "curator", "payload_kind": "completion", "payload": 5}
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, where",
     [
-        (["eval", "--library"], "not json\n"),
-        (["eval", "--library"], '{"library_schema": 1, "skills": [{"id": 1, "kind": "Command", "bogus": 2}]}\n'),
-        (["replay", "--history"], "not json\n"),
-        (["replay", "--history"], '{"history_schema": 1}\n{"id": 1, "bogus": 2}\n'),
-        (["replay", "--history"], _history_closing("t1", 30.0)),
-        (["replay", "--history"], _history_closing("r1t1", float("inf"))),
-        (["replay", "--history"], _history_closing("r1t1", 1e12)),
-        (["replay", "--history"], _history_closing("r1t1", "30")),
+        (["eval", "--library"], "not json\n", "Expecting value"),
+        (["eval", "--library"], '{"library_schema": 1, "skills": [{"id": 1, "kind": "Command", "bogus": 2}]}\n',
+         "skills[0]: unknown keys ['bogus']"),
+        (["eval", "--library"], _library_of(validated="no"), "skills[0].validated: expected bool, got 'no'"),
+        (["eval", "--library"], _library_of(cites=5), "skills[0].cites: expected a list, got 5"),
+        (["eval", "--library"], _library_of(body=5), "skills[0].body: expected str, got 5"),
+        (["eval", "--library"], _library_of(id=True), "skills[0].id: expected int, got True"),
+        (["eval", "--library"], _library_of(subject=5), "skills[0].subject: expected str, got 5"),
+        (["replay", "--history"], "not json\n", "Expecting value"),
+        (["replay", "--history"], '{"history_schema": 1}\n{"id": 1, "bogus": 2}\n', "line 2: unknown keys ['bogus']"),
+        (["replay", "--history"], _history_closing("t1", 30.0), "task id 't1' names no round"),
+        (["replay", "--history"], _history_closing("r1t1", float("inf")), "line 2.timestamp: inf is not finite"),
+        (["replay", "--history"], _history_closing("r1t1", 1e12), "closes at 1000000000000.0, not a time in reach"),
+        (["replay", "--history"], _history_closing("r1t1", "30"), "line 2.timestamp: expected float, got '30'"),
+        (["replay", "--history"], _history_closing("r1t1", "1e3"), "line 2.timestamp: expected float, got '1e3'"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, id="3"), "line 2.id: expected int, got '3'"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, _INT_COMMAND), "line 2.payload: expected str, got 5"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, _INT_COMPLETION, payload=_SUCCEEDED),
+         "line 2.payload: expected str, got 5"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, payload=5), "line 2.payload: expected str, got 5"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, payload=_SUCCEEDED),
+         "no scripted response left for role 'curator'"),
     ],
     ids=[
         "library-not-json",
         "library-unknown-key",
+        "library-string-validated",
+        "library-int-cites",
+        "library-int-body",
+        "library-bool-id",
+        "library-int-subject",
         "history-not-json",
         "history-unknown-key",
         "history-close-without-round",
         "history-infinite-close-time",
         "history-far-close-time",
         "history-string-close-time",
+        "history-exponent-string-close-time",
+        "history-string-id",
+        "history-int-command",
+        "history-int-curator-completion",
+        "history-int-close",
+        "history-without-curator-completion",
     ],
 )
-def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text):
+def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text, where):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
+    assert where in _assert_one_error_line(main(argv + [str(bad), "--out-dir", str(tmp_path)]), capsys, bad)
 
 
 @pytest.mark.parametrize(

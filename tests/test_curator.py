@@ -115,13 +115,13 @@ def test_parse_skills_accepts_the_documented_empty_answer(answer):
 
 def test_parse_skills_rejects_bad_kind():
     text = "Skill 1:\nkind: Trick\nbody: whatever\n"
-    with pytest.raises(ValueError, match="skill 1: bad kind 'Trick'"):
+    with pytest.raises(ValueError, match="skill 1.kind: 'Trick' is not one of 'Command', 'Configuration', 'Reflection'"):
         parse_skills(text, "t1")
 
 
 def test_parse_skills_rejects_empty_body():
     text = "Skill 1:\nkind: Command\ndescription: body missing\n"
-    with pytest.raises(ValueError, match="skill 1: empty body"):
+    with pytest.raises(ValueError, match="skill 1.body: missing"):
         parse_skills(text, "t1")
 
 

@@ -16,13 +16,6 @@ def _task(task_id: str, round_no: int, kind: str = "observation", difficulty: in
     return Task(id=task_id, round=round_no, kind=kind, difficulty=difficulty, description=task_id)
 
 
-def test_task_validation():
-    with pytest.raises(ValueError):
-        _task("t", 1, kind="wandering")
-    with pytest.raises(ValueError):
-        _task("t", 1, difficulty=0)
-
-
 def test_history_enforces_feedback_kind_pairing():
     history = History()
     with pytest.raises(ValueError):

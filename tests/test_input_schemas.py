@@ -1,5 +1,6 @@
 """Property tests for the four input files (topology, suite, script and gateway
-config) and for the arguments of a cluster mutation.
+config), for the arguments of a cluster mutation, and for the two artifacts
+read back (`library.json` and `history.log`).
 
 Each loader reads its bundled document with one node spoiled: a key or list
 item dropped, a value replaced by one of another type, or a key added to a
@@ -11,6 +12,7 @@ mutation arguments either apply or are refused with the state left as it was.
 from __future__ import annotations
 
 import copy
+import json
 from unittest import mock
 
 import pytest
@@ -18,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opslearn import cluster, llm, runner
+from opslearn.datalayer import SkillLibrary
 from opslearn.resources import fixture_path, load_yaml
 
 MAX_EXAMPLES = 150  # per loader: the four together take about 2 s
 MUTATION_EXAMPLES = 40  # per action: the five together take about 0.5 s
+LIBRARY_EXAMPLES = 60  # about 0.3 s
+REPLAY_EXAMPLES = 40  # a replay takes about 20 ms: about 1 s
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
 _values = st.one_of(
@@ -117,3 +122,41 @@ def test_spoiled_mutation_arguments_apply_or_change_nothing(action, data):
         assert (cluster.state_digest(state), state.mutation_count) == (before, 0)
     else:
         assert state.mutation_count == 1
+
+
+
+@settings(max_examples=LIBRARY_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_a_spoiled_library_loads_or_fails_with_one_value_error(data):
+    with open(fixture_path("skill_library.json")) as fh:
+        doc = data.draw(_spoiled(json.load(fh)))
+    try:
+        SkillLibrary.import_json(json.dumps(doc))
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+
+
+@pytest.fixture(scope="module")
+def seed_7_trial(tmp_path_factory):
+    """The directory of a seed-7 trial and the documents of its history.log lines."""
+    out_dir = tmp_path_factory.mktemp("trial")
+    runner.run_trial(runner.TrialConfig(seed=7, out_dir=str(out_dir)))
+    with open(out_dir / "history.log") as fh:
+        return out_dir, [json.loads(line) for line in fh]
+
+
+@settings(max_examples=REPLAY_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_a_spoiled_history_replays_or_fails_with_one_configuration_error(seed_7_trial, data):
+    """The history is spoiled as one list of its lines, header first."""
+    out_dir, lines = seed_7_trial
+    lines = data.draw(_spoiled(copy.deepcopy(lines)))
+    path = str(out_dir / "spoiled.log")
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in (lines if isinstance(lines, list) else [lines]))
+    try:
+        runner.replay_history(path, fixture_path("sock_shop.yaml"), 7)
+    except runner.ConfigurationError as exc:
+        message = str(exc)
+        assert message.startswith(f"history {path}: ")
+        assert "\n" not in message

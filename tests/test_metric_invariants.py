@@ -3,8 +3,11 @@
 Two deployments with drawn traffic profiles take drawn steps: ticks, scales
 (to 0 too), pod kills and resource changes. Whatever the steps, every counter
 only grows, each deployment's per-status request counters sum to both its
-`_count` and its `le="+Inf"` bucket at every scrape, and a deployment with
-no pods adds no samples, as Prometheus drops a target with no endpoints.
+`_count` and its `le="+Inf"` bucket at every scrape, the buckets grow with
+`le`, `_sum` lies between 0 and `_count` times the largest finite bound, CPU
+and memory usage stay within their limits, and a deployment with no pods
+adds no samples, as Prometheus drops a target with no endpoints. A step taken
+on a clone leaves the clone as the same step leaves the original.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn.cluster import ClusterState, load_topology, mutate, tick
+from opslearn.cluster import ClusterState, clone, load_topology, mutate, state_digest, tick
 
 _NAMES = ("api", "web")
 _SHARES = (0.0, 0.02, 0.05, 0.25, 0.5, 0.75, 1.0)
@@ -77,6 +80,21 @@ def _take(state: ClusterState, step: tuple) -> None:
             mutate(state, "kill_pod", {"namespace": "shop", "pod": pods[0].name})
 
 
+def _within_limits(state: ClusterState) -> None:
+    for dep in state.deployments:
+        res = dep.resources
+        usage = [(res.current_cpu, res.current_mem)]
+        usage += [(pod.usage_cpu_millicores, pod.usage_mem_bytes) for pod in state.deployment_pods(dep)]
+        assert all(0 <= cpu <= res.cpu_limit and 0 <= mem <= res.mem_limit for cpu, mem in usage), dep.name
+
+
+def _observed(state: ClusterState) -> tuple:
+    """Everything a step changes: the configuration, the clock, the usage and every sample."""
+    usage = [(dep.resources.current_cpu, dep.resources.current_mem) for dep in state.deployments]
+    samples = {sid: state.metrics.samples(sid) for sid in state.metrics.series_ids()}
+    return state_digest(state), state.sim_time, usage, samples
+
+
 def _value_at(state: ClusterState, sid, at: float) -> float:
     sample = state.metrics.latest_at(sid, at, math.inf)
     return sample[1] if sample else 0.0
@@ -87,8 +105,13 @@ def _value_at(state: ClusterState, sid, at: float) -> float:
 def test_counters_grow_and_statuses_sum_to_the_count(profiles, steps):
     state = load_topology({"namespaces": ["shop"], "deployments": list(map(_deployment, _NAMES, profiles))}, seed=7)
     for step in steps:
+        twin = clone(state)
         _take(state, step)
+        _take(twin, step)
+        assert _observed(twin) == _observed(state)
+        _within_limits(state)
     tick(state, 30.0)
+    _within_limits(state)
     store = state.metrics
     for sid in store.series_ids():
         if sid.metric_name in _COUNTERS:
@@ -96,6 +119,9 @@ def test_counters_grow_and_statuses_sum_to_the_count(profiles, steps):
             assert values == sorted(values), sid
     for dep in state.deployments:
         ids = dep.series
+        largest = max((le for le, _ in dep.traffic.latency_buckets), default=0.0)
         for at, count in store.samples(ids.duration_count):
             assert sum(_value_at(state, sid, at) for sid in ids.requests) == count
-            assert _value_at(state, ids.buckets[-1], at) == count
+            buckets = [_value_at(state, sid, at) for sid in ids.buckets]  # in `le` order, "+Inf" last
+            assert buckets == sorted(buckets) and buckets[-1] == count
+            assert 0 <= _value_at(state, ids.duration_sum, at) <= count * largest

@@ -140,13 +140,13 @@ def test_parse_plan_too_many_blocks():
 
 
 def test_parse_plan_missing_fields():
-    with pytest.raises(ValueError, match="subtask 1 missing assignee or description"):
+    with pytest.raises(ValueError, match="subtask 1.description: missing"):
         parse_plan("Subtask 1:\nassignee: catalogue\n", AGENTS)
 
 
 def test_parse_plan_unknown_assignee():
     text = "Subtask 1:\nassignee: payments\ndescription: poke the queue\n"
-    with pytest.raises(ValueError, match="unknown assignee 'payments'"):
+    with pytest.raises(ValueError, match="subtask 1.assignee: 'payments' is not one of 'catalogue', 'front-end', 'manager'"):
         parse_plan(text, AGENTS + ("manager",))
 
 
@@ -161,17 +161,17 @@ def test_parse_plan_forward_dependency():
 
 def test_parse_plan_bad_expectation():
     text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: maybe\n"
-    with pytest.raises(ValueError, match="bad expectation 'maybe'"):
+    with pytest.raises(ValueError, match="subtask 1.expects: bad expectation 'maybe'"):
         parse_plan(text, AGENTS)
 
 
 def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
     # the compiler raised OverflowError and RecursionError; the last backtracks exponentially
     for pattern in ("a{99999999999}", "(" * 2000, "(a|aa)+b"):
-        with pytest.raises(ValueError, match="subtask 1: bad expectation 'regex:"):
+        with pytest.raises(ValueError, match="subtask 1.expects: bad expectation 'regex:"):
             parse_plan(f"Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:{pattern}\n", AGENTS)
     text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:(\n"
-    with pytest.raises(ValueError, match=r"subtask 1: bad expectation 'regex:\('"):
+    with pytest.raises(ValueError, match=r"subtask 1.expects: bad expectation 'regex:\('"):
         parse_plan(text, AGENTS)
     good = text.replace("regex:(", r"regex:^\d+$")
     assert parse_plan(good, AGENTS)[0].expects == r"regex:^\d+$"
@@ -222,7 +222,7 @@ def test_decompose_reasks_after_a_broken_regex_expectation():
     assert plan.subtasks[0].expects == "number"
     prompts = [r.payload for r in history.records if r.payload_kind == "prompt"]
     assert len(prompts) == 2
-    assert "previous plan was rejected (subtask 1: bad expectation 'regex:('" in prompts[1]
+    assert "previous plan was rejected (subtask 1.expects: bad expectation 'regex:('" in prompts[1]
 
 
 def test_decompose_fails_after_two_bad_plans():

@@ -183,7 +183,6 @@ def fixture_state():
         ("resources.mem_limit", "200Mi"),
         ("probes.liveness.http_path", "/health"),
         ("probes.liveness.initial_delay", "10"),
-        ("probes.startup.http_path", ""),  # no such probe on the deployment
     ],
 )
 def test_post_condition_deployment_fields(fixture_state, field, expected):
@@ -216,7 +215,8 @@ def test_post_condition_conjunction(fixture_state):
 
 
 def test_post_condition_field_errors(fixture_state):
-    for field in ("resources.gpu", "probes.liveness.port", "annotations", "labels", "resources", "probes.liveness"):
+    for field in ("resources.gpu", "probes.liveness.port", "probes.startup.http_path", "probes.livenes.http_path",
+                  "annotations", "labels", "resources", "probes.liveness"):
         cond = {"deployment": "sock-shop/catalogue", "field": field, "equals": "x"}
         with pytest.raises(ConfigurationError):
             check_post_conditions(fixture_state, None, [cond])

@@ -159,6 +159,9 @@ def test_listing_exact_output(gateway, line, stdout):
     assert (result.stdout, result.stderr, result.exit_code) == (stdout, "", 0)
 
 
+_GHOST = 'Error from server (NotFound): deployments.apps "ghost" not found in namespace "sock-shop"'
+
+
 @pytest.mark.parametrize(
     "line, stderr",
     [
@@ -167,6 +170,14 @@ def test_listing_exact_output(gateway, line, stdout):
         (
             "kubectl get deployment ghost -n sock-shop",
             'Error from server (NotFound): deployments.apps "ghost" not found',
+        ),
+        ("kubectl label deployment ghost -n sock-shop env=prod", _GHOST),
+        ("kubectl scale deployment ghost -n sock-shop --replicas=2", _GHOST),
+        ("kubectl set resources deployment ghost -n sock-shop --limits=cpu=1", _GHOST),
+        ("kubectl patch deployment ghost -n sock-shop -p '{\"image\": \"x:1\"}'", _GHOST),
+        (
+            "kubectl label deployment catalogue -n sock-shop name=other",
+            "error: 'name' already has a value (catalogue), and --overwrite is false",
         ),
         ("kubectl get pods -n", "error: flag needs an argument: -n"),
         ("kubectl scale deployment catalogue --replicas", "error: unknown flag: --replicas"),

@@ -7,15 +7,13 @@ time ceiling hit), 1 for configuration problems.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
 
-from .cluster import LoadError
 from .datalayer import SkillLibrary
-from .llm import GatewayConfigError, ScriptExhausted
-from .resources import fixture_path
+from .llm import ScriptExhausted
+from .resources import fixture_path, load_json, read_input
 from .runner import (
     LLM_BACKENDS,
     TRIAL_MODES,
@@ -110,10 +108,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = trial_config(args)
     columns = []
     for lib_path in args.library:
-        try:
-            library = SkillLibrary.load(lib_path)
-        except ValueError as exc:  # not JSON, or an entry that does not fit its schema
-            raise ConfigurationError(f"library {lib_path}: {exc}") from None
+        library = SkillLibrary.load(lib_path)
         label = os.path.splitext(os.path.basename(lib_path))[0]
         columns.append((label, run_evaluation(library, suite, config, repeats=args.repeats)))
     grid = assemble_grid(columns)
@@ -133,12 +128,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for name in ("report.json", "grid.json"):
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
+            data = read_input("report", path, {str: object}, parse=load_json)
             try:
-                with open(path) as fh:
-                    data = json.load(fh)
                 emitted.extend(emit_report(data, out_dir, formats))
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:  # not JSON, or not shaped like a run's
-                raise ConfigurationError(f"{path}: {type(exc).__name__}: {exc}") from None
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:  # not shaped like a run's
+                raise ConfigurationError(f"report {path}: {type(exc).__name__}: {exc}") from None
     if not emitted:
         raise ConfigurationError(f"no report.json or grid.json under {out_dir}/")
     for path in emitted:
@@ -167,10 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (ConfigurationError, GatewayConfigError, LoadError, ScriptExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigurationError, ScriptExhausted, OSError) as exc:  # an OSError here is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, TypeVar
 
-import yaml
-
 from .metrics import MetricStore, SeriesId
-from .resources import Misfit, conform, finite_number, load_yaml, number, one_of
+from .resources import Misfit, conform, finite_number, number, one_of, read_input
 
 T = TypeVar("T")
 
@@ -38,10 +36,6 @@ GI = 1024 * 1024 * 1024
 
 # k8s-style random-suffix alphabet (no vowels, no ambiguous glyphs)
 _SUFFIX_ALPHABET = "bcdfghjklmnpqrstvwxz2456789"
-
-
-class LoadError(Exception):
-    """Topology document rejected; message names the offending path."""
 
 
 class NotFound(Exception):
@@ -411,14 +405,7 @@ def _default_template_hash(name: str) -> str:
 
 def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
     """Build a ClusterState from a topology document or a path to one."""
-    try:
-        doc = load_yaml(source) if isinstance(source, str) else source
-    except (OSError, yaml.YAMLError) as exc:
-        raise LoadError(f"cannot read topology: {exc}") from None
-    try:
-        return _build_state(conform(TOPOLOGY, doc), seed)
-    except Misfit as exc:
-        raise LoadError(f"{source if isinstance(source, str) else 'topology'}: {exc}") from None
+    return read_input("fixture", source, TOPOLOGY, lambda doc: _build_state(doc, seed))
 
 
 def _build_state(doc: dict[str, Any], seed: int) -> ClusterState:

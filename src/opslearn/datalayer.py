@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from . import promql
 from .cluster import ClusterState
-from .resources import conform, finite_number, maybe, number, one_of
+from .resources import conform, finite_number, load_json, load_json_lines, maybe, number, one_of, read_input
 
 OBSERVATION = "observation"
 ACTION = "action"
@@ -141,15 +141,18 @@ class History:
 
     @classmethod
     def load(cls, path: str) -> "History":
-        """The history a `dump` wrote; a ValueError names the first line that is not JSON
+        """The history a `dump` wrote; a refusal names the first line that is not JSON
         or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
         history = cls()
-        with open(path) as fh:
-            conform(_HEADER, json.loads(fh.readline()), "line 1")
-            for number, line in enumerate(fh, start=2):
-                if line.strip():
-                    history.records.append(InteractionRecord(**conform(_RECORD, json.loads(line), f"line {number}")))
+        docs = read_input("history", path, _history_lines, parse=load_json_lines)
+        history.records = [InteractionRecord(**doc) for doc in docs]
         return history
+
+
+def _history_lines(lines: dict[int, Any]) -> list[dict[str, Any]]:
+    """The record documents of a history's lines, once line 1 holds the header."""
+    conform(_HEADER, lines.pop(1, None), "line 1")
+    return [conform(_RECORD, doc, f"line {number}") for number, doc in lines.items()]
 
 
 def task_close(record: InteractionRecord) -> tuple[str, str, str] | None:
@@ -272,10 +275,9 @@ class SkillLibrary:
         )
 
     @classmethod
-    def import_json(cls, text: str) -> "SkillLibrary":
-        """The library `export_json` wrote; a ValueError when `text` is not JSON or does not fit the schema."""
+    def _from_doc(cls, doc: dict[str, Any]) -> "SkillLibrary":
         library = cls()
-        library.entries = [SkillEntry(**doc) for doc in conform(_LIBRARY, json.loads(text))["skills"]]
+        library.entries = [SkillEntry(**entry) for entry in doc["skills"]]
         library._next_id = max([1] + [entry.id + 1 for entry in library.entries])
         return library
 
@@ -285,8 +287,8 @@ class SkillLibrary:
 
     @classmethod
     def load(cls, path: str) -> "SkillLibrary":
-        with open(path) as fh:
-            return cls.import_json(fh.read())
+        """The library `save` wrote."""
+        return read_input("library", path, _LIBRARY, cls._from_doc, parse=load_json)
 
     def export_markdown(self) -> str:
         """Human-facing library view: one section per skill kind, plus the

@@ -23,9 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
-import yaml
-
-from .resources import Misfit, conform, finite_number, load_yaml, number, one_of
+from .resources import ConfigurationError, conform, finite_number, number, one_of, read_input
 
 ROLES = ("curriculum", "planner", "curator")
 T = TypeVar("T")
@@ -37,10 +35,6 @@ class BudgetExhausted(Exception):
 
 class ScriptExhausted(Exception):
     """No scripted record matches; the fixture and the code disagree."""
-
-
-class GatewayConfigError(Exception):
-    pass
 
 
 def estimate_tokens(text: str) -> int:
@@ -141,17 +135,16 @@ _CONFIG = {
 }
 
 
+def _settings(doc: Any) -> dict[str, Any]:
+    """The settings of a config document; a key a flag owns is refused with the flag's name."""
+    owned = sorted(key for key in FLAG_OWNED_KEYS if isinstance(doc, dict) and key in doc)
+    if owned:
+        raise ValueError(f"unknown keys {owned}" + "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in owned))
+    return conform(_CONFIG, {} if doc is None else doc)
+
+
 def load_config(path: str) -> GatewayConfig:
-    try:
-        doc = load_yaml(path)
-    except yaml.YAMLError as exc:
-        raise GatewayConfigError(f"llm config: {exc}") from None
-    try:
-        settings = conform(_CONFIG, {} if doc is None else doc)
-    except Misfit as exc:
-        owned = [key for key in FLAG_OWNED_KEYS if isinstance(doc, dict) and key in doc]
-        owners = "".join(f"; {key} is set by {FLAG_OWNED_KEYS[key]}" for key in owned)
-        raise GatewayConfigError(f"llm config {path}: {exc}{owners}") from None
+    settings = read_input("llm config", path, _settings)
     config = GatewayConfig(endpoint=settings["endpoint"], api_key_env=settings["api_key_env"])
     for role, r in settings["routes"].items():
         config.routes[role] = ModelRoute(role, r["model"], r["max_tokens"], r["temperature"])
@@ -222,7 +215,7 @@ class BaseGateway:
     def _route(self, role: str) -> ModelRoute:
         route = self.config.routes.get(role)
         if route is None:
-            raise GatewayConfigError(f"no route for role {role!r}")
+            raise ConfigurationError(f"no route for role {role!r}")
         return route
 
     def _prices(self, model_id: str) -> dict[str, float]:
@@ -281,17 +274,13 @@ def _uses(value: Any) -> int:
 _SCRIPT = {"records": [{"role": one_of(*ROLES), "response": str, "guard": (str, None), "max_uses": (_uses, 1)}]}
 
 
+def _records(doc: Any) -> list[dict[str, Any]]:
+    return conform(_SCRIPT, {"records": doc} if isinstance(doc, list) else doc)["records"]
+
+
 def load_script(path: str) -> list[ScriptRecord]:
     """The records of a script file: a list, bare or under `records:`."""
-    try:
-        doc = load_yaml(path)
-    except yaml.YAMLError as exc:
-        raise GatewayConfigError(f"script: {exc}") from None
-    try:
-        records = conform(_SCRIPT, {"records": doc} if isinstance(doc, list) else doc)["records"]
-    except Misfit as exc:
-        raise GatewayConfigError(f"script {path}: {exc}") from None
-    return [ScriptRecord(**record) for record in records]
+    return read_input("script", path, _records, lambda records: [ScriptRecord(**record) for record in records])
 
 
 class ScriptedGateway(BaseGateway):

@@ -1,10 +1,11 @@
-"""Reading input: bundled fixture files (topologies, prompts, scripts), YAML
-documents, the schemas they are read through, and the numbers read from them."""
+"""Reading input: bundled fixture files (topologies, prompts, scripts), the one reader
+of every input file, the schemas it reads them through, and the numbers read from them."""
 
 from __future__ import annotations
 
 import copy
 import functools
+import json
 import math
 import os
 import re
@@ -24,6 +25,10 @@ _parsed: dict[str, Any] = {}  # parsed documents by file text
 T = TypeVar("T")
 
 
+class ConfigurationError(Exception):
+    """Unusable input: a flag, an input file or a gateway setting (CLI exit 1)."""
+
+
 def fixture_path(*parts: str) -> str:
     return os.path.join(_FIXTURES, *parts)
 
@@ -34,13 +39,33 @@ def prompt_template(name: str) -> str:
         return fh.read()
 
 
+def read_input(
+    what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable[[str], Any] | None = None
+) -> Any:
+    """`build(conform(spec, doc))` for the document at path `source`, read with `parse`
+    (`load_yaml` by default), or for `source` itself when it is not a path. Unusable input
+    is one ConfigurationError worded `<what> <file>: [<path>: ]<reason>`; a TypeError or
+    KeyError out of `build` is a bug, not an input error, and propagates."""
+    name = f"{what} {source}" if isinstance(source, str) else what
+    try:
+        doc = (parse or load_yaml)(source) if isinstance(source, str) else source
+        checked = conform(spec, doc)
+        return checked if build is None else build(checked)
+    except OSError as exc:
+        raise ConfigurationError(f"{name}: {exc.strerror or exc}") from None
+    except RecursionError:  # its message depends on how deep the caller's stack already was
+        raise ConfigurationError(f"{name}: nests too deeply") from None
+    except (ValueError, yaml.YAMLError) as exc:  # a Misfit is a ValueError
+        raise ConfigurationError(f"{name}: {exc}") from None
+
+
 def load_yaml(path: str) -> Any:
     """Parse a YAML file, with libyaml when it is installed.
 
     The file is read on every call and each distinct text is parsed once
     per process; every caller gets its own deep copy. Raises OSError when the
-    file cannot be read, and yaml.YAMLError with a one-line message naming
-    the file when it does not parse; a failed parse is not cached.
+    file cannot be read, and yaml.YAMLError worded `line L, column C: problem`
+    when it does not parse; a failed parse is not cached.
     """
     with open(path) as fh:
         text = fh.read()
@@ -51,9 +76,28 @@ def load_yaml(path: str) -> Any:
             mark = getattr(exc, "problem_mark", None)
             where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
             problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
-            raise yaml.YAMLError(f"{path}: {where}{problem}") from None
+            raise yaml.YAMLError(f"{where}{problem}") from None
         _parsed[text] = doc
     return copy.deepcopy(_parsed[text])
+
+
+def load_json(path: str) -> Any:
+    """Parse a JSON file; a ValueError worded `line L, column C: problem` when it does not parse."""
+    with open(path) as fh:
+        return _json(fh.read(), 1)
+
+
+def load_json_lines(path: str) -> dict[int, Any]:
+    """The JSON document on each line that is not blank, by line number; refused as `load_json` refuses."""
+    with open(path) as fh:
+        return {number: _json(line, number) for number, line in enumerate(fh, start=1) if line.strip()}
+
+
+def _json(text: str, line: int) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:  # `exc.lineno` counts from the first line of `text`
+        raise ValueError(f"line {line + exc.lineno - 1}, column {exc.colno}: {exc.msg}") from None
 
 
 def finite_number(convert: Callable[[Any], T], value: Any) -> T:
@@ -122,7 +166,7 @@ def conform(spec: Any, value: Any, path: str = "") -> Any:
     try:
         return spec(value)
     except Misfit as exc:  # a converter that reads the value through a schema it picks
-        raise Misfit(f"{path}.{exc.path}" if exc.path else path, exc.reason) from None
+        raise Misfit(f"{path}.{exc.path}" if path and exc.path else path or exc.path, exc.reason) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise Misfit(path, str(exc)) from None
 

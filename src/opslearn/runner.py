@@ -18,13 +18,10 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
-import yaml
-
 from .cluster import (
     ACTIONS,
     ClusterState,
     InvalidArgument,
-    LoadError,
     NotFound,
     component_names,
     field_reader,
@@ -47,7 +44,7 @@ from .llm import (
     load_script,
 )
 from .planner import ExecutionPlanner
-from .resources import Misfit, compile_pattern, conform, finite_number, fixture_path, load_yaml, number, one_of
+from .resources import ConfigurationError, compile_pattern, conform, finite_number, fixture_path, number, one_of, read_input
 from .shell import ShellGateway
 
 ROUND_TICK_SECONDS = 60.0
@@ -62,10 +59,6 @@ TRIAL_MODES = ("full", "observation_only")
 LLM_BACKENDS = ("scripted", "live")
 
 _TASK_ID_RE = re.compile(r"r(\d+)t(\d+)")
-
-
-class ConfigurationError(Exception):
-    """Unusable flags, fixtures, or gateway settings (CLI exit 1)."""
 
 
 @dataclass
@@ -192,10 +185,7 @@ class TrialResult:
 
 def run_trial(config: TrialConfig) -> TrialResult:
     started = time.monotonic()
-    try:
-        state = load_topology(config.fixture_file(), seed=config.seed)
-    except (LoadError, OSError) as exc:
-        raise ConfigurationError(f"fixture: {exc}") from exc
+    state = load_topology(config.fixture_file(), seed=config.seed)
     gateway = _build_gateway(config)
 
     history = History(lambda: state.sim_time)
@@ -346,24 +336,21 @@ _SUITE_TASK = {
 _SUITE = {"suite_schema": int, "tasks": ([_SUITE_TASK], [])}
 
 
-def load_suite(path: str) -> list[dict[str, Any]]:
-    """The tasks of an evaluation suite, each with every key its schema gives a default."""
-    try:
-        doc = load_yaml(path)
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"suite: {exc}") from None
+def _suite_tasks(doc: Any) -> list[dict[str, Any]]:
     if not isinstance(doc, dict) or doc.get("suite_schema") != 1:
-        raise ConfigurationError(f"{path}: not an evaluation suite")
-    try:
-        tasks = conform(_SUITE, doc)["tasks"]
-    except Misfit as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ValueError("not an evaluation suite")
+    tasks = conform(_SUITE, doc)["tasks"]
     first_index: dict[str, int] = {}  # grid rows are keyed by task id
     for i, task in enumerate(tasks):
         first = first_index.setdefault(task["id"], i)
         if first != i:
-            raise ConfigurationError(f"{path}: task {i} repeats the id {task['id']!r} of task {first}")
+            raise ValueError(f"task {i} repeats the id {task['id']!r} of task {first}")
     return tasks
+
+
+def load_suite(path: str) -> list[dict[str, Any]]:
+    """The tasks of an evaluation suite, each with every key its schema gives a default."""
+    return read_input("suite", path, _suite_tasks)
 
 
 def _suite_task(suite_task: dict[str, Any], repeat: int) -> Task:
@@ -467,10 +454,7 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
     recorded completions are fed back as an in-order script, so
     extraction, validation, and consolidation all land exactly where
     they did in the original run."""
-    try:
-        original = History.load(history_path)
-    except ValueError as exc:  # not JSON, or a line that does not fit its schema
-        raise ConfigurationError(f"history {history_path}: {exc}") from None
+    original = History.load(history_path)
     state = load_topology(fixture, seed=seed)
     shell = ShellGateway(state, component_names(state))
     curator_records = [

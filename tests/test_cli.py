@@ -34,7 +34,7 @@ def test_run_prints_summary_and_exits_zero(tmp_path, capsys):
 def test_run_reports_missing_fixture(tmp_path, capsys):
     code = main(["run", "--fixture", str(tmp_path / "absent.yaml"), "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: fixture:")
+    assert capsys.readouterr().err.startswith(f"error: fixture {tmp_path / 'absent.yaml'}: ")
 
 
 def test_run_reports_missing_script(tmp_path, capsys):

@@ -10,7 +10,6 @@ from opslearn.cluster import (
     MAX_REPLICAS,
     ClusterState,
     InvalidArgument,
-    LoadError,
     NotFound,
     clone,
     component_names,
@@ -20,7 +19,7 @@ from opslearn.cluster import (
     tick,
 )
 from opslearn.promql import evaluate
-from opslearn.resources import fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, fixture_path, load_yaml
 from opslearn.shell import ShellGateway
 
 
@@ -105,7 +104,7 @@ def test_scale_above_the_replica_bound_is_rejected_before_any_pod_spawns():
 def test_topology_replicas_above_the_bound_are_rejected():
     doc = load_yaml(fixture_path("sock_shop.yaml"))
     doc["deployments"][0]["replicas"] = MAX_REPLICAS + 1
-    with pytest.raises(LoadError, match=r"deployments\[0\]\.replicas"):
+    with pytest.raises(ConfigurationError, match=r"deployments\[0\]\.replicas"):
         load_topology(doc)
 
 
@@ -125,7 +124,7 @@ def test_topology_refuses_negative_quantities_and_probe_durations(path, value, m
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with pytest.raises(LoadError, match=r"deployments\[1\]\." + message):
+    with pytest.raises(ConfigurationError, match=r"deployments\[1\]\." + message):
         load_topology(doc)
 
 

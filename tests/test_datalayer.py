@@ -9,7 +9,7 @@ from dataclasses import asdict
 import pytest
 
 from opslearn.datalayer import History, SkillEntry, SkillLibrary, Task, task_close
-from opslearn.resources import fixture_path
+from opslearn.resources import ConfigurationError, fixture_path
 
 
 def _task(task_id: str, round_no: int, kind: str = "observation", difficulty: int = 1) -> Task:
@@ -127,7 +127,7 @@ def test_skill_entry_doc_equals_asdict_and_copies_its_cites():
 def test_history_rejects_unknown_schema(tmp_path):
     path = tmp_path / "history.log"
     path.write_text('{"history_schema": 99}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         History.load(str(path))
 
 
@@ -176,13 +176,14 @@ def test_configuration_conflict_grouping():
     assert "Image is b:2." in conflict_section
 
 
-def test_export_import_round_trip():
+def test_export_import_round_trip(tmp_path):
     library = SkillLibrary.load(fixture_path("skill_library.json"))
     text = library.export_json()
     doc = json.loads(text)
     assert doc["library_schema"] == 1
     assert len(doc["skills"]) == 30
-    again = SkillLibrary.import_json(text)
+    library.save(str(tmp_path / "library.json"))
+    again = SkillLibrary.load(str(tmp_path / "library.json"))
     assert again.export_json() == text
     # Imported libraries continue the id sequence rather than reusing ids.
     result = again.store_skill(_command("kubectl get namespaces"))

@@ -4,9 +4,11 @@ read back (`library.json` and `history.log`).
 
 Each loader reads its bundled document with one node spoiled: a key or list
 item dropped, a value replaced by one of another type, or a key added to a
-mapping. Whatever the spoiling, the loader returns a value or raises its own
-error, one line that names the file; it never raises anything else. Spoiled
-mutation arguments either apply or are refused with the state left as it was.
+mapping. The spoiled document is handed to the loader where the one reader,
+`resources.read_input`, parses its file. Whatever the spoiling, the loader
+returns a value or raises a ConfigurationError, one line that names the
+file; it never raises anything else. Spoiled mutation arguments either apply
+or are refused with the state left as it was.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn import cluster, llm, runner
+from opslearn import cluster, llm, resources, runner
 from opslearn.datalayer import SkillLibrary
-from opslearn.resources import fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, fixture_path, load_yaml
 
 MAX_EXAMPLES = 150  # per loader: the four together take about 2 s
 MUTATION_EXAMPLES = 40  # per action: the five together take about 0.5 s
@@ -35,12 +37,12 @@ _values = st.one_of(
     st.dictionaries(st.text(max_size=6), _scalars, max_size=2),
 )
 
-# (module whose load_yaml the loader calls, loader, bundled document, error, message prefix)
+# (loader, bundled document, the input's word in an error)
 _LOADERS = {
-    "topology": (cluster, cluster.load_topology, "sock_shop.yaml", cluster.LoadError, "{}: "),
-    "suite": (runner, runner.load_suite, "eval_suite.yaml", runner.ConfigurationError, "{}: "),
-    "script": (llm, llm.load_script, "scripts/evaluation.yaml", llm.GatewayConfigError, "script {}: "),
-    "config": (llm, llm.load_config, "llm_default.yaml", llm.GatewayConfigError, "llm config {}: "),
+    "topology": (cluster.load_topology, "sock_shop.yaml", "fixture"),
+    "suite": (runner.load_suite, "eval_suite.yaml", "suite"),
+    "script": (llm.load_script, "scripts/evaluation.yaml", "script"),
+    "config": (llm.load_config, "llm_default.yaml", "llm config"),
 }
 
 
@@ -78,14 +80,14 @@ def _spoiled(draw, doc):
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(name, data):
-    module, loader, fixture, error, prefix = _LOADERS[name]
+    loader, fixture, what = _LOADERS[name]
     doc = data.draw(_spoiled(load_yaml(fixture_path(fixture))))
-    with mock.patch.object(module, "load_yaml", return_value=doc):
+    with mock.patch.object(resources, "load_yaml", return_value=doc):
         try:
             loader("spoiled.yaml")
-        except error as exc:
+        except ConfigurationError as exc:
             message = str(exc)
-            assert message.startswith(prefix.format("spoiled.yaml"))
+            assert message.startswith(f"{what} spoiled.yaml: ")
             assert "\n" not in message
 
 
@@ -127,13 +129,18 @@ def test_spoiled_mutation_arguments_apply_or_change_nothing(action, data):
 
 @settings(max_examples=LIBRARY_EXAMPLES, deadline=None)
 @given(data=st.data())
-def test_a_spoiled_library_loads_or_fails_with_one_value_error(data):
+def test_a_spoiled_library_loads_or_fails_with_one_configuration_error(tmp_path_factory, data):
     with open(fixture_path("skill_library.json")) as fh:
         doc = data.draw(_spoiled(json.load(fh)))
+    path = str(tmp_path_factory.getbasetemp() / "spoiled.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
     try:
-        SkillLibrary.import_json(json.dumps(doc))
-    except ValueError as exc:
-        assert "\n" not in str(exc)
+        SkillLibrary.load(path)
+    except ConfigurationError as exc:
+        message = str(exc)
+        assert message.startswith(f"library {path}: ")
+        assert "\n" not in message
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +163,7 @@ def test_a_spoiled_history_replays_or_fails_with_one_configuration_error(seed_7_
         fh.writelines(json.dumps(line) + "\n" for line in (lines if isinstance(lines, list) else [lines]))
     try:
         runner.replay_history(path, fixture_path("sock_shop.yaml"), 7)
-    except runner.ConfigurationError as exc:
+    except ConfigurationError as exc:
         message = str(exc)
         assert message.startswith(f"history {path}: ")
         assert "\n" not in message

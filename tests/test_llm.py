@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from opslearn.llm import (
     BudgetExhausted,
     GatewayConfig,
-    GatewayConfigError,
     LiveGateway,
     ScriptExhausted,
     ScriptRecord,
@@ -28,6 +27,7 @@ from opslearn.llm import (
     load_config,
     load_script,
 )
+from opslearn.resources import ConfigurationError
 
 
 def _messages(text: str) -> list[dict[str, str]]:
@@ -63,11 +63,11 @@ def test_load_config_overrides_and_defaults(tmp_path):
 def test_load_config_rejects_unknown_mode_and_role(tmp_path):
     bad_mode = tmp_path / "mode.yaml"
     bad_mode.write_text("mode: dream\n")
-    with pytest.raises(GatewayConfigError):
+    with pytest.raises(ConfigurationError):
         load_config(str(bad_mode))
     bad_role = tmp_path / "role.yaml"
     bad_role.write_text("routes:\n  poet:\n    model: gpt-4o\n")
-    with pytest.raises(GatewayConfigError):
+    with pytest.raises(ConfigurationError):
         load_config(str(bad_role))
 
 
@@ -89,12 +89,12 @@ def test_load_script_validates_records(tmp_path):
 
     bad_role = tmp_path / "bad_role.yaml"
     bad_role.write_text("- role: wizard\n  response: hi\n")
-    with pytest.raises(GatewayConfigError):
+    with pytest.raises(ConfigurationError):
         load_script(str(bad_role))
 
     missing = tmp_path / "missing.yaml"
     missing.write_text("- role: planner\n")
-    with pytest.raises(GatewayConfigError):
+    with pytest.raises(ConfigurationError):
         load_script(str(missing))
 
 
@@ -112,7 +112,7 @@ def test_load_script_validates_records(tmp_path):
 def test_loaders_reject_misshapen_documents(tmp_path, loader, text):
     path = tmp_path / "doc.yaml"
     path.write_text(text)
-    with pytest.raises(GatewayConfigError, match=re.escape(str(path))):
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
         loader(str(path))
 
 
@@ -197,7 +197,7 @@ def test_scripted_exhaustion_raises():
 
 def test_unknown_role_raises_config_error():
     gateway = _scripted([])
-    with pytest.raises(GatewayConfigError):
+    with pytest.raises(ConfigurationError):
         gateway.complete("poet", _messages("x"))
 
 

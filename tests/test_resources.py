@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opslearn.resources import compile_pattern, fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, compile_pattern, fixture_path, load_yaml, read_input
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
 
@@ -66,13 +66,13 @@ def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("namespaces: [sock-shop\n")
     for _ in range(2):
-        with pytest.raises(yaml.YAMLError) as info:
-            load_yaml(str(path))
+        with pytest.raises(ConfigurationError) as info:
+            read_input("fixture", str(path), object)
         message = str(info.value)
-        assert message.startswith(f"{path}: line ")
+        assert message.startswith(f"fixture {path}: line ")
         assert "\n" not in message
     path.write_text("namespaces: [sock-shop]\n")
-    assert load_yaml(str(path)) == {"namespaces": ["sock-shop"]}
+    assert read_input("fixture", str(path), object) == {"namespaces": ["sock-shop"]}
 
 
 def test_missing_file_raises_os_error(tmp_path):

@@ -107,8 +107,7 @@ class History:
     def add(
         self, actor: str, payload: str, payload_kind: str, feedback_kind: str | None = None
     ) -> InteractionRecord:
-        if (payload_kind == "feedback") != (feedback_kind is not None):
-            raise ValueError("feedback_kind is present exactly when payload_kind is feedback")
+        _check_feedback_kind(payload_kind, feedback_kind)
         record = InteractionRecord(
             id=len(self.records) + 1,
             task_id=self.task_id,
@@ -152,7 +151,18 @@ class History:
 def _history_lines(lines: dict[int, Any]) -> list[dict[str, Any]]:
     """The record documents of a history's lines, once line 1 holds the header."""
     conform(_HEADER, lines.pop(1, None), "line 1")
-    return [conform(_RECORD, doc, f"line {number}") for number, doc in lines.items()]
+    return [conform(_record, doc, f"line {number}") for number, doc in lines.items()]
+
+
+def _record(doc: Any) -> dict[str, Any]:
+    record = conform(_RECORD, doc)
+    _check_feedback_kind(record["payload_kind"], record["feedback_kind"])
+    return record
+
+
+def _check_feedback_kind(payload_kind: str, feedback_kind: str | None) -> None:
+    if (payload_kind == "feedback") != (feedback_kind is not None):
+        raise ValueError("feedback_kind is present exactly when payload_kind is feedback")
 
 
 def task_close(record: InteractionRecord) -> tuple[str, str, str] | None:

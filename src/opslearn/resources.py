@@ -21,6 +21,12 @@ except ImportError:  # pragma: no cover - Python 3.10
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 _parsed: dict[str, Any] = {}  # parsed documents by file text
+# libyaml's C composer recurses once per level and crashes the process some
+# 25,000 levels down; the bundled files nest at most 9 levels deep.
+MAX_DEPTH = 64
+_DEPTH_STEPS = {
+    yaml.SequenceStartEvent: 1, yaml.MappingStartEvent: 1, yaml.SequenceEndEvent: -1, yaml.MappingEndEvent: -1
+}
 
 T = TypeVar("T")
 
@@ -40,7 +46,7 @@ def prompt_template(name: str) -> str:
 
 
 def read_input(
-    what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable[[str], Any] | None = None
+    what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable | None = None
 ) -> Any:
     """`build(conform(spec, doc))` for the document at path `source`, read with `parse`
     (`load_yaml` by default), or for `source` itself when it is not a path. Unusable input
@@ -65,13 +71,16 @@ def load_yaml(path: str) -> Any:
     The file is read on every call and each distinct text is parsed once
     per process; every caller gets its own deep copy. Raises OSError when the
     file cannot be read, and yaml.YAMLError worded `line L, column C: problem`
-    when it does not parse; a failed parse is not cached.
+    when it does not parse or nests deeper than MAX_DEPTH; a refused text is
+    not cached.
     """
     with open(path) as fh:
         text = fh.read()
     if text not in _parsed:
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         try:
-            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            _check_depth(text, loader)
+            doc = yaml.load(text, Loader=loader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
@@ -79,6 +88,15 @@ def load_yaml(path: str) -> Any:
             raise yaml.YAMLError(f"{where}{problem}") from None
         _parsed[text] = doc
     return copy.deepcopy(_parsed[text])
+
+
+def _check_depth(text: str, loader: Any) -> None:
+    """Refuse `text` at the first collection nested deeper than MAX_DEPTH, before any document is built."""
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        depth += _DEPTH_STEPS.get(type(event), 0)
+        if depth > MAX_DEPTH:
+            raise yaml.MarkedYAMLError(problem=f"nests deeper than {MAX_DEPTH} levels", problem_mark=event.start_mark)
 
 
 def load_json(path: str) -> Any:

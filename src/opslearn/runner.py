@@ -44,7 +44,9 @@ from .llm import (
     load_script,
 )
 from .planner import ExecutionPlanner
-from .resources import ConfigurationError, compile_pattern, conform, finite_number, fixture_path, number, one_of, read_input
+from .resources import (
+    ConfigurationError, compile_pattern, conform, finite_number, fixture_path, number, one_of, read_input
+)
 from .shell import ShellGateway
 
 ROUND_TICK_SECONDS = 60.0
@@ -54,6 +56,7 @@ EVAL_WARMUP_SECONDS = 300.0
 # than this after the one before it, which bounds the scrapes one record costs.
 REPLAY_MAX_STEP_SECONDS = 3600.0
 RETRIEVE_K = 4
+MAX_ROUNDS = 1000  # the report's timeline draws one column per round
 
 TRIAL_MODES = ("full", "observation_only")
 LLM_BACKENDS = ("scripted", "live")
@@ -90,6 +93,8 @@ class TrialConfig:
         for key in ("rounds", "tasks_per_round"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        if self.rounds > MAX_ROUNDS:
+            raise ConfigurationError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds!r}")
 
     def fixture_file(self) -> str:
         return self.fixture or str(fixture_path("sock_shop.yaml"))
@@ -573,7 +578,8 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
 
 def _timeline_svg(report: dict[str, Any]) -> str:
     points = report.get("knowledge_points", [])
-    rounds = max(1, int(report.get("config", {}).get("rounds", 1)))
+    rounds = conform(int, report.get("config", {}).get("rounds", 1), "config.rounds")
+    conform(number(int, 1, MAX_ROUNDS), rounds, "config.rounds")
     left, top, cell_w, cell_h = 230, 48, 60, 28
     width = left + rounds * cell_w + 24
     height = top + len(points) * cell_h + 40

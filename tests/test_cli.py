@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import opslearn
 from opslearn.cli import build_parser, main, trial_config
 from opslearn.datalayer import SkillLibrary
 from opslearn.resources import fixture_path
-from opslearn.runner import TrialConfig
+from opslearn.runner import MAX_ROUNDS, TrialConfig
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +286,7 @@ def _library_of(**changes) -> str:
 
 
 _SUCCEEDED = "task=r1t1 status=succeeded description=x"
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"
 _INT_COMMAND = {"actor": "catalogue", "payload_kind": "command", "payload": 5}
 _INT_COMPLETION = {"actor": "curator", "payload_kind": "completion", "payload": 5}
 
@@ -310,6 +316,12 @@ _INT_COMPLETION = {"actor": "curator", "payload_kind": "completion", "payload": 
         (["replay", "--history"], _history_closing("r1t1", 30.0, payload=5), "line 2.payload: expected str, got 5"),
         (["replay", "--history"], _history_closing("r1t1", 30.0, payload=_SUCCEEDED),
          "no scripted response left for role 'curator'"),
+        (["eval", "--library"], _DEEP_JSON, "nests too deeply"),
+        (["replay", "--history"], '{"history_schema": 1}\n' + _DEEP_JSON, "nests too deeply"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, payload_kind="feedback"),
+         "line 2: feedback_kind is present exactly when payload_kind is feedback"),
+        (["replay", "--history"], _history_closing("r1t1", 30.0, {"payload_kind": "command", "feedback_kind": "peer"}),
+         "line 2: feedback_kind is present exactly when payload_kind is feedback"),
     ],
     ids=[
         "library-not-json",
@@ -331,6 +343,10 @@ _INT_COMPLETION = {"actor": "curator", "payload_kind": "completion", "payload": 
         "history-int-curator-completion",
         "history-int-close",
         "history-without-curator-completion",
+        "library-deep",
+        "history-deep",
+        "history-feedback-without-kind",
+        "history-command-with-feedback-kind",
     ],
 )
 def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, text, where):
@@ -346,8 +362,10 @@ def test_malformed_json_input_fails_with_one_error_line(tmp_path, capsys, argv, 
         ("report.json", '{"report_schema": 1, "tasks": [{"id": "r1t1", "kind": "action", "stage": 1, "difficulty": 1, '
                         '"status": "failed"}]}\n'),
         ("grid.json", '{"grid_schema": 1, "tasks": ["a"], "columns": ["library"], "cells": [["x/y"]]}\n'),
+        ("report.json", _DEEP_JSON),
+        ("grid.json", _DEEP_JSON),
     ],
-    ids=["report-not-json", "report-task-without-round", "grid-word-cell"],
+    ids=["report-not-json", "report-task-without-round", "grid-word-cell", "report-deep", "grid-deep"],
 )
 def test_malformed_report_input_fails_with_one_error_line(tmp_path, capsys, name, text):
     bad = tmp_path / name
@@ -489,3 +507,92 @@ def test_replay_missing_history_is_a_config_error(tmp_path, capsys):
     code = main(["replay", "--history", str(tmp_path / "gone.log"), "--out-dir", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# The six input files: (the input's word in an error, the argv that reads the file,
+# the file's suffix, malformed text, text that does not fit the schema, deep text).
+_DEEP_YAML = "[" * 30_000 + "]" * 30_000 + "\n"  # libyaml's composer crashes the process at about 25,000
+_INPUTS = {
+    "fixture": ("fixture", ["run", "--fixture"], ".yaml",
+                "namespaces: [sock-shop\n", "deployments: 5\n", _DEEP_YAML),
+    "suite": ("suite", ["eval", "--library", "empty.json", "--suite"], ".yaml",
+              "tasks: [\n", "suite_schema: 1\ntasks: 5\n", "- " * 30_000 + "x\n"),
+    "script": ("script", ["run", "--script"], ".yaml",
+               "records: [\n", "records: 5\n", _DEEP_YAML),
+    "llm-config": ("llm config", ["run", "--llm-config"], ".yaml",
+                   "routes: [\n", "routes: 5\n", _DEEP_YAML),
+    "library": ("library", ["eval", "--library"], ".json",
+                "not json\n", '{"library_schema": 1, "skills": 5}\n', _DEEP_JSON),
+    "history": ("history", ["replay", "--history"], ".log",
+                "not json\n", '{"history_schema": 1}\n{"id": "x"}\n', '{"history_schema": 1}\n' + _DEEP_JSON),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed", "misfit", "deep"])
+@pytest.mark.parametrize("name", _INPUTS)
+def test_every_unusable_input_file_fails_with_one_line_naming_it_once(tmp_path, monkeypatch, capsys, name, case):
+    """Deep text is read in a child process, so a crash fails this row instead of killing the test run."""
+    what, argv, suffix, malformed, misfit, deep = _INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    bad = tmp_path / f"bad{suffix}"
+    if case == "directory":
+        bad.mkdir()
+    elif case != "missing":
+        bad.write_text({"malformed": malformed, "misfit": misfit, "deep": deep}[case])
+    argv = argv + [str(bad), "--out-dir", str(tmp_path / "out")]
+    if case == "deep":
+        src = os.path.dirname(os.path.dirname(opslearn.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run([sys.executable, "-m", "opslearn.cli", *argv], capture_output=True, text=True, env=env)
+        code, err = child.returncode, child.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1  # a child killed by a signal returns its negative number
+    assert err.startswith(f"error: {what} {bad}: ")
+    assert err.count("\n") == 1
+    assert err.count(str(bad)) == 1
+    assert "Traceback" not in err
+
+
+def test_a_bad_fixture_reads_the_same_from_every_verb(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    SkillLibrary().save("empty.json")
+    with open("history.log", "w") as fh:
+        fh.write('{"history_schema": 1}\n')
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(_topology("    traffic_profile:", "    traffic:"))
+    errors = []
+    for argv in (["run"], ["eval", "--library", "empty.json"], ["replay", "--history", "history.log"]):
+        assert main(argv + ["--fixture", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: fixture {bad}: deployments[1]: unknown keys ['traffic']\n"] * 3
+
+
+def test_a_round_count_above_the_bound_is_refused_at_once(tmp_path, capsys):
+    assert TrialConfig(rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+    started = time.monotonic()
+    code = main(["run", "--seed", "7", "--rounds", str(MAX_ROUNDS + 1), "--out-dir", str(tmp_path / "out")])
+    assert time.monotonic() - started < 1.0
+    _assert_one_error_line(code, capsys, f"rounds must be at most {MAX_ROUNDS}, got {MAX_ROUNDS + 1}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rounds", [MAX_ROUNDS + 1, 1_000_000_000, 0, "5", 2.5, True])
+def test_report_refuses_a_round_count_the_timeline_cannot_draw(finished_run, tmp_path, capsys, rounds):
+    report = json.loads((finished_run / "report.json").read_text())
+    report["config"]["rounds"] = rounds
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    started = time.monotonic()
+    code = main(["report", "--out-dir", str(tmp_path), "--formats", "svg"])
+    assert time.monotonic() - started < 1.0
+    assert "config.rounds: " in _assert_one_error_line(code, capsys, tmp_path / "report.json")
+    assert not (tmp_path / "report.svg").exists()
+
+
+def test_report_draws_the_largest_round_count(finished_run, tmp_path):
+    report = json.loads((finished_run / "report.json").read_text())
+    report["config"]["rounds"] = MAX_ROUNDS
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--out-dir", str(tmp_path), "--formats", "svg"]) == 0
+    assert (tmp_path / "report.svg").read_text().count("</text>") >= MAX_ROUNDS

@@ -82,13 +82,14 @@ def _spoiled(draw, doc):
 def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(name, data):
     loader, fixture, what = _LOADERS[name]
     doc = data.draw(_spoiled(load_yaml(fixture_path(fixture))))
-    with mock.patch.object(resources, "load_yaml", return_value=doc):
+    with mock.patch.object(resources, "load_yaml", return_value=doc) as parse:
         try:
             loader("spoiled.yaml")
         except ConfigurationError as exc:
             message = str(exc)
             assert message.startswith(f"{what} spoiled.yaml: ")
             assert "\n" not in message
+    parse.assert_called_once_with("spoiled.yaml")
 
 
 _TARGET = {"namespace": "sock-shop", "name": "catalogue"}

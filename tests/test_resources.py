@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opslearn.resources import ConfigurationError, compile_pattern, fixture_path, load_yaml, read_input
+from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, load_yaml, read_input
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
 
@@ -78,6 +78,35 @@ def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         load_yaml(str(tmp_path / "absent.yaml"))
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_yaml_nested_beyond_the_limit_is_refused_where_it_passes_it(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * MAX_DEPTH + "]" * MAX_DEPTH + "\n")
+    doc = load_yaml(str(path))
+    for _ in range(MAX_DEPTH - 1):
+        doc = doc[0]
+    assert doc == []
+    too_deep = MAX_DEPTH + 1
+    # a flow sequence and a compact block sequence, each with the column where its level too deep starts
+    for text, column in (("[" * too_deep + "]" * too_deep, too_deep), ("- " * too_deep + "x", 2 * too_deep - 1)):
+        path.write_text(text + "\n")
+        with pytest.raises(yaml.YAMLError, match=rf"^line 1, column {column}: nests deeper than {MAX_DEPTH} levels$"):
+            load_yaml(str(path))
+
+
+def test_each_distinct_text_is_checked_for_depth_once(tmp_path, monkeypatch):
+    walks = []
+    real_parse = yaml.parse
+    monkeypatch.setattr(yaml, "parse", lambda *args, **kwargs: walks.append(1) or real_parse(*args, **kwargs))
+    path = tmp_path / "doc.yaml"
+    path.write_text("depth-check-once: [[1]]\n")
+    for _ in range(3):
+        assert load_yaml(str(path)) == {"depth-check-once": [[1]]}
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(

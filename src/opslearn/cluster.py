@@ -17,7 +17,8 @@ import copy
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, TypeVar
 
 from .metrics import MetricStore, SeriesId
@@ -225,6 +226,7 @@ class ScrapeSeries(_Shared):
     active_requests: SeriesId | None
 
     @classmethod
+    @functools.lru_cache(maxsize=256)  # fresh states of one topology share their series ids
     def of(cls, job: str, traffic: TrafficProfile) -> "ScrapeSeries":
         labels = {"job": job}
 
@@ -438,7 +440,7 @@ def _build_state(doc: dict[str, Any], seed: int) -> ClusterState:
             pod.usage_mem_bytes = dep.resources.current_mem
 
     state.deployments.sort(key=attrgetter("namespace", "name"))  # after the spawns, which keep document order
-    _scrape(state)
+    _scrape(state, [state.sim_time])
     return state
 
 
@@ -468,9 +470,10 @@ def _spawn_pod(state: ClusterState, dep: Deployment) -> Pod:
     return pod
 
 
-def _substep_floats(state: ClusterState, dep_name: str, step_index: int, n: int) -> list[float]:
-    digest = hashlib.sha256(f"{state.rng_seed}:{dep_name}:{step_index}".encode()).digest()
-    return [int.from_bytes(digest[4 * i : 4 * i + 4], "big") / 2**32 for i in range(n)]
+@functools.lru_cache(maxsize=256)  # pure: each fresh state of one seed draws the same numbers
+def _substep_floats(seed: int, dep_name: str, step_index: int) -> tuple[float, float]:
+    digest = hashlib.sha256(f"{seed}:{dep_name}:{step_index}".encode()).digest()
+    return int.from_bytes(digest[0:4], "big") / 2**32, int.from_bytes(digest[4:8], "big") / 2**32
 
 
 def _bucket_counts(total: int, buckets: tuple[tuple[float, float], ...]) -> list[int]:
@@ -484,10 +487,27 @@ def _bucket_counts(total: int, buckets: tuple[tuple[float, float], ...]) -> list
     return counts
 
 
-def _scrape(state: ClusterState) -> None:
+@functools.lru_cache(maxsize=256)  # pure, and a profile's request counts repeat
+def _request_increments(profile: TrafficProfile, n_req: int) -> tuple[float, ...]:
+    """What one sample of `n_req` requests adds to each request counter, in the order of
+    `ScrapeSeries`: each status (200, 404, 500), each bucket ("+Inf" last), then the `_sum`."""
+    n_5xx = int(n_req * profile.error_5xx_share + 0.5)
+    n_4xx = min(int(n_req * profile.error_4xx_share + 0.5), n_req - n_5xx)  # both round up at most
+    counts = _bucket_counts(n_req, profile.latency_buckets)
+    duration_sum = 0.0
+    lower = 0.0
+    for (le, _), count in zip(profile.latency_buckets, counts):
+        duration_sum += count * (lower + le) / 2
+        lower = le
+    return tuple(map(float, (n_req - n_4xx - n_5xx, n_4xx, n_5xx, *accumulate(counts), n_req, duration_sum)))
+
+
+def _scrape(state: ClusterState, times: list[float]) -> None:
+    """Take the samples at `times`, one run per series, and leave the usage of the last."""
     store = state.metrics
-    now = state.sim_time
-    step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
+    # A status series whose first sample is not the run's first joins the store after every
+    # series of the samples before its own, as one scrape per sample would add it.
+    born_late = []
     for dep in state.deployments:
         pods = state.deployment_pods(dep) if dep.scrape else None
         if not pods:  # as Prometheus drops a target with no endpoints
@@ -495,56 +515,52 @@ def _scrape(state: ClusterState) -> None:
         profile = dep.traffic
         res = dep.resources
         ids = dep.series
+        flowing = profile.requests_per_second > 0
 
-        if profile.requests_per_second <= 0:
-            cpu = profile.base_cpu_millicores
-            mem = profile.base_mem_bytes
-            n_req = 0
-            rps_eff = 0.0
-            u = [0.0, 0.0]
-        else:
-            u = _substep_floats(state, dep.name, step_index, 2)
+        draws, cpus, mems, requests = [], [], [], []
+        for t in times:
+            u = _substep_floats(state.rng_seed, dep.name, int(t // SAMPLE_INTERVAL)) if flowing else (0.0, 0.0)
             rps_eff = profile.requests_per_second * (0.85 + 0.3 * u[0])
-            n_req = round(rps_eff * SAMPLE_INTERVAL)
             cpu = profile.base_cpu_millicores + round(profile.cpu_millicores_per_rps * rps_eff)
             mem = profile.base_mem_bytes + int(u[1] * 4) * MI
+            draws.append(u[0])
+            cpus.append(max(0, min(cpu, res.cpu_limit)))
+            mems.append(max(0, min(mem, res.mem_limit)))
+            requests.append(round(rps_eff * SAMPLE_INTERVAL))
 
-        res.current_cpu = max(0, min(cpu, res.cpu_limit))
-        res.current_mem = max(0, min(mem, res.mem_limit))
+        res.current_cpu, res.current_mem = cpus[-1], mems[-1]
         for pod in pods:
             pod.usage_cpu_millicores = res.current_cpu
             pod.usage_mem_bytes = res.current_mem
 
-        store.add(ids.cpu, now, res.current_cpu / 1000 * SAMPLE_INTERVAL)
-        store.ingest(ids.mem, now, float(res.current_mem))
+        store.add(ids.cpu, times, [cpu / 1000 * SAMPLE_INTERVAL for cpu in cpus])
+        store.ingest(ids.mem, times, list(map(float, mems)))
 
-        if profile.requests_per_second <= 0:
+        if not flowing:
             continue
 
-        n_5xx = int(n_req * profile.error_5xx_share + 0.5)
-        n_4xx = min(int(n_req * profile.error_4xx_share + 0.5), n_req - n_5xx)  # both round up at most
-        n_2xx = n_req - n_4xx - n_5xx
-        for sid, count in zip(ids.requests, (n_2xx, n_4xx, n_5xx)):
-            if count > 0 or store.last_value(sid) > 0:
-                store.add(sid, now, float(count))
-
-        counts = _bucket_counts(n_req, profile.latency_buckets)
-        duration_sum = 0.0
-        lower = 0.0
-        cumulative = 0
-        for (le, _), count, sid in zip(profile.latency_buckets, counts, ids.buckets):
-            duration_sum += count * (lower + le) / 2
-            cumulative += count
-            store.add(sid, now, float(cumulative))
-            lower = le
-        store.add(ids.buckets[-1], now, float(n_req))
-        store.add(ids.duration_sum, now, duration_sum)
-        store.add(ids.duration_count, now, float(n_req))
-        store.add(ids.http_duration_sum, now, duration_sum)
-        store.add(ids.http_duration_count, now, float(n_req))
+        *by_status_and_bucket, duration_sums = zip(*(_request_increments(profile, n_req) for n_req in requests))
+        by_status, buckets = by_status_and_bucket[:3], by_status_and_bucket[3:]
+        for sid, counts in zip(ids.requests, by_status):
+            # a status series starts at its first request, then takes every sample
+            first = 0 if store.last_value(sid) > 0 else next((i for i, c in enumerate(counts) if c > 0), len(counts))
+            if first:
+                born_late.append((first, sid, counts[first:]))
+            else:
+                store.add(sid, times, counts)
+        for sid, cumulative in zip(ids.buckets, buckets):
+            store.add(sid, times, cumulative)
+        requests_seen = buckets[-1]  # le="+Inf" counts every request
+        store.add(ids.duration_sum, times, duration_sums)
+        store.add(ids.duration_count, times, requests_seen)
+        store.add(ids.http_duration_sum, times, duration_sums)
+        store.add(ids.http_duration_count, times, requests_seen)
 
         if ids.active_requests:
-            store.ingest(ids.active_requests, now, float(round(u[0] * 4)))
+            store.ingest(ids.active_requests, times, [float(round(u0 * 4)) for u0 in draws])
+
+    for first, sid, counts in sorted(born_late, key=itemgetter(0)):
+        store.add(sid, times[first:], counts)
 
 
 def _format_le(le: float) -> str:
@@ -556,10 +572,12 @@ def tick(state: ClusterState, dt: float) -> ClusterState:
     if dt <= 0:
         raise InvalidArgument("dt must be positive")
     target = state.sim_time + dt
+    times: list[float] = []
     while state.last_sample_time + SAMPLE_INTERVAL <= target:
         state.last_sample_time += SAMPLE_INTERVAL
-        state.sim_time = state.last_sample_time
-        _scrape(state)
+        times.append(state.last_sample_time)
+    if times:
+        _scrape(state, times)
     state.sim_time = target
     return state
 

@@ -2,10 +2,13 @@
 
 Series are keyed by metric name plus a sorted label set. Ingestion is
 single-writer and strictly ordered per series; queries are pure reads
-that bisect on the timestamps. Gauges go in through `ingest`, which
-stores the value given. Counters go in through `add`, which stores the
-series' latest value plus an increment in one lookup; both share the
-order check and the copy-on-first-append rule below.
+that bisect on the timestamps. A writer hands the store a run of samples
+per series: the times it crossed, in order, and a value for each. Gauges
+go in through `ingest`, which stores the values given. Counters go in
+through `add`, which stores a running total: the series' latest value
+plus each increment in turn. Either takes one lookup, one order check
+and at most one list copy (the copy-on-first-append rule below) per run,
+however many samples it holds.
 
 Sharing contract: `copy.deepcopy` of a store (and so `cluster.clone` of a
 state) forks it in O(series). The fork and its source share every
@@ -20,9 +23,11 @@ full copy.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, lt
 
 
 _time = itemgetter(0)  # a sample's timestamp
@@ -87,28 +92,34 @@ class MetricStore:
         self._owned = set()  # every list is shared now
         return fork
 
-    def _points_for_append(self, series: SeriesId, timestamp: float) -> list[tuple[float, float]]:
-        """The series' own sample list, ready for a sample at `timestamp`."""
+    def _points_for_append(self, series: SeriesId, times: Sequence[float]) -> list[tuple[float, float]]:
+        """The series' own sample list, ready for a run of samples at `times`; an empty run changes nothing."""
+        if not times:
+            return []
         points = self._samples.get(series)
-        if points and not timestamp > points[-1][0]:  # a NaN is not after anything either
-            raise OrderViolation(
-                f"sample for {series.metric_name} at t={timestamp} is not after latest t={points[-1][0]}"
-            )
+        latest = points[-1][0] if points else -math.inf
+        if not (latest < times[0] and all(map(lt, times, times[1:]))):  # a NaN is not after anything either
+            t, latest = next((t, before) for before, t in zip((latest, *times), times) if not before < t)
+            raise OrderViolation(f"sample for {series.metric_name} at t={t} is not after latest t={latest}")
         if series not in self._owned:  # new, or shared with a fork: append to a private copy
             points = self._samples[series] = list(points or ())
             self._owned.add(series)
         return points
 
-    def ingest(self, series: SeriesId, timestamp: float, value: float) -> None:
-        self._points_for_append(series, timestamp).append((timestamp, value))
+    def ingest(self, series: SeriesId, times: Sequence[float], values: Sequence[float]) -> None:
+        """Append `(times[i], values[i])` for each i; `times` ascend, the first after the series' latest."""
+        self._points_for_append(series, times).extend(zip(times, values))
 
-    def add(self, series: SeriesId, timestamp: float, increment: float) -> None:
-        """Append the series' latest value (0.0 when it has none) plus `increment`."""
-        points = self._points_for_append(series, timestamp)
-        points.append((timestamp, (points[-1][1] if points else 0.0) + increment))
+    def add(self, series: SeriesId, times: Sequence[float], increments: Sequence[float]) -> None:
+        """As `ingest`, with each value the series' latest value (0.0 when it has none) plus the increments so far."""
+        points = self._points_for_append(series, times)
+        total = points[-1][1] if points else 0.0
+        for timestamp, increment in zip(times, increments):
+            total += increment
+            points.append((timestamp, total))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
-        self.ingest(SeriesId.make(metric_name, labels), timestamp, value)
+        self.ingest(SeriesId.make(metric_name, labels), (timestamp,), (value,))
 
     def series_ids(self) -> list[SeriesId]:
         return list(self._samples)

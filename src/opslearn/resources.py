@@ -69,10 +69,12 @@ def load_yaml(path: str) -> Any:
     """Parse a YAML file, with libyaml when it is installed.
 
     The file is read on every call and each distinct text is parsed once
-    per process; every caller gets its own deep copy. Raises OSError when the
-    file cannot be read, and yaml.YAMLError worded `line L, column C: problem`
-    when it does not parse or nests deeper than MAX_DEPTH; a refused text is
-    not cached.
+    per process. Every caller of one text gets the same cached document, so
+    it is read-only: read it through `conform`, which builds new mappings and
+    lists, and deep-copy it before changing it. Raises OSError when the file
+    cannot be read, and yaml.YAMLError worded `line L, column C: problem`
+    when it does not parse, nests deeper than MAX_DEPTH or holds an alias;
+    a refused text is not cached.
     """
     with open(path) as fh:
         text = fh.read()
@@ -87,13 +89,17 @@ def load_yaml(path: str) -> Any:
             problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
             raise yaml.YAMLError(f"{where}{problem}") from None
         _parsed[text] = doc
-    return copy.deepcopy(_parsed[text])
+    return _parsed[text]
 
 
 def _check_depth(text: str, loader: Any) -> None:
-    """Refuse `text` at the first collection nested deeper than MAX_DEPTH, before any document is built."""
+    """Refuse `text` at the first collection nested deeper than MAX_DEPTH, or at its first
+    alias, before any document is built: one alias can stand for a whole subtree, and
+    reading the document expands each alias again."""
     depth = 0
     for event in yaml.parse(text, Loader=loader):
+        if type(event) is yaml.AliasEvent:
+            raise yaml.MarkedYAMLError(problem="aliases are not allowed", problem_mark=event.start_mark)
         depth += _DEPTH_STEPS.get(type(event), 0)
         if depth > MAX_DEPTH:
             raise yaml.MarkedYAMLError(problem=f"nests deeper than {MAX_DEPTH} levels", problem_mark=event.start_mark)
@@ -133,7 +139,7 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
 # `{key: field, ...}` is a closed mapping: a document may hold no other key.
 # A field is a spec, and the key is required, or `(spec, default)`, and an
 # absent key reads as `default` read through the spec (None stays None). A spec is
-#   - a type: the value must be an instance (`object` takes anything, `int` no bool);
+#   - a type: the value must be an instance (`object` takes anything and copies it, `int` no bool);
 #   - a converter: a function whose result replaces the value, and whose
 #     ValueError, TypeError or OverflowError refuses it;
 #   - a schema, or `{str: spec}` for a mapping with any string keys;
@@ -154,7 +160,7 @@ def conform(spec: Any, value: Any, path: str = "") -> Any:
     if isinstance(spec, type):
         if not isinstance(value, spec) or (spec is int and isinstance(value, bool)):
             raise Misfit(path, f"expected {spec.__name__}, got {reprlib.repr(value)}")
-        return value
+        return copy.deepcopy(value) if spec is object else value  # the other type specs are scalars
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise Misfit(path, f"expected a mapping, got {reprlib.repr(value)}")

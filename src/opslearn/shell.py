@@ -524,6 +524,8 @@ class ShellGateway:
             patch = json.loads(flags["patch"])
         except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise _CommandError(f"error: cannot parse patch: {exc}") from None
+        except RecursionError:  # its message depends on how deep the caller's stack already was
+            raise _CommandError("error: cannot parse patch: nests too deeply") from None
         ns = self._namespace(flags)
         name = positionals[1]
         self._cluster(cl.mutate, "patch", {"namespace": ns, "name": name, "patch": patch})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,7 +104,7 @@ def test_scale_above_the_replica_bound_is_rejected_before_any_pod_spawns():
 
 
 def test_topology_replicas_above_the_bound_are_rejected():
-    doc = load_yaml(fixture_path("sock_shop.yaml"))
+    doc = copy.deepcopy(load_yaml(fixture_path("sock_shop.yaml")))  # the cached document is read-only
     doc["deployments"][0]["replicas"] = MAX_REPLICAS + 1
     with pytest.raises(ConfigurationError, match=r"deployments\[0\]\.replicas"):
         load_topology(doc)
@@ -119,7 +121,7 @@ def test_topology_replicas_above_the_bound_are_rejected():
     ids=["cpu", "memory", "base-memory", "probe-delay"],
 )
 def test_topology_refuses_negative_quantities_and_probe_durations(path, value, message):
-    doc = load_yaml(fixture_path("sock_shop.yaml"))
+    doc = copy.deepcopy(load_yaml(fixture_path("sock_shop.yaml")))  # the cached document is read-only
     node = doc["deployments"][1]  # front-end, the one with a traffic profile
     for key in path[:-1]:
         node = node[key]

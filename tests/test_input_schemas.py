@@ -81,7 +81,7 @@ def _spoiled(draw, doc):
 @given(data=st.data())
 def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(name, data):
     loader, fixture, what = _LOADERS[name]
-    doc = data.draw(_spoiled(load_yaml(fixture_path(fixture))))
+    doc = data.draw(_spoiled(copy.deepcopy(load_yaml(fixture_path(fixture)))))  # the cached document is read-only
     with mock.patch.object(resources, "load_yaml", return_value=doc) as parse:
         try:
             loader("spoiled.yaml")

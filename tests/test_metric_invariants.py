@@ -7,7 +7,13 @@ only grows, each deployment's per-status request counters sum to both its
 `le`, `_sum` lies between 0 and `_count` times the largest finite bound, CPU
 and memory usage stay within their limits, and a deployment with no pods
 adds no samples, as Prometheus drops a target with no endpoints. A step taken
-on a clone leaves the clone as the same step leaves the original.
+on a clone leaves the clone as the same step leaves the original, and leaves
+the original as it was.
+
+The scrape writes one run of samples per series per tick. Two more
+properties pin that down: one tick over a span leaves the state as two ticks
+over its parts, and a tick leaves the state as the per-sample scrape it
+replaced, which this module keeps as an oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn.cluster import ClusterState, clone, load_topology, mutate, state_digest, tick
+from opslearn import cluster
+from opslearn.cluster import MI, SAMPLE_INTERVAL, ClusterState, clone, load_topology, mutate, state_digest, tick
 
 _NAMES = ("api", "web")
 _SHARES = (0.0, 0.02, 0.05, 0.25, 0.5, 0.75, 1.0)
@@ -31,7 +38,8 @@ def _profiles(draw):
     share_5xx = draw(st.sampled_from(_SHARES))
     bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=1, max_size=4, unique=True))
     return {
-        "requests_per_second": draw(st.one_of(st.sampled_from([0.0, 0.05, 0.1, 1.0]), st.floats(0, 300))),
+        # 0.03 rounds to 0 or 1 request a sample, so a status series can start in the middle of a tick
+        "requests_per_second": draw(st.one_of(st.sampled_from([0.0, 0.03, 0.05, 0.1, 1.0]), st.floats(0, 300))),
         "error_5xx_share": share_5xx,
         "error_4xx_share": draw(st.sampled_from([s for s in _SHARES if s + share_5xx <= 1])),
         "latency_buckets": [[bound, draw(st.integers(1, 50))] for bound in sorted(bounds)],
@@ -89,10 +97,12 @@ def _within_limits(state: ClusterState) -> None:
 
 
 def _observed(state: ClusterState) -> tuple:
-    """Everything a step changes: the configuration, the clock, the usage and every sample."""
+    """Everything a step changes: the configuration, the clock, the usage and every
+    sample, with the series in the order the store keeps them."""
     usage = [(dep.resources.current_cpu, dep.resources.current_mem) for dep in state.deployments]
-    samples = {sid: state.metrics.samples(sid) for sid in state.metrics.series_ids()}
-    return state_digest(state), state.sim_time, usage, samples
+    usage += [(pod.name, pod.usage_cpu_millicores, pod.usage_mem_bytes) for pod in state.pods]
+    samples = [(sid, state.metrics.samples(sid)) for sid in state.metrics.series_ids()]
+    return state_digest(state), state.sim_time, state.last_sample_time, usage, samples
 
 
 def _value_at(state: ClusterState, sid, at: float) -> float:
@@ -106,8 +116,10 @@ def test_counters_grow_and_statuses_sum_to_the_count(profiles, steps):
     state = load_topology({"namespaces": ["shop"], "deployments": list(map(_deployment, _NAMES, profiles))}, seed=7)
     for step in steps:
         twin = clone(state)
-        _take(state, step)
+        before = _observed(state)
         _take(twin, step)
+        assert _observed(state) == before  # nothing the clone writes shows through on its source
+        _take(state, step)
         assert _observed(twin) == _observed(state)
         _within_limits(state)
     tick(state, 30.0)
@@ -125,3 +137,114 @@ def test_counters_grow_and_statuses_sum_to_the_count(profiles, steps):
             buckets = [_value_at(state, sid, at) for sid in ids.buckets]  # in `le` order, "+Inf" last
             assert buckets == sorted(buckets) and buckets[-1] == count
             assert 0 <= _value_at(state, ids.duration_sum, at) <= count * largest
+
+
+def _scrape_per_sample(state: ClusterState) -> None:
+    """The scrape that runs of samples replaced: one sample per series per call, at `state.sim_time`."""
+    store = state.metrics
+    now = state.sim_time
+    step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
+    for dep in state.deployments:
+        pods = state.deployment_pods(dep) if dep.scrape else None
+        if not pods:
+            continue
+        profile = dep.traffic
+        res = dep.resources
+        ids = dep.series
+
+        if profile.requests_per_second <= 0:
+            cpu = profile.base_cpu_millicores
+            mem = profile.base_mem_bytes
+            n_req = 0
+            u = (0.0, 0.0)
+        else:
+            u = cluster._substep_floats(state.rng_seed, dep.name, step_index)
+            rps_eff = profile.requests_per_second * (0.85 + 0.3 * u[0])
+            n_req = round(rps_eff * SAMPLE_INTERVAL)
+            cpu = profile.base_cpu_millicores + round(profile.cpu_millicores_per_rps * rps_eff)
+            mem = profile.base_mem_bytes + int(u[1] * 4) * MI
+
+        res.current_cpu = max(0, min(cpu, res.cpu_limit))
+        res.current_mem = max(0, min(mem, res.mem_limit))
+        for pod in pods:
+            pod.usage_cpu_millicores = res.current_cpu
+            pod.usage_mem_bytes = res.current_mem
+
+        store.add(ids.cpu, (now,), (res.current_cpu / 1000 * SAMPLE_INTERVAL,))
+        store.ingest(ids.mem, (now,), (float(res.current_mem),))
+
+        if profile.requests_per_second <= 0:
+            continue
+
+        n_5xx = int(n_req * profile.error_5xx_share + 0.5)
+        n_4xx = min(int(n_req * profile.error_4xx_share + 0.5), n_req - n_5xx)
+        n_2xx = n_req - n_4xx - n_5xx
+        for sid, count in zip(ids.requests, (n_2xx, n_4xx, n_5xx)):
+            if count > 0 or store.last_value(sid) > 0:
+                store.add(sid, (now,), (float(count),))
+
+        counts = cluster._bucket_counts(n_req, profile.latency_buckets)
+        duration_sum = 0.0
+        lower = 0.0
+        cumulative = 0
+        for (le, _), count, sid in zip(profile.latency_buckets, counts, ids.buckets):
+            duration_sum += count * (lower + le) / 2
+            cumulative += count
+            store.add(sid, (now,), (float(cumulative),))
+            lower = le
+        for sid, value in zip(
+            (ids.buckets[-1], ids.duration_sum, ids.duration_count, ids.http_duration_sum, ids.http_duration_count),
+            (n_req, duration_sum, n_req, duration_sum, n_req),
+        ):
+            store.add(sid, (now,), (float(value),))
+
+        if ids.active_requests:
+            store.ingest(ids.active_requests, (now,), (float(round(u[0] * 4)),))
+
+
+def _tick_per_sample(state: ClusterState, dt: float) -> None:
+    target = state.sim_time + dt
+    while state.last_sample_time + SAMPLE_INTERVAL <= target:
+        state.last_sample_time += SAMPLE_INTERVAL
+        state.sim_time = state.last_sample_time
+        _scrape_per_sample(state)
+    state.sim_time = target
+
+
+_spans = st.integers(1, 4 * 200).map(lambda quarters: quarters / 4)  # sums of quarters are exact
+_mutations = st.lists(_steps.filter(lambda step: step[0] != "tick"), max_size=3)
+
+
+def _shop(profiles: list) -> ClusterState:
+    return load_topology({"namespaces": ["shop"], "deployments": list(map(_deployment, _NAMES, profiles))}, seed=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    profiles=st.lists(_profiles(), min_size=2, max_size=2),
+    rounds=st.lists(st.tuples(_mutations, _spans, _spans), min_size=1, max_size=3),
+)
+def test_one_tick_over_a_span_equals_two_ticks_over_its_parts(profiles, rounds):
+    whole, parts = _shop(profiles), _shop(profiles)
+    for mutations, a, b in rounds:
+        for step in mutations:
+            _take(whole, step)
+            _take(parts, step)
+        tick(whole, a + b)
+        tick(parts, a)
+        tick(parts, b)
+        assert _observed(whole) == _observed(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles=st.lists(_profiles(), min_size=2, max_size=2), steps=st.lists(_steps, max_size=12))
+def test_a_tick_writes_what_the_per_sample_scrape_wrote(profiles, steps):
+    batched, per_sample = _shop(profiles), _shop(profiles)
+    for step in [*steps, ("tick", 300.0)]:
+        if step[0] == "tick":
+            tick(batched, step[1])
+            _tick_per_sample(per_sample, step[1])
+        else:
+            _take(batched, step)
+            _take(per_sample, step)
+        assert _observed(batched) == _observed(per_sample)

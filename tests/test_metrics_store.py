@@ -101,7 +101,7 @@ def test_last_value_tracks_ordered_ingests(ingests, behind):
     for index, step, value in ingests:
         sid = _SERIES[index]
         timestamp = latest.get(sid, 0.0) + step
-        store.ingest(sid, timestamp, value)
+        store.ingest(sid, (timestamp,), (value,))
         latest[sid] = timestamp
         for other in _SERIES:
             points = store.samples(other)
@@ -109,7 +109,7 @@ def test_last_value_tracks_ordered_ingests(ingests, behind):
     for sid, timestamp in latest.items():
         before = store.last_value(sid)
         with pytest.raises(OrderViolation):
-            store.ingest(sid, timestamp - behind, before + 1.0)
+            store.ingest(sid, (timestamp - behind,), (before + 1.0,))
         assert store.last_value(sid) == before
 
 
@@ -131,9 +131,8 @@ def test_bisected_reads_equal_a_linear_scan(times, lookback, data):
     at, start, end = data.draw(moments), data.draw(moments), data.draw(moments)
     store = MetricStore()
     sid = SeriesId.make("m", {})
-    for i, t in enumerate(times):
-        store.ingest(sid, t, float(i))
     points = [(t, float(i)) for i, t in enumerate(times)]
+    store.ingest(sid, times, [value for _, value in points])  # one run
 
     before = [p for p in points if p[0] <= at]
     assert store.latest_at(sid, at, lookback) == (before[-1] if before and at - before[-1][0] <= lookback else None)
@@ -141,50 +140,65 @@ def test_bisected_reads_equal_a_linear_scan(times, lookback, data):
 
 
 def _add_by_two_lookups(store: MetricStore, sid: SeriesId, timestamp: float, increment: float) -> None:
-    """The counter path `add` replaces: read the latest value, then ingest."""
-    store.ingest(sid, timestamp, store.last_value(sid) + increment)
+    """The counter path `add` replaces: read the latest value, then ingest a run of one."""
+    store.ingest(sid, (timestamp,), (store.last_value(sid) + increment,))
+
+
+def _gauge_by_runs_of_one(store: MetricStore, sid: SeriesId, timestamp: float, value: float) -> None:
+    store.ingest(sid, (timestamp,), (value,))
+
+
+_runs = st.lists(st.tuples(st.floats(-1.0, 100.0), _values), max_size=4)  # (step after the sample before, value)
 
 
 @given(
     moves=st.lists(
         st.one_of(
-            st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 2), st.floats(-1.0, 100.0), _values),
-            st.tuples(st.just("gauge"), st.integers(0, 3), st.integers(0, 2), st.floats(-1.0, 100.0), _values),
+            st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 2), _runs),
+            st.tuples(st.just("gauge"), st.integers(0, 3), st.integers(0, 2), _runs),
             st.tuples(st.just("fork"), st.integers(0, 3)),
         ),
         max_size=40,
     )
 )
 def test_add_equals_last_value_plus_ingest_on_forked_and_unforked_stores(moves):
-    """`add` against the two-lookup path it replaces, move by move, on a
-    family of stores forked from each other: the same samples and the same
-    OrderViolation on a sample that is not after the latest. Plain lists,
-    copied on every fork, say what each store must hold, so an append on
-    one side of a fork must never show on the other."""
-    family = [(MetricStore(), MetricStore(), {})]  # (store under test, two-lookup store, expected lists)
+    """A run through `add` or `ingest` against the per-sample path it replaces,
+    move by move, on a family of stores forked from each other: the same
+    samples, and an OrderViolation that changes nothing for a run with a
+    sample that is not after the one before it (the latest, for the first).
+    Plain lists, copied on every fork, say what each store must hold, so an
+    append on one side of a fork must never show on the other."""
+    family = [(MetricStore(), MetricStore(), {})]  # (store under test, per-sample store, expected lists)
     for move in moves:
         store, oracle, expected = family[move[1] % len(family)]
         if move[0] == "fork":
             family.append((copy.deepcopy(store), copy.deepcopy(oracle), copy.deepcopy(expected)))
             continue
-        _, _, index, step, value = move
+        _, _, index, run = move
         sid = _SERIES[index]
-        points = expected.setdefault(sid, [])
-        timestamp = (points[-1][0] if points else 0.0) + step
+        points = expected.get(sid, [])
+        times, samples, at, total = [], [], (points[-1][0] if points else 0.0), (points[-1][1] if points else 0.0)
+        for step, value in run:
+            at += step
+            total += value
+            times.append(at)
+            samples.append((at, total if move[0] == "add" else value))
         if move[0] == "add":
             write, write_oracle = store.add, functools.partial(_add_by_two_lookups, oracle)
-            sample = (timestamp, (points[-1][1] if points else 0.0) + value)
         else:
-            write, write_oracle = store.ingest, oracle.ingest
-            sample = (timestamp, value)
-        if points and not timestamp > points[-1][0]:
-            for writer in (write, write_oracle):
-                with pytest.raises(OrderViolation):
-                    writer(sid, timestamp, value)
+            write, write_oracle = store.ingest, functools.partial(_gauge_by_runs_of_one, oracle)
+        values = [value for _, value in run]
+        chain = points[-1:] + samples
+        if not all(before[0] < after[0] for before, after in zip(chain, chain[1:])):
+            with pytest.raises(OrderViolation):
+                write(sid, times, values)
         else:
-            write(sid, timestamp, value)
-            write_oracle(sid, timestamp, value)
-            points.append(sample)
+            write(sid, times, values)
+            for timestamp, value in zip(times, values):
+                write_oracle(sid, timestamp, value)
+            if run:
+                expected[sid] = points + samples
         for tested, two_lookups, lists in family:
+            assert tested.series_ids() == two_lookups.series_ids()  # an empty run makes no series
             for other in _SERIES:
                 assert tested.samples(other) == two_lookups.samples(other) == lists.get(other, [])

@@ -3,6 +3,7 @@ by content) and the regex gate for patterns from outside."""
 
 from __future__ import annotations
 
+import copy
 import pathlib
 import time
 
@@ -11,7 +12,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opslearn import llm
+from opslearn.cluster import load_topology
 from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, load_yaml, read_input
+from opslearn.runner import load_suite
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
 
@@ -52,14 +56,50 @@ def test_rewritten_file_yields_new_document(tmp_path):
     assert load_yaml(str(path)) == {"rewrite-check": 2}
 
 
-def test_mutating_a_document_leaves_the_next_intact():
-    path = fixture_path("eval_suite.yaml")
-    first = load_yaml(path)
-    first["tasks"][0]["id"] = "changed"
-    first["tasks"].clear()
-    second = load_yaml(path)
-    assert second["tasks"][0]["id"] == "scale-front-end"
-    assert second is not first
+def test_mutating_a_document_leaves_the_next_intact(tmp_path):
+    """`load_yaml` hands out its cached document, which is read-only; what a loader
+    builds from it, a suite task's setup `args` and `equals` included, is the caller's own."""
+    listed = tmp_path / "listed.yaml"  # `equals` takes any value, a list too
+    listed.write_text(
+        "suite_schema: 1\ntasks:\n  - id: t\n    description: d\n    post_conditions:\n"
+        "      - {deployment: sock-shop/front-end, field: replicas, equals: [1]}\n"
+    )
+    for path in (fixture_path("eval_suite.yaml"), str(listed)):
+        cached = load_yaml(path)
+        before = copy.deepcopy(cached)
+        first = load_suite(path)
+        for task in first:
+            for step in task["setup"]:
+                step["args"].get("patch", {}).clear()
+                step["args"].clear()
+            for cond in task["post_conditions"]:
+                if isinstance(cond.get("equals"), list):
+                    cond["equals"].append("changed")
+            task["id"] = "changed"
+        first.clear()
+        assert load_yaml(path) is cached
+        assert cached == before
+        second = load_suite(path)
+        assert second[0]["id"] == before["tasks"][0]["id"]
+        assert second == load_suite(path) and second is not first
+
+
+def test_changing_a_loaded_state_or_script_leaves_the_cached_document_intact():
+    topology, script = fixture_path("sock_shop.yaml"), fixture_path("scripts/evaluation.yaml")
+    before = {path: copy.deepcopy(load_yaml(path)) for path in (topology, script)}
+    state = load_topology(topology)
+    dep = state.find_deployment("sock-shop", "front-end")
+    dep.labels["env"] = "changed"
+    dep.args.append("--changed")
+    dep.probes.clear()
+    state.deployments.clear()
+    records = read_input("script", script, llm._records)
+    records[0]["response"] = "changed"
+    records.clear()
+    assert {path: load_yaml(path) for path in before} == before
+    fresh = load_topology(topology).find_deployment("sock-shop", "front-end")
+    assert "env" not in fresh.labels and fresh.args == ["server.js"] and len(fresh.probes) == 2
+    assert read_input("script", script, llm._records)[0] == {"guard": None, "max_uses": 1} | before[script]["records"][0]
 
 
 def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
@@ -96,6 +136,33 @@ def test_yaml_nested_beyond_the_limit_is_refused_where_it_passes_it(tmp_path, mo
         path.write_text(text + "\n")
         with pytest.raises(yaml.YAMLError, match=rf"^line 1, column {column}: nests deeper than {MAX_DEPTH} levels$"):
             load_yaml(str(path))
+
+
+# 150 aliased deployments, each with the same 150 aliased probes, in 1.8 KB:
+# expanding the aliases takes half a second before any loader check runs.
+ALIASED_TOPOLOGY = (
+    "namespaces: [s]\ndeployments:\n  - &d\n    name: a\n    namespace: s\n    image: i\n"
+    "    resources: {requests: {cpu: 1m, memory: 1Mi}, limits: {cpu: 1m, memory: 1Mi}}\n"
+    "    probes: [&p {kind: liveness, http_path: /}" + ", *p" * 149 + "]\n" + "  - *d\n" * 149
+)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_yaml_aliases_are_refused_before_a_document_is_built(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.setattr(yaml, "load", lambda *args, **kwargs: pytest.fail("the document was built"))
+    path = tmp_path / "aliased.yaml"
+    path.write_text(ALIASED_TOPOLOGY)
+    assert 1700 < len(ALIASED_TOPOLOGY) < 1900, len(ALIASED_TOPOLOGY)
+    with pytest.raises(ConfigurationError, match=rf"^fixture {path}: line 8, column 49: aliases are not allowed$"):
+        load_topology(str(path))
+
+
+def test_an_anchor_without_an_alias_still_loads(tmp_path):
+    path = tmp_path / "anchored.yaml"
+    path.write_text("namespaces: &names [s]\n")
+    assert load_topology(str(path)).namespaces == {"s"}
 
 
 def test_each_distinct_text_is_checked_for_depth_once(tmp_path, monkeypatch):

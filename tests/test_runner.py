@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 import yaml
 
 from opslearn import runner
+from opslearn.cli import main
 from opslearn.cluster import load_topology
 from opslearn.datalayer import SkillEntry, SkillLibrary
 from opslearn.llm import LiveGateway, ScriptedGateway
@@ -311,7 +313,7 @@ def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_p
 
 @pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 2000], ids=["huge-repeat", "deep-nesting"])
 def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_evidence(tmp_path, pattern):
-    records = load_yaml(fixture_path("scripts/observation_only.yaml"))["records"]
+    records = copy.deepcopy(load_yaml(fixture_path("scripts/observation_only.yaml"))["records"])  # read-only when cached
     assert "expects: nonempty" in records[1]["response"]
     records[1]["response"] = records[1]["response"].replace("expects: nonempty", f"expects: regex:{pattern}")
     script = tmp_path / "plan.yaml"
@@ -433,6 +435,26 @@ def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
     )
     library.save(str(tmp_path / "library.json"))
     assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
+
+
+# The seed-7 evaluation grid, one column for the round-1 library of the
+# seed-7 trial and one for its final library, as `eval` and `report` write it.
+SEED_7_GRID_FINGERPRINTS = {
+    "grid.json": "929f8804b41ffd0c",
+    "grid.csv": "3736316562d8f637",
+    "grid.svg": "2f1efc3e1aa886fc",
+}
+
+
+def test_seed_7_two_column_eval_grid_fingerprints(golden_trial, tmp_path, capsys):
+    _, out_dir = golden_trial
+    libraries = [arg for name in ("library_round_1", "library") for arg in ("--library", str(out_dir / f"{name}.json"))]
+    assert main(["eval", *libraries, "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in SEED_7_GRID_FINGERPRINTS
+    }
+    assert digests == SEED_7_GRID_FINGERPRINTS
 
 
 def test_replay_rebuilds_identical_library(golden_trial, monkeypatch):

@@ -324,6 +324,16 @@ def test_patch_with_an_unconvertible_probe_value_is_an_error_line(gateway, liven
     assert gateway.execute("kubectl describe deployment catalogue -n sock-shop").exit_code == 0
 
 
+def test_patch_nested_too_deeply_is_an_error_line(gateway):
+    before = state_digest(gateway.state)
+    depth = 100_000
+    result = gateway.execute(f"kubectl patch deployment catalogue -n sock-shop -p '{'[' * depth}{']' * depth}'")
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "error: cannot parse patch: nests too deeply"
+    assert result.state_mutated is False
+    assert state_digest(gateway.state) == before
+
+
 def test_rejected_patch_changes_nothing(gateway):
     dep = gateway.state.find_deployment("sock-shop", "catalogue")
     image = dep.image

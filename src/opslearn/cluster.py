@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .metrics import MetricStore, SeriesId
 from .resources import Misfit, conform, finite_number, number, one_of, read_input
@@ -145,8 +145,8 @@ class ResourceSpec(_Scalars):
     current_mem: int = 0
 
 
-@dataclass
-class ProbeSpec(_Scalars):
+@dataclass(frozen=True)
+class ProbeSpec(_Shared):
     kind: str  # liveness | readiness
     http_path: str
     initial_delay: float = 10.0
@@ -368,12 +368,12 @@ _DEPLOYMENT = {
 TOPOLOGY = {"namespaces": ([str], []), "metrics_available": (bool, True), "deployments": ([_DEPLOYMENT], [])}
 
 
-def _resources(doc: dict[str, Any], path: str) -> ResourceSpec:
+def _resources(doc: dict[str, Any], path: str) -> tuple[int, int, int, int]:
     requests, limits = doc["requests"], doc["limits"]
     for key in ("cpu", "memory"):
         if requests[key] > limits[key]:
             raise Misfit(f"{path}.requests.{key}".lstrip("."), "request exceeds limit")  # mutate's path is ""
-    return ResourceSpec(requests["cpu"], limits["cpu"], requests["memory"], limits["memory"])
+    return requests["cpu"], limits["cpu"], requests["memory"], limits["memory"]
 
 
 def _probe(doc: dict[str, Any], path: str) -> ProbeSpec:
@@ -401,44 +401,59 @@ def _traffic(doc: dict[str, Any], path: str) -> TrafficProfile:
     )
 
 
-def _default_template_hash(name: str) -> str:
-    return hashlib.sha256(f"template:{name}".encode()).hexdigest()[:10]
+class Topology(NamedTuple):
+    """A checked topology document, as immutable values; `instantiate` builds states from it."""
+
+    namespaces: frozenset[str]
+    metrics_available: bool
+    deployments: tuple[tuple[tuple[str, Any], ...], ...]  # each one's `Deployment` fields, in document order
 
 
 def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
-    """Build a ClusterState from a topology document or a path to one."""
-    return read_input("fixture", source, TOPOLOGY, lambda doc: _build_state(doc, seed))
+    """Build a ClusterState from a topology document or a path to one. A file's text is
+    read through TOPOLOGY and checked once per process; every call builds a fresh state."""
+    return instantiate(read_input("fixture", source, TOPOLOGY, compile_topology, shared=True), seed)
 
 
-def _build_state(doc: dict[str, Any], seed: int) -> ClusterState:
-    state = ClusterState(set(doc["namespaces"]), [], [], rng_seed=seed, metrics_available=doc["metrics_available"])
+def compile_topology(doc: dict[str, Any]) -> Topology:
+    """Check a document read through TOPOLOGY; a Misfit names the first field refused."""
+    namespaces, seen, deployments = frozenset(doc["namespaces"]), set(), []
     for i, dep_doc in enumerate(doc["deployments"]):
         path = f"deployments[{i}]"
         name, namespace, suffixes = dep_doc["name"], dep_doc["namespace"], dep_doc["pod_suffixes"]
-        if namespace not in state.namespaces:
+        if namespace not in namespaces:
             raise Misfit(f"{path}.namespace", f"undeclared namespace {namespace!r}")
-        if state.find_deployment(namespace, name) is not None:
+        if (namespace, name) in seen:
             raise Misfit(f"{path}.name", f"duplicate deployment {namespace}/{name}")
         if len(set(suffixes)) != len(suffixes):
             raise Misfit(f"{path}.pod_suffixes", "suffixes must be unique")
-        template_hash = dep_doc.pop("pod_template_hash")
-        dep = Deployment(
-            resources=_resources(dep_doc.pop("resources"), f"{path}.resources"),
-            probes=[_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.pop("probes"))],
-            pod_template_hash=_default_template_hash(name) if template_hash is None else template_hash,
+        seen.add((namespace, name))
+        if dep_doc["pod_template_hash"] is None:
+            dep_doc["pod_template_hash"] = hashlib.sha256(f"template:{name}".encode()).hexdigest()[:10]
+        dep_doc.update(
+            labels=tuple(dep_doc["labels"].items()), args=tuple(dep_doc["args"]), pod_suffixes=tuple(suffixes),
+            resources=_resources(dep_doc["resources"], f"{path}.resources"),
+            probes=tuple(_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc["probes"])),
             traffic=_traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile"),
-            **dep_doc,
         )
+        deployments.append(tuple(dep_doc.items()))
+    return Topology(namespaces, doc["metrics_available"], tuple(deployments))
+
+
+_FRESH = {"labels": dict, "args": list, "pod_suffixes": list, "probes": list, "resources": lambda r: ResourceSpec(*r)}
+
+
+def instantiate(topology: Topology, seed: int) -> ClusterState:
+    """A new state of `topology`, its pods and its first scrape; `_FRESH` makes each mutable field anew."""
+    state = ClusterState(set(topology.namespaces), [], [], rng_seed=seed, metrics_available=topology.metrics_available)
+    for fields in topology.deployments:
+        dep = Deployment(**{key: _FRESH[key](value) if key in _FRESH else value for key, value in fields})
+        res, base = dep.resources, dep.traffic
+        res.current_cpu = min(base.base_cpu_millicores, res.cpu_limit)
+        res.current_mem = min(base.base_mem_bytes, res.mem_limit)
         state.deployments.append(dep)
         for _ in range(dep.replicas):
             _spawn_pod(state, dep)
-        base = dep.traffic
-        dep.resources.current_cpu = min(base.base_cpu_millicores, dep.resources.cpu_limit)
-        dep.resources.current_mem = min(base.base_mem_bytes, dep.resources.mem_limit)
-        for pod in state.deployment_pods(dep):
-            pod.usage_cpu_millicores = dep.resources.current_cpu
-            pod.usage_mem_bytes = dep.resources.current_mem
-
     state.deployments.sort(key=attrgetter("namespace", "name"))  # after the spawns, which keep document order
     _scrape(state, [state.sim_time])
     return state
@@ -640,7 +655,7 @@ def _apply_set_resources(state: ClusterState, args: dict) -> None:
     old = dep.resources
     requests = {"cpu": old.cpu_request, "memory": old.mem_request, **_given(args["requests"])}
     limits = {"cpu": old.cpu_limit, "memory": old.mem_limit, **_given(args["limits"])}
-    res = _resources({"requests": requests, "limits": limits}, "")
+    res = ResourceSpec(*_resources({"requests": requests, "limits": limits}, ""))
     res.current_cpu = min(old.current_cpu, res.cpu_limit)
     res.current_mem = min(old.current_mem, res.mem_limit)
     dep.resources = res

@@ -9,6 +9,7 @@ bundled fixture is enough to rebuild the library byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -222,8 +223,9 @@ _SKILL_ENTRY = {
 _LIBRARY = {"library_schema": one_of(1), "skills": [_SKILL_ENTRY]}
 
 
-def _tokens(text: str) -> set[str]:
-    return set(_TOKEN_RE.findall(text.lower()))
+@functools.lru_cache(maxsize=1024)  # pure, and each query ranks the same entry texts again
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(_TOKEN_RE.findall(text.lower()))
 
 
 _KIND_PRIORITY = {"Command": 0, "Configuration": 1, "Reflection": 2}

@@ -43,6 +43,13 @@ class SeriesId:
 
     metric_name: str
     labels: tuple[tuple[str, str], ...]
+    _hash: int = field(init=False, repr=False, compare=False)  # every store write hashes its series
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.metric_name, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, metric_name: str, labels: dict[str, str]) -> "SeriesId":

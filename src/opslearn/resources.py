@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover - Python 3.10
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 _parsed: dict[str, Any] = {}  # parsed documents by file text
+_built: dict[int, dict[Callable, Any]] = {}  # shared builds of each, by its id; none is dropped, so no id is reused
 # libyaml's C composer recurses once per level and crashes the process some
 # 25,000 levels down; the bundled files nest at most 9 levels deep.
 MAX_DEPTH = 64
@@ -46,17 +47,22 @@ def prompt_template(name: str) -> str:
 
 
 def read_input(
-    what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable | None = None
+    what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable | None = None,
+    shared: bool = False,
 ) -> Any:
     """`build(conform(spec, doc))` for the document at path `source`, read with `parse`
     (`load_yaml` by default), or for `source` itself when it is not a path. Unusable input
     is one ConfigurationError worded `<what> <file>: [<path>: ]<reason>`; a TypeError or
-    KeyError out of `build` is a bug, not an input error, and propagates."""
+    KeyError out of `build` is a bug, not an input error, and propagates. A `shared` build
+    returns an immutable value, built once for the document `load_yaml` cached for a text."""
     name = f"{what} {source}" if isinstance(source, str) else what
     try:
         doc = (parse or load_yaml)(source) if isinstance(source, str) else source
-        checked = conform(spec, doc)
-        return checked if build is None else build(checked)
+        built = _built.get(id(doc), {}) if shared and isinstance(source, str) else {}
+        if build not in built:
+            checked = conform(spec, doc)
+            built[build] = checked if build is None else build(checked)
+        return built[build]
     except OSError as exc:
         raise ConfigurationError(f"{name}: {exc.strerror or exc}") from None
     except RecursionError:  # its message depends on how deep the caller's stack already was
@@ -88,7 +94,7 @@ def load_yaml(path: str) -> Any:
             where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
             problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
             raise yaml.YAMLError(f"{where}{problem}") from None
-        _parsed[text] = doc
+        _parsed[text], _built[id(doc)] = doc, {}
     return _parsed[text]
 
 

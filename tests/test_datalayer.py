@@ -4,11 +4,14 @@ dedup/conflict handling, retrieval ranking, exports)."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opslearn.datalayer import History, SkillEntry, SkillLibrary, Task, task_close
+from opslearn.datalayer import SKILL_KINDS, History, SkillEntry, SkillLibrary, Task, task_close
 from opslearn.resources import ConfigurationError, fixture_path
 
 
@@ -240,6 +243,54 @@ def test_retrieval_tie_break_prefers_commands_then_lower_ids():
 
 def test_retrieval_on_empty_library():
     assert SkillLibrary().retrieve_skills("anything", 4) == []
+
+
+RETRIEVAL_EXAMPLES = 60  # about 0.5 s
+
+
+def _reference_retrieval(library: SkillLibrary, query: str, k: int) -> list[SkillEntry]:
+    """`retrieve_skills` as it ranked before its tokens were cached: every text tokenized again on each query."""
+
+    def tokens(text: str) -> set[str]:
+        return set(re.findall(r"[a-z0-9]+", text.lower()))
+
+    priority = {"Command": 0, "Configuration": 1, "Reflection": 2}
+    scored = [
+        (-len(tokens(query) & tokens(f"{entry.body} {entry.description}")), priority[entry.kind], entry.id, entry)
+        for entry in library.entries
+        if entry.validated
+    ]
+    scored.sort(key=lambda item: item[:3])
+    return [entry for *_, entry in scored[:k]]
+
+
+_words = st.sampled_from(["kubectl", "get", "pods", "Top", "CPU", "memory", "catalogue", "p95", "latency", "-n", "sock-shop"])
+_texts = st.lists(_words, max_size=5).map(" ".join)
+
+
+@settings(max_examples=RETRIEVAL_EXAMPLES, deadline=None)
+@given(data=st.data(), pool=st.lists(_texts, min_size=1, max_size=4), queries=st.lists(_texts, min_size=2, max_size=3))
+def test_cached_retrieval_ranks_as_the_uncached_reference(data, pool, queries):
+    """Libraries whose entries repeat texts, kinds and ids, some not validated; an entry
+    rewritten between queries is ranked by its new text."""
+    library = SkillLibrary()
+    library.entries = [
+        SkillEntry(
+            id=data.draw(st.integers(1, 4)),
+            kind=data.draw(st.sampled_from(SKILL_KINDS)),
+            body=data.draw(st.sampled_from(pool)),
+            description=data.draw(st.sampled_from(pool)),
+            source_task="t",
+            validated=data.draw(st.booleans()),
+        )
+        for _ in range(data.draw(st.integers(0, 8)))
+    ]
+    for query in queries:
+        k = data.draw(st.integers(1, 6))
+        ranked = library.retrieve_skills(query, k)
+        assert list(map(id, ranked)) == list(map(id, _reference_retrieval(library, query, k)))
+        if library.entries:
+            data.draw(st.sampled_from(library.entries)).body = data.draw(_texts)
 
 
 def test_markdown_export_matches_golden():

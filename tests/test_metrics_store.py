@@ -19,6 +19,15 @@ def test_series_id_is_canonical():
     assert a.full_labels() == {"__name__": "m", "a": "1", "b": "2"}
 
 
+def test_series_id_hash_is_kept_and_eq_and_repr_are_unchanged():
+    a = SeriesId.make("m", {"b": "2", "a": "1"})
+    b = SeriesId("m", (("a", "1"), ("b", "2")))
+    assert a == b and a is not b and hash(a) == hash(b) == hash(("m", (("a", "1"), ("b", "2"))))
+    assert repr(a) == "SeriesId(metric_name='m', labels=(('a', '1'), ('b', '2')))"
+    assert a != SeriesId.make("m", {"a": "1"}) and a != SeriesId.make("n", {"a": "1", "b": "2"})
+    assert {a: 1}[b] == 1 and copy.deepcopy(a) == a and hash(copy.deepcopy(a)) == hash(a)
+
+
 def test_first_sample_creates_series():
     store = MetricStore()
     store.ingest_value("m", {"job": "j"}, 0.0, 1.0)

@@ -423,6 +423,35 @@ SEED_7_FINGERPRINTS = {
 }
 
 
+# The same trial on the held-out seed 1009: its history moves with the seed, its library does not.
+SEED_1009_FINGERPRINTS = {
+    "history.log": "0a963fbd12a086d3",
+    "library.json": "03b15a663ed6eb34",
+    "report.json": "cce342abd097bb71",
+}
+# `opslearn report` of the seed-7 trial.
+SEED_7_REPORT_FINGERPRINTS = {
+    "report.csv": "eed8094ad5e06528",
+    "report.svg": "a6176ee3cc2155ba",
+}
+
+
+def _fingerprints(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16] for name in names}
+
+
+def test_seed_1009_trial_fingerprints(tmp_path):
+    run_trial(TrialConfig(seed=1009, out_dir=str(tmp_path)))
+    assert _fingerprints(tmp_path, SEED_1009_FINGERPRINTS) == SEED_1009_FINGERPRINTS
+
+
+def test_seed_7_report_fingerprints(golden_trial, tmp_path, capsys):
+    _, out_dir = golden_trial
+    (tmp_path / "report.json").write_bytes((out_dir / "report.json").read_bytes())
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    assert _fingerprints(tmp_path, SEED_7_REPORT_FINGERPRINTS) == SEED_7_REPORT_FINGERPRINTS
+
+
 def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
     _, out_dir = golden_trial
     digests = {

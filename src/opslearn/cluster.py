@@ -13,7 +13,6 @@ can interleave with ticks freely and clones stay independent.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 from dataclasses import dataclass, field
@@ -117,26 +116,10 @@ def format_age(seconds: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Domain types
-#
-# `clone` deep-copies a state; these two bases keep that O(config) and cheap.
-
-
-class _Scalars:
-    """A record whose fields are all immutable scalars: a shallow copy is a deep one."""
-
-    def __deepcopy__(self, memo: dict) -> Any:
-        return copy.copy(self)
-
-
-class _Shared:
-    """An immutable record: every clone of a state shares it."""
-
-    def __deepcopy__(self, memo: dict) -> Any:
-        return self
 
 
 @dataclass
-class ResourceSpec(_Scalars):
+class ResourceSpec:
     cpu_request: int  # millicores
     cpu_limit: int
     mem_request: int  # bytes
@@ -146,7 +129,7 @@ class ResourceSpec(_Scalars):
 
 
 @dataclass(frozen=True)
-class ProbeSpec(_Shared):
+class ProbeSpec:
     kind: str  # liveness | readiness
     http_path: str
     initial_delay: float = 10.0
@@ -157,7 +140,7 @@ class ProbeSpec(_Shared):
 
 
 @dataclass(frozen=True)
-class TrafficProfile(_Shared):
+class TrafficProfile:
     """What a deployment's scrape emits; fixed once loaded."""
 
     requests_per_second: float = 0.0
@@ -169,10 +152,17 @@ class TrafficProfile(_Shared):
     base_mem_bytes: int = 9 * MI
     cpu_millicores_per_rps: float = 0.0
     active_requests_metric: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)  # the scrape's cached helpers key on it
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))  # every field but `_hash`, set next
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
-class Pod(_Scalars):
+class Pod:
     name: str
     namespace: str
     deployment: str
@@ -212,7 +202,7 @@ class Deployment:
 
 
 @dataclass(frozen=True)
-class ScrapeSeries(_Shared):
+class ScrapeSeries:
     """Every series one deployment's scrape writes, named once instead of once per sample."""
 
     cpu: SeriesId
@@ -722,17 +712,20 @@ ACTIONS = {
 }
 
 
-def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> ClusterState:
-    """Apply one named mutation; a rejected one changes nothing and is not counted."""
+def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> bool:
+    """Apply one named mutation and say whether it moved the state's digest (a `scale`
+    to the current count does not); a rejected one changes nothing and is not counted."""
     if action not in ACTIONS:
         raise InvalidArgument(f"unknown mutation action {action!r}")
     schema, handler = ACTIONS[action]
     try:
-        handler(state, conform(schema, args))
+        args = conform(schema, args)
+        before = state_digest(state)
+        handler(state, args)
     except Misfit as exc:
         raise InvalidArgument(str(exc)) from None
     state.mutation_count += 1
-    return state
+    return state_digest(state) != before
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +777,28 @@ def state_digest(state: ClusterState) -> str:
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
+def _copied(record: T, **fields: Any) -> T:
+    """A shallow copy of a dataclass record, with `fields` replaced."""
+    twin = object.__new__(type(record))
+    twin.__dict__.update(vars(record), **fields)
+    return twin
+
+
 def clone(state: ClusterState) -> ClusterState:
-    """Independent deep copy, metric history included."""
-    return copy.deepcopy(state)
+    """An independent copy, metric history included. What a mutation or a tick changes
+    in place is copied by name: the namespaces, each deployment with its labels, args,
+    probe list, pod suffixes and `ResourceSpec`, and the pods. The frozen records (probes,
+    traffic profiles, series ids) are shared, and the store is forked (`MetricStore.fork`)."""
+    return _copied(
+        state,
+        namespaces=set(state.namespaces),
+        deployments=[
+            _copied(
+                dep, labels=dict(dep.labels), args=list(dep.args), probes=list(dep.probes),
+                pod_suffixes=list(dep.pod_suffixes), resources=_copied(dep.resources),
+            )
+            for dep in state.deployments
+        ],
+        pods=[_copied(pod) for pod in state.pods],
+        metrics=state.metrics.fork(),
+    )

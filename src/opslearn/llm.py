@@ -278,26 +278,38 @@ def _records(doc: Any) -> list[dict[str, Any]]:
     return conform(_SCRIPT, {"records": doc} if isinstance(doc, list) else doc)["records"]
 
 
+def _script_records(records: list[dict[str, Any]]) -> tuple[ScriptRecord, ...]:
+    return tuple(ScriptRecord(**record) for record in records)
+
+
 def load_script(path: str) -> list[ScriptRecord]:
-    """The records of a script file: a list, bare or under `records:`."""
-    return read_input("script", path, _records, lambda records: [ScriptRecord(**record) for record in records])
+    """The records of a script file: a list, bare or under `records:`. A file's text is
+    checked once per process; each call gets a new list of the same frozen records."""
+    return list(read_input("script", path, _records, _script_records, shared=True))
 
 
 class ScriptedGateway(BaseGateway):
-    """Replays `records`; the gateway counts their uses, so gateways can share one list."""
+    """Replays `records`; the gateway counts their uses, so gateways can share one list.
+    It keeps, per role, the indexes of the records with uses left, in script order."""
 
     def __init__(self, config: GatewayConfig, records: list[ScriptRecord]):
         super().__init__(config)
         self.records = records
         self.uses = [0] * len(records)
+        self._live: dict[str, list[int]] = {}
+        for i, record in enumerate(records):
+            if record.max_uses != 0:  # -1 is unlimited
+                self._live.setdefault(record.role, []).append(i)
 
     def _complete(self, route: ModelRoute, prompt: str) -> tuple[str, int, int]:
-        for i, record in enumerate(self.records):
-            if record.role != route.role or 0 <= record.max_uses <= self.uses[i]:
-                continue
+        live = self._live.get(route.role, [])
+        for position, i in enumerate(live):
+            record = self.records[i]
             if record.guard is not None and record.guard not in prompt:
                 continue
             self.uses[i] += 1
+            if self.uses[i] == record.max_uses:
+                del live[position]
             return record.response, estimate_tokens(prompt), estimate_tokens(record.response)
         raise ScriptExhausted(
             f"no scripted response left for role {route.role!r} "

@@ -10,8 +10,8 @@ plus each increment in turn. Either takes one lookup, one order check
 and at most one list copy (the copy-on-first-append rule below) per run,
 however many samples it holds.
 
-Sharing contract: `copy.deepcopy` of a store (and so `cluster.clone` of a
-state) forks it in O(series). The fork and its source share every
+Sharing contract: `fork()` (which `cluster.clone` calls for a state's
+store) copies a store in O(series). The fork and its source share every
 per-series sample list, and neither side owns a shared list any more.
 `ingest` (and `add`) copies a series' list the first time its side
 appends to it after a fork, so an append on one side never shows through
@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter, lt
 
 
@@ -93,7 +94,8 @@ class MetricStore:
         self._samples: dict[SeriesId, list[tuple[float, float]]] = {}
         self._owned: set[SeriesId] = set()  # series whose list no fork shares
 
-    def __deepcopy__(self, memo: dict) -> "MetricStore":
+    def fork(self) -> "MetricStore":
+        """A store with the same samples, sharing every sample list with this one."""
         fork = MetricStore()
         fork._samples = dict(self._samples)
         self._owned = set()  # every list is shared now
@@ -120,10 +122,9 @@ class MetricStore:
     def add(self, series: SeriesId, times: Sequence[float], increments: Sequence[float]) -> None:
         """As `ingest`, with each value the series' latest value (0.0 when it has none) plus the increments so far."""
         points = self._points_for_append(series, times)
-        total = points[-1][1] if points else 0.0
-        for timestamp, increment in zip(times, increments):
-            total += increment
-            points.append((timestamp, total))
+        totals = accumulate(increments, initial=points[-1][1] if points else 0.0)  # adds in the same order
+        next(totals)  # the starting value, already stored
+        points.extend(zip(times, totals))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
         self.ingest(SeriesId.make(metric_name, labels), (timestamp,), (value,))

@@ -17,6 +17,7 @@ the cluster digest aborts the task and records the violation.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ def _expectation(text: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=64)  # one schema per roster, compiled once; callers only read it
 def _subtask_block(known_assignees: tuple[str, ...]) -> dict:
     """The schema of a `Subtask <n>:` block of a manager reply, for the agents that may take it."""
     return {

@@ -23,6 +23,7 @@ production Prometheus and documented where they diverge:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -48,10 +49,10 @@ class RangeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: immutable, so `parse` can hand one tree to every caller of a text
 
 
-@dataclass
+@dataclass(frozen=True)
 class Matcher:
     label: str
     op: str  # "=" | "=~"
@@ -64,37 +65,37 @@ class Matcher:
         return re.fullmatch(self.value, actual) is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Selector:
     metric_name: str | None
-    matchers: list[Matcher]
+    matchers: tuple[Matcher, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RangeSelector:
     selector: Selector
     window_seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rate:
     arg: RangeSelector
 
 
-@dataclass
+@dataclass(frozen=True)
 class Aggregation:
     op: str  # "sum" | "count"
-    by_labels: list[str] | None
+    by_labels: tuple[str, ...] | None
     arg: "Expr"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistogramQuantile:
     quantile: float
     arg: "Expr"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Division:
     left: "Expr"
     right: "Expr"
@@ -253,7 +254,7 @@ class _Parser:
                     self._next()
         if name is None and not matchers:
             raise ParseError("selector needs a metric name or at least one matcher", tok.pos if tok else 0)
-        return Selector(name, matchers)
+        return Selector(name, tuple(matchers))
 
     def _parse_duration(self) -> float:
         tok = self._next()
@@ -285,7 +286,7 @@ class _Parser:
 
     def _parse_aggregation(self) -> Expr:
         op_tok = self._next()
-        by_labels: list[str] | None = None
+        by_labels: tuple[str, ...] | None = None
         tok = self._peek()
         if tok is not None and tok.kind == "ident" and tok.text == "by":
             self._next()
@@ -299,7 +300,7 @@ class _Parser:
             by_labels = self._parse_label_list()
         return Aggregation(op_tok.text, by_labels, arg)
 
-    def _parse_label_list(self) -> list[str]:
+    def _parse_label_list(self) -> tuple[str, ...]:
         self._expect("(")
         labels: list[str] = []
         while True:
@@ -312,9 +313,10 @@ class _Parser:
             tok = self._peek()
             if tok is not None and tok.text == ",":
                 self._next()
-        return labels
+        return tuple(labels)
 
 
+@functools.lru_cache(maxsize=256)  # pure, and agents send the same few queries again and again
 def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
@@ -374,13 +376,13 @@ def _eval_rate(store: MetricStore, node: Rate, at: float) -> list[QueryEntry]:
     return entries
 
 
-def _group_key(labels: dict[str, str], by_labels: list[str]) -> tuple[tuple[str, str], ...]:
+def _group_key(labels: dict[str, str], by_labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     return tuple((l, labels[l]) for l in sorted(by_labels) if l in labels)
 
 
 def _eval_aggregation(store: MetricStore, node: Aggregation, at: float) -> list[QueryEntry]:
     inner = _eval_node(store, node.arg, at)
-    by = node.by_labels or []
+    by = node.by_labels or ()
     groups: dict[tuple[tuple[str, str], ...], list[QueryEntry]] = {}
     for entry in inner:
         groups.setdefault(_group_key(entry.labels, by), []).append(entry)

@@ -151,6 +151,8 @@ def finite_number(convert: Callable[[Any], T], value: Any) -> T:
 #   - a schema, or `{str: spec}` for a mapping with any string keys;
 #   - `[spec]`: a list whose every item fits `spec`.
 # Mappings and lists come back new, so a caller may keep or change them.
+# `conform` compiles each schema into nested closures the first time it reads
+# through it, and builds a node's path only when that node is refused.
 
 
 class Misfit(ValueError):
@@ -161,44 +163,117 @@ class Misfit(ValueError):
         self.path, self.reason = path, reason
 
 
+class _Refused(Exception):
+    """A node that does not fit, rising through a compiled schema: each mapping or list it
+    leaves puts its step (`.key`, `['key']` or `[i]`) in front of `suffix`."""
+
+    def __init__(self, suffix: str, reason: str):
+        self.suffix, self.reason = suffix, reason
+
+    def under(self, step: str) -> "_Refused":
+        self.suffix = step + self.suffix
+        return self
+
+
+_REQUIRED = object()  # the default of a field that has none
+# Each spec's check by the spec's id; the entry keeps the spec, so no other spec takes that id.
+# A spec built per call (a converter such as `number(...)`) is compiled again each time.
+_checks: dict[int, tuple[Any, Callable[[Any], Any]]] = {}
+CHECKS_LIMIT = 1024  # entries held before the cache starts over
+
+
 def conform(spec: Any, value: Any, path: str = "") -> Any:
-    """`value` read through `spec`; a Misfit names the first node that does not fit."""
-    if isinstance(spec, type):
-        if not isinstance(value, spec) or (spec is int and isinstance(value, bool)):
-            raise Misfit(path, f"expected {spec.__name__}, got {reprlib.repr(value)}")
-        return copy.deepcopy(value) if spec is object else value  # the other type specs are scalars
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            raise Misfit(path, f"expected a mapping, got {reprlib.repr(value)}")
-        if str in spec:
-            if not all(isinstance(key, str) for key in value):
-                raise Misfit(path, f"keys must be strings, got {reprlib.repr(list(value))}")
-            return {key: conform(spec[str], item, f"{path}[{key!r}]") for key, item in value.items()}
-        unknown = [key for key in value if key not in spec]
-        if unknown:
-            raise Misfit(path, f"unknown keys {sorted(map(str, unknown))}")
-        checked = {}
-        for key, field in spec.items():
-            where = f"{path}.{key}" if path else key
-            if type(field) is tuple:
-                field, default = field
-                if key not in value:
-                    checked[key] = None if default is None else conform(field, default, where)
-                    continue
-            elif key not in value:
-                raise Misfit(where, "missing")
-            checked[key] = conform(field, value[key], where)
-        return checked
-    if isinstance(spec, list):
-        if not isinstance(value, list):
-            raise Misfit(path, f"expected a list, got {reprlib.repr(value)}")
-        return [conform(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    """`value` read through `spec`, compiled into nested closures once; a Misfit names
+    the first node that does not fit, below `path`, and only a refusal builds a path."""
+    entry = _checks.get(id(spec))
+    if entry is None:
+        if len(_checks) >= CHECKS_LIMIT:
+            _checks.clear()
+        entry = _checks[id(spec)] = (spec, _compile(spec))
     try:
-        return spec(value)
-    except Misfit as exc:  # a converter that reads the value through a schema it picks
-        raise Misfit(f"{path}.{exc.path}" if path and exc.path else path or exc.path, exc.reason) from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise Misfit(path, str(exc)) from None
+        return entry[1](value)
+    except _Refused as exc:
+        where = path + exc.suffix
+        raise Misfit(where if path else where.removeprefix("."), exc.reason) from None
+
+
+def _compile(spec: Any) -> Callable[[Any], Any]:
+    """The check of `spec`: the value read through it, or a _Refused for the first node that does not fit."""
+    if spec is object:
+        return copy.deepcopy  # anything fits, and comes back new; the other type specs are scalars
+    if isinstance(spec, type):
+        refused = bool if spec is int else ()  # a bool is no int
+
+        def check(value: Any) -> Any:
+            if not isinstance(value, spec) or isinstance(value, refused):
+                raise _Refused("", f"expected {spec.__name__}, got {reprlib.repr(value)}")
+            return value
+
+    elif isinstance(spec, list):
+        item = _compile(spec[0])
+
+        def check(value: Any) -> Any:
+            return list(_each(item, enumerate(_container(list, "a list", value)), "[{}]").values())
+
+    elif isinstance(spec, dict) and str in spec:
+        item = _compile(spec[str])
+
+        def check(value: Any) -> Any:
+            if not all(isinstance(key, str) for key in _container(dict, "a mapping", value)):
+                raise _Refused("", f"keys must be strings, got {reprlib.repr(list(value))}")
+            return _each(item, value.items(), "[{!r}]")
+
+    elif isinstance(spec, dict):
+        keys = frozenset(spec)
+        fields = [
+            (key, _compile(f[0]), f[1]) if type(f) is tuple else (key, _compile(f), _REQUIRED)
+            for key, f in spec.items()
+        ]
+
+        def check(value: Any) -> Any:
+            if not keys.issuperset(_container(dict, "a mapping", value)):
+                raise _Refused("", f"unknown keys {sorted(str(key) for key in value if key not in keys)}")
+            checked = {}
+            for key, field, default in fields:
+                try:
+                    if key in value:
+                        checked[key] = field(value[key])
+                    elif default is _REQUIRED:
+                        raise _Refused("", "missing")
+                    else:
+                        checked[key] = None if default is None else field(default)
+                except _Refused as exc:
+                    raise exc.under(f".{key}")
+            return checked
+
+    else:
+
+        def check(value: Any) -> Any:
+            try:
+                return spec(value)
+            except Misfit as exc:  # a converter that reads the value through a schema it picks
+                raise _Refused(f".{exc.path}" if exc.path else "", exc.reason) from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _Refused("", str(exc)) from None
+
+    return check
+
+
+def _container(kind: type, name: str, value: Any) -> Any:
+    if not isinstance(value, kind):
+        raise _Refused("", f"expected {name}, got {reprlib.repr(value)}")
+    return value
+
+
+def _each(item: Callable[[Any], Any], children: Any, step: str) -> dict:
+    """`item(child)` for each (key, child) of `children`, by key; a refusal names its child `step.format(key)`."""
+    checked = {}
+    for key, child in children:
+        try:
+            checked[key] = item(child)
+        except _Refused as exc:
+            raise exc.under(step.format(key))
+    return checked
 
 
 def number(convert: Callable[[Any], T], low: float = -math.inf, high: float = math.inf) -> Callable[[Any], T]:

@@ -11,7 +11,6 @@ back from those stamps.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
@@ -31,7 +30,7 @@ from .cluster import (
 )
 from .curator import KnowledgeCurator
 from .curriculum import CurriculumBuilder, RoundGenerationFailed, build_context
-from .datalayer import ACTION, OBSERVATION, History, SkillLibrary, Task, build_snapshot, task_close
+from .datalayer import ACTION, OBSERVATION, History, SkillLibrary, Task, build_snapshot, json_text, task_close
 from .llm import (
     BaseGateway,
     BudgetExhausted,
@@ -260,7 +259,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
     with open(os.path.join(config.out_dir, "library.md"), "w") as fh:
         fh.write(library.export_markdown())
     with open(os.path.join(config.out_dir, "report.json"), "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        fh.write(json_text(report) + "\n")
     return TrialResult(report, 2 if truncation_reason else 0)
 
 
@@ -320,10 +319,13 @@ def _readable_field(path: Any) -> str:
     return path
 
 
+_SETUP_STEP = {"action": one_of(*ACTIONS), "args": ({str: object}, {})}
+
+
 def _setup_step(step: Any) -> dict[str, Any]:
     """A setup step whose args fit its action's schema. The args stay as written:
     `mutate` reads them at eval, and a quantity read twice changes (`100m` becomes 100 cores)."""
-    step = conform({"action": one_of(*ACTIONS), "args": ({str: object}, {})}, step)
+    step = conform(_SETUP_STEP, step)
     conform(ACTIONS[step["action"]][0], step["args"], "args")
     return step
 
@@ -533,7 +535,7 @@ def emit_report(data: dict[str, Any], out_dir: str, formats: tuple[str, ...]) ->
     for fmt in formats:
         path = os.path.join(out_dir, f"{stem}.{fmt}")
         if fmt == "json":
-            content = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            content = json_text(data) + "\n"
         elif fmt == "csv":
             content = "\n".join(",".join(row) for row in rows) + "\n"
         else:

@@ -19,6 +19,7 @@ empty. Failures always explain themselves on stderr.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -105,10 +106,16 @@ _PLAIN_WORD_RE = re.compile(r"[^ \t\r\n]+")  # shlex's blanks are exactly these 
 
 def _split_words(text: str) -> list[str]:
     """`shlex.split(text)`; a line with no quote or backslash, the common
-    case, is split by one regex instead of shlex's character loop."""
+    case, is split by one regex instead of shlex's character loop, and
+    each other line goes through that loop once."""
     if "'" in text or '"' in text or "\\" in text:
-        return shlex.split(text)
+        return list(_shlex_words(text))
     return _PLAIN_WORD_RE.findall(text)
+
+
+@functools.lru_cache(maxsize=256)  # pure, and a validation or a replay runs the same lines again
+def _shlex_words(text: str) -> tuple[str, ...]:
+    return tuple(shlex.split(text))
 
 
 _CALL_RE = re.compile(r"^\s*(\w+)\((.*)\)\s*$", re.S)
@@ -199,7 +206,7 @@ class ShellGateway:
     # -- entry point --------------------------------------------------------
 
     def execute(self, line: str) -> ExecutionResult:
-        digest_before = cl.state_digest(self.state)
+        self._mutated = False  # only `cluster.mutate` changes a state, and it says when the digest moved
         try:
             stdout = self._run_pipeline(line)
             stderr = ""
@@ -208,8 +215,7 @@ class ShellGateway:
             stdout = ""
             stderr = str(exc)
             exit_code = exc.exit_code
-        mutated = cl.state_digest(self.state) != digest_before
-        return ExecutionResult(stdout, stderr, exit_code, mutated, _duration_ms(line))
+        return ExecutionResult(stdout, stderr, exit_code, self._mutated, _duration_ms(line))
 
     def _run_pipeline(self, line: str) -> str:
         construct = _construct_outside_quotes(line)
@@ -329,6 +335,9 @@ class ShellGateway:
             raise _CommandError(f"Error from server (NotFound): {exc}") from None
         except cl.InvalidArgument as exc:
             raise _CommandError(f"error: {exc}") from None
+
+    def _mutate(self, action: str, args: dict) -> None:
+        self._mutated = self._cluster(cl.mutate, action, args)
 
     def _list(self, kind: str, items: list, name: str | None, flags: dict, header: list[str], row) -> str:
         """kubectl's table of `items` (in display order): those of one namespace,
@@ -484,7 +493,7 @@ class ShellGateway:
             raise _CommandError("error: --replicas is required")
         ns = self._namespace(flags)
         name = positionals[1]
-        self._cluster(cl.mutate, "scale", {"namespace": ns, "name": name, "replicas": flags["replicas"]})
+        self._mutate("scale", {"namespace": ns, "name": name, "replicas": flags["replicas"]})
         return f"deployment.apps/{name} scaled"
 
     def _set(self, positionals: list[str], flags: dict) -> str:
@@ -498,7 +507,7 @@ class ShellGateway:
         for key in ("requests", "limits"):
             if key in flags:
                 args[key] = _parse_quantities(flags[key])
-        self._cluster(cl.mutate, "set_resources", args)
+        self._mutate("set_resources", args)
         return f"deployment.apps/{name} resource requirements updated"
 
     def _label(self, positionals: list[str], flags: dict) -> str:
@@ -512,7 +521,7 @@ class ShellGateway:
         labels = self._cluster(cl.target_deployment, target).labels
         if key in labels and not flags.get("overwrite"):
             raise _CommandError(f"error: '{key}' already has a value ({labels[key]}), and --overwrite is false")
-        self._cluster(cl.mutate, "set_label", {**target, "key": key, "value": value})
+        self._mutate("set_label", {**target, "key": key, "value": value})
         return f"deployment.apps/{name} labeled"
 
     def _patch(self, positionals: list[str], flags: dict) -> str:
@@ -528,7 +537,7 @@ class ShellGateway:
             raise _CommandError("error: cannot parse patch: nests too deeply") from None
         ns = self._namespace(flags)
         name = positionals[1]
-        self._cluster(cl.mutate, "patch", {"namespace": ns, "name": name, "patch": patch})
+        self._mutate("patch", {"namespace": ns, "name": name, "patch": patch})
         return f"deployment.apps/{name} patched"
 
     def _delete(self, positionals: list[str], flags: dict) -> str:
@@ -536,7 +545,7 @@ class ShellGateway:
             raise _CommandError("error: delete supports pods only")
         ns = self._namespace(flags)
         name = positionals[1]
-        self._cluster(cl.mutate, "kill_pod", {"namespace": ns, "pod": name})
+        self._mutate("kill_pod", {"namespace": ns, "pod": name})
         return f'pod "{name}" deleted'
 
     # What a stage may run: the two programs, the agent primitives, and kubectl's verbs.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn.datalayer import SKILL_KINDS, History, SkillEntry, SkillLibrary, Task, task_close
+from opslearn.datalayer import SKILL_KINDS, History, SkillEntry, SkillLibrary, Task, json_text, task_close
 from opslearn.resources import ConfigurationError, fixture_path
 
 
@@ -328,3 +328,35 @@ def test_markdown_export_structure():
 def test_markdown_export_of_empty_library():
     markdown = SkillLibrary().export_markdown()
     assert markdown.count("- None") == 4
+
+
+# -- the JSON emitter against `json.dumps` ------------------------------------------
+
+EMITTER_EXAMPLES = 150  # about 0.6 s
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+_json_keys = st.one_of(st.text(max_size=4), st.sampled_from(["a", "b", "é", "\n", ",\n  ", '"', "0"]))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_json_keys, children, max_size=4), st.tuples(children)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=EMITTER_EXAMPLES, deadline=None)
+@given(doc=_json_docs)
+def test_json_text_is_json_dumps_with_sorted_keys_and_indent_2(doc):
+    """Non-ASCII text, NaN and infinities, empty containers, separators inside
+    keys and strings, and tuples (left to `json.dumps`) included."""
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    loop: list = []
+    loop.append(loop)
+    for doc, error in (({"a": [1, {2}]}, TypeError), ({"a": [1], 2: [3]}, TypeError), (loop, ValueError)):
+        with pytest.raises(error) as expected:
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(error, match=re.escape(str(expected.value))):
+            json_text(doc)

@@ -8,27 +8,32 @@ mapping. The spoiled document is handed to the loader where the one reader,
 `resources.read_input`, parses its file. Whatever the spoiling, the loader
 returns a value or raises a ConfigurationError, one line that names the
 file; it never raises anything else. Spoiled mutation arguments either apply
-or are refused with the state left as it was.
+or are refused with the state left as it was. The compiled `conform` reads
+every spoiled document as the schema walk it replaced, kept here as the
+oracle, does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
+import reprlib
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn import cluster, llm, resources, runner
+from opslearn import cluster, datalayer, llm, resources, runner
 from opslearn.datalayer import SkillLibrary
-from opslearn.resources import ConfigurationError, fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, Misfit, conform, fixture_path, load_yaml
 
 MAX_EXAMPLES = 150  # per loader: the four together take about 2 s
 MUTATION_EXAMPLES = 40  # per action: the five together take about 0.5 s
 LIBRARY_EXAMPLES = 60  # about 0.3 s
 REPLAY_EXAMPLES = 40  # a replay takes about 20 ms: about 1 s
+WALK_EXAMPLES = 25  # per schema: the eleven together take about 1 s
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
 _values = st.one_of(
@@ -168,3 +173,88 @@ def test_a_spoiled_history_replays_or_fails_with_one_configuration_error(seed_7_
         message = str(exc)
         assert message.startswith(f"history {path}: ")
         assert "\n" not in message
+
+
+# -- the compiled schemas against the schema walk they replaced ------------------
+
+
+def _conform_by_walk(spec, value, path=""):
+    """`resources.conform` as it was: the schema data interpreted at every node of the document."""
+    if isinstance(spec, type):
+        if not isinstance(value, spec) or (spec is int and isinstance(value, bool)):
+            raise Misfit(path, f"expected {spec.__name__}, got {reprlib.repr(value)}")
+        return copy.deepcopy(value) if spec is object else value  # the other type specs are scalars
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise Misfit(path, f"expected a mapping, got {reprlib.repr(value)}")
+        if str in spec:
+            if not all(isinstance(key, str) for key in value):
+                raise Misfit(path, f"keys must be strings, got {reprlib.repr(list(value))}")
+            return {key: _conform_by_walk(spec[str], item, f"{path}[{key!r}]") for key, item in value.items()}
+        unknown = [key for key in value if key not in spec]
+        if unknown:
+            raise Misfit(path, f"unknown keys {sorted(map(str, unknown))}")
+        checked = {}
+        for key, field in spec.items():
+            where = f"{path}.{key}" if path else key
+            if type(field) is tuple:
+                field, default = field
+                if key not in value:
+                    checked[key] = None if default is None else _conform_by_walk(field, default, where)
+                    continue
+            elif key not in value:
+                raise Misfit(where, "missing")
+            checked[key] = _conform_by_walk(field, value[key], where)
+        return checked
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise Misfit(path, f"expected a list, got {reprlib.repr(value)}")
+        return [_conform_by_walk(spec[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    try:
+        return spec(value)
+    except Misfit as exc:  # a converter that reads the value through a schema it picks
+        raise Misfit(f"{path}.{exc.path}" if path and exc.path else path or exc.path, exc.reason) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise Misfit(path, str(exc)) from None
+
+
+def _outcome(read, spec, doc, path):
+    """What reading `doc` gives: the value as its repr (NaN equals itself there), or the refusal."""
+    try:
+        return "value", repr(read(spec, doc, path))
+    except Misfit as exc:
+        return "misfit", exc.path, exc.reason
+    except Exception as exc:  # anything else must at least agree in type and message
+        return type(exc).__name__, str(exc)
+
+
+# (schema, a document it reads); the converters inside a schema read through `conform` too
+with open(fixture_path("skill_library.json")) as _fh:
+    _LIBRARY_DOC = json.load(_fh)
+_SCHEMAS = {
+    "topology": (cluster.TOPOLOGY, load_yaml(fixture_path("sock_shop.yaml"))),
+    "suite": (runner._SUITE, load_yaml(fixture_path("eval_suite.yaml"))),
+    "script": (llm._SCRIPT, {"records": load_yaml(fixture_path("scripts/evaluation.yaml"))["records"]}),
+    "config": (llm._CONFIG, load_yaml(fixture_path("llm_default.yaml")) or {}),
+    "library": (datalayer._LIBRARY, _LIBRARY_DOC),
+    "history record": (datalayer._RECORD, {"id": 3, "task_id": "r1t1", "actor": "manager", "payload": "p",
+                                           "payload_kind": "feedback", "feedback_kind": "peer", "timestamp": 60.0}),
+    **{f"{action} args": (cluster.ACTIONS[action][0], args) for action, args in _MUTATIONS.items()},
+}
+# every module that reads through `conform` by name, so that the oracle's converters walk too
+_READERS = (resources, cluster, datalayer, llm, runner)
+
+
+@pytest.mark.parametrize("name", _SCHEMAS)
+@settings(max_examples=WALK_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_the_compiled_schema_reads_as_the_walk_does(name, data):
+    spec, bundled = _SCHEMAS[name]
+    doc = data.draw(_spoiled(copy.deepcopy(bundled)))
+    path = data.draw(st.sampled_from(["", "line 3"]))
+    compiled = _outcome(conform, spec, copy.deepcopy(doc), path)
+    with contextlib.ExitStack() as stack:
+        for module in _READERS:
+            stack.enter_context(mock.patch.object(module, "conform", _conform_by_walk))
+        walked = _outcome(_conform_by_walk, spec, copy.deepcopy(doc), path)
+    assert compiled == walked

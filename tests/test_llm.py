@@ -11,13 +11,15 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opslearn.llm import (
+    ROLES,
     BudgetExhausted,
     GatewayConfig,
     LiveGateway,
+    ModelRoute,
     ScriptExhausted,
     ScriptRecord,
     ScriptedGateway,
@@ -169,6 +171,44 @@ def test_scripted_records_are_fifo_per_role():
     assert gateway.complete("planner", _messages("a")) == "one"
     assert gateway.complete("planner", _messages("b")) == "two"
     assert gateway.complete("curator", _messages("c")) == "aside"
+
+
+class _LinearScanGateway(ScriptedGateway):
+    """`_complete` as it was: every record scanned from the top on each call."""
+
+    def _complete(self, route, prompt):
+        for i, record in enumerate(self.records):
+            if record.role != route.role or 0 <= record.max_uses <= self.uses[i]:
+                continue
+            if record.guard is not None and record.guard not in prompt:
+                continue
+            self.uses[i] += 1
+            return record.response, estimate_tokens(prompt), estimate_tokens(record.response)
+        raise ScriptExhausted(f"no scripted response left for role {route.role!r} (prompt head: {prompt[:120]!r})")
+
+
+SCAN_EXAMPLES = 120  # about 0.4 s
+_ROLES = st.sampled_from(ROLES[:2])
+_GUARDS = st.one_of(st.none(), st.text(alphabet="ab", max_size=2))
+_records = st.lists(st.tuples(_ROLES, _GUARDS, st.sampled_from([-1, -2, 0, 1, 1, 2])), max_size=8).map(
+    lambda rows: [ScriptRecord(role, f"reply {i}", guard, uses) for i, (role, guard, uses) in enumerate(rows)]
+)
+
+
+@settings(max_examples=SCAN_EXAMPLES, deadline=None)
+@given(records=_records, calls=st.lists(st.tuples(_ROLES, st.text(alphabet="ab", max_size=4)), max_size=12))
+def test_the_role_index_picks_as_the_linear_scan_does(records, calls):
+    """The first record in script order with the caller's role, uses left and its guard in the prompt."""
+    indexed, scanned = (gateway(GatewayConfig(), records) for gateway in (ScriptedGateway, _LinearScanGateway))
+    for role, prompt in calls:
+        picks = []
+        for gateway in (indexed, scanned):
+            try:
+                picks.append(gateway._complete(ModelRoute(role, "m"), prompt))
+            except ScriptExhausted as exc:
+                picks.append(str(exc))
+        assert picks[0] == picks[1]
+    assert indexed.uses == scanned.uses
 
 
 def test_scripted_guard_matches_prompt_substring():

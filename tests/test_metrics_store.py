@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import functools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opslearn.cluster import MI, TrafficProfile
 from opslearn.metrics import MetricStore, OrderViolation, SeriesId
 
 
@@ -26,6 +28,21 @@ def test_series_id_hash_is_kept_and_eq_and_repr_are_unchanged():
     assert repr(a) == "SeriesId(metric_name='m', labels=(('a', '1'), ('b', '2')))"
     assert a != SeriesId.make("m", {"a": "1"}) and a != SeriesId.make("n", {"a": "1", "b": "2"})
     assert {a: 1}[b] == 1 and copy.deepcopy(a) == a and hash(copy.deepcopy(a)) == hash(a)
+
+
+def test_traffic_profile_hash_is_kept_and_eq_and_repr_are_unchanged():
+    a = TrafficProfile(2.0, 0.1, latency_buckets=((0.1, 3.0), (0.5, 1.0)), active_requests_metric="m")
+    b = TrafficProfile(2.0, 0.1, 0.0, ((0.1, 3.0), (0.5, 1.0)), 2, 9 * MI, 0.0, "m")
+    fields = (2.0, 0.1, 0.0, ((0.1, 3.0), (0.5, 1.0)), 2, 9 * MI, 0.0, "m")
+    assert a == b and a is not b and hash(a) == hash(b) == hash(fields)  # the hash a frozen dataclass makes
+    assert repr(a) == (
+        "TrafficProfile(requests_per_second=2.0, error_4xx_share=0.1, error_5xx_share=0.0, "
+        "latency_buckets=((0.1, 3.0), (0.5, 1.0)), base_cpu_millicores=2, base_mem_bytes=9437184, "
+        "cpu_millicores_per_rps=0.0, active_requests_metric='m')"
+    )
+    assert a != TrafficProfile(2.0, 0.1, latency_buckets=((0.1, 3.0),), active_requests_metric="m")
+    assert {a: 1}[b] == 1 and copy.deepcopy(a) == a and hash(copy.deepcopy(a)) == hash(a)
+    assert replace(a, requests_per_second=3.0) == TrafficProfile(3.0, 0.1, 0.0, a.latency_buckets, 2, 9 * MI, 0.0, "m")
 
 
 def test_first_sample_creates_series():
@@ -211,3 +228,35 @@ def test_add_equals_last_value_plus_ingest_on_forked_and_unforked_stores(moves):
             assert tested.series_ids() == two_lookups.series_ids()  # an empty run makes no series
             for other in _SERIES:
                 assert tested.samples(other) == two_lookups.samples(other) == lists.get(other, [])
+
+
+@given(
+    moves=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 3), st.integers(0, 2), st.lists(_values, max_size=3)),
+            st.tuples(st.just("fork"), st.integers(0, 3)),
+        ),
+        max_size=30,
+    )
+)
+def test_a_fork_shares_every_list_until_its_side_appends(moves):
+    """`fork()` copies no samples, and an append on one side of a fork never shows
+    on the other; plain lists, copied on every fork, say what each store holds."""
+    family = [(MetricStore(), {})]
+    for move in moves:
+        store, expected = family[move[1] % len(family)]
+        if move[0] == "fork":
+            fork = store.fork()
+            assert all(fork._samples[sid] is points for sid, points in store._samples.items())
+            family.append((fork, copy.deepcopy(expected)))
+            continue
+        _, _, index, increments = move
+        sid = _SERIES[index]
+        points = expected.setdefault(sid, [])
+        start = points[-1][0] if points else 0.0
+        times = [start + 1.0 + i for i in range(len(increments))]
+        store.add(sid, times, increments)
+        for timestamp, increment in zip(times, increments):
+            points.append((timestamp, (points[-1][1] if points else 0.0) + increment))
+        for member, lists in family:
+            assert all(member.samples(other) == lists.get(other, []) for other in _SERIES)

@@ -3,6 +3,7 @@ reference, frozen hand-computed cases, and grammar/edge behavior."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import random
@@ -16,7 +17,7 @@ import oracle_promql as oracle
 import promql_cases
 from opslearn.cluster import load_topology, tick
 from opslearn.metrics import MetricStore
-from opslearn.promql import ParseError, RangeError, _tokenize, evaluate
+from opslearn.promql import Aggregation, Matcher, ParseError, RangeError, Rate, _tokenize, evaluate, parse
 from opslearn.resources import fixture_path
 
 # Fixed per-production seeds keep the randomized suite reproducible.
@@ -367,3 +368,17 @@ def test_reference_quantile_matches_closed_form():
     assert oracle._quantile_from_buckets(0.95, buckets) == 0.0075
     assert oracle._quantile_from_buckets(0.0, buckets) == 0.0
     assert oracle._quantile_from_buckets(1.0, buckets) == 0.01
+
+
+def test_a_text_parses_once_into_one_immutable_tree():
+    text = 'sum by (job)(rate(http_requests_total{job=~"sock-shop/.*"}[5m]))'
+    tree = parse(text)
+    assert parse(text) is tree
+    assert isinstance(tree, Aggregation) and tree.by_labels == ("job",) and isinstance(tree.arg, Rate)
+    assert tree.arg.arg.selector.matchers == (Matcher("job", "=~", "sock-shop/.*"),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.op = "count"
+    with pytest.raises(ParseError):
+        parse("sum(")  # a refused text is not cached
+    with pytest.raises(ParseError):
+        parse("sum(")

@@ -429,6 +429,25 @@ SEED_1009_FINGERPRINTS = {
     "library.json": "03b15a663ed6eb34",
     "report.json": "cce342abd097bb71",
 }
+# The same trial on seed 3, and one-task runs of the two other trial scripts, each
+# as `opslearn run` with these flags writes it.
+SCRIPTED_RUN_FINGERPRINTS = {
+    "--seed 3": {
+        "history.log": "fd35bccfa025ed90",
+        "library.json": "03b15a663ed6eb34",
+        "report.json": "7cbbb0486466ce19",
+    },
+    "--seed 7 --rounds 1 --tasks-per-round 1 --mode observation_only --script scripts/observation_only.yaml": {
+        "history.log": "46a4a765703401d0",
+        "library.json": "f0c59f8773161222",
+        "report.json": "0f12ca03439c8fa2",
+    },
+    "--seed 7 --rounds 1 --tasks-per-round 1 --script scripts/adversarial.yaml": {
+        "history.log": "838ce2ddeb22b1b8",
+        "library.json": "f0c59f8773161222",
+        "report.json": "1c589bd46b3c9e4d",
+    },
+}
 # `opslearn report` of the seed-7 trial.
 SEED_7_REPORT_FINGERPRINTS = {
     "report.csv": "eed8094ad5e06528",
@@ -443,6 +462,13 @@ def _fingerprints(out_dir, names):
 def test_seed_1009_trial_fingerprints(tmp_path):
     run_trial(TrialConfig(seed=1009, out_dir=str(tmp_path)))
     assert _fingerprints(tmp_path, SEED_1009_FINGERPRINTS) == SEED_1009_FINGERPRINTS
+
+
+@pytest.mark.parametrize("flags", SCRIPTED_RUN_FINGERPRINTS)
+def test_scripted_run_fingerprints(flags, tmp_path, capsys):
+    argv = [fixture_path(word) if word.startswith("scripts/") else word for word in flags.split()]
+    assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 0
+    assert _fingerprints(tmp_path, SCRIPTED_RUN_FINGERPRINTS[flags]) == SCRIPTED_RUN_FINGERPRINTS[flags]
 
 
 def test_seed_7_report_fingerprints(golden_trial, tmp_path, capsys):

@@ -5,9 +5,11 @@ exit code 0 goes with an empty stderr and a non-zero code with an
 explanation on it; a failed command without a pipe changes nothing; and the
 read verbs never change the configuration digest.
 
-The regex scanners, the word splitter and the configuration digest are also
-checked against the implementations they replaced, which are kept here as
-oracles: the character loops, `shlex.split` and the sort-keys JSON document.
+The regex scanners, the word splitter, the configuration digest and the
+`mutated` flag are also checked against the implementations they replaced,
+which are kept here as oracles: the character loops, `shlex.split`, the
+sort-keys JSON document and an `execute` that digests the state before and
+after every command.
 """
 
 from __future__ import annotations
@@ -15,16 +17,21 @@ from __future__ import annotations
 import functools
 import json
 import shlex
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opslearn import cluster
 from opslearn.cluster import InvalidArgument, NotFound, clone, load_topology, mutate, state_digest, tick
 from opslearn.resources import fixture_path
 from opslearn.shell import (
     _FORBIDDEN_CONSTRUCTS,
+    ExecutionResult,
     ShellGateway,
+    _CommandError,
     _construct_outside_quotes,
+    _duration_ms,
     _split_pipes_outside_quotes,
     _split_words,
 )
@@ -359,3 +366,40 @@ def test_digests_are_equal_exactly_when_the_json_documents_are(paths):
         for b in states:
             same_document = _digest_document(a) == _digest_document(b)
             assert (state_digest(a) == state_digest(b)) == same_document
+
+
+# -- the mutated flag against the double digest it replaced -------------------------
+
+MUTATED_EXAMPLES = 100  # both together about 0.5 s
+
+
+class _DoubleDigestShell(ShellGateway):
+    """`execute` as it was: `mutated` is whether the digest before and after the command differ."""
+
+    def execute(self, line: str) -> ExecutionResult:
+        before = state_digest(self.state)
+        try:
+            stdout, stderr, exit_code = self._run_pipeline(line), "", 0
+        except _CommandError as exc:
+            stdout, stderr, exit_code = "", str(exc), exc.exit_code
+        return ExecutionResult(stdout, stderr, exit_code, state_digest(self.state) != before, _duration_ms(line))
+
+
+@settings(max_examples=MUTATED_EXAMPLES, deadline=None)
+@given(lines=st.lists(st.one_of(_writes, _reads, _anything), min_size=1, max_size=3))
+@example(lines=["kubectl scale deployment catalogue -n sock-shop --replicas=1"])  # the current count
+@example(lines=["kubectl scale deployment catalogue -n sock-shop --replicas=3 | grep zz"])  # mutates, then fails
+def test_mutated_is_whether_the_digest_moved(lines):
+    shell, oracle = _fresh_shell(), _DoubleDigestShell(clone(_base()), components=("catalogue", "front-end"))
+    for line in lines:
+        assert shell.execute(line) == oracle.execute(line), line
+    assert state_digest(shell.state) == state_digest(oracle.state)
+
+
+@settings(max_examples=MUTATED_EXAMPLES, deadline=None)
+@given(line=_reads)
+def test_a_read_line_computes_no_digest(line):
+    shell = _fresh_shell()
+    with mock.patch.object(cluster, "state_digest", side_effect=AssertionError("digest computed")):
+        result = shell.execute(line)
+    assert not result.state_mutated

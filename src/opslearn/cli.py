@@ -13,7 +13,7 @@ from dataclasses import fields
 
 from .datalayer import SkillLibrary
 from .llm import ScriptExhausted
-from .resources import fixture_path, load_json, read_input
+from .resources import fixture_path, parse_json, read_input
 from .runner import (
     LLM_BACKENDS,
     TRIAL_MODES,
@@ -128,7 +128,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for name in ("report.json", "grid.json"):
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
-            data = read_input("report", path, {str: object}, parse=load_json)
+            data = read_input("report", path, {str: object}, parse=parse_json)
             try:
                 emitted.extend(emit_report(data, out_dir, formats))
             except (ValueError, TypeError, KeyError, AttributeError) as exc:  # not shaped like a run's

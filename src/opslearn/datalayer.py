@@ -13,12 +13,11 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
 from typing import Any, Callable
 
 from . import promql
 from .cluster import ClusterState
-from .resources import conform, finite_number, load_json, load_json_lines, maybe, number, one_of, read_input
+from .resources import conform, finite_number, maybe, number, one_of, parse_json, parse_json_lines, read_input
 
 OBSERVATION = "observation"
 ACTION = "action"
@@ -145,7 +144,7 @@ class History:
         """The history a `dump` wrote; a refusal names the first line that is not JSON
         or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
         history = cls()
-        docs = read_input("history", path, _history_lines, parse=load_json_lines)
+        docs = read_input("history", path, _history_lines, parse=parse_json_lines)
         history.records = [InteractionRecord(**doc) for doc in docs]
         return history
 
@@ -176,49 +175,8 @@ def task_close(record: InteractionRecord) -> tuple[str, str, str] | None:
 
 
 def json_text(doc: Any) -> str:
-    """Exactly `json.dumps(doc, sort_keys=True, indent=2)`, which `indent` sends to the pure-Python
-    encoder: here the C encoder writes each container, and Python only walks the containers.
-    What `_indented` does not lay out raises TypeError and, like a document nested too deeply
-    or holding itself, is left to `json.dumps`."""
-    try:
-        return _indented(doc, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
-@functools.lru_cache(maxsize=64)  # one per depth
-def _flat_encoder(inner: str) -> Callable[[Any, int], Any]:
-    default = json.JSONEncoder().default  # refuses what JSON cannot hold, as `json.dumps` does
-    return c_make_encoder(None, default, encode_basestring_ascii, None, ": ", "," + inner, True, False, True)
-
-
-def _indented(value: Any, newline: str) -> str:
-    """A dict or a list as `json_text` writes it, its closing bracket after `newline`: the C encoder
-    writes it with the separator that puts each item on an indented line, with `0` standing in for
-    each non-empty container in it, which is laid out the same way in its place. A subclass,
-    a tuple or a nested key that is not a string raises TypeError."""
-    kind = type(value)
-    if kind is not dict and kind is not list:
-        raise TypeError(kind)
-    if not value:
-        return "{}" if kind is dict else "[]"
-    inner = newline + "  "
-    children = value.items() if kind is dict else enumerate(value)
-    nested = {key: item for key, item in children if isinstance(item, (dict, list, tuple)) and item}
-    flat = value
-    if nested:
-        flat = dict(value) if kind is dict else list(value)
-        for key in nested:
-            flat[key] = 0
-    text = "".join(_flat_encoder(inner)(flat, 0))
-    if nested:  # no encoded key or scalar holds a raw newline, so the split finds exactly the items
-        items = text[1:-1].split("," + inner)
-        for i, key in enumerate([key for key, _ in sorted(flat.items())] if kind is dict else range(len(flat))):
-            if key in nested:
-                laid_out = _indented(nested[key], inner)
-                items[i] = laid_out if kind is list else f"{encode_basestring_ascii(key)}: {laid_out}"
-        text = text[0] + ("," + inner).join(items) + text[-1]
-    return text[0] + inner + text[1:-1] + newline + text[-1]
+    """The layout of every JSON artifact: keys sorted, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +301,7 @@ class SkillLibrary:
     @classmethod
     def load(cls, path: str) -> "SkillLibrary":
         """The library `save` wrote."""
-        return read_input("library", path, _LIBRARY, cls._from_doc, parse=load_json)
+        return read_input("library", path, _LIBRARY, cls._from_doc, parse=parse_json)
 
     def export_markdown(self) -> str:
         """Human-facing library view: one section per skill kind, plus the

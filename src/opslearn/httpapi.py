@@ -105,8 +105,6 @@ def handle_request(store: MetricStore, path_and_query: str, at: float) -> HttpRe
     expr = urllib.parse.unquote_plus(raw_expr)
     try:
         result = promql.evaluate(store, expr, at)
-    except promql.ParseError as exc:
-        return _error(400, "bad_data", f'invalid parameter "query": {exc}')
-    except promql.RangeError as exc:
+    except (promql.ParseError, promql.RangeError) as exc:
         return _error(400, "bad_data", f'invalid parameter "query": {exc}')
     return _success(result, at)

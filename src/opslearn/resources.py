@@ -20,8 +20,7 @@ except ImportError:  # pragma: no cover - Python 3.10
     import sre_parse as _sre  # type: ignore[no-redef]
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-_parsed: dict[str, Any] = {}  # parsed documents by file text
-_built: dict[int, dict[Callable, Any]] = {}  # shared builds of each, by its id; none is dropped, so no id is reused
+_shared: dict[tuple[Callable | None, str], Any] = {}  # each shared build by (build, file text)
 # libyaml's C composer recurses once per level and crashes the process some
 # 25,000 levels down; the bundled files nest at most 9 levels deep.
 MAX_DEPTH = 64
@@ -50,19 +49,27 @@ def read_input(
     what: str, source: Any, spec: Any, build: Callable[[Any], Any] | None = None, parse: Callable | None = None,
     shared: bool = False,
 ) -> Any:
-    """`build(conform(spec, doc))` for the document at path `source`, read with `parse`
-    (`load_yaml` by default), or for `source` itself when it is not a path. Unusable input
-    is one ConfigurationError worded `<what> <file>: [<path>: ]<reason>`; a TypeError or
-    KeyError out of `build` is a bug, not an input error, and propagates. A `shared` build
-    returns an immutable value, built once for the document `load_yaml` cached for a text."""
+    """`build(conform(spec, doc))` for the document in the file at path `source`, parsed from
+    its text with `parse` (`parse_yaml` by default), or for `source` itself when it is not a
+    path. Unusable input is one ConfigurationError worded `<what> <file>: [<path>: ]<reason>`;
+    a TypeError or KeyError out of `build` is a bug, not an input error, and propagates. A
+    `shared` build returns an immutable value, built once for each file text and kept; a
+    refused text is not kept, and a mapping handed over is read on every call."""
     name = f"{what} {source}" if isinstance(source, str) else what
     try:
-        doc = (parse or load_yaml)(source) if isinstance(source, str) else source
-        built = _built.get(id(doc), {}) if shared and isinstance(source, str) else {}
-        if build not in built:
-            checked = conform(spec, doc)
-            built[build] = checked if build is None else build(checked)
-        return built[build]
+        if not isinstance(source, str):
+            doc = source
+        else:
+            with open(source) as fh:
+                text = fh.read()
+            if shared and (build, text) in _shared:
+                return _shared[build, text]
+            doc = (parse or parse_yaml)(text)
+        checked = conform(spec, doc)
+        built = checked if build is None else build(checked)
+        if shared and isinstance(source, str):
+            _shared[build, text] = built
+        return built
     except OSError as exc:
         raise ConfigurationError(f"{name}: {exc.strerror or exc}") from None
     except RecursionError:  # its message depends on how deep the caller's stack already was
@@ -71,31 +78,19 @@ def read_input(
         raise ConfigurationError(f"{name}: {exc}") from None
 
 
-def load_yaml(path: str) -> Any:
-    """Parse a YAML file, with libyaml when it is installed.
-
-    The file is read on every call and each distinct text is parsed once
-    per process. Every caller of one text gets the same cached document, so
-    it is read-only: read it through `conform`, which builds new mappings and
-    lists, and deep-copy it before changing it. Raises OSError when the file
-    cannot be read, and yaml.YAMLError worded `line L, column C: problem`
-    when it does not parse, nests deeper than MAX_DEPTH or holds an alias;
-    a refused text is not cached.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    if text not in _parsed:
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        try:
-            _check_depth(text, loader)
-            doc = yaml.load(text, Loader=loader)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-            problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
-            raise yaml.YAMLError(f"{where}{problem}") from None
-        _parsed[text], _built[id(doc)] = doc, {}
-    return _parsed[text]
+def parse_yaml(text: str) -> Any:
+    """The document in a YAML text, parsed with libyaml when it is installed; a
+    yaml.YAMLError worded `line L, column C: problem` when it does not parse, nests
+    deeper than MAX_DEPTH or holds an alias."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        _check_depth(text, loader)
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise yaml.YAMLError(f"{where}{problem}") from None
 
 
 def _check_depth(text: str, loader: Any) -> None:
@@ -111,16 +106,15 @@ def _check_depth(text: str, loader: Any) -> None:
             raise yaml.MarkedYAMLError(problem=f"nests deeper than {MAX_DEPTH} levels", problem_mark=event.start_mark)
 
 
-def load_json(path: str) -> Any:
-    """Parse a JSON file; a ValueError worded `line L, column C: problem` when it does not parse."""
-    with open(path) as fh:
-        return _json(fh.read(), 1)
+def parse_json(text: str) -> Any:
+    """The document in a JSON text; a ValueError worded `line L, column C: problem` when it does not parse."""
+    return _json(text, 1)
 
 
-def load_json_lines(path: str) -> dict[int, Any]:
-    """The JSON document on each line that is not blank, by line number; refused as `load_json` refuses."""
-    with open(path) as fh:
-        return {number: _json(line, number) for number, line in enumerate(fh, start=1) if line.strip()}
+def parse_json_lines(text: str) -> dict[int, Any]:
+    """The JSON document on each line that is not blank, by line number; refused as `parse_json`
+    refuses. Only `\\n` ends a line (`str.splitlines` would also split at U+2028 and the like)."""
+    return {number: _json(line, number) for number, line in enumerate(text.split("\n"), start=1) if line.strip()}
 
 
 def _json(text: str, line: int) -> Any:

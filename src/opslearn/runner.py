@@ -56,6 +56,8 @@ EVAL_WARMUP_SECONDS = 300.0
 REPLAY_MAX_STEP_SECONDS = 3600.0
 RETRIEVE_K = 4
 MAX_ROUNDS = 1000  # the report's timeline draws one column per round
+_ROUNDS = number(int, 1, MAX_ROUNDS)
+_TASK_COLUMNS = ("id", "round", "kind", "stage", "difficulty", "status")  # a report's task fields; its csv says `task_id`
 
 TRIAL_MODES = ("full", "observation_only")
 LLM_BACKENDS = ("scripted", "live")
@@ -282,17 +284,7 @@ def _build_report(
         "completed_rounds": completed_rounds,
         "truncated": truncation_reason is not None,
         "truncation_reason": truncation_reason,
-        "tasks": [
-            {
-                "id": t.id,
-                "round": t.round,
-                "kind": t.kind,
-                "stage": t.stage,
-                "difficulty": t.difficulty,
-                "status": t.status,
-            }
-            for t in tasks
-        ],
+        "tasks": [{column: getattr(t, column) for column in _TASK_COLUMNS} for t in tasks],
         "knowledge_points": [p.to_doc() for p in tracker.points],
         "acquisition_order": list(tracker.order),
         "skill_counts": skill_counts,
@@ -547,18 +539,9 @@ def emit_report(data: dict[str, Any], out_dir: str, formats: tuple[str, ...]) ->
 
 
 def _trial_rows(report: dict[str, Any]) -> list[list[str]]:
-    rows = [["task_id", "round", "kind", "stage", "difficulty", "status"]]
+    rows = [["task_id", *_TASK_COLUMNS[1:]]]
     for task in report.get("tasks", []):
-        rows.append(
-            [
-                str(task["id"]),
-                str(task["round"]),
-                str(task["kind"]),
-                str(task["stage"]),
-                str(task["difficulty"]),
-                str(task["status"]),
-            ]
-        )
+        rows.append([str(task[column]) for column in _TASK_COLUMNS])
     return rows
 
 
@@ -581,7 +564,7 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
 def _timeline_svg(report: dict[str, Any]) -> str:
     points = report.get("knowledge_points", [])
     rounds = conform(int, report.get("config", {}).get("rounds", 1), "config.rounds")
-    conform(number(int, 1, MAX_ROUNDS), rounds, "config.rounds")
+    conform(_ROUNDS, rounds, "config.rounds")
     left, top, cell_w, cell_h = 230, 48, 60, 28
     width = left + rounds * cell_w + 24
     height = top + len(points) * cell_h + 40

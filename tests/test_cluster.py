@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +19,18 @@ from opslearn.cluster import (
     tick,
 )
 from opslearn.promql import evaluate
-from opslearn.resources import ConfigurationError, fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, fixture_path, parse_yaml
 from opslearn.shell import ShellGateway
 
 
 def _fresh(seed: int = 7):
     return load_topology(fixture_path("sock_shop.yaml"), seed=seed)
+
+
+def _document():
+    """The bundled topology's document, parsed anew, so the caller may change it."""
+    with open(fixture_path("sock_shop.yaml")) as fh:
+        return parse_yaml(fh.read())
 
 
 def test_same_seed_same_evolution():
@@ -104,7 +108,7 @@ def test_scale_above_the_replica_bound_is_rejected_before_any_pod_spawns():
 
 
 def test_topology_replicas_above_the_bound_are_rejected():
-    doc = copy.deepcopy(load_yaml(fixture_path("sock_shop.yaml")))  # the cached document is read-only
+    doc = _document()
     doc["deployments"][0]["replicas"] = MAX_REPLICAS + 1
     with pytest.raises(ConfigurationError, match=r"deployments\[0\]\.replicas"):
         load_topology(doc)
@@ -121,7 +125,7 @@ def test_topology_replicas_above_the_bound_are_rejected():
     ids=["cpu", "memory", "base-memory", "probe-delay"],
 )
 def test_topology_refuses_negative_quantities_and_probe_durations(path, value, message):
-    doc = copy.deepcopy(load_yaml(fixture_path("sock_shop.yaml")))  # the cached document is read-only
+    doc = _document()
     node = doc["deployments"][1]  # front-end, the one with a traffic profile
     for key in path[:-1]:
         node = node[key]
@@ -263,7 +267,7 @@ def test_clones_and_their_sources_evolve_as_if_never_cloned(moves):
 
 def test_deployment_order_in_the_topology_does_not_matter():
     """The loader sorts the deployments once; the digest, the shell and the scrape read that order."""
-    doc = load_yaml(str(fixture_path("sock_shop.yaml")))
+    doc = _document()
     reversed_doc = {**doc, "deployments": doc["deployments"][::-1]}
     states = [_fresh(), load_topology(reversed_doc, seed=7)]
     listings = [ShellGateway(s, component_names(s)).execute("kubectl get deployments --all-namespaces") for s in states]

@@ -21,7 +21,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_input_schemas import _MUTATIONS, _spoiled
+from test_input_schemas import _MUTATIONS, _SPOILED_TEXTS, _spoiled, bundled_document
 
 from opslearn import cluster, resources
 from opslearn.cluster import (
@@ -40,7 +40,7 @@ from opslearn.cluster import (
     state_digest,
     tick,
 )
-from opslearn.resources import ConfigurationError, Misfit, fixture_path, load_yaml, read_input
+from opslearn.resources import ConfigurationError, Misfit, fixture_path, read_input
 
 SPOILED_EXAMPLES = 150  # about 0.7 s
 SEEDS = (7, 1009, 3)
@@ -119,31 +119,36 @@ def test_the_bundled_topology_loads_as_the_oracle_builds_it(seed):
 
 @settings(max_examples=SPOILED_EXAMPLES, deadline=None)
 @given(data=st.data())
-def test_a_spoiled_topology_loads_or_is_refused_as_the_oracle_does(data):
-    doc = data.draw(_spoiled(copy.deepcopy(load_yaml(fixture_path("sock_shop.yaml")))))
+def test_a_spoiled_topology_loads_or_is_refused_as_the_oracle_does(tmp_path_factory, data):
+    doc = data.draw(_spoiled(bundled_document("sock_shop.yaml")))
     seed = data.draw(st.sampled_from(SEEDS))
-    with mock.patch.object(resources, "load_yaml", return_value=doc) as parse:
-        expected = _outcome(_oracle_load, "spoiled.yaml", seed)
-        assert _outcome(load_topology, "spoiled.yaml", seed) == expected
+    path = str(tmp_path_factory.getbasetemp() / "spoiled.yaml")
+    with open(path, "w") as fh:
+        fh.write(f"# spoiled document {next(_SPOILED_TEXTS)}\n")  # a new text, so no shared build is reused
+    with mock.patch.object(resources, "parse_yaml", return_value=doc) as parse:
+        expected = _outcome(_oracle_load, path, seed)
+        assert _outcome(load_topology, path, seed) == expected
     assert parse.call_count == 2
 
 
-def test_only_the_document_cached_for_a_files_text_is_compiled_once():
+def test_a_files_text_is_compiled_once_and_a_mapping_on_every_call(tmp_path):
     path = fixture_path("sock_shop.yaml")
-    cached = load_yaml(path)
-    doc = copy.deepcopy(cached)
+    copied = tmp_path / "copied.yaml"
+    with open(path) as fh:
+        copied.write_text(fh.read())
+    doc = bundled_document("sock_shop.yaml")
     with mock.patch.object(cluster, "compile_topology", wraps=cluster.compile_topology) as compiled:
-        for _ in range(3):
-            load_topology(path)
-        assert compiled.call_count == 1
-        for replicas in (2, 3):  # a document from another parser, changed in place between calls
-            doc["deployments"][0]["replicas"] = replicas
-            with mock.patch.object(resources, "load_yaml", return_value=doc):
-                assert load_topology("patched.yaml").find_deployment("sock-shop", "catalogue").replicas == replicas
-        assert compiled.call_count == 3
-        for source in (doc, cached):  # a document handed over directly, even the cached one
+        for source in (path, str(copied), path):  # another file with the same text shares the build
             load_topology(source)
-        assert compiled.call_count == 5
+        assert compiled.call_count == 1
+        for replicas in (2, 3):  # a mapping handed over, changed in place between calls
+            doc["deployments"][0]["replicas"] = replicas
+            assert load_topology(doc).find_deployment("sock-shop", "catalogue").replicas == replicas
+        assert compiled.call_count == 3
+        copied.write_text(copied.read_text() + f"# rewritten in {tmp_path}\n")  # a text no other test wrote
+        for _ in range(2):
+            load_topology(str(copied))
+        assert compiled.call_count == 4
 
 
 def test_changing_a_loaded_state_leaves_the_next_load_fresh():
@@ -171,11 +176,12 @@ def test_a_rewritten_file_is_read_anew_and_a_refused_text_is_refused_every_time(
     one = {"namespaces": ["s"], "deployments": [{"name": "a", "namespace": "s", "image": "i", "resources": resources_}]}
     duplicate = {**one, "deployments": [copy.deepcopy(one["deployments"][0]) for _ in range(2)]}  # no YAML aliases
     path = tmp_path / "topology.yaml"
-    for doc in (load_yaml(fixture_path("sock_shop.yaml")), one, duplicate, one, duplicate):
-        path.write_text(yaml.safe_dump(doc))
+    # an accepted text is parsed once per process, a refused one on every call
+    for doc, parses in ((bundled_document("sock_shop.yaml"), 1), (one, 1), (duplicate, 2), (one, 0), (duplicate, 2)):
+        path.write_text(f"# {tmp_path}\n" + yaml.safe_dump(doc))  # texts no other test wrote
         expected = _outcome(_oracle_load, str(path), 3)
-        with mock.patch.object(resources, "load_yaml", wraps=resources.load_yaml) as parse:
+        with mock.patch.object(resources, "parse_yaml", wraps=resources.parse_yaml) as parse:
             assert _outcome(load_topology, str(path), 3) == expected
             assert _outcome(load_topology, str(path), 3) == expected
-        assert parse.call_count == 2  # the file is read and parsed on every call
+        assert parse.call_count == parses
     assert expected == f"fixture {path}: deployments[1].name: duplicate deployment s/a"

@@ -102,6 +102,26 @@ def test_history_dump_writes_the_sort_keys_json_of_each_record(tmp_path):
     assert [r.to_doc() for r in History.load(str(path)).records] == [asdict(r) for r in history.records]
 
 
+def test_a_history_refusal_names_its_own_line_past_raw_line_separators(tmp_path):
+    """Only `\\n` ends a history line: a raw U+2028 or NEL inside a payload leaves
+    the numbering alone, and a line cut short is named, not the line after it."""
+    record = (
+        '{"actor": %s, "feedback_kind": null, "id": %d, "payload": "a\u2028b\x85c", '
+        '"payload_kind": "report", "task_id": "", "timestamp": 0.0}'
+    )
+    path = tmp_path / "history.log"
+    header = '{"history_schema": 1}\n'
+    path.write_text(header + record % ('"m"', 1) + "\n" + record % ('"m"', 2) + "\n")
+    assert [r.payload for r in History.load(str(path)).records] == ["a\u2028b\x85c"] * 2
+    for body, where in (
+        (record % ('"m"', 1) + "\n" + record % ("5", 2) + "\n", "line 3.actor: expected str, got 5"),
+        (record % ('"m"', 1) + '\n{"id":\n' + record % ('"m"', 3) + "\n", "line 3, column 7: Expecting value"),
+    ):
+        path.write_text(header + body)
+        with pytest.raises(ConfigurationError, match=f"^history {path}: {where}$"):
+            History.load(str(path))
+
+
 def test_an_empty_history_dumps_only_its_header(tmp_path):
     path = tmp_path / "history.log"
     History().dump(str(path))

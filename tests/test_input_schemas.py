@@ -5,7 +5,7 @@ read back (`library.json` and `history.log`).
 Each loader reads its bundled document with one node spoiled: a key or list
 item dropped, a value replaced by one of another type, or a key added to a
 mapping. The spoiled document is handed to the loader where the one reader,
-`resources.read_input`, parses its file. Whatever the spoiling, the loader
+`resources.read_input`, parses its file's text. Whatever the spoiling, the loader
 returns a value or raises a ConfigurationError, one line that names the
 file; it never raises anything else. Spoiled mutation arguments either apply
 or are refused with the state left as it was. The compiled `conform` reads
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import json
 import reprlib
 from unittest import mock
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from opslearn import cluster, datalayer, llm, resources, runner
 from opslearn.datalayer import SkillLibrary
-from opslearn.resources import ConfigurationError, Misfit, conform, fixture_path, load_yaml
+from opslearn.resources import ConfigurationError, Misfit, conform, fixture_path, parse_yaml
 
 MAX_EXAMPLES = 150  # per loader: the four together take about 2 s
 MUTATION_EXAMPLES = 40  # per action: the five together take about 0.5 s
@@ -81,20 +82,32 @@ def _spoiled(draw, doc):
     return doc
 
 
+def bundled_document(name):
+    """The document of a bundled YAML file, parsed anew, so the caller may change it."""
+    with open(fixture_path(name)) as fh:
+        return parse_yaml(fh.read())
+
+
+_SPOILED_TEXTS = itertools.count()  # a new file text for each spoiled document, so no shared build is reused
+
+
 @pytest.mark.parametrize("name", _LOADERS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(data=st.data())
-def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(name, data):
+def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(tmp_path_factory, name, data):
     loader, fixture, what = _LOADERS[name]
-    doc = data.draw(_spoiled(copy.deepcopy(load_yaml(fixture_path(fixture)))))  # the cached document is read-only
-    with mock.patch.object(resources, "load_yaml", return_value=doc) as parse:
+    doc = data.draw(_spoiled(bundled_document(fixture)))
+    path = tmp_path_factory.getbasetemp() / "spoiled.yaml"
+    text = f"# spoiled document {next(_SPOILED_TEXTS)}\n"
+    path.write_text(text)
+    with mock.patch.object(resources, "parse_yaml", return_value=doc) as parse:
         try:
-            loader("spoiled.yaml")
+            loader(str(path))
         except ConfigurationError as exc:
             message = str(exc)
-            assert message.startswith(f"{what} spoiled.yaml: ")
+            assert message.startswith(f"{what} {path}: ")
             assert "\n" not in message
-    parse.assert_called_once_with("spoiled.yaml")
+    parse.assert_called_once_with(text)
 
 
 _TARGET = {"namespace": "sock-shop", "name": "catalogue"}
@@ -232,10 +245,10 @@ def _outcome(read, spec, doc, path):
 with open(fixture_path("skill_library.json")) as _fh:
     _LIBRARY_DOC = json.load(_fh)
 _SCHEMAS = {
-    "topology": (cluster.TOPOLOGY, load_yaml(fixture_path("sock_shop.yaml"))),
-    "suite": (runner._SUITE, load_yaml(fixture_path("eval_suite.yaml"))),
-    "script": (llm._SCRIPT, {"records": load_yaml(fixture_path("scripts/evaluation.yaml"))["records"]}),
-    "config": (llm._CONFIG, load_yaml(fixture_path("llm_default.yaml")) or {}),
+    "topology": (cluster.TOPOLOGY, bundled_document("sock_shop.yaml")),
+    "suite": (runner._SUITE, bundled_document("eval_suite.yaml")),
+    "script": (llm._SCRIPT, {"records": bundled_document("scripts/evaluation.yaml")["records"]}),
+    "config": (llm._CONFIG, bundled_document("llm_default.yaml") or {}),
     "library": (datalayer._LIBRARY, _LIBRARY_DOC),
     "history record": (datalayer._RECORD, {"id": 3, "task_id": "r1t1", "actor": "manager", "payload": "p",
                                            "payload_kind": "feedback", "feedback_kind": "peer", "timestamp": 60.0}),

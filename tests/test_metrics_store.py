@@ -189,16 +189,17 @@ _runs = st.lists(st.tuples(st.floats(-1.0, 100.0), _values), max_size=4)  # (ste
 )
 def test_add_equals_last_value_plus_ingest_on_forked_and_unforked_stores(moves):
     """A run through `add` or `ingest` against the per-sample path it replaces,
-    move by move, on a family of stores forked from each other: the same
-    samples, and an OrderViolation that changes nothing for a run with a
-    sample that is not after the one before it (the latest, for the first).
-    Plain lists, copied on every fork, say what each store must hold, so an
-    append on one side of a fork must never show on the other."""
+    move by move, on a family of stores forked from each other with `fork()`,
+    which shares every sample list until a side appends: the same samples,
+    and an OrderViolation that changes nothing for a run with a sample that
+    is not after the one before it (the latest, for the first). Plain lists,
+    copied on every fork, say what each store must hold, so an append on one
+    side of a fork must never show on the other."""
     family = [(MetricStore(), MetricStore(), {})]  # (store under test, per-sample store, expected lists)
     for move in moves:
         store, oracle, expected = family[move[1] % len(family)]
         if move[0] == "fork":
-            family.append((copy.deepcopy(store), copy.deepcopy(oracle), copy.deepcopy(expected)))
+            family.append((store.fork(), oracle.fork(), copy.deepcopy(expected)))
             continue
         _, _, index, run = move
         sid = _SERIES[index]

@@ -1,9 +1,9 @@
-"""Reading input: the shared YAML loader (libyaml parity, fallback, caching
-by content) and the regex gate for patterns from outside."""
+"""Reading input: the one reader and its YAML parser (libyaml parity, fallback,
+shared builds kept by file text) and the regex gate for patterns from outside."""
 
 from __future__ import annotations
 
-import copy
+import ast
 import pathlib
 import time
 
@@ -12,9 +12,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opslearn import llm
+from opslearn import llm, resources
 from opslearn.cluster import load_topology
-from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, load_yaml, read_input
+from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, parse_yaml, read_input
 from opslearn.runner import load_suite
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
@@ -32,7 +32,12 @@ def test_libyaml_and_pure_python_parse_fixtures_alike(path):
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
-def test_falls_back_to_safe_loader_without_libyaml(tmp_path, monkeypatch):
+def _parsed(path):
+    with open(path) as fh:
+        return parse_yaml(fh.read())
+
+
+def test_falls_back_to_safe_loader_without_libyaml(monkeypatch):
     loaders = []
     real_load = yaml.load
 
@@ -42,31 +47,27 @@ def test_falls_back_to_safe_loader_without_libyaml(tmp_path, monkeypatch):
 
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     monkeypatch.setattr(yaml, "load", spy)
-    path = tmp_path / "doc.yaml"
-    path.write_text("fallback-check: [1, 2]\n")
-    assert load_yaml(str(path)) == {"fallback-check": [1, 2]}
+    assert parse_yaml("fallback-check: [1, 2]\n") == {"fallback-check": [1, 2]}
     assert loaders == [yaml.SafeLoader]
 
 
 def test_rewritten_file_yields_new_document(tmp_path):
     path = tmp_path / "doc.yaml"
     path.write_text("rewrite-check: 1\n")
-    assert load_yaml(str(path)) == {"rewrite-check": 1}
+    assert read_input("document", str(path), object) == {"rewrite-check": 1}
     path.write_text("rewrite-check: 2\n")
-    assert load_yaml(str(path)) == {"rewrite-check": 2}
+    assert read_input("document", str(path), object) == {"rewrite-check": 2}
 
 
 def test_mutating_a_document_leaves_the_next_intact(tmp_path):
-    """`load_yaml` hands out its cached document, which is read-only; what a loader
-    builds from it, a suite task's setup `args` and `equals` included, is the caller's own."""
+    """What a loader returns, a suite task's setup `args` and `equals` included, is the caller's own."""
     listed = tmp_path / "listed.yaml"  # `equals` takes any value, a list too
     listed.write_text(
         "suite_schema: 1\ntasks:\n  - id: t\n    description: d\n    post_conditions:\n"
         "      - {deployment: sock-shop/front-end, field: replicas, equals: [1]}\n"
     )
     for path in (fixture_path("eval_suite.yaml"), str(listed)):
-        cached = load_yaml(path)
-        before = copy.deepcopy(cached)
+        before = _parsed(path)
         first = load_suite(path)
         for task in first:
             for step in task["setup"]:
@@ -77,16 +78,15 @@ def test_mutating_a_document_leaves_the_next_intact(tmp_path):
                     cond["equals"].append("changed")
             task["id"] = "changed"
         first.clear()
-        assert load_yaml(path) is cached
-        assert cached == before
         second = load_suite(path)
         assert second[0]["id"] == before["tasks"][0]["id"]
         assert second == load_suite(path) and second is not first
 
 
-def test_changing_a_loaded_state_or_script_leaves_the_cached_document_intact():
+def test_changing_a_loaded_state_or_script_leaves_the_next_load_intact():
     topology, script = fixture_path("sock_shop.yaml"), fixture_path("scripts/evaluation.yaml")
-    before = {path: copy.deepcopy(load_yaml(path)) for path in (topology, script)}
+    scripted = llm.load_script(script)
+    count = len(scripted)
     state = load_topology(topology)
     dep = state.find_deployment("sock-shop", "front-end")
     dep.labels["env"] = "changed"
@@ -96,10 +96,11 @@ def test_changing_a_loaded_state_or_script_leaves_the_cached_document_intact():
     records = read_input("script", script, llm._records)
     records[0]["response"] = "changed"
     records.clear()
-    assert {path: load_yaml(path) for path in before} == before
+    scripted.clear()
     fresh = load_topology(topology).find_deployment("sock-shop", "front-end")
     assert "env" not in fresh.labels and fresh.args == ["server.js"] and len(fresh.probes) == 2
-    assert read_input("script", script, llm._records)[0] == {"guard": None, "max_uses": 1} | before[script]["records"][0]
+    assert read_input("script", script, llm._records)[0] == {"guard": None, "max_uses": 1} | _parsed(script)["records"][0]
+    assert len(llm.load_script(script)) == count
 
 
 def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
@@ -115,27 +116,25 @@ def test_malformed_file_raises_one_line_naming_it_every_time(tmp_path):
     assert read_input("fixture", str(path), object) == {"namespaces": ["sock-shop"]}
 
 
-def test_missing_file_raises_os_error(tmp_path):
-    with pytest.raises(OSError):
-        load_yaml(str(tmp_path / "absent.yaml"))
+def test_missing_file_raises_one_line_naming_it(tmp_path):
+    path = tmp_path / "absent.yaml"
+    with pytest.raises(ConfigurationError, match=rf"^fixture {path}: No such file or directory$"):
+        read_input("fixture", str(path), object)
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
-def test_yaml_nested_beyond_the_limit_is_refused_where_it_passes_it(tmp_path, monkeypatch, libyaml):
+def test_yaml_nested_beyond_the_limit_is_refused_where_it_passes_it(monkeypatch, libyaml):
     if not libyaml:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    path = tmp_path / "deep.yaml"
-    path.write_text("[" * MAX_DEPTH + "]" * MAX_DEPTH + "\n")
-    doc = load_yaml(str(path))
+    doc = parse_yaml("[" * MAX_DEPTH + "]" * MAX_DEPTH + "\n")
     for _ in range(MAX_DEPTH - 1):
         doc = doc[0]
     assert doc == []
     too_deep = MAX_DEPTH + 1
     # a flow sequence and a compact block sequence, each with the column where its level too deep starts
     for text, column in (("[" * too_deep + "]" * too_deep, too_deep), ("- " * too_deep + "x", 2 * too_deep - 1)):
-        path.write_text(text + "\n")
         with pytest.raises(yaml.YAMLError, match=rf"^line 1, column {column}: nests deeper than {MAX_DEPTH} levels$"):
-            load_yaml(str(path))
+            parse_yaml(text + "\n")
 
 
 # 150 aliased deployments, each with the same 150 aliased probes, in 1.8 KB:
@@ -165,15 +164,65 @@ def test_an_anchor_without_an_alias_still_loads(tmp_path):
     assert load_topology(str(path)).namespaces == {"s"}
 
 
-def test_each_distinct_text_is_checked_for_depth_once(tmp_path, monkeypatch):
+def _count_depth_walks(monkeypatch):
     walks = []
     real_parse = yaml.parse
     monkeypatch.setattr(yaml, "parse", lambda *args, **kwargs: walks.append(1) or real_parse(*args, **kwargs))
+    return walks
+
+
+def test_each_distinct_text_is_checked_for_depth_once(tmp_path, monkeypatch):
+    """For a shared build, which is kept by file text."""
+    walks = _count_depth_walks(monkeypatch)
     path = tmp_path / "doc.yaml"
-    path.write_text("depth-check-once: [[1]]\n")
+    path.write_text(f"# {tmp_path}\nnamespaces: [s]\n")  # a text no other test wrote
     for _ in range(3):
-        assert load_yaml(str(path)) == {"depth-check-once": [[1]]}
+        assert load_topology(str(path)).namespaces == {"s"}
     assert len(walks) == 1
+
+
+def test_a_text_read_without_a_shared_build_is_checked_for_depth_on_every_call(tmp_path, monkeypatch):
+    walks = _count_depth_walks(monkeypatch)
+    path = tmp_path / "doc.yaml"
+    path.write_text("depth-check: [[1]]\n")
+    for _ in range(3):
+        assert read_input("document", str(path), object) == {"depth-check": [[1]]}
+    assert len(walks) == 3
+
+
+PACKAGE = pathlib.Path(resources.__file__).parent
+
+
+def _opens(tree):
+    """(enclosing function, whether it writes) for each `open(...)` call in a module's tree."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            found.append((function, isinstance(mode, ast.Constant) and any(c in str(mode.value) for c in "wax")))
+        for child in ast.iter_child_nodes(node):
+            visit(child, node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_one_reader_opens_an_input_file_or_imports_yaml():
+    """Outside `resources.py` every `open` writes, and only `read_input` and
+    `prompt_template` open a file to read it; only `resources.py` imports yaml."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "resources.py" in modules and len(modules) > 10
+    for module in modules:
+        tree = ast.parse(module.read_text(), str(module))
+        opens = _opens(tree)
+        if module.name == "resources.py":
+            assert {function for function, writes in opens if not writes} == {"read_input", "prompt_template"}
+        else:
+            assert all(writes for _, writes in opens), module.name
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert module.name == "resources.py" or not any(n == "yaml" or n.startswith("yaml.") for n in imported), module.name
 
 
 @pytest.mark.parametrize(

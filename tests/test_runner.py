@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import gc
 import hashlib
 import json
@@ -16,7 +15,7 @@ from opslearn.cli import main
 from opslearn.cluster import load_topology
 from opslearn.datalayer import SkillEntry, SkillLibrary
 from opslearn.llm import LiveGateway, ScriptedGateway
-from opslearn.resources import fixture_path, load_yaml
+from opslearn.resources import fixture_path, parse_yaml
 from opslearn.runner import (
     ConfigurationError,
     KnowledgePoint,
@@ -295,8 +294,13 @@ def test_run_trial_leaves_no_reference_cycles(tmp_path):
     assert leaked == set()
 
 
+def _records(script):
+    with open(fixture_path("scripts", script)) as fh:
+        return parse_yaml(fh.read())["records"]
+
+
 def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_path):
-    records = load_yaml(fixture_path("scripts/golden_trial.yaml"))["records"]
+    records = _records("golden_trial.yaml")
     script = tmp_path / "cut.yaml"
     script.write_text(yaml.safe_dump({"records": records[:50]}))
     out_dir = tmp_path / "out"
@@ -313,7 +317,7 @@ def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_p
 
 @pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 2000], ids=["huge-repeat", "deep-nesting"])
 def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_evidence(tmp_path, pattern):
-    records = copy.deepcopy(load_yaml(fixture_path("scripts/observation_only.yaml"))["records"])  # read-only when cached
+    records = _records("observation_only.yaml")
     assert "expects: nonempty" in records[1]["response"]
     records[1]["response"] = records[1]["response"].replace("expects: nonempty", f"expects: regex:{pattern}")
     script = tmp_path / "plan.yaml"

@@ -18,7 +18,8 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, NamedTuple, TypeVar
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 from .metrics import MetricStore, SeriesId
 from .resources import Misfit, conform, finite_number, number, one_of, read_input
@@ -116,16 +117,17 @@ def format_age(seconds: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Domain types
+#
+# Every value a ClusterState holds is a scalar or immutable, and a change
+# replaces a value whole; so a shallow copy of a deployment is a full copy.
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceSpec:
     cpu_request: int  # millicores
     cpu_limit: int
     mem_request: int  # bytes
     mem_limit: int
-    current_cpu: int = 0
-    current_mem: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,44 +163,41 @@ class TrafficProfile:
         return self._hash
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pod:
+    """A running pod; it is always Running, ready and never restarted, and shows its deployment's usage."""
+
     name: str
     namespace: str
     deployment: str
-    phase: str = "Running"
-    restarts: int = 0
     start_time: float = 0.0
-    usage_cpu_millicores: int = 0
-    usage_mem_bytes: int = 0
 
 
 @dataclass
 class Deployment:
     name: str
     namespace: str
-    labels: dict[str, str]
+    labels: Mapping[str, str]  # read-only; a change replaces it
     image: str
     command: str
-    args: list[str]
+    args: tuple[str, ...]
     resources: ResourceSpec
-    probes: list[ProbeSpec]
+    probes: tuple[ProbeSpec, ...]
     replicas: int
     port: int
     pod_template_hash: str
-    pod_suffixes: list[str] = field(default_factory=list)
+    series: ScrapeSeries  # what its scrape writes; its job and traffic never change after loading
+    pod_suffixes: tuple[str, ...] = ()
     traffic: TrafficProfile = field(default_factory=TrafficProfile)
     scrape: bool = True
     next_ordinal: int = 0
+    pods: tuple[Pod, ...] = ()  # in spawn order
+    usage_cpu: int = 0  # millicores, at the last scrape
+    usage_mem: int = 0  # bytes
 
     @property
     def job(self) -> str:
         return f"{self.namespace}/{self.name}"
-
-    @functools.cached_property
-    def series(self) -> "ScrapeSeries":
-        """The series this deployment's scrape writes; its job and traffic never change after loading."""
-        return ScrapeSeries.of(self.job, self.traffic)
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,6 @@ class ScrapeSeries:
     active_requests: SeriesId | None
 
     @classmethod
-    @functools.lru_cache(maxsize=256)  # fresh states of one topology share their series ids
     def of(cls, job: str, traffic: TrafficProfile) -> "ScrapeSeries":
         labels = {"job": job}
 
@@ -240,9 +238,8 @@ class ScrapeSeries:
 
 @dataclass
 class ClusterState:
-    namespaces: set[str]
+    namespaces: frozenset[str]
     deployments: list[Deployment]  # in (namespace, name) order; none is added or removed after load
-    pods: list[Pod]
     sim_time: float = 0.0
     rng_seed: int = 0
     metrics: MetricStore = field(default_factory=MetricStore)
@@ -256,14 +253,17 @@ class ClusterState:
                 return dep
         return None
 
-    def find_pod(self, namespace: str, name: str) -> Pod | None:
-        for pod in self.pods:
-            if pod.namespace == namespace and pod.name == name:
-                return pod
+    def find_pod(self, namespace: str, name: str) -> tuple[Deployment, Pod] | None:
+        for dep in self.deployments:
+            if dep.namespace == namespace:
+                for pod in dep.pods:
+                    if pod.name == name:
+                        return dep, pod
         return None
 
-    def deployment_pods(self, dep: Deployment) -> list[Pod]:
-        return [p for p in self.pods if p.namespace == dep.namespace and p.deployment == dep.name]
+    def all_pods(self) -> list[Pod]:
+        """Every pod, in (namespace, name) order."""
+        return sorted((pod for dep in self.deployments for pod in dep.pods), key=attrgetter("namespace", "name"))
 
 
 def component_names(state: ClusterState) -> tuple[str, ...]:
@@ -358,12 +358,12 @@ _DEPLOYMENT = {
 TOPOLOGY = {"namespaces": ([str], []), "metrics_available": (bool, True), "deployments": ([_DEPLOYMENT], [])}
 
 
-def _resources(doc: dict[str, Any], path: str) -> tuple[int, int, int, int]:
+def _resources(doc: dict[str, Any], path: str) -> ResourceSpec:
     requests, limits = doc["requests"], doc["limits"]
     for key in ("cpu", "memory"):
         if requests[key] > limits[key]:
             raise Misfit(f"{path}.requests.{key}".lstrip("."), "request exceeds limit")  # mutate's path is ""
-    return requests["cpu"], limits["cpu"], requests["memory"], limits["memory"]
+    return ResourceSpec(requests["cpu"], limits["cpu"], requests["memory"], limits["memory"])
 
 
 def _probe(doc: dict[str, Any], path: str) -> ProbeSpec:
@@ -396,7 +396,7 @@ class Topology(NamedTuple):
 
     namespaces: frozenset[str]
     metrics_available: bool
-    deployments: tuple[tuple[tuple[str, Any], ...], ...]  # each one's `Deployment` fields, in document order
+    deployments: tuple[tuple[tuple[str, Any], ...], ...]  # each one's `Deployment` fields, in (namespace, name) order
 
 
 def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
@@ -407,44 +407,38 @@ def load_topology(source: str | dict, seed: int = 0) -> ClusterState:
 
 def compile_topology(doc: dict[str, Any]) -> Topology:
     """Check a document read through TOPOLOGY; a Misfit names the first field refused."""
-    namespaces, seen, deployments = frozenset(doc["namespaces"]), set(), []
+    namespaces, deployments = frozenset(doc["namespaces"]), {}
     for i, dep_doc in enumerate(doc["deployments"]):
         path = f"deployments[{i}]"
         name, namespace, suffixes = dep_doc["name"], dep_doc["namespace"], dep_doc["pod_suffixes"]
         if namespace not in namespaces:
             raise Misfit(f"{path}.namespace", f"undeclared namespace {namespace!r}")
-        if (namespace, name) in seen:
+        if (namespace, name) in deployments:
             raise Misfit(f"{path}.name", f"duplicate deployment {namespace}/{name}")
         if len(set(suffixes)) != len(suffixes):
             raise Misfit(f"{path}.pod_suffixes", "suffixes must be unique")
-        seen.add((namespace, name))
         if dep_doc["pod_template_hash"] is None:
             dep_doc["pod_template_hash"] = hashlib.sha256(f"template:{name}".encode()).hexdigest()[:10]
+        resources = _resources(dep_doc["resources"], f"{path}.resources")
+        probes = tuple(_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc["probes"]))
+        traffic = _traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile")
         dep_doc.update(
-            labels=tuple(dep_doc["labels"].items()), args=tuple(dep_doc["args"]), pod_suffixes=tuple(suffixes),
-            resources=_resources(dep_doc["resources"], f"{path}.resources"),
-            probes=tuple(_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc["probes"])),
-            traffic=_traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile"),
+            labels=MappingProxyType(dep_doc["labels"]), args=tuple(dep_doc["args"]), pod_suffixes=tuple(suffixes),
+            resources=resources, probes=probes, traffic=traffic, series=ScrapeSeries.of(f"{namespace}/{name}", traffic),
+            usage_cpu=min(traffic.base_cpu_millicores, resources.cpu_limit),
+            usage_mem=min(traffic.base_mem_bytes, resources.mem_limit),
         )
-        deployments.append(tuple(dep_doc.items()))
-    return Topology(namespaces, doc["metrics_available"], tuple(deployments))
-
-
-_FRESH = {"labels": dict, "args": list, "pod_suffixes": list, "probes": list, "resources": lambda r: ResourceSpec(*r)}
+        deployments[namespace, name] = tuple(dep_doc.items())
+    return Topology(namespaces, doc["metrics_available"], tuple(deployments[key] for key in sorted(deployments)))
 
 
 def instantiate(topology: Topology, seed: int) -> ClusterState:
-    """A new state of `topology`, its pods and its first scrape; `_FRESH` makes each mutable field anew."""
-    state = ClusterState(set(topology.namespaces), [], [], rng_seed=seed, metrics_available=topology.metrics_available)
-    for fields in topology.deployments:
-        dep = Deployment(**{key: _FRESH[key](value) if key in _FRESH else value for key, value in fields})
-        res, base = dep.resources, dep.traffic
-        res.current_cpu = min(base.base_cpu_millicores, res.cpu_limit)
-        res.current_mem = min(base.base_mem_bytes, res.mem_limit)
-        state.deployments.append(dep)
+    """A new state of `topology`, its pods and its first scrape; it shares the topology's values, all immutable."""
+    deployments = [Deployment(**dict(fields)) for fields in topology.deployments]
+    state = ClusterState(topology.namespaces, deployments, rng_seed=seed, metrics_available=topology.metrics_available)
+    for dep in deployments:
         for _ in range(dep.replicas):
             _spawn_pod(state, dep)
-    state.deployments.sort(key=attrgetter("namespace", "name"))  # after the spawns, which keep document order
     _scrape(state, [state.sim_time])
     return state
 
@@ -460,19 +454,10 @@ def _pod_suffix(dep: Deployment, ordinal: int) -> str:
     return "".join(_SUFFIX_ALPHABET[b % len(_SUFFIX_ALPHABET)] for b in digest[:5])
 
 
-def _spawn_pod(state: ClusterState, dep: Deployment) -> Pod:
+def _spawn_pod(state: ClusterState, dep: Deployment) -> None:
     name = f"{dep.name}-{dep.pod_template_hash}-{_pod_suffix(dep, dep.next_ordinal)}"
     dep.next_ordinal += 1
-    pod = Pod(
-        name=name,
-        namespace=dep.namespace,
-        deployment=dep.name,
-        start_time=state.sim_time,
-        usage_cpu_millicores=dep.resources.current_cpu,
-        usage_mem_bytes=dep.resources.current_mem,
-    )
-    state.pods.append(pod)
-    return pod
+    dep.pods += (Pod(name, dep.namespace, dep.name, state.sim_time),)
 
 
 @functools.lru_cache(maxsize=256)  # pure: each fresh state of one seed draws the same numbers
@@ -514,8 +499,7 @@ def _scrape(state: ClusterState, times: list[float]) -> None:
     # series of the samples before its own, as one scrape per sample would add it.
     born_late = []
     for dep in state.deployments:
-        pods = state.deployment_pods(dep) if dep.scrape else None
-        if not pods:  # as Prometheus drops a target with no endpoints
+        if not (dep.scrape and dep.pods):  # as Prometheus drops a target with no endpoints
             continue
         profile = dep.traffic
         res = dep.resources
@@ -533,11 +517,7 @@ def _scrape(state: ClusterState, times: list[float]) -> None:
             mems.append(max(0, min(mem, res.mem_limit)))
             requests.append(round(rps_eff * SAMPLE_INTERVAL))
 
-        res.current_cpu, res.current_mem = cpus[-1], mems[-1]
-        for pod in pods:
-            pod.usage_cpu_millicores = res.current_cpu
-            pod.usage_mem_bytes = res.current_mem
-
+        dep.usage_cpu, dep.usage_mem = cpus[-1], mems[-1]
         store.add(ids.cpu, times, [cpu / 1000 * SAMPLE_INTERVAL for cpu in cpus])
         store.ingest(ids.mem, times, list(map(float, mems)))
 
@@ -626,13 +606,9 @@ _SCALE = {**_TARGET, "replicas": number(int, 0, MAX_REPLICAS)}
 def _apply_scale(state: ClusterState, args: dict) -> None:
     replicas = args["replicas"]
     dep = target_deployment(state, args)
-    current = state.deployment_pods(dep)
-    if replicas > len(current):
-        for _ in range(replicas - len(current)):
-            _spawn_pod(state, dep)
-    elif replicas < len(current):
-        doomed = {p.name for p in current[replicas:]}
-        state.pods = [p for p in state.pods if p.name not in doomed]
+    dep.pods = dep.pods[:replicas]  # scaling down stops the newest pods
+    for _ in range(replicas - len(dep.pods)):
+        _spawn_pod(state, dep)
     dep.replicas = replicas
 
 
@@ -645,12 +621,9 @@ def _apply_set_resources(state: ClusterState, args: dict) -> None:
     old = dep.resources
     requests = {"cpu": old.cpu_request, "memory": old.mem_request, **_given(args["requests"])}
     limits = {"cpu": old.cpu_limit, "memory": old.mem_limit, **_given(args["limits"])}
-    res = ResourceSpec(*_resources({"requests": requests, "limits": limits}, ""))
-    res.current_cpu = min(old.current_cpu, res.cpu_limit)
-    res.current_mem = min(old.current_mem, res.mem_limit)
-    dep.resources = res
-    for pod in state.deployment_pods(dep):  # `kubectl top` shows no pod above its new limit
-        pod.usage_cpu_millicores, pod.usage_mem_bytes = res.current_cpu, res.current_mem
+    dep.resources = res = _resources({"requests": requests, "limits": limits}, "")
+    dep.usage_cpu = min(dep.usage_cpu, res.cpu_limit)  # `kubectl top` shows no pod above its new limit
+    dep.usage_mem = min(dep.usage_mem, res.mem_limit)
 
 
 _KILL_POD = {"namespace": str, "pod": str}
@@ -658,20 +631,20 @@ _KILL_POD = {"namespace": str, "pod": str}
 
 def _apply_kill_pod(state: ClusterState, args: dict) -> None:
     namespace, pod_name = args["namespace"], args["pod"]
-    pod = state.find_pod(namespace, pod_name)
-    if pod is None:
+    found = state.find_pod(namespace, pod_name)
+    if found is None:
         raise NotFound(f'pods "{pod_name}" not found in namespace "{namespace}"')
-    dep = state.find_deployment(namespace, pod.deployment)
-    state.pods.remove(pod)
-    if dep is not None:
-        _spawn_pod(state, dep)
+    dep, pod = found
+    dep.pods = tuple(p for p in dep.pods if p is not pod)
+    _spawn_pod(state, dep)
 
 
 _SET_LABEL = {**_TARGET, "key": _nonempty, "value": (str, "")}
 
 
 def _apply_set_label(state: ClusterState, args: dict) -> None:
-    target_deployment(state, args).labels[args["key"]] = args["value"]
+    dep = target_deployment(state, args)
+    dep.labels = MappingProxyType({**dep.labels, args["key"]: args["value"]})
 
 
 _PROBE_PATCH = {key: field for key, field in _optional(_PROBE).items() if key != "kind"}
@@ -699,8 +672,8 @@ def _apply_patch(state: ClusterState, args: dict) -> None:
             raise Misfit(f"{path}.http_path", "required for a new probe")
         probes[i : i + 1] = [_probe(doc, path)]  # replaces the probe of this kind, or appends one
     for key, value in _given(patch).items():
-        setattr(dep, key, value)
-    dep.probes = probes
+        setattr(dep, key, tuple(value) if key == "args" else value)  # args read as a list
+    dep.probes = tuple(probes)
 
 
 ACTIONS = {
@@ -732,11 +705,10 @@ def mutate(state: ClusterState, action: str, args: dict[str, Any]) -> bool:
 # Digest and cloning
 
 
-_BY_NAME = attrgetter("name")
 _PROBE_CONFIG = attrgetter(
     "kind", "http_path", "initial_delay", "timeout", "period", "success_threshold", "failure_threshold"
 )
-_POD_IDENTITY = attrgetter("name", "namespace", "deployment", "phase", "start_time")
+_POD_IDENTITY = attrgetter("name", "namespace", "deployment", "start_time")
 
 
 def state_digest(state: ClusterState) -> str:
@@ -747,8 +719,8 @@ def state_digest(state: ClusterState) -> str:
     The hash is the sha256 of the `repr` of one canonical sequence: the
     sorted namespaces and `metrics_available`; then, for each deployment
     in (namespace, name) order, the same 15 configuration fields, labels
-    as sorted items and probes as tuples; then each pod's identity and
-    phase, in name order. Each deployment adds exactly 15 items, so the
+    as sorted items and probes as tuples; then each pod's identity, in
+    (namespace, name) order. Each deployment adds exactly 15 items, so the
     sequence splits back into its fields: two states digest alike exactly
     when those fields are equal. Nothing stores the value; callers only
     compare digests.
@@ -773,7 +745,7 @@ def state_digest(state: ClusterState) -> str:
             d.pod_template_hash,
             d.next_ordinal,
         )
-    canon.append(list(map(_POD_IDENTITY, sorted(state.pods, key=_BY_NAME))))
+    canon.append(list(map(_POD_IDENTITY, state.all_pods())))
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 
@@ -785,20 +757,7 @@ def _copied(record: T, **fields: Any) -> T:
 
 
 def clone(state: ClusterState) -> ClusterState:
-    """An independent copy, metric history included. What a mutation or a tick changes
-    in place is copied by name: the namespaces, each deployment with its labels, args,
-    probe list, pod suffixes and `ResourceSpec`, and the pods. The frozen records (probes,
-    traffic profiles, series ids) are shared, and the store is forked (`MetricStore.fork`)."""
-    return _copied(
-        state,
-        namespaces=set(state.namespaces),
-        deployments=[
-            _copied(
-                dep, labels=dict(dep.labels), args=list(dep.args), probes=list(dep.probes),
-                pod_suffixes=list(dep.pod_suffixes), resources=_copied(dep.resources),
-            )
-            for dep in state.deployments
-        ],
-        pods=[_copied(pod) for pod in state.pods],
-        metrics=state.metrics.fork(),
-    )
+    """An independent copy, metric history included: every value a state holds is immutable,
+    so a shallow copy of the state and of each deployment shares them all, and the store
+    is forked (`MetricStore.fork`)."""
+    return _copied(state, deployments=list(map(_copied, state.deployments)), metrics=state.metrics.fork())

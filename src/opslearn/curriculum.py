@@ -52,11 +52,7 @@ def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
     return [summaries[tid] for tid in order]
 
 
-def build_context(
-    snapshot: str,
-    history: list[InteractionRecord],
-    char_budget: int = CONTEXT_CHAR_BUDGET,
-) -> str:
+def build_context(snapshot: str, history: list[InteractionRecord]) -> str:
     """Deterministic prompt context: the running-state snapshot text, then history."""
     sections = ["== running state ==", snapshot, "", "== interaction history =="]
     summaries = summarize_history(history)
@@ -71,7 +67,7 @@ def build_context(
             blocks.append(block)
         fixed = "\n".join(sections)
         dropped = 0
-        while blocks and len(fixed) + len("\n".join(blocks)) > char_budget:
+        while blocks and len(fixed) + len("\n".join(blocks)) > CONTEXT_CHAR_BUDGET:
             blocks.pop(0)  # oldest summaries go first
             dropped += 1
         if dropped:

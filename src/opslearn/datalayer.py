@@ -352,13 +352,12 @@ def build_snapshot(state: ClusterState) -> str:
     deployments: list[tuple[str, str]] = []  # (job, line), listed by job
     anomalies: list[str] = []
     for dep in state.deployments:
-        pods = state.deployment_pods(dep)
-        ready = sum(1 for p in pods if p.phase == "Running")
+        ready = len(dep.pods)
         degraded = (
             dep.replicas == 0
             or ready < dep.replicas
-            or dep.resources.current_mem >= 0.9 * dep.resources.mem_limit
-            or dep.resources.current_cpu >= 0.9 * dep.resources.cpu_limit
+            or dep.usage_mem >= 0.9 * dep.resources.mem_limit
+            or dep.usage_cpu >= 0.9 * dep.resources.cpu_limit
         )
         rps = rates.get(dep.job, 0.0) if dep.scrape else 0.0
         deployments.append((dep.job, f"  - {dep.job}: {'degraded' if degraded else 'ok'}, traffic {rps:.2f} req/s"))

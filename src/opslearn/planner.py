@@ -29,6 +29,7 @@ from .shell import ShellGateway
 
 EXPECTATIONS = ("none", "number", "integer", "json", "nonempty")
 REPLAN_BUDGET = 2
+ATTEMPT_BUDGET = 4  # commands a subtask may run that fail before it fails
 
 
 class PlanningFailed(Exception):
@@ -133,7 +134,7 @@ def check_expectation(result: str, expects: str) -> str | None:
         try:
             json.loads(result)
             return None
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # JSONDecodeError, an integer too long to convert, or too deep
             return "expected valid JSON"
     if expects.startswith("regex:"):
         pattern = expects[len("regex:"):]
@@ -172,12 +173,10 @@ class ExecutionPlanner:
         gateway: BaseGateway,
         shell: ShellGateway,
         history: History,
-        attempt_budget: int = 4,
     ):
         self.gateway = gateway
         self.shell = shell
         self.history = history
-        self.attempt_budget = attempt_budget
         self.manager_template = prompt_template("manager")
         self.agent_template = prompt_template("agent")
 
@@ -232,7 +231,7 @@ class ExecutionPlanner:
             .replace("{upstream}", upstream_result or "(none)")
         )
         messages = [{"speaker": "manager", "text": prompt}]
-        completions_cap = 2 * self.attempt_budget + 2
+        completions_cap = 2 * ATTEMPT_BUDGET + 2
         for _ in range(completions_cap):
             completion = self._complete(subtask.assignee, messages)
             answer = _labelled(completion, "ok")
@@ -259,7 +258,7 @@ class ExecutionPlanner:
                 raise ObservationViolation(f"task {task.id}: {line!r} mutated state")
             if result.exit_code != 0:
                 self.history.add("environment", result.stderr, "feedback", "environment")
-                if subtask.attempts >= self.attempt_budget:
+                if subtask.attempts >= ATTEMPT_BUDGET:
                     subtask.status = "failed"
                     return False
                 messages.append(

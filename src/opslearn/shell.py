@@ -356,9 +356,6 @@ class ShellGateway:
             return _columns([["NAMESPACE", *header]] + [[item.namespace, *row(item)] for item in items])
         return _columns([header] + [row(item) for item in items])
 
-    def _pods_in_order(self) -> list[cl.Pod]:
-        return sorted(self.state.pods, key=lambda p: (p.namespace, p.name))
-
     # get
 
     def _get(self, positionals: list[str], flags: dict) -> str:
@@ -374,16 +371,15 @@ class ShellGateway:
             header = ["NAME", "READY", "UP-TO-DATE", "AVAILABLE", "AGE"]
             return self._list(kind, self.state.deployments, name, flags, header, self._deployment_row)
         header = ["NAME", "READY", "STATUS", "RESTARTS", "AGE"]
-        return self._list(kind, self._pods_in_order(), name, flags, header, self._pod_row)
+        return self._list(kind, self.state.all_pods(), name, flags, header, self._pod_row)
 
     def _deployment_row(self, dep: cl.Deployment) -> list[str]:
-        ready = sum(1 for p in self.state.deployment_pods(dep) if p.phase == "Running")
+        ready = len(dep.pods)
         age = cl.format_age(self.state.sim_time)
         return [dep.name, f"{ready}/{dep.replicas}", str(dep.replicas), str(ready), age]
 
     def _pod_row(self, pod: cl.Pod) -> list[str]:
-        ready = "1/1" if pod.phase == "Running" else "0/1"
-        return [pod.name, ready, pod.phase, str(pod.restarts), cl.format_age(self.state.sim_time - pod.start_time)]
+        return [pod.name, "1/1", "Running", "0", cl.format_age(self.state.sim_time - pod.start_time)]
 
     # describe
 
@@ -434,8 +430,7 @@ class ShellGateway:
         return lines
 
     def _describe_deployment(self, dep: cl.Deployment) -> str:
-        pods = self.state.deployment_pods(dep)
-        ready = sum(1 for p in pods if p.phase == "Running")
+        ready = len(dep.pods)
         labels = ",".join(f"{k}={v}" for k, v in sorted(dep.labels.items())) or "<none>"
         lines = [
             f"Name:                   {dep.name}",
@@ -443,7 +438,7 @@ class ShellGateway:
             f"Labels:                 {labels}",
             f"Selector:               {labels}",
             f"Replicas:               {dep.replicas} desired | {dep.replicas} updated | "
-            f"{len(pods)} total | {ready} available | {dep.replicas - ready} unavailable",
+            f"{ready} total | {ready} available | {dep.replicas - ready} unavailable",
             "Pod Template:",
             f"  Labels:  {labels}",
             "  Containers:",
@@ -451,23 +446,19 @@ class ShellGateway:
         lines.extend(self._container_section(dep))
         return "\n".join(lines)
 
-    def _describe_pod(self, pod: cl.Pod) -> str:
-        dep = self.state.find_deployment(pod.namespace, pod.deployment)
-        labels = {}
-        if dep is not None:
-            labels = dict(dep.labels)
-            labels["pod-template-hash"] = dep.pod_template_hash
-        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "<none>"
+    def _describe_pod(self, found: tuple[cl.Deployment, cl.Pod]) -> str:
+        dep, pod = found
+        labels = {**dep.labels, "pod-template-hash": dep.pod_template_hash}
+        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
         lines = [
             f"Name:             {pod.name}",
             f"Namespace:        {pod.namespace}",
-            f"Status:           {pod.phase}",
+            "Status:           Running",
             f"Controlled By:    Deployment/{pod.deployment}",
             f"Labels:           {label_text}",
             "Containers:",
         ]
-        if dep is not None:
-            lines.extend(self._container_section(dep))
+        lines.extend(self._container_section(dep))
         return "\n".join(lines)
 
     # top
@@ -479,10 +470,11 @@ class ShellGateway:
             raise _CommandError("Metrics API not available")
         name = positionals[1] if len(positionals) > 1 else None
         header = ["NAME", "CPU(cores)", "MEMORY(bytes)"]
-        return self._list(_PODS, self._pods_in_order(), name, flags, header, self._top_row)
+        return self._list(_PODS, self.state.all_pods(), name, flags, header, self._top_row)
 
     def _top_row(self, pod: cl.Pod) -> list[str]:
-        return [pod.name, f"{pod.usage_cpu_millicores}m", cl.format_mem_mi(pod.usage_mem_bytes)]
+        dep = self.state.find_deployment(pod.namespace, pod.deployment)
+        return [pod.name, f"{dep.usage_cpu}m", cl.format_mem_mi(dep.usage_mem)]
 
     # write verbs
 

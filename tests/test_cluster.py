@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opslearn.cluster import (
+    ACTIONS,
     MAX_REPLICAS,
     ClusterState,
     InvalidArgument,
@@ -74,9 +78,9 @@ def test_scale_adjusts_pods_and_records_mutation():
     assert dep.replicas == 1
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 3})
     assert dep.replicas == 3
-    assert len(state.deployment_pods(dep)) == 3
+    assert len(dep.pods) == 3
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 1})
-    assert len(state.deployment_pods(dep)) == 1
+    assert len(dep.pods) == 1
     assert state.mutation_count == 2
 
 
@@ -98,13 +102,13 @@ def test_mutations_validate_arguments():
 
 def test_scale_above_the_replica_bound_is_rejected_before_any_pod_spawns():
     state = _fresh()
-    before = (state_digest(state), len(state.pods))
+    before = (state_digest(state), len(state.all_pods()))
     with pytest.raises(InvalidArgument, match=rf"replicas: {MAX_REPLICAS + 1} is not in \[0, {MAX_REPLICAS}\]"):
         mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": MAX_REPLICAS + 1})
-    assert (state_digest(state), len(state.pods)) == before
+    assert (state_digest(state), len(state.all_pods())) == before
     assert state.mutation_count == 0
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": MAX_REPLICAS})
-    assert len(state.deployment_pods(state.find_deployment("sock-shop", "catalogue"))) == MAX_REPLICAS
+    assert len(state.find_deployment("sock-shop", "catalogue").pods) == MAX_REPLICAS
 
 
 def test_topology_replicas_above_the_bound_are_rejected():
@@ -192,15 +196,17 @@ def test_clone_is_independent():
 
 
 def test_a_fresh_clone_shares_every_sample_list_and_the_fixed_config():
+    """A clone copies the state record and each deployment record; every value they hold is shared."""
     state = _fresh()
     tick(state, 300.0)
     copy_state = clone(state)
     for sid, points in state.metrics._samples.items():
         assert copy_state.metrics._samples[sid] is points
+    assert copy_state.namespaces is state.namespaces
     for dep, copied in zip(state.deployments, copy_state.deployments):
-        assert copied.traffic is dep.traffic
-        assert not dep.scrape or copied.series is dep.series
-        assert copied.resources is not dep.resources and copied.labels is not dep.labels
+        assert copied is not dep
+        for f in dataclasses.fields(dep):
+            assert getattr(copied, f.name) is getattr(dep, f.name), f.name
 
 
 _MUTATIONS = [
@@ -210,6 +216,8 @@ _MUTATIONS = [
     ("set_label", {"namespace": "sock-shop", "name": "front-end", "key": "tier", "value": "web"}),
     ("kill_pod", {"namespace": "sock-shop", "pod": "catalogue-5b877d88b4-g9tc4"}),  # pinned; NotFound once gone
     ("patch", {"namespace": "sock-shop", "name": "catalogue", "patch": {"probes": {"liveness": {"period": 7}}}}),
+    ("patch", {"namespace": "sock-shop", "name": "catalogue", "patch": {"args": ["-port=80", "-v"]}}),
+    ("patch", {"namespace": "sock-shop", "name": "front-end", "patch": {"image": "weaveworksdemos/front-end:0.3.13"}}),
     ("scale", {"namespace": "sock-shop", "name": "ghost", "replicas": 1}),  # always NotFound
 ]
 _steps = st.one_of(
@@ -232,7 +240,42 @@ def _apply(state: ClusterState, step: tuple) -> None:
 
 def _observed(state: ClusterState) -> tuple:
     store = state.metrics
-    return state.sim_time, state_digest(state), [(sid, store.samples(sid)) for sid in store.series_ids()]
+    usage = [(dep.usage_cpu, dep.usage_mem, [pod.name for pod in dep.pods]) for dep in state.deployments]
+    return state.sim_time, state_digest(state), usage, [(sid, store.samples(sid)) for sid in store.series_ids()]
+
+
+def _immutable(value) -> bool:
+    """A scalar, or a value nothing can change: a tuple, frozenset, read-only
+    mapping or frozen dataclass whose every item or field is itself immutable."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_immutable, value))
+    if isinstance(value, MappingProxyType):
+        return all(map(_immutable, value.items()))
+    if dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:
+        return all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return False
+
+
+def _assert_holds_only_immutable_values(state: ClusterState) -> None:
+    assert type(state.namespaces) is frozenset
+    for dep in state.deployments:  # its resources and pods are checked field by field too
+        for f in dataclasses.fields(dep):
+            assert _immutable(getattr(dep, f.name)), f"{dep.job}: {f.name} = {getattr(dep, f.name)!r}"
+
+
+def test_a_state_holds_only_scalars_and_immutable_values_after_every_step():
+    """So a shallow copy of each deployment is a full copy, as `clone` relies on."""
+    assert {action for action, _ in _MUTATIONS} == set(ACTIONS)
+    state = _fresh()
+    _assert_holds_only_immutable_values(state)
+    tick(state, 90.0)
+    _assert_holds_only_immutable_values(state)
+    for step in reversed(range(len(_MUTATIONS))):  # the pod kill comes before the scale to 0
+        _apply(state, ("mutate", step))
+        _assert_holds_only_immutable_values(state)
+    assert state.mutation_count == len(_MUTATIONS) - 1  # all but the ghost
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ the immutable result (`instantiate`).
 checked and built a state together; it stays here as the oracle. For every
 document the two agree: both refuse it with the same error, or both build states
 that show the same configuration, pods, usage and samples, before and after a
-tick. A loaded state shares nothing mutable with the next load, and a file
-rewritten with another text is read anew.
+tick. A loaded state shares only immutable values with the next load, so no
+mutation reaches it, and a file rewritten with another text is read anew.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -29,7 +30,7 @@ from opslearn.cluster import (
     TOPOLOGY,
     ClusterState,
     Deployment,
-    ResourceSpec,
+    ScrapeSeries,
     _probe,
     _resources,
     _scrape,
@@ -48,7 +49,7 @@ SEEDS = (7, 1009, 3)
 
 def _build_state(doc, seed):
     """The loader before the split: check each deployment and build it in one pass."""
-    state = ClusterState(set(doc["namespaces"]), [], [], rng_seed=seed, metrics_available=doc["metrics_available"])
+    state = ClusterState(frozenset(doc["namespaces"]), [], rng_seed=seed, metrics_available=doc["metrics_available"])
     for i, dep_doc in enumerate(doc["deployments"]):
         path = f"deployments[{i}]"
         name, namespace, suffixes = dep_doc["name"], dep_doc["namespace"], dep_doc["pod_suffixes"]
@@ -59,24 +60,27 @@ def _build_state(doc, seed):
         if len(set(suffixes)) != len(suffixes):
             raise Misfit(f"{path}.pod_suffixes", "suffixes must be unique")
         template_hash = dep_doc.pop("pod_template_hash")
+        resources_ = _resources(dep_doc.pop("resources"), f"{path}.resources")
+        probes = tuple(_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.pop("probes")))
+        traffic = _traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile")
         dep = Deployment(
-            resources=ResourceSpec(*_resources(dep_doc.pop("resources"), f"{path}.resources")),
-            probes=[_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc.pop("probes"))],
+            labels=MappingProxyType(dep_doc.pop("labels")),
+            args=tuple(dep_doc.pop("args")),
+            pod_suffixes=tuple(dep_doc.pop("pod_suffixes")),
+            resources=resources_,
+            probes=probes,
             pod_template_hash=(
                 hashlib.sha256(f"template:{name}".encode()).hexdigest()[:10] if template_hash is None else template_hash
             ),
-            traffic=_traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile"),
+            traffic=traffic,
+            series=ScrapeSeries.of(f"{namespace}/{name}", traffic),
+            usage_cpu=min(traffic.base_cpu_millicores, resources_.cpu_limit),
+            usage_mem=min(traffic.base_mem_bytes, resources_.mem_limit),
             **dep_doc,
         )
         state.deployments.append(dep)
         for _ in range(dep.replicas):
             _spawn_pod(state, dep)
-        base = dep.traffic
-        dep.resources.current_cpu = min(base.base_cpu_millicores, dep.resources.cpu_limit)
-        dep.resources.current_mem = min(base.base_mem_bytes, dep.resources.mem_limit)
-        for pod in state.deployment_pods(dep):
-            pod.usage_cpu_millicores = dep.resources.current_cpu
-            pod.usage_mem_bytes = dep.resources.current_mem
     state.deployments.sort(key=lambda dep: (dep.namespace, dep.name))
     _scrape(state, [state.sim_time])
     return state
@@ -87,12 +91,12 @@ def _oracle_load(source, seed):
 
 
 def _shown(state):
-    """What a state shows: its digest, every deployment field, its pods, and each series' samples in store order."""
+    """What a state shows: its digest, every deployment field (its pods and usage too), and each series' samples
+    in store order."""
     store = state.metrics
     return (
         state_digest(state),
-        [{key: value for key, value in vars(dep).items() if key != "series"} for dep in state.deployments],
-        [vars(pod) for pod in state.pods],
+        [vars(dep) for dep in state.deployments],
         [(sid, store.samples(sid)) for sid in store.series_ids()],
         (state.namespaces, state.metrics_available, state.rng_seed, state.sim_time, state.mutation_count),
     )
@@ -157,14 +161,7 @@ def test_changing_a_loaded_state_leaves_the_next_load_fresh():
     state = load_topology(path, seed=7)
     assert set(_MUTATIONS) == set(ACTIONS)
     for action, args in _MUTATIONS.items():
-        mutate(state, action, copy.deepcopy(args))
-    for dep in state.deployments:
-        dep.labels["changed"] = "yes"
-        dep.args.append("--changed")
-        dep.pod_suffixes.append("zzzzz")
-        dep.resources.cpu_limit += 1
-        dep.probes.clear()
-    state.namespaces.add("changed")
+        assert mutate(state, action, copy.deepcopy(args)), action
     tick(state, 300.0)
     with pytest.raises(dataclasses.FrozenInstanceError):  # a probe is shared between states, so it cannot change
         load_topology(path).find_deployment("sock-shop", "catalogue").probes[0].http_path = "/changed"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from opslearn import curriculum
 from opslearn.curriculum import (
     NO_HISTORY_MARKER,
     CurriculumBuilder,
@@ -184,7 +185,7 @@ def test_build_context_without_history():
     assert NO_HISTORY_MARKER in text
 
 
-def test_build_context_summarizes_and_trims():
+def test_build_context_summarizes_and_trims(monkeypatch):
     history = History()
     for i in range(1, 4):
         task = Task(id=f"r1t{i}", round=1, kind="observation", difficulty=1, description=f"step {i}")
@@ -203,7 +204,8 @@ def test_build_context_summarizes_and_trims():
     assert "- r1t2: step 2" in text
 
     # A tight budget drops the oldest summaries first and says so.
-    tight = build_context(_SNAPSHOT, history.records, char_budget=170)
+    monkeypatch.setattr(curriculum, "CONTEXT_CHAR_BUDGET", 170)
+    tight = build_context(_SNAPSHOT, history.records)
     assert "earlier tasks omitted" in tight
     assert "- r1t1" not in tight
     assert "- r1t3: step 3" in tight

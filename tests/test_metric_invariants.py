@@ -72,7 +72,7 @@ def _samples_of(state: ClusterState, job: str) -> int:
 
 def _take(state: ClusterState, step: tuple) -> None:
     if step[0] == "tick":
-        quiet = [dep.job for dep in state.deployments if not state.deployment_pods(dep)]
+        quiet = [dep.job for dep in state.deployments if not dep.pods]
         before = {job: _samples_of(state, job) for job in quiet}
         tick(state, step[1])
         assert before == {job: _samples_of(state, job) for job in quiet}
@@ -83,7 +83,7 @@ def _take(state: ClusterState, step: tuple) -> None:
     elif step[0] == "limit":
         mutate(state, "set_resources", {**target, "limits": {"cpu": step[2]}})
     else:
-        pods = state.deployment_pods(state.find_deployment("shop", step[1]))
+        pods = state.find_deployment("shop", step[1]).pods
         if pods:
             mutate(state, "kill_pod", {"namespace": "shop", "pod": pods[0].name})
 
@@ -91,16 +91,13 @@ def _take(state: ClusterState, step: tuple) -> None:
 def _within_limits(state: ClusterState) -> None:
     for dep in state.deployments:
         res = dep.resources
-        usage = [(res.current_cpu, res.current_mem)]
-        usage += [(pod.usage_cpu_millicores, pod.usage_mem_bytes) for pod in state.deployment_pods(dep)]
-        assert all(0 <= cpu <= res.cpu_limit and 0 <= mem <= res.mem_limit for cpu, mem in usage), dep.name
+        assert 0 <= dep.usage_cpu <= res.cpu_limit and 0 <= dep.usage_mem <= res.mem_limit, dep.name
 
 
 def _observed(state: ClusterState) -> tuple:
     """Everything a step changes: the configuration, the clock, the usage and every
     sample, with the series in the order the store keeps them."""
-    usage = [(dep.resources.current_cpu, dep.resources.current_mem) for dep in state.deployments]
-    usage += [(pod.name, pod.usage_cpu_millicores, pod.usage_mem_bytes) for pod in state.pods]
+    usage = [(dep.usage_cpu, dep.usage_mem, dep.pods) for dep in state.deployments]
     samples = [(sid, state.metrics.samples(sid)) for sid in state.metrics.series_ids()]
     return state_digest(state), state.sim_time, state.last_sample_time, usage, samples
 
@@ -145,8 +142,7 @@ def _scrape_per_sample(state: ClusterState) -> None:
     now = state.sim_time
     step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
     for dep in state.deployments:
-        pods = state.deployment_pods(dep) if dep.scrape else None
-        if not pods:
+        if not (dep.scrape and dep.pods):
             continue
         profile = dep.traffic
         res = dep.resources
@@ -164,14 +160,11 @@ def _scrape_per_sample(state: ClusterState) -> None:
             cpu = profile.base_cpu_millicores + round(profile.cpu_millicores_per_rps * rps_eff)
             mem = profile.base_mem_bytes + int(u[1] * 4) * MI
 
-        res.current_cpu = max(0, min(cpu, res.cpu_limit))
-        res.current_mem = max(0, min(mem, res.mem_limit))
-        for pod in pods:
-            pod.usage_cpu_millicores = res.current_cpu
-            pod.usage_mem_bytes = res.current_mem
+        dep.usage_cpu = max(0, min(cpu, res.cpu_limit))
+        dep.usage_mem = max(0, min(mem, res.mem_limit))
 
-        store.add(ids.cpu, (now,), (res.current_cpu / 1000 * SAMPLE_INTERVAL,))
-        store.ingest(ids.mem, (now,), (float(res.current_mem),))
+        store.add(ids.cpu, (now,), (dep.usage_cpu / 1000 * SAMPLE_INTERVAL,))
+        store.ingest(ids.mem, (now,), (float(dep.usage_mem),))
 
         if profile.requests_per_second <= 0:
             continue

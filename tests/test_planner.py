@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from opslearn import planner as planner_module
 from opslearn.cluster import load_topology, tick
 from opslearn.datalayer import History, SkillEntry, Task
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
@@ -33,12 +34,12 @@ def _shell() -> ShellGateway:
     return ShellGateway(state, components=AGENTS)
 
 
-def _planner(records: list[ScriptRecord], **kwargs) -> tuple[ExecutionPlanner, History, ShellGateway]:
+def _planner(records: list[ScriptRecord]) -> tuple[ExecutionPlanner, History, ShellGateway]:
     gateway = ScriptedGateway(GatewayConfig(), records)
     history = History()
     gateway.history = history
     shell = _shell()
-    planner = ExecutionPlanner(gateway, shell, history, **kwargs)
+    planner = ExecutionPlanner(gateway, shell, history)
     return planner, history, shell
 
 
@@ -73,6 +74,11 @@ def _feedback_records(history: History) -> list:
 )
 def test_check_expectation(expects, result, gripe):
     assert check_expectation(result, expects) == gripe
+
+
+@pytest.mark.parametrize("result", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long-integer", "deep-nesting"])
+def test_json_that_python_cannot_decode_is_not_valid_json(result):
+    assert check_expectation(result, "json") == "expected valid JSON"
 
 
 # accepted by the regex gate, yet each search backtracks quadratically in the subject
@@ -315,9 +321,10 @@ def test_execute_subtask_feeds_back_failure_then_recovers():
     assert "Revise your approach." in [r.payload for r in history.records if r.payload_kind == "prompt"][-1]
 
 
-def test_execute_subtask_fails_when_attempts_run_out():
+def test_execute_subtask_fails_when_attempts_run_out(monkeypatch):
     records = [ScriptRecord("planner", "command: kubectl get pods -n nope", max_uses=-1)]
-    planner, history, _ = _planner(records, attempt_budget=2)
+    monkeypatch.setattr(planner_module, "ATTEMPT_BUDGET", 2)
+    planner, history, _ = _planner(records)
     st = Subtask(1, "catalogue", "doomed")
     assert planner.execute_subtask(st, _task("exhaustion"), "(none)", None) is False
     assert st.status == "failed"
@@ -325,11 +332,12 @@ def test_execute_subtask_fails_when_attempts_run_out():
     assert len(_feedback_records(history)) == 2
 
 
-def test_execute_subtask_caps_total_completions():
+def test_execute_subtask_caps_total_completions(monkeypatch):
     # A chatty agent that always issues the same clean read never settles;
     # the loop cuts it off rather than spinning forever.
     records = [ScriptRecord("planner", "command: kubectl get pods -n sock-shop", max_uses=-1)]
-    planner, _, _ = _planner(records, attempt_budget=4)
+    monkeypatch.setattr(planner_module, "ATTEMPT_BUDGET", 4)
+    planner, _, _ = _planner(records)
     st = Subtask(1, "catalogue", "never settles")
     assert planner.execute_subtask(st, _task("cap check"), "(none)", None) is False
     assert st.status == "failed"
@@ -565,7 +573,7 @@ def test_run_task_records_peer_feedback_in_history():
     assert kinds == ["peer"]
 
 
-def test_run_task_replans_after_subtask_failure():
+def test_run_task_replans_after_subtask_failure(monkeypatch):
     single_plan = "Subtask 1:\nassignee: catalogue\ndescription: probe the broken namespace\n"
     records = [
         ScriptRecord("planner", single_plan, guard="Task: fix the probe"),
@@ -578,7 +586,8 @@ def test_run_task_replans_after_subtask_failure():
         ScriptRecord("planner", "ok: pods healthy", guard="list pods in the right namespace"),
         ScriptRecord("planner", "verdict: success\nsolution: recovered", guard="Results in order"),
     ]
-    planner, history, _ = _planner(records, attempt_budget=1)
+    monkeypatch.setattr(planner_module, "ATTEMPT_BUDGET", 1)
+    planner, history, _ = _planner(records)
     task = _task("fix the probe")
     outcome = planner.run_task(task, [])
     assert outcome.succeeded is True
@@ -607,6 +616,25 @@ def test_run_task_peer_escalation_reaches_manager():
     assert kinds == ["peer", "peer", "hierarchical"]
 
 
+def test_run_task_fails_when_a_handed_over_result_is_json_python_cannot_decode():
+    """A result of 5,000 digits is refused as JSON twice, the escalation's replan never lands, and the task fails."""
+    digits = "1" * 5000
+    records = [
+        ScriptRecord("planner", FRICTION_PLAN.replace("expects: integer", "expects: json"), guard="Task: digits"),
+        ScriptRecord("planner", f"ok: {digits}", guard="read the memory gauge"),
+        ScriptRecord("planner", f"ok: {digits}", guard="was rejected by front-end"),
+        ScriptRecord("planner", "not a plan", guard="Trigger: peer escalation", max_uses=-1),
+    ]
+    planner, history, _ = _planner(records)
+    task = _task("digits")
+    outcome = planner.run_task(task, [])
+    assert (outcome.succeeded, outcome.solution, task.status) == (False, None, "failed")
+    feedback = _feedback_records(history)
+    assert [r.feedback_kind for r in feedback] == ["peer", "peer", "hierarchical"]
+    assert feedback[0].payload.startswith("handoff rejected: expected valid JSON;")
+    assert feedback[1].payload == "handoff rejected again: expected valid JSON; escalating to manager"
+
+
 def test_run_task_fails_when_decomposition_never_lands():
     records = [ScriptRecord("planner", "not a plan", max_uses=-1)]
     planner, _, _ = _planner(records)
@@ -617,14 +645,15 @@ def test_run_task_fails_when_decomposition_never_lands():
     assert task.status == "failed"
 
 
-def test_run_task_stops_after_fruitless_replans():
+def test_run_task_stops_after_fruitless_replans(monkeypatch):
     single_plan = "Subtask 1:\nassignee: catalogue\ndescription: shout into the void\n"
     records = [
         ScriptRecord("planner", single_plan, guard="Task:", max_uses=1),
         ScriptRecord("planner", single_plan, guard="Trigger:", max_uses=-1),
         ScriptRecord("planner", "command: kubectl get pods -n nope", max_uses=-1),
     ]
-    planner, history, _ = _planner(records, attempt_budget=1)
+    monkeypatch.setattr(planner_module, "ATTEMPT_BUDGET", 1)
+    planner, history, _ = _planner(records)
     task = _task("hopeless")
     outcome = planner.run_task(task, [])
     assert outcome.succeeded is False

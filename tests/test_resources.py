@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opslearn import llm, resources
-from opslearn.cluster import load_topology
+from opslearn.cluster import load_topology, mutate
 from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, parse_yaml, read_input
 from opslearn.runner import load_suite
 
@@ -88,17 +88,23 @@ def test_changing_a_loaded_state_or_script_leaves_the_next_load_intact():
     scripted = llm.load_script(script)
     count = len(scripted)
     state = load_topology(topology)
-    dep = state.find_deployment("sock-shop", "front-end")
-    dep.labels["env"] = "changed"
-    dep.args.append("--changed")
-    dep.probes.clear()
+    front_end = {"namespace": "sock-shop", "name": "front-end"}
+    dep = state.find_deployment(**front_end)
+    before = dict(vars(dep))  # every value is immutable, so this copy is a full one
+    for action, args in (
+        ("scale", {**front_end, "replicas": 3}),
+        ("set_resources", {**front_end, "limits": {"cpu": "2"}}),
+        ("kill_pod", {"namespace": "sock-shop", "pod": dep.pods[0].name}),
+        ("set_label", {**front_end, "key": "env", "value": "changed"}),
+        ("patch", {**front_end, "patch": {"args": ["--changed"], "probes": {"liveness": {"period": 9}}}}),
+    ):
+        assert mutate(state, action, args), action
     state.deployments.clear()
     records = read_input("script", script, llm._records)
     records[0]["response"] = "changed"
     records.clear()
     scripted.clear()
-    fresh = load_topology(topology).find_deployment("sock-shop", "front-end")
-    assert "env" not in fresh.labels and fresh.args == ["server.js"] and len(fresh.probes) == 2
+    assert vars(load_topology(topology).find_deployment(**front_end)) == before
     assert read_input("script", script, llm._records)[0] == {"guard": None, "max_uses": 1} | _parsed(script)["records"][0]
     assert len(llm.load_script(script)) == count
 

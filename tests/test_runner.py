@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 
@@ -12,7 +13,7 @@ import yaml
 
 from opslearn import runner
 from opslearn.cli import main
-from opslearn.cluster import load_topology
+from opslearn.cluster import load_topology, tick
 from opslearn.datalayer import SkillEntry, SkillLibrary
 from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, parse_yaml
@@ -31,6 +32,7 @@ from opslearn.runner import (
     run_evaluation,
     run_trial,
 )
+from opslearn.shell import ShellGateway
 
 
 @pytest.fixture(scope="module")
@@ -561,3 +563,21 @@ def test_emit_report_rejects_unknown_shapes(tmp_path):
         emit_report({"report_schema": 1}, str(tmp_path), ("pdf",))
     with pytest.raises(ConfigurationError, match="unrecognized report payload"):
         emit_report({"something": "else"}, str(tmp_path), ("json",))
+
+
+def test_a_simulated_day_of_read_commands_prints_the_pinned_output():
+    """A day on the bundled topology: 2,880 ticks of 30 s, each followed by the next 4 read
+    lines of the command corpus, which repeats (its `report_result` lines are skipped). The
+    sha256 of every result's exit code, stdout and stderr is pinned."""
+    with open(fixture_path("command_corpus.txt")) as fh:
+        entries = [raw.rstrip("\n").partition("\t")[2] for raw in fh]
+    reads = itertools.cycle([line for line in entries if line and not line.startswith("report_result(")])
+    state = load_topology(fixture_path("sock_shop.yaml"), seed=7)
+    shell = ShellGateway(state, component_names(state))
+    digest = hashlib.sha256()
+    for _ in range(2880):
+        tick(state, 30.0)
+        for line in itertools.islice(reads, 4):
+            result = shell.execute(line)
+            digest.update(f"{result.exit_code}\n{result.stdout}\n{result.stderr}\n".encode())
+    assert digest.hexdigest()[:16] == "819d5d9a900dd6fe"

@@ -235,7 +235,7 @@ def test_scale_mutates_state(gateway):
     assert result.state_mutated is True
     dep = gateway.state.find_deployment("sock-shop", "catalogue")
     assert dep.replicas == 2
-    assert len(gateway.state.deployment_pods(dep)) == 2
+    assert len(dep.pods) == 2
 
 
 def test_scale_rejects_bad_replicas(gateway):
@@ -295,12 +295,12 @@ def test_noop_patch_does_not_count_as_mutation(gateway):
 
 
 def test_scale_above_the_replica_bound_is_an_error_line(gateway):
-    before = (state_digest(gateway.state), len(gateway.state.pods))
+    before = (state_digest(gateway.state), len(gateway.state.all_pods()))
     result = gateway.execute("kubectl scale deployment catalogue -n sock-shop --replicas=100000000")
     assert result.exit_code == 1
     assert result.stderr == "error: replicas: '100000000' is not in [0, 100]"
     assert result.state_mutated is False
-    assert (state_digest(gateway.state), len(gateway.state.pods)) == before
+    assert (state_digest(gateway.state), len(gateway.state.all_pods())) == before
     assert gateway.state.mutation_count == 0
 
 
@@ -354,7 +354,7 @@ def test_delete_pod_respawns_replacement(gateway):
     result = gateway.execute("kubectl delete pod catalogue-5b877d88b4-g9tc4 -n sock-shop")
     assert result.stdout == 'pod "catalogue-5b877d88b4-g9tc4" deleted'
     assert result.state_mutated is True
-    pods = gateway.state.deployment_pods(gateway.state.find_deployment("sock-shop", "catalogue"))
+    pods = gateway.state.find_deployment("sock-shop", "catalogue").pods
     assert len(pods) == 1
     assert pods[0].name != "catalogue-5b877d88b4-g9tc4"
 

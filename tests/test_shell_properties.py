@@ -305,8 +305,8 @@ def _digest_document(state) -> str:
             for d in sorted(state.deployments, key=lambda d: (d.namespace, d.name))
         ],
         "pods": [
-            [p.name, p.namespace, p.deployment, p.phase, p.start_time]
-            for p in sorted(state.pods, key=lambda p: p.name)
+            [p.name, p.namespace, p.deployment, p.start_time]
+            for p in sorted(state.all_pods(), key=lambda p: (p.namespace, p.name))
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

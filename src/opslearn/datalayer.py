@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import promql
-from .cluster import ClusterState
+from .cluster import ClusterState, Deployment
 from .resources import conform, finite_number, maybe, number, one_of, parse_json, parse_json_lines, read_input
 
 OBSERVATION = "observation"
@@ -341,6 +341,17 @@ class SkillLibrary:
 # Running-state snapshot
 
 
+def _degradations(dep: Deployment) -> list[str]:
+    """Why a deployment is degraded, each cause in its own words; none when it is not."""
+    causes = {
+        "scaled to 0": dep.replicas == 0,
+        f"{dep.replicas - len(dep.pods)} pods missing": len(dep.pods) < dep.replicas,
+        "memory near its limit": dep.usage_mem >= 0.9 * dep.resources.mem_limit,
+        "CPU near its limit": dep.usage_cpu >= 0.9 * dep.resources.cpu_limit,
+    }
+    return [cause for cause, holds in causes.items() if holds]
+
+
 def build_snapshot(state: ClusterState) -> str:
     """Prompt text derived purely from cluster + metrics; same state, same text."""
     rates = {
@@ -352,17 +363,11 @@ def build_snapshot(state: ClusterState) -> str:
     deployments: list[tuple[str, str]] = []  # (job, line), listed by job
     anomalies: list[str] = []
     for dep in state.deployments:
-        ready = len(dep.pods)
-        degraded = (
-            dep.replicas == 0
-            or ready < dep.replicas
-            or dep.usage_mem >= 0.9 * dep.resources.mem_limit
-            or dep.usage_cpu >= 0.9 * dep.resources.cpu_limit
-        )
+        causes = _degradations(dep)
         rps = rates.get(dep.job, 0.0) if dep.scrape else 0.0
-        deployments.append((dep.job, f"  - {dep.job}: {'degraded' if degraded else 'ok'}, traffic {rps:.2f} req/s"))
-        if degraded:
-            anomalies.append(f"{dep.job}: {ready}/{dep.replicas} ready, usage near limits")
+        deployments.append((dep.job, f"  - {dep.job}: {'degraded' if causes else 'ok'}, traffic {rps:.2f} req/s"))
+        if causes:
+            anomalies.append(f"{dep.job}: {len(dep.pods)}/{dep.replicas} ready, {', '.join(causes)}")
     lines = [f"Simulation time: {state.sim_time:.0f}s", "Deployments:"]
     lines.extend(line for _, line in sorted(deployments))
     if anomalies:

@@ -3,17 +3,19 @@
 Series are keyed by metric name plus a sorted label set. Ingestion is
 single-writer and strictly ordered per series; queries are pure reads
 that bisect on the timestamps. A writer hands the store a run of samples
-per series: the times it crossed, in order, and a value for each. Gauges
-go in through `ingest`, which stores the values given. Counters go in
-through `add`, which stores a running total: the series' latest value
-plus each increment in turn. Either takes one lookup, one order check
-and at most one list copy (the copy-on-first-append rule below) per run,
-however many samples it holds.
+per series: the times it crossed, in order, and a value for each. A gauge
+stores the values given; a counter stores a running total, the series'
+latest value plus each increment in turn. `append` takes one run for each
+of several series at the same times, as a scrape writes them, and checks
+that the times ascend once; `ingest` (a gauge) and `add` (a counter) are
+its one-series calls. Each run costs one lookup, one check of the
+series' latest time and at most one list copy (the copy-on-first-append
+rule below), however many samples it holds.
 
 Sharing contract: `fork()` (which `cluster.clone` calls for a state's
 store) copies a store in O(series). The fork and its source share every
 per-series sample list, and neither side owns a shared list any more.
-`ingest` (and `add`) copies a series' list the first time its side
+`append` copies a series' list the first time its side
 appends to it after a fork, so an append on one side never shows through
 on the other.
 A side that only reads, as a curator's validation clone does, copies no
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter, lt
 
 
 _time = itemgetter(0)  # a sample's timestamp
+_NO_SAMPLE = (-math.inf, 0.0)  # the time and value of a series with none
 
 
 class OrderViolation(Exception):
@@ -101,30 +104,38 @@ class MetricStore:
         self._owned = set()  # every list is shared now
         return fork
 
-    def _points_for_append(self, series: SeriesId, times: Sequence[float]) -> list[tuple[float, float]]:
-        """The series' own sample list, ready for a run of samples at `times`; an empty run changes nothing."""
-        if not times:
-            return []
-        points = self._samples.get(series)
-        latest = points[-1][0] if points else -math.inf
-        if not (latest < times[0] and all(map(lt, times, times[1:]))):  # a NaN is not after anything either
-            t, latest = next((t, before) for before, t in zip((latest, *times), times) if not before < t)
-            raise OrderViolation(f"sample for {series.metric_name} at t={t} is not after latest t={latest}")
-        if series not in self._owned:  # new, or shared with a fork: append to a private copy
-            points = self._samples[series] = list(points or ())
-            self._owned.add(series)
-        return points
+    def append(self, times: Sequence[float], runs: Iterable[tuple[SeriesId, Sequence[float], bool]]) -> None:
+        """Write a run at `times` to each series of `runs`, in order: `(series, values, counter)`, a value
+        per time, a counter's values being increments on its latest value (0.0 when it has none). `times`
+        ascend, the first after each series' latest; a refused run changes nothing, nor do those after it."""
+        if not times:  # an empty run changes nothing
+            return
+        samples, owned, first = self._samples, self._owned, times[0]
+        ascending, one = all(map(lt, times, times[1:])), len(times) == 1
+        for series, values, counter in runs:
+            points = samples.get(series)
+            latest, last = points[-1] if points else _NO_SAMPLE
+            if not (ascending and latest < first):  # a NaN is not after anything either
+                t, latest = next((t, before) for before, t in zip((latest, *times), times) if not before < t)
+                raise OrderViolation(f"sample for {series.metric_name} at t={t} is not after latest t={latest}")
+            if series not in owned:  # new, or shared with a fork: append to a private copy
+                points = samples[series] = list(points or ())
+                owned.add(series)
+            if one:  # a tick of one sample, as each step of a long horizon takes, builds no iterators
+                points.append((first, last + values[0] if counter else values[0]))
+                continue
+            if counter:
+                values = accumulate(values, initial=last)  # adds in the same order
+                next(values)  # the starting value, already stored
+            points.extend(zip(times, values))
 
     def ingest(self, series: SeriesId, times: Sequence[float], values: Sequence[float]) -> None:
         """Append `(times[i], values[i])` for each i; `times` ascend, the first after the series' latest."""
-        self._points_for_append(series, times).extend(zip(times, values))
+        self.append(times, ((series, values, False),))
 
     def add(self, series: SeriesId, times: Sequence[float], increments: Sequence[float]) -> None:
         """As `ingest`, with each value the series' latest value (0.0 when it has none) plus the increments so far."""
-        points = self._points_for_append(series, times)
-        totals = accumulate(increments, initial=points[-1][1] if points else 0.0)  # adds in the same order
-        next(totals)  # the starting value, already stored
-        points.extend(zip(times, totals))
+        self.append(times, ((series, increments, True),))
 
     def ingest_value(self, metric_name: str, labels: dict[str, str], timestamp: float, value: float) -> None:
         self.ingest(SeriesId.make(metric_name, labels), (timestamp,), (value,))

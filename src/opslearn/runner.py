@@ -395,11 +395,13 @@ def run_evaluation(
         raise ConfigurationError(f"repeats must be at least 1, got {repeats!r}")
     script_file = config.script or str(fixture_path("scripts/evaluation.yaml"))
     records = load_script(script_file)
+    fixture = config.fixture_file()
     cells: dict[str, list[int]] = {}
     for suite_task in suite:
         successes = 0
+        skills = library.retrieve_skills(suite_task["description"], RETRIEVE_K)  # every repeat asks the same
         for repeat in range(repeats):
-            state = load_topology(config.fixture_file(), seed=config.seed)
+            state = load_topology(fixture, seed=config.seed)
             tick(state, EVAL_WARMUP_SECONDS)
             for setup in suite_task["setup"]:
                 try:
@@ -408,9 +410,7 @@ def run_evaluation(
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
             gateway = ScriptedGateway(GatewayConfig(budget_usd=config.budget_usd), records)
             planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
-            task = _suite_task(suite_task, repeat + 1)
-            skills = library.retrieve_skills(task.description, RETRIEVE_K)
-            outcome = planner.run_task(task, skills)
+            outcome = planner.run_task(_suite_task(suite_task, repeat + 1), skills)
             passed = outcome.succeeded and check_post_conditions(state, outcome.solution, suite_task["post_conditions"])
             if passed:
                 successes += 1

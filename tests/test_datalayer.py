@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opslearn.datalayer import SKILL_KINDS, History, SkillEntry, SkillLibrary, Task, json_text, task_close
+from opslearn.cluster import load_topology, mutate, tick
+from opslearn.datalayer import (
+    SKILL_KINDS, History, SkillEntry, SkillLibrary, Task, build_snapshot, json_text, task_close
+)
 from opslearn.resources import ConfigurationError, fixture_path
 
 
@@ -380,3 +383,57 @@ def test_json_text_refuses_what_json_dumps_refuses():
             json.dumps(doc, sort_keys=True, indent=2)
         with pytest.raises(error, match=re.escape(str(expected.value))):
             json_text(doc)
+
+
+# -- the snapshot's open anomalies -----------------------------------------------------
+
+_SHOP = ("catalogue", "front-end")
+_snapshot_steps = st.one_of(
+    st.tuples(st.just("scale"), st.sampled_from(_SHOP), st.integers(0, 2)),
+    st.tuples(
+        st.just("set_resources"),
+        st.sampled_from(_SHOP),
+        st.sampled_from(["20m", "30m", "1"]),  # the front-end draws about 50m, the catalogue 2m
+        st.sampled_from(["10Mi", "130Mi", "1Gi"]),  # the front-end holds about 125Mi, the catalogue 9Mi
+    ),
+    st.tuples(st.just("kill_pod"), st.sampled_from(_SHOP)),
+    st.tuples(st.just("tick"), st.sampled_from([15.0, 60.0])),
+)
+
+
+def _open_anomalies(snapshot: str) -> list[str]:
+    lines = snapshot.splitlines()
+    return lines[lines.index("Open anomalies:") + 1 :] if "Open anomalies:" in lines else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(_snapshot_steps, min_size=1, max_size=8))
+def test_the_snapshot_names_each_degraded_deployment_and_its_causes(steps):
+    """After every step, each deployment scaled to 0 or with usage at 90% of a limit or
+    more is listed under the open anomalies with those causes in their own words, and
+    every other deployment is not."""
+    state = load_topology(str(fixture_path("sock_shop.yaml")), seed=7)
+    for step in steps:
+        target = {"namespace": "sock-shop", "name": step[1]}
+        if step[0] == "scale":
+            mutate(state, "scale", {**target, "replicas": step[2]})
+        elif step[0] == "set_resources":
+            quantities = {"cpu": step[2], "memory": step[3]}
+            mutate(state, "set_resources", {**target, "requests": {"cpu": "10m", "memory": "8Mi"}, "limits": quantities})
+        elif step[0] == "kill_pod":
+            pods = state.find_deployment("sock-shop", step[1]).pods
+            if pods:
+                mutate(state, "kill_pod", {"namespace": "sock-shop", "pod": pods[0].name})
+        else:
+            tick(state, step[1])
+        expected = []
+        for dep in state.deployments:
+            res = dep.resources
+            causes = [
+                *(["scaled to 0"] if dep.replicas == 0 else []),
+                *(["memory near its limit"] if dep.usage_mem >= 0.9 * res.mem_limit else []),
+                *(["CPU near its limit"] if dep.usage_cpu >= 0.9 * res.cpu_limit else []),
+            ]
+            if causes:
+                expected.append(f"  - {dep.job}: {len(dep.pods)}/{dep.replicas} ready, {', '.join(causes)}")
+        assert _open_anomalies(build_snapshot(state)) == expected

@@ -13,7 +13,9 @@ the original as it was.
 The scrape writes one run of samples per series per tick. Two more
 properties pin that down: one tick over a span leaves the state as two ticks
 over its parts, and a tick leaves the state as the per-sample scrape it
-replaced, which this module keeps as an oracle.
+replaced, which this module keeps as an oracle. The scrape memoizes each
+deployment's run, so the oracle also checks states that share deployment
+names but differ in seed, profile or limits, ticking in turns.
 """
 
 from __future__ import annotations
@@ -240,4 +242,37 @@ def test_a_tick_writes_what_the_per_sample_scrape_wrote(profiles, steps):
         else:
             _take(batched, step)
             _take(per_sample, step)
+        assert _observed(batched) == _observed(per_sample)
+
+
+_interleaved = st.one_of(
+    st.tuples(st.just("tick"), st.integers(0, 3), st.sampled_from([15.0, 30.0, 45.0, 300.0])),
+    st.tuples(st.just("limit"), st.integers(0, 3), st.sampled_from(_NAMES), st.sampled_from(["100m", "500m", "2"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profiles=st.lists(_profiles(), min_size=2, max_size=2),
+    other=st.lists(_profiles(), min_size=2, max_size=2),
+    steps=st.lists(_interleaved, max_size=12),
+)
+def test_memoized_runs_of_states_that_share_names_write_what_the_per_sample_scrape_wrote(profiles, other, steps):
+    """Four states with the same deployment names tick in turns: three of one profile pair,
+    with seeds 7, 8 and 7 again, and one of another pair. A run memoized for one state stands
+    in for another's only where seed, profile, limits and times all match, before or after
+    a limit changes: every tick writes what the per-sample scrape wrote for the same state."""
+    def pair(profiles, seed):
+        doc = {"namespaces": ["shop"], "deployments": list(map(_deployment, _NAMES, profiles))}
+        return load_topology(doc, seed=seed), load_topology(doc, seed=seed)
+
+    states = [pair(profiles, 7), pair(profiles, 8), pair(other, 7), pair(profiles, 7)]
+    for step in steps:
+        batched, per_sample = states[step[1]]
+        if step[0] == "tick":
+            tick(batched, step[2])
+            _tick_per_sample(per_sample, step[2])
+        else:
+            for state in (batched, per_sample):
+                mutate(state, "set_resources", {"namespace": "shop", "name": step[2], "limits": {"cpu": step[3]}})
         assert _observed(batched) == _observed(per_sample)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import replace
 
 import pytest
@@ -261,3 +262,45 @@ def test_a_fork_shares_every_list_until_its_side_appends(moves):
             points.append((timestamp, (points[-1][1] if points else 0.0) + increment))
         for member, lists in family:
             assert all(member.samples(other) == lists.get(other, []) for other in _SERIES)
+
+
+@given(
+    latest=st.lists(st.one_of(st.none(), st.floats(0.0, 10.0)), min_size=3, max_size=3),
+    times=st.lists(st.floats(0.0, 20.0), max_size=4),  # ascending or not
+    order=st.permutations(range(3)),
+    data=st.data(),
+)
+def test_a_batch_writes_its_runs_in_order_and_refuses_as_one_call_per_series_did(latest, times, order, data):
+    """`append` against plain lists: each run lands in turn, a counter's as running totals
+    from the series' latest value, and the first run whose samples are not each after the
+    one before (the series' latest, for the first) is refused with the OrderViolation text
+    of a one-series call; neither it nor any run after it is written."""
+    store, expected = MetricStore(), {}
+    for sid, at in zip(_SERIES, latest):
+        if at is not None:
+            store.ingest(sid, (at,), (1.0,))
+            expected[sid] = [(at, 1.0)]
+    runs = [(_SERIES[i], data.draw(st.lists(_values, min_size=len(times), max_size=len(times))), data.draw(st.booleans()))
+            for i in order[: data.draw(st.integers(0, 3))]]
+    refusal = None
+    for sid, values, counter in runs:
+        points = expected.get(sid, [])
+        chain = [points[-1][0] if points else -math.inf, *times]
+        bad = next(((before, t) for before, t in zip(chain, chain[1:]) if not before < t), None)
+        if times and bad:
+            refusal = f"sample for {sid.metric_name} at t={bad[1]} is not after latest t={bad[0]}"
+            break
+        total = points[-1][1] if points else 0.0
+        for t, value in zip(times, values):
+            total = total + value if counter else value
+            points.append((t, total))
+        if points:
+            expected[sid] = points
+    if refusal is None:
+        store.append(times, runs)
+    else:
+        with pytest.raises(OrderViolation) as refused:
+            store.append(times, runs)
+        assert str(refused.value) == refusal
+    assert store.series_ids() == list(expected)
+    assert all(store.samples(sid) == expected.get(sid, []) for sid in _SERIES)

@@ -7,11 +7,13 @@ import hashlib
 import itertools
 import json
 import os
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import yaml
 
-from opslearn import runner
+from opslearn import cluster, runner
 from opslearn.cli import main
 from opslearn.cluster import load_topology, tick
 from opslearn.datalayer import SkillEntry, SkillLibrary
@@ -317,6 +319,23 @@ def test_a_script_that_runs_dry_truncates_the_trial_and_keeps_the_evidence(tmp_p
     assert 0 < len(report["tasks"]) < 15
 
 
+@pytest.mark.parametrize("calls_in_time", [1, 7], ids=["at-a-round", "at-a-task"])
+def test_a_trial_over_its_time_budget_stops_and_keeps_the_evidence(tmp_path, monkeypatch, calls_in_time):
+    """The clock is read once at the start, then before each round and each task; it reads 0
+    for `calls_in_time` reads, then past the budget: before round 1, or before round 2's second task."""
+    reads = itertools.count()
+    monkeypatch.setattr(runner, "time", SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < calls_in_time else 61.0))
+    out_dir = tmp_path / "out"
+    result = run_trial(TrialConfig(seed=7, time_budget_min=1.0, out_dir=str(out_dir)))
+    assert result.exit_code == 2
+    for name in ("history.log", "library.json", "report.json"):
+        assert (out_dir / name).exists()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report == result.report
+    assert (report["truncated"], report["truncation_reason"]) == (True, "time")
+    assert (report["completed_rounds"], len(report["tasks"])) == ((0, 0) if calls_in_time == 1 else (1, 4))
+
+
 @pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 2000], ids=["huge-repeat", "deep-nesting"])
 def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_evidence(tmp_path, pattern):
     records = _records("observation_only.yaml")
@@ -398,6 +417,22 @@ def test_run_evaluation_scores_suite_tasks(golden_trial, tmp_path):
     # the probe task's setup mutation breaks the path first; the trained
     # library carries the patch command that restores it
     assert column["cells"]["repair-catalogue-probe"] == [3, 3]
+
+
+def test_an_eval_column_digests_nothing_asks_once_per_task_and_repeats_no_scrape_run(golden_trial):
+    """On seed 7 a column's setup mutations report without digesting, the library is asked once
+    per suite task, not once per repeat, and a second column takes every scrape run from the memo."""
+    _, out_dir = golden_trial
+    library = SkillLibrary.load(str(out_dir / "library.json"))
+    suite = load_suite(str(fixture_path("eval_suite.yaml")))
+    with mock.patch.object(cluster, "state_digest", wraps=cluster.state_digest) as digests, \
+            mock.patch.object(SkillLibrary, "retrieve_skills", autospec=True,
+                              side_effect=SkillLibrary.retrieve_skills) as retrievals:
+        first = run_evaluation(library, suite, TrialConfig(seed=7))
+    assert (digests.call_count, retrievals.call_count) == (0, len(suite)) == (0, 5)
+    with mock.patch.object(cluster, "_run_values", wraps=cluster._run_values) as computed:
+        assert run_evaluation(library, suite, TrialConfig(seed=7)) == first
+    assert computed.call_count == 0
 
 
 def test_assemble_grid_shapes_rows_and_columns():

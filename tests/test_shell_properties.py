@@ -9,7 +9,8 @@ The regex scanners, the word splitter, the configuration digest and the
 `mutated` flag are also checked against the implementations they replaced,
 which are kept here as oracles: the character loops, `shlex.split`, the
 sort-keys JSON document and an `execute` that digests the state before and
-after every command.
+after every command; `cluster.mutate`'s report is checked against the same
+two digests.
 """
 
 from __future__ import annotations
@@ -313,7 +314,8 @@ def _digest_document(state) -> str:
 
 
 _CATALOGUE = {"namespace": "sock-shop", "name": "catalogue"}
-# pairs that set a field and set it back, so that different paths meet again, and a pod kill
+# pairs that set a field and set it back, so that different paths meet again, a pod kill,
+# a probe delay set to 0 and to -0.0, and two changes that set the value already there
 _DIGEST_MUTATIONS = [
     ("set_label", {**_CATALOGUE, "key": "tier", "value": "web"}),
     ("set_label", {**_CATALOGUE, "key": "tier", "value": "api"}),
@@ -328,9 +330,14 @@ _DIGEST_MUTATIONS = [
     ("scale", {**_CATALOGUE, "replicas": 2}),
     ("scale", {**_CATALOGUE, "replicas": 1}),
     ("kill_pod", {"namespace": "sock-shop", "pod": _POD}),
+    ("patch", {**_CATALOGUE, "patch": {"probes": {"liveness": {"initial_delay": 0}}}}),
+    ("patch", {**_CATALOGUE, "patch": {"probes": {"liveness": {"initial_delay": -0.0}}}}),  # == 0.0, another repr
+    ("set_label", {**_CATALOGUE, "key": "name", "value": "catalogue"}),  # the value it has
+    ("set_resources", {**_CATALOGUE, "requests": {"cpu": "100m"}}),  # the request it has
 ]
 _SCALE_UP_AND_BACK = [("mutate", 10), ("mutate", 11)]  # same pods, next_ordinal one higher
 _KILL = ("mutate", 12)
+_ZERO_THEN_NEGATIVE_ZERO = [("mutate", 13), ("mutate", 14)]
 _digest_steps = st.one_of(
     st.tuples(st.just("mutate"), st.integers(0, len(_DIGEST_MUTATIONS) - 1)),
     st.tuples(st.just("kubectl"), _writes),
@@ -389,11 +396,35 @@ class _DoubleDigestShell(ShellGateway):
 @given(lines=st.lists(st.one_of(_writes, _reads, _anything), min_size=1, max_size=3))
 @example(lines=["kubectl scale deployment catalogue -n sock-shop --replicas=1"])  # the current count
 @example(lines=["kubectl scale deployment catalogue -n sock-shop --replicas=3 | grep zz"])  # mutates, then fails
+@example(lines=[  # -0.0 == 0.0, yet the digest takes the repr
+    """kubectl patch deployment catalogue -n sock-shop -p '{"probes": {"liveness": {"initial_delay": 0}}}'""",
+    """kubectl patch deployment catalogue -n sock-shop -p '{"probes": {"liveness": {"initial_delay": -0.0}}}'""",
+])
 def test_mutated_is_whether_the_digest_moved(lines):
     shell, oracle = _fresh_shell(), _DoubleDigestShell(clone(_base()), components=("catalogue", "front-end"))
     for line in lines:
         assert shell.execute(line) == oracle.execute(line), line
     assert state_digest(shell.state) == state_digest(oracle.state)
+
+
+@settings(max_examples=MUTATED_EXAMPLES, deadline=None)
+@given(steps=st.lists(_digest_steps, max_size=8))
+@example(steps=_ZERO_THEN_NEGATIVE_ZERO)
+@example(steps=[("mutate", 15), ("mutate", 16), ("mutate", 11)])  # set what is there, then scale to the count
+def test_mutate_reports_whether_the_digest_moved(steps):
+    """`mutate`'s report against the two digests it replaced, over drawn action sequences."""
+    shell = _fresh_shell()
+    for step in steps:
+        before = state_digest(shell.state)
+        if step[0] != "mutate":
+            _take(shell, step)
+            continue
+        try:
+            moved = mutate(shell.state, *_DIGEST_MUTATIONS[step[1]])
+        except (NotFound, InvalidArgument):
+            assert state_digest(shell.state) == before
+        else:
+            assert moved == (state_digest(shell.state) != before), step
 
 
 @settings(max_examples=MUTATED_EXAMPLES, deadline=None)

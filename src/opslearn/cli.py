@@ -1,7 +1,7 @@
 """Command-line surface: run, eval, report, replay.
 
 Exit codes: 0 for a completed run, 2 for a truncated trial (budget or
-time ceiling hit), 1 for configuration problems.
+time ceiling hit, or a failed live call), 1 for configuration problems.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--suite", help="evaluation suite YAML (default: bundled)")
     eval_p.add_argument("--repeats", type=int, default=3)
     eval_p.add_argument("--seed", type=int)
-    eval_p.add_argument("--budget-usd", type=float)
     eval_p.add_argument("--fixture", help="cluster topology YAML (default: bundled)")
     eval_p.add_argument("--script", help="scripted-oracle YAML (default: bundled)")
     eval_p.add_argument("--out-dir")

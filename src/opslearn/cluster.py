@@ -218,6 +218,10 @@ class ScrapeSeries:
     active_requests: SeriesId | None
     written: tuple[SeriesId, ...]  # all of the above in the order a scrape writes them
     counters: tuple[bool, ...]  # whether each series written is a counter
+    # the metric names written: CPU, memory, requests by status, latency buckets, then two sum and count pairs
+    METRICS = ("process_cpu_seconds_total", "process_resident_memory_bytes", "http_requests_total",
+               "request_duration_seconds_bucket", "request_duration_seconds_sum", "request_duration_seconds_count",
+               "http_request_duration_seconds_sum", "http_request_duration_seconds_count")
 
     @classmethod
     def of(cls, job: str, traffic: TrafficProfile) -> "ScrapeSeries":
@@ -228,11 +232,11 @@ class ScrapeSeries:
 
         les = [_format_le(le) for le, _ in traffic.latency_buckets] + ["+Inf"]
         metric = traffic.active_requests_metric
-        cpu, mem = sid("process_cpu_seconds_total"), sid("process_resident_memory_bytes")
-        requests = tuple(sid("http_requests_total", status=status) for status in ("200", "404", "500"))
-        buckets = tuple(sid("request_duration_seconds_bucket", le=le) for le in les)
-        durations = [sid(f"{name}_{part}") for name in ("request_duration_seconds", "http_request_duration_seconds")
-                     for part in ("sum", "count")]
+        cpu_name, mem_name, requests_name, buckets_name, *duration_names = cls.METRICS
+        cpu, mem = sid(cpu_name), sid(mem_name)
+        requests = tuple(sid(requests_name, status=status) for status in ("200", "404", "500"))
+        buckets = tuple(sid(buckets_name, le=le) for le in les)
+        durations = [sid(name) for name in duration_names]
         active = sid(metric) if metric else None
         written = (cpu, mem, *requests, *buckets, *durations, *([active] if active else []))
         counters = tuple(series not in (mem, active) for series in written)
@@ -386,6 +390,8 @@ def _traffic(doc: dict[str, Any], path: str) -> TrafficProfile:
         raise Misfit(f"{path}.latency_buckets", "required when traffic flows")
     if doc["error_4xx_share"] + doc["error_5xx_share"] > 1:
         raise Misfit(f"{path}.error_5xx_share", "error shares sum above 1")
+    if doc["active_requests_metric"] in ScrapeSeries.METRICS:  # a second writer of a series, or a gauge among counters
+        raise Misfit(f"{path}.active_requests_metric", "names a metric the scrape already writes")
     return TrafficProfile(
         latency_buckets=tuple(doc.pop("latency_buckets")),
         base_cpu_millicores=doc.pop("base_cpu"),

@@ -11,7 +11,7 @@ guard (if any) appears verbatim in the prompt. Guards let one script
 serve branching refinement loops — the same code path asks, and the
 transcript decides which way the conversation goes.
 
-All network activity in this package lives in LiveGateway.complete;
+All network activity in this package lives in LiveGateway._complete;
 nothing else touches a socket.
 """
 
@@ -35,6 +35,10 @@ class BudgetExhausted(Exception):
 
 class ScriptExhausted(Exception):
     """No scripted record matches; the fixture and the code disagree."""
+
+
+class EndpointFailed(Exception):
+    """A live call got no usable reply; the message is one line."""
 
 
 def estimate_tokens(text: str) -> int:
@@ -218,15 +222,12 @@ class BaseGateway:
             raise ConfigurationError(f"no route for role {role!r}")
         return route
 
-    def _prices(self, model_id: str) -> dict[str, float]:
-        return self.config.cost_table.get(model_id, {"prompt_per_1k": 0.0, "completion_per_1k": 0.0})
+    def _cost(self, route: ModelRoute, prompt_tokens: int, completion_tokens: int) -> float:
+        prices = self.config.cost_table.get(route.model_id, {"prompt_per_1k": 0.0, "completion_per_1k": 0.0})
+        return prompt_tokens / 1000 * prices["prompt_per_1k"] + completion_tokens / 1000 * prices["completion_per_1k"]
 
     def _check_budget(self, route: ModelRoute, prompt: str) -> None:
-        prices = self._prices(route.model_id)
-        estimate = (
-            estimate_tokens(prompt) / 1000 * prices["prompt_per_1k"]
-            + route.max_tokens / 1000 * prices["completion_per_1k"]
-        )
+        estimate = self._cost(route, estimate_tokens(prompt), route.max_tokens)
         if self.ledger.total_cost + estimate > self.config.budget_usd:
             raise BudgetExhausted(
                 f"estimated spend {self.ledger.total_cost + estimate:.4f} USD "
@@ -243,12 +244,7 @@ class BaseGateway:
         self._check_budget(route, prompt)
         self._note(actor or role, prompt, "prompt")
         completion, prompt_tokens, completion_tokens = self._complete(route, prompt)
-        prices = self._prices(route.model_id)
-        cost = (
-            prompt_tokens / 1000 * prices["prompt_per_1k"]
-            + completion_tokens / 1000 * prices["completion_per_1k"]
-        )
-        self.ledger.record(role, prompt_tokens, completion_tokens, cost)
+        self.ledger.record(role, prompt_tokens, completion_tokens, self._cost(route, prompt_tokens, completion_tokens))
         self._note(actor or role, completion, "completion")
         return completion
 
@@ -318,8 +314,12 @@ class ScriptedGateway(BaseGateway):
 
 
 class LiveGateway(BaseGateway):
+    """Posts each call to an OpenAI-style chat endpoint with the standard library. HTTPS
+    verifies against the platform's CA store, and a 307 or 308 redirect ends the call."""
+
     def _complete(self, route: ModelRoute, prompt: str) -> tuple[str, int, int]:
-        import requests
+        from http.client import HTTPException
+        from urllib.request import Request, urlopen  # here: importing it costs every process tens of ms
 
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
@@ -331,14 +331,18 @@ class LiveGateway(BaseGateway):
             "max_tokens": route.max_tokens,
             "temperature": route.temperature,
         }
-        response = requests.post(self.config.endpoint, json=payload, headers=headers, timeout=120)
-        response.raise_for_status()
-        doc = response.json()
-        text = doc["choices"][0]["message"]["content"]
-        usage = doc.get("usage", {})
-        return (
-            text,
-            int(usage.get("prompt_tokens", estimate_tokens(prompt))),
-            int(usage.get("completion_tokens", estimate_tokens(text))),
-        )
-
+        try:  # transport errors and HTTP error statuses are OSErrors; a body nested too deep is a RecursionError
+            with urlopen(Request(self.config.endpoint, json.dumps(payload).encode(), headers), timeout=120) as response:
+                doc = json.loads(response.read())
+        except (OSError, HTTPException, ValueError, RecursionError) as exc:
+            raise EndpointFailed(" ".join(f"{type(exc).__name__}: {exc}".split())) from None
+        try:  # only the fields read are checked, since replies carry more; a count left out is estimated
+            text, usage = doc["choices"][0]["message"]["content"], doc.get("usage") or {}
+        except (LookupError, TypeError):
+            text = usage = None
+        if not isinstance(text, str) or not isinstance(usage, dict):
+            raise EndpointFailed("the reply has no text at choices[0].message.content, or a usage that is no mapping")
+        counts = usage.get("prompt_tokens", estimate_tokens(prompt)), usage.get("completion_tokens", estimate_tokens(text))
+        if any(type(count) is not int or not 0 <= count < 2**53 for count in counts):  # bools out; floats hold these
+            raise EndpointFailed(f"the reply's usage counts {counts!r} are not whole numbers from 0 to 2**53")
+        return text, *counts

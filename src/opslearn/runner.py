@@ -34,6 +34,7 @@ from .datalayer import ACTION, OBSERVATION, History, SkillLibrary, Task, build_s
 from .llm import (
     BaseGateway,
     BudgetExhausted,
+    EndpointFailed,
     GatewayConfig,
     LiveGateway,
     ScriptExhausted,
@@ -252,6 +253,8 @@ def run_trial(config: TrialConfig) -> TrialResult:
         truncation_reason = f"round-generation: {exc}"
     except ScriptExhausted as exc:
         truncation_reason = f"script: {exc}"
+    except EndpointFailed as exc:
+        truncation_reason = f"live: {exc}"
 
     report = _build_report(
         config, state, all_tasks, tracker, library, gateway, completed_rounds, truncation_reason
@@ -408,7 +411,7 @@ def run_evaluation(
                     mutate(state, setup["action"], setup.get("args", {}))
                 except (InvalidArgument, NotFound) as exc:
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
-            gateway = ScriptedGateway(GatewayConfig(budget_usd=config.budget_usd), records)
+            gateway = ScriptedGateway(GatewayConfig(budget_usd=float("inf")), records)  # list-price estimates: uncapped
             planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
             outcome = planner.run_task(_suite_task(suite_task, repeat + 1), skills)
             passed = outcome.succeeded and check_post_conditions(state, outcome.solution, suite_task["post_conditions"])

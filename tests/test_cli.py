@@ -126,6 +126,10 @@ def _topology(old: str, new: str) -> str:
         (["run", "--fixture"], _topology("    image: registry.k8s.io/metrics-server/metrics-server:v0.6.3", "    image: 5")),
         (["run", "--fixture"], _topology("        http_path: /health", "        http_path: 5")),
         (["run", "--fixture"], _topology("active_requests_metric: nodejs_active_requests_total", "active_requests_metric: 5")),
+        (
+            ["run", "--fixture"],
+            _topology("active_requests_metric: nodejs_active_requests_total", "active_requests_metric: process_cpu_seconds_total"),
+        ),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    difficulty: hard\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    difficulty: 0\n"),
         (["eval", "--library", "empty.json", "--suite"], _SUITE_TASK + "    kind: foo\n"),
@@ -198,6 +202,7 @@ def _topology(old: str, new: str) -> str:
         "fixture-number-image",
         "fixture-number-probe-path",
         "fixture-number-active-requests-metric",
+        "fixture-scraped-active-requests-metric",
         "suite-word-difficulty",
         "suite-zero-difficulty",
         "suite-unknown-kind",
@@ -252,6 +257,14 @@ def test_a_suite_setup_scale_without_usable_replicas_fails_with_one_error_line(
     suite.write_text(_SUITE_TASK + f"    setup:\n      - action: scale\n        args: {args}\n")
     code = main(["eval", "--library", "empty.json", "--suite", str(suite), "--out-dir", str(tmp_path)])
     _assert_one_error_line(code, capsys, f"{suite}: tasks[0].setup[0].args.{message}")
+
+
+def test_eval_takes_no_budget_flag(capsys):
+    """`eval` runs only the scripted oracle, whose spend is an estimate, so it has no cap to set."""
+    with pytest.raises(SystemExit) as exited:
+        main(["eval", "--library", "empty.json", "--budget-usd", "0.0001"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --budget-usd 0.0001" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_repeated_suite_task_id(tmp_path, monkeypatch, capsys):

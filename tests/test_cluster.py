@@ -15,6 +15,7 @@ from opslearn.cluster import (
     ClusterState,
     InvalidArgument,
     NotFound,
+    ScrapeSeries,
     clone,
     component_names,
     load_topology,
@@ -135,6 +136,31 @@ def test_topology_refuses_negative_quantities_and_probe_durations(path, value, m
         node = node[key]
     node[path[-1]] = value
     with pytest.raises(ConfigurationError, match=r"deployments\[1\]\." + message):
+        load_topology(doc)
+
+
+_SCRAPED = (
+    "process_cpu_seconds_total", "process_resident_memory_bytes", "http_requests_total",
+    "request_duration_seconds_bucket", "request_duration_seconds_sum", "request_duration_seconds_count",
+    "http_request_duration_seconds_sum", "http_request_duration_seconds_count",
+)
+
+
+def test_the_scrape_writes_exactly_the_metric_names_it_declares():
+    state = tick(_fresh(), 60.0)
+    written = {sid.metric_name for sid in state.metrics.series_ids()} - {"nodejs_active_requests_total"}
+    assert sorted(written) == sorted(ScrapeSeries.METRICS) == sorted(_SCRAPED)
+
+
+@pytest.mark.parametrize("name", _SCRAPED)
+def test_an_active_requests_metric_the_scrape_already_writes_is_refused(name):
+    """A job-only name would be written twice per scrape; a labelled one would put a gauge among counters."""
+    doc = _document()
+    doc["deployments"][1]["traffic_profile"]["active_requests_metric"] = name
+    with pytest.raises(
+        ConfigurationError,
+        match=r"deployments\[1\]\.traffic_profile\.active_requests_metric: names a metric the scrape already writes$",
+    ):
         load_topology(doc)
 
 

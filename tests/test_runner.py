@@ -16,7 +16,7 @@ import yaml
 from opslearn import cluster, runner
 from opslearn.cli import main
 from opslearn.cluster import load_topology, tick
-from opslearn.datalayer import SkillEntry, SkillLibrary
+from opslearn.datalayer import History, SkillEntry, SkillLibrary
 from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, parse_yaml
 from opslearn.runner import (
@@ -419,6 +419,16 @@ def test_run_evaluation_scores_suite_tasks(golden_trial, tmp_path):
     assert column["cells"]["repair-catalogue-probe"] == [3, 3]
 
 
+def test_an_eval_column_scores_the_bundled_suite_with_no_spend_cap(golden_trial):
+    """The oracle's spend is an estimate at list prices, so a cap could only crash a column."""
+    _, out_dir = golden_trial
+    library = SkillLibrary.load(str(out_dir / "library.json"))
+    suite = load_suite(str(fixture_path("eval_suite.yaml")))
+    column = run_evaluation(library, suite, TrialConfig(seed=7, budget_usd=0.0))
+    assert column == run_evaluation(library, suite, TrialConfig(seed=7))
+    assert column["cells"] == {task["id"]: [3, 3] for task in suite}
+
+
 def test_an_eval_column_digests_nothing_asks_once_per_task_and_repeats_no_scrape_run(golden_trial):
     """On seed 7 a column's setup mutations report without digesting, the library is asked once
     per suite task, not once per repeat, and a second column takes every scrape run from the memo."""
@@ -616,3 +626,16 @@ def test_a_simulated_day_of_read_commands_prints_the_pinned_output():
             result = shell.execute(line)
             digest.update(f"{result.exit_code}\n{result.stdout}\n{result.stderr}\n".encode())
     assert digest.hexdigest()[:16] == "819d5d9a900dd6fe"
+
+
+def test_a_curriculum_that_never_parses_truncates_at_round_generation_and_keeps_the_evidence(tmp_path):
+    script = tmp_path / "script.yaml"
+    script.write_text("records:\n  - role: curriculum\n    response: no tasks here\n    max_uses: -1\n")
+    out_dir = tmp_path / "out"
+    result = run_trial(TrialConfig(seed=7, script=str(script), out_dir=str(out_dir)))
+    assert result.exit_code == 2
+    assert result.report["truncation_reason"] == "round-generation: round 1: no usable completion after 2 re-asks"
+    for name in ("history.log", "library.json", "library.md", "report.json"):
+        assert (out_dir / name).exists(), f"{name} missing"
+    records = History.load(str(out_dir / "history.log")).records
+    assert [(r.actor, r.payload_kind) for r in records] == [("curriculum", "prompt"), ("curriculum", "completion")] * 3

@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import attrgetter, is_, itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .metrics import MetricStore, SeriesId
 from .resources import Misfit, conform, finite_number, number, one_of, read_input
@@ -154,13 +154,10 @@ class TrafficProfile:
     base_mem_bytes: int = 9 * MI
     cpu_millicores_per_rps: float = 0.0
     active_requests_metric: str | None = None
-    key: str = field(init=False, repr=False, compare=False)  # its fields' repr: hashed once, and no GC object
     _hash: int = field(init=False, repr=False, compare=False)  # the scrape's cached helpers key on it
 
     def __post_init__(self) -> None:
-        fields = tuple(vars(self).values())  # every field but `key` and `_hash`, set next
-        object.__setattr__(self, "key", repr(fields))
-        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))  # every field but `_hash`, set here
 
     def __hash__(self) -> int:
         return self._hash
@@ -500,72 +497,55 @@ def _request_increments(profile: TrafficProfile, n_req: int) -> tuple[float, ...
     return tuple(map(float, (n_req - n_4xx - n_5xx, n_4xx, n_5xx, *accumulate(counts), n_req, duration_sum)))
 
 
-def _run_values(seed: int, dep: Deployment, times: tuple[float, ...]) -> tuple[float, ...]:
-    """What one deployment's scrape at `times` writes, as one flat tuple of numbers: the last sample's
-    CPU and memory usage, the index of each status' first request (0 when no traffic flows), then a run
-    of `len(times)` values for each series of `dep.series.written` in turn (CPU and memory only when
-    no traffic flows)."""
-    profile = dep.traffic
-    res = dep.resources
+@functools.lru_cache(maxsize=64)  # every fresh state of one topology and seed takes the same first runs
+def _run_values(
+    seed: int, name: str, profile: TrafficProfile, cpu_limit: int, mem_limit: int, times: tuple[float, ...]
+) -> tuple[int, int, tuple[int, ...], tuple[tuple[float, ...], ...]]:
+    """What the scrape of deployment `name` at `times` writes: the last sample's CPU and memory usage,
+    the index of each status' first request (none when no traffic flows), and a run of one value per
+    time for each series of `ScrapeSeries.written` in turn (CPU and memory only when no traffic flows)."""
     flowing = profile.requests_per_second > 0
-
     draws, cpus, mems, requests = [], [], [], []
     for t in times:
-        u = _substep_floats(seed, dep.name, int(t // SAMPLE_INTERVAL)) if flowing else (0.0, 0.0)
+        u = _substep_floats(seed, name, int(t // SAMPLE_INTERVAL)) if flowing else (0.0, 0.0)
         rps_eff = profile.requests_per_second * (0.85 + 0.3 * u[0])
         cpu = profile.base_cpu_millicores + round(profile.cpu_millicores_per_rps * rps_eff)
         mem = profile.base_mem_bytes + int(u[1] * 4) * MI
         draws.append(u[0])
-        cpus.append(max(0, min(cpu, res.cpu_limit)))
-        mems.append(max(0, min(mem, res.mem_limit)))
+        cpus.append(max(0, min(cpu, cpu_limit)))
+        mems.append(max(0, min(mem, mem_limit)))
         requests.append(round(rps_eff * SAMPLE_INTERVAL))
 
-    runs = [[cpu / 1000 * SAMPLE_INTERVAL for cpu in cpus], map(float, mems)]
+    runs = [tuple(cpu / 1000 * SAMPLE_INTERVAL for cpu in cpus), tuple(map(float, mems))]
     if not flowing:
-        return cpus[-1], mems[-1], 0, 0, 0, *chain.from_iterable(runs)
+        return cpus[-1], mems[-1], (), tuple(runs)
     *by_status_and_bucket, duration_sums = zip(*(_request_increments(profile, n_req) for n_req in requests))
     requests_seen = by_status_and_bucket[-1]  # le="+Inf" counts every request
     runs += [*by_status_and_bucket, duration_sums, requests_seen, duration_sums, requests_seen]
     if profile.active_requests_metric:
-        runs.append([float(round(u0 * 4)) for u0 in draws])
-    firsts = [next((i for i, c in enumerate(counts) if c > 0), len(counts)) for counts in by_status_and_bucket[:3]]
-    return cpus[-1], mems[-1], *firsts, *chain.from_iterable(runs)
-
-
-# (seed, deployment name, traffic key, CPU limit, memory limit, *times) -> `_run_values`. Every fresh state
-# of one topology and seed takes the same first runs, and a replay the runs of the trial it replays. Keys
-# and values are flat tuples of numbers and strings, which the GC untracks on first sight, so runs that
-# never repeat, as on a long horizon, add nothing to the full collections' work.
-_RUNS: dict[tuple, tuple[float, ...]] = {}
-RUNS_KEPT = 64  # a scripted trial and its replay take 52 distinct runs of the bundled topology, eval columns 2 more
+        runs.append(tuple(float(round(u0 * 4)) for u0 in draws))
+    firsts = tuple(next((i for i, c in enumerate(counts) if c > 0), len(counts)) for counts in by_status_and_bucket[:3])
+    return cpus[-1], mems[-1], firsts, tuple(runs)
 
 
 def _scrape(state: ClusterState, times: Sequence[float]) -> None:
     """Take the samples at `times`, one batch of runs per deployment, and leave the usage of the last."""
     store = state.metrics
     times = tuple(times)
-    n = len(times)
     # A status series whose first sample is not the run's first joins the store after every
     # series of the samples before its own, as one scrape per sample would add it.
     born_late = []
     for dep in state.deployments:
         if not (dep.scrape and dep.pods):  # as Prometheus drops a target with no endpoints
             continue
-        key = (state.rng_seed, dep.name, dep.traffic.key, dep.resources.cpu_limit, dep.resources.mem_limit, *times)
-        values = _RUNS.get(key)
-        if values is None:
-            if len(_RUNS) >= RUNS_KEPT:
-                del _RUNS[next(iter(_RUNS))]  # the oldest
-            values = _RUNS[key] = _run_values(state.rng_seed, dep, times)
-        dep.usage_cpu, dep.usage_mem = values[0], values[1]
-        series = dep.series
-        runs = [(sid, values[at : at + n], counter) for sid, counter, at in zip(
-            series.written, series.counters, range(5, len(values), n))]
-        for i in range(2, 5):  # runs[2:5] are the statuses, values[2:5] the index of each one's first request
+        res, series = dep.resources, dep.series
+        dep.usage_cpu, dep.usage_mem, firsts, values = _run_values(
+            state.rng_seed, dep.name, dep.traffic, res.cpu_limit, res.mem_limit, times)
+        runs = list(zip(series.written, values, series.counters))
+        for i, first in enumerate(firsts, 2):  # runs[2:5] are the statuses
             # a status series starts at its first request, then takes every sample
-            first = values[i]
             if first and not store.last_value(series.written[i]) > 0:
-                born_late.append((first, series.written[i], runs[i][1][first:]))
+                born_late.append((first, series.written[i], values[i][first:]))
                 runs[i] = None
         store.append(times, filter(None, runs))
 
@@ -736,27 +716,23 @@ _PROBE_CONFIG = attrgetter(
 _POD_IDENTITY = attrgetter("name", "namespace", "deployment", "start_time")
 
 
-def _digested(dep: Deployment) -> tuple:
-    """The 15 configuration fields the digest takes from a deployment."""
+def _canonical(dep: Deployment) -> tuple:
+    """What the digest takes from a deployment: its 15 configuration fields, labels as sorted
+    items and probes as tuples, then its pods' identities in name order."""
     res = dep.resources
     return (dep.name, dep.namespace, sorted(dep.labels.items()), dep.image, dep.command, dep.args,
             res.cpu_request, res.mem_request, res.cpu_limit, res.mem_limit, list(map(_PROBE_CONFIG, dep.probes)),
-            dep.replicas, dep.port, dep.pod_template_hash, dep.next_ordinal)
-
-
-def _pod_identities(pods: Iterable[Pod]) -> list[tuple]:
-    return list(map(_POD_IDENTITY, sorted(pods, key=attrgetter("namespace", "name"))))
+            dep.replicas, dep.port, dep.pod_template_hash, dep.next_ordinal,
+            list(map(_POD_IDENTITY, sorted(dep.pods, key=attrgetter("name")))))
 
 
 def _digest_moved(old: Deployment, new: Deployment) -> bool:
-    """Whether the digest's items for one deployment differ, compared as the digest compares them: by
-    `repr`, where `-0.0 == 0.0` yet their reprs differ. A change replaces a value whole, so a field
-    still holding the same object is unchanged; and items that differ by `==` differ in `repr` too,
-    as no NaN is ever stored."""
+    """Whether one deployment's part of the digest differs. A change replaces a value whole, so a
+    record whose fields are all still the same objects is unchanged; otherwise the canonical forms
+    are compared as the digest reads them, by `repr`, which tells a `-0.0` from a `0`."""
     if all(map(is_, vars(old).values(), vars(new).values())):
         return False
-    before, after = (_digested(old), _pod_identities(old.pods)), (_digested(new), _pod_identities(new.pods))
-    return before != after or repr(before) != repr(after)
+    return repr(_canonical(old)) != repr(_canonical(new))
 
 
 def state_digest(state: ClusterState) -> str:
@@ -764,19 +740,13 @@ def state_digest(state: ClusterState) -> str:
 
     Usage gauges and the clock stay out: the digest answers "did an agent
     change the system", and ticking time must not look like a mutation.
-    The hash is the sha256 of the `repr` of one canonical sequence: the
-    sorted namespaces and `metrics_available`; then, for each deployment
-    in (namespace, name) order, the same 15 configuration fields, labels
-    as sorted items and probes as tuples; then each pod's identity, in
-    (namespace, name) order. Each deployment adds exactly 15 items, so the
-    sequence splits back into its fields: two states digest alike exactly
-    when those fields are equal. Nothing stores the value; callers only
-    compare digests.
+    The hash is the sha256 of the `repr` of one sequence: the sorted
+    namespaces, `metrics_available`, then each deployment's `_canonical`
+    form in (namespace, name) order. Each form is one tuple of the same
+    shape, so two states digest alike exactly when those fields are
+    equal. Nothing stores the value; callers only compare digests.
     """
-    canon = [sorted(state.namespaces), state.metrics_available]
-    for dep in state.deployments:
-        canon += _digested(dep)
-    canon.append(_pod_identities(pod for dep in state.deployments for pod in dep.pods))
+    canon = [sorted(state.namespaces), state.metrics_available, *map(_canonical, state.deployments)]
     return hashlib.sha256(repr(canon).encode()).hexdigest()
 
 

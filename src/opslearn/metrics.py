@@ -73,7 +73,6 @@ class SeriesId:
 class QueryEntry:
     labels: dict[str, str]
     value: float
-    timestamp: float
 
 
 @dataclass

@@ -346,7 +346,7 @@ def _eval_selector(store: MetricStore, selector: Selector, at: float) -> list[Qu
         latest = store.latest_at(sid, at, LOOKBACK_SECONDS)
         if latest is None:
             continue
-        entries.append(QueryEntry(sid.full_labels(), latest[1], at))
+        entries.append(QueryEntry(sid.full_labels(), latest[1]))
     return entries
 
 
@@ -372,7 +372,7 @@ def _eval_rate(store: MetricStore, node: Rate, at: float) -> list[QueryEntry]:
         if len(points) < 2:
             continue
         span = points[-1][0] - points[0][0]
-        entries.append(QueryEntry(_strip_name(sid.full_labels()), counter_increase(points) / span, at))
+        entries.append(QueryEntry(_strip_name(sid.full_labels()), counter_increase(points) / span))
     return entries
 
 
@@ -393,7 +393,7 @@ def _eval_aggregation(store: MetricStore, node: Aggregation, at: float) -> list[
             value = sum(e.value for e in members)
         else:
             value = float(len(members))
-        out.append(QueryEntry(dict(key), value, at))
+        out.append(QueryEntry(dict(key), value))
     return out
 
 
@@ -447,7 +447,7 @@ def _eval_histogram_quantile(store: MetricStore, node: HistogramQuantile, at: fl
         value = bucket_quantile(node.quantile, buckets)
         if value is None:
             continue
-        out.append(QueryEntry(dict(key), value, at))
+        out.append(QueryEntry(dict(key), value))
     return out
 
 
@@ -463,7 +463,7 @@ def _eval_division(store: MetricStore, node: Division, at: float) -> list[QueryE
         key = tuple(sorted(labels.items()))
         if key not in right_by_key or right_by_key[key] == 0:
             continue
-        out.append(QueryEntry(labels, entry.value / right_by_key[key], at))
+        out.append(QueryEntry(labels, entry.value / right_by_key[key]))
     return out
 
 

@@ -212,6 +212,18 @@ def run_trial(config: TrialConfig) -> TrialResult:
     def over_time() -> bool:
         return (time.monotonic() - started) > config.time_budget_min * 60.0
 
+    def write_artifacts() -> dict[str, Any]:
+        report = _build_report(
+            config, state, all_tasks, tracker, library, gateway, completed_rounds, truncation_reason
+        )
+        history.dump(os.path.join(config.out_dir, "history.log"))
+        library.save(os.path.join(config.out_dir, "library.json"))
+        with open(os.path.join(config.out_dir, "library.md"), "w") as fh:
+            fh.write(library.export_markdown())
+        with open(os.path.join(config.out_dir, "report.json"), "w") as fh:
+            fh.write(json_text(report) + "\n")
+        return report
+
     try:
         for round_no in range(1, config.rounds + 1):
             if over_time():
@@ -255,17 +267,13 @@ def run_trial(config: TrialConfig) -> TrialResult:
         truncation_reason = f"script: {exc}"
     except EndpointFailed as exc:
         truncation_reason = f"live: {exc}"
+    except BaseException as exc:  # a bug or an interrupt: keep the evidence, then let it through
+        kind = type(exc).__name__
+        truncation_reason = f"internal: {kind}: {exc}" if isinstance(exc, Exception) else f"interrupted: {kind}"
+        write_artifacts()
+        raise
 
-    report = _build_report(
-        config, state, all_tasks, tracker, library, gateway, completed_rounds, truncation_reason
-    )
-    history.dump(os.path.join(config.out_dir, "history.log"))
-    library.save(os.path.join(config.out_dir, "library.json"))
-    with open(os.path.join(config.out_dir, "library.md"), "w") as fh:
-        fh.write(library.export_markdown())
-    with open(os.path.join(config.out_dir, "report.json"), "w") as fh:
-        fh.write(json_text(report) + "\n")
-    return TrialResult(report, 2 if truncation_reason else 0)
+    return TrialResult(write_artifacts(), 2 if truncation_reason else 0)
 
 
 def _build_report(

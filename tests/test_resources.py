@@ -231,6 +231,56 @@ def test_only_the_one_reader_opens_an_input_file_or_imports_yaml():
         assert module.name == "resources.py" or not any(n == "yaml" or n.startswith("yaml.") for n in imported), module.name
 
 
+_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _module_dict_writes(tree):
+    """(function, dict) for each write, inside a function, to a dict made at the module's top level:
+    an item assigned or deleted, or a call of one of `_DICT_WRITERS` on it."""
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, (ast.Dict, ast.DictComp))
+            or isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name) and node.value.func.id == "dict"
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            dicts.update(target.id for target in targets if isinstance(target, ast.Name))
+    writes = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _DICT_WRITERS:
+                written = node.func.value
+            else:
+                continue
+            if isinstance(written, ast.Name) and written.id in dicts:
+                writes.add((function.name, written.id))
+    return writes
+
+
+def test_no_function_writes_a_module_level_dict_but_the_shared_builds_and_the_compiled_checks():
+    """Every memo is a `functools` cache, except the shared builds kept by file text
+    (`resources._shared`) and the compiled schemas kept by identity (`resources._checks`)."""
+    written = {
+        (module.stem, name)
+        for module in sorted(PACKAGE.glob("*.py"))
+        for _, name in _module_dict_writes(ast.parse(module.read_text(), str(module)))
+    }
+    assert written == {("resources", "_shared"), ("resources", "_checks")}
+
+
+def test_the_module_dict_rule_sees_item_writes_deletes_and_writer_calls():
+    tree = ast.parse(
+        "A = {}\nB: dict = {}\nC = dict()\nD = []\n"
+        "def f():\n    A[1] = 2\n    del B[1]\n    D[0] = 1\n"
+        "class K:\n    def g(self):\n        C.setdefault(1, 2)\n        local = {}\n        local[1] = 2\n"
+    )
+    assert _module_dict_writes(tree) == {("f", "A"), ("f", "B"), ("g", "C")}
+
+
 @pytest.mark.parametrize(
     "pattern",
     ["4..", "5..", r"0\.00\d+ seconds", r"^\d+m$", "sock-shop/.*", "a|b", "(a|b)+", "x{2,5}y?", "(?:ab)*c", ""],

@@ -336,6 +336,39 @@ def test_a_trial_over_its_time_budget_stops_and_keeps_the_evidence(tmp_path, mon
     assert (report["completed_rounds"], len(report["tasks"])) == ((0, 0) if calls_in_time == 1 else (1, 4))
 
 
+@pytest.mark.parametrize("kind, reason", [
+    (RuntimeError, "internal: RuntimeError: completion failed"),
+    (KeyboardInterrupt, "interrupted: KeyboardInterrupt"),
+])
+@pytest.mark.parametrize("stop_at", ["first", 40, "last"])
+def test_a_trial_stopped_by_any_exception_keeps_its_evidence_and_lets_it_through(
+    golden_trial, tmp_path, kind, reason, stop_at
+):
+    """The k-th scripted completion raises: the exception leaves `run_trial` unchanged, the log
+    is a byte prefix of the full seed-7 log that `History.load` reads, and the report names it."""
+    golden, golden_dir = golden_trial
+    stop_at = {"first": 1, "last": golden.report["usage"]["calls"]}.get(stop_at, stop_at)
+    calls = itertools.count(1)
+    complete = ScriptedGateway._complete
+    raised = kind("completion failed")
+
+    def failing(self, route, prompt):
+        if next(calls) == stop_at:
+            raise raised
+        return complete(self, route, prompt)
+
+    out_dir = tmp_path / "out"
+    with mock.patch.object(ScriptedGateway, "_complete", failing), pytest.raises(kind) as caught:
+        run_trial(TrialConfig(seed=7, out_dir=str(out_dir)))
+    assert caught.value is raised and next(calls) == stop_at + 1
+    log = (out_dir / "history.log").read_bytes()
+    assert (golden_dir / "history.log").read_bytes().startswith(log)
+    assert len(History.load(str(out_dir / "history.log")).records) == log.count(b"\n") - 1
+    assert (out_dir / "library.json").exists() and (out_dir / "library.md").exists()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert (report["truncated"], report["truncation_reason"]) == (True, reason)
+
+
 @pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 2000], ids=["huge-repeat", "deep-nesting"])
 def test_a_plan_regex_that_does_not_compile_is_rejected_and_the_trial_keeps_its_evidence(tmp_path, pattern):
     records = _records("observation_only.yaml")
@@ -431,7 +464,8 @@ def test_an_eval_column_scores_the_bundled_suite_with_no_spend_cap(golden_trial)
 
 def test_an_eval_column_digests_nothing_asks_once_per_task_and_repeats_no_scrape_run(golden_trial):
     """On seed 7 a column's setup mutations report without digesting, the library is asked once
-    per suite task, not once per repeat, and a second column takes every scrape run from the memo."""
+    per suite task, not once per repeat, and a second column computes no scrape run: it takes
+    each from the memo, so the memo's misses stay where the first column left them."""
     _, out_dir = golden_trial
     library = SkillLibrary.load(str(out_dir / "library.json"))
     suite = load_suite(str(fixture_path("eval_suite.yaml")))
@@ -440,9 +474,23 @@ def test_an_eval_column_digests_nothing_asks_once_per_task_and_repeats_no_scrape
                               side_effect=SkillLibrary.retrieve_skills) as retrievals:
         first = run_evaluation(library, suite, TrialConfig(seed=7))
     assert (digests.call_count, retrievals.call_count) == (0, len(suite)) == (0, 5)
-    with mock.patch.object(cluster, "_run_values", wraps=cluster._run_values) as computed:
-        assert run_evaluation(library, suite, TrialConfig(seed=7)) == first
-    assert computed.call_count == 0
+    misses = cluster._run_values.cache_info().misses
+    assert run_evaluation(library, suite, TrialConfig(seed=7)) == first
+    assert cluster._run_values.cache_info().misses == misses
+
+
+def test_scrape_runs_repeat_across_the_cells_of_an_eval_column_and_never_within_a_trial(golden_trial, tmp_path):
+    """From a cleared memo a seed-7 column computes 4 scrape runs and takes the other 56 from the
+    memo, as its cells share one warm-up; a seed-7 trial computes each of its 42 runs once."""
+    _, out_dir = golden_trial
+    library = SkillLibrary.load(str(out_dir / "library.json"))
+    suite = load_suite(str(fixture_path("eval_suite.yaml")))
+    cluster._run_values.cache_clear()
+    run_evaluation(library, suite, TrialConfig(seed=7))
+    assert cluster._run_values.cache_info()[:2] == (56, 4)  # (hits, misses)
+    cluster._run_values.cache_clear()
+    run_trial(TrialConfig(seed=7, out_dir=str(tmp_path)))
+    assert cluster._run_values.cache_info()[:2] == (0, 42)
 
 
 def test_assemble_grid_shapes_rows_and_columns():

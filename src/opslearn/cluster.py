@@ -760,5 +760,5 @@ def _copied(record: T, **fields: Any) -> T:
 def clone(state: ClusterState) -> ClusterState:
     """An independent copy, metric history included: every value a state holds is immutable,
     so a shallow copy of the state and of each deployment shares them all, and the store
-    is forked (`MetricStore.fork`)."""
+    is a copied store (`MetricStore.fork`)."""
     return _copied(state, deployments=list(map(_copied, state.deployments)), metrics=state.metrics.fork())

@@ -147,8 +147,7 @@ class KnowledgeCurator:
         if dep is None:
             return "rejected"
         if facet not in _SUBJECT_FACETS:
-            shell = ShellGateway(clone(state))
-            described = shell.execute(
+            described = ShellGateway(state).execute(  # a read verb: the live state is left as it is
                 f"kubectl describe deployment {dep.name} -n {dep.namespace}"
             )
             question = (

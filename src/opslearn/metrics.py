@@ -8,19 +8,13 @@ stores the values given; a counter stores a running total, the series'
 latest value plus each increment in turn. `append` takes one run for each
 of several series at the same times, as a scrape writes them, and checks
 that the times ascend once; `ingest` (a gauge) and `add` (a counter) are
-its one-series calls. Each run costs one lookup, one check of the
-series' latest time and at most one list copy (the copy-on-first-append
-rule below), however many samples it holds.
+its one-series calls. Each run costs one lookup and one check of the
+series' latest time, however many samples it holds.
 
-Sharing contract: `fork()` (which `cluster.clone` calls for a state's
-store) copies a store in O(series). The fork and its source share every
-per-series sample list, and neither side owns a shared list any more.
-`append` copies a series' list the first time its side
-appends to it after a fork, so an append on one side never shows through
-on the other.
-A side that only reads, as a curator's validation clone does, copies no
-samples at all. Samples are immutable tuples, so a shallow list copy is a
-full copy.
+A store owns every list it holds: `fork()` (which `cluster.clone` calls
+for a state's store) returns a copied store, with a copy of each series'
+list, so an append on one side never shows on the other. Samples are
+immutable tuples, so a shallow list copy is a full copy.
 """
 
 from __future__ import annotations
@@ -94,13 +88,11 @@ class MetricStore:
 
     def __init__(self) -> None:
         self._samples: dict[SeriesId, list[tuple[float, float]]] = {}
-        self._owned: set[SeriesId] = set()  # series whose list no fork shares
 
     def fork(self) -> "MetricStore":
-        """A store with the same samples, sharing every sample list with this one."""
+        """A store with the same samples, holding its own copy of each sample list."""
         fork = MetricStore()
-        fork._samples = dict(self._samples)
-        self._owned = set()  # every list is shared now
+        fork._samples = {series: points.copy() for series, points in self._samples.items()}
         return fork
 
     def append(self, times: Sequence[float], runs: Iterable[tuple[SeriesId, Sequence[float], bool]]) -> None:
@@ -109,7 +101,7 @@ class MetricStore:
         ascend, the first after each series' latest; a refused run changes nothing, nor do those after it."""
         if not times:  # an empty run changes nothing
             return
-        samples, owned, first = self._samples, self._owned, times[0]
+        samples, first = self._samples, times[0]
         ascending, one = all(map(lt, times, times[1:])), len(times) == 1
         for series, values, counter in runs:
             points = samples.get(series)
@@ -117,9 +109,8 @@ class MetricStore:
             if not (ascending and latest < first):  # a NaN is not after anything either
                 t, latest = next((t, before) for before, t in zip((latest, *times), times) if not before < t)
                 raise OrderViolation(f"sample for {series.metric_name} at t={t} is not after latest t={latest}")
-            if series not in owned:  # new, or shared with a fork: append to a private copy
-                points = samples[series] = list(points or ())
-                owned.add(series)
+            if points is None:  # a series never seen before
+                points = samples[series] = []
             if one:  # a tick of one sample, as each step of a long horizon takes, builds no iterators
                 points.append((first, last + values[0] if counter else values[0]))
                 continue

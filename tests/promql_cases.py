@@ -75,17 +75,23 @@ def _random_series(rng: random.Random) -> list[oracle.RawSeries]:
 
 
 def _random_histogram_series(rng: random.Random) -> list[oracle.RawSeries]:
-    """Cumulative bucket counters for one or two label groups."""
+    """Cumulative bucket counters for one or two label groups.
+
+    Some histograms reach the edge cases of a quantile: a first bound at or
+    below 0, buckets that never fill (an empty first bucket under q=0), and
+    no observations at all (a zero total)."""
     series: list[oracle.RawSeries] = []
-    bounds = rng.choice([[0.005, 0.01], [0.1, 0.5, 1.0], [0.25, 2.5]])
+    bounds = rng.choice([[0.005, 0.01], [0.1, 0.5, 1.0], [0.25, 2.5], [0.0, 0.5], [-0.5, 0.25]])
     for group in range(rng.randint(1, 2)):
         base_labels = {"job": _LABEL_VALUES["job"][group]}
         raw = [0.0] * (len(bounds) + 1)
+        empty = set(range(len(raw))) if rng.random() < 0.1 else {i for i in range(len(raw)) if rng.random() < 0.2}
         t = rng.uniform(0.0, 60.0)
         history: list[tuple[float, list[float]]] = []
         for _ in range(rng.randint(2, 6)):
             for i in range(len(raw)):
-                raw[i] += rng.uniform(0.0, 20.0)
+                if i not in empty:
+                    raw[i] += rng.uniform(0.0, 20.0)
             cumulative: list[float] = []
             acc = 0.0
             for count in raw:

@@ -221,18 +221,34 @@ def test_clone_is_independent():
     assert state_digest(copy_state) != state_digest(state)
 
 
-def test_a_fresh_clone_shares_every_sample_list_and_the_fixed_config():
-    """A clone copies the state record and each deployment record; every value they hold is shared."""
+def test_a_fresh_clone_shares_the_fixed_config_and_copies_every_sample_list():
+    """A clone copies the state record and each deployment record, and every value they hold is
+    shared; its store holds an equal copy of each sample list and shares none of them."""
     state = _fresh()
     tick(state, 300.0)
     copy_state = clone(state)
+    assert copy_state.metrics._samples.keys() == state.metrics._samples.keys()
     for sid, points in state.metrics._samples.items():
-        assert copy_state.metrics._samples[sid] is points
+        assert copy_state.metrics._samples[sid] is not points
+        assert copy_state.metrics._samples[sid] == points
     assert copy_state.namespaces is state.namespaces
     for dep, copied in zip(state.deployments, copy_state.deployments):
         assert copied is not dep
         for f in dataclasses.fields(dep):
             assert getattr(copied, f.name) is getattr(dep, f.name), f.name
+
+
+def test_the_live_state_appends_in_place_after_a_clone():
+    """A clone takes no list from the live store, so the live state's next tick appends to
+    each of its 17 sample lists in place and replaces none."""
+    state = _fresh()
+    tick(state, 300.0)
+    lists = dict(state.metrics._samples)
+    assert len(lists) == 17
+    clone(state)
+    tick(state, 30.0)
+    assert state.metrics._samples.keys() == lists.keys()
+    assert all(state.metrics._samples[sid] is points for sid, points in lists.items())
 
 
 _MUTATIONS = [

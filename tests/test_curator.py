@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
-from opslearn.cluster import load_topology, tick
+from opslearn import curator as curator_module
+from opslearn.cluster import clone, load_topology, state_digest, tick
 from opslearn.curator import KnowledgeCurator, parse_skills, render_trajectory
 from opslearn.datalayer import History, InteractionRecord, SkillEntry, SkillLibrary, Task
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
@@ -290,6 +293,8 @@ def test_validate_configuration_replicas_tracks_current_state():
 
 
 def test_validate_configuration_unknown_facet_uses_judge():
+    """The judge reads a `kubectl describe` of the live state: no clone, and the state's
+    digest and samples stay as they were."""
     records = [
         ScriptRecord("curator", "match", guard="agrees with the deployment description"),
     ]
@@ -299,7 +304,13 @@ def test_validate_configuration_unknown_facet_uses_judge():
         "the catalogue deployment carries label app=catalogue",
         subject="sock-shop/catalogue/labels",
     )
-    assert curator.validate(entry, _state(), TRAJECTORY) == "validated"
+    state = _state()
+    digest, samples = state_digest(state), {sid: state.metrics.samples(sid) for sid in state.metrics.series_ids()}
+    with mock.patch.object(curator_module, "clone", wraps=clone) as clones:
+        assert curator.validate(entry, state, TRAJECTORY) == "validated"
+    assert clones.call_count == 0
+    assert state_digest(state) == digest
+    assert {sid: state.metrics.samples(sid) for sid in state.metrics.series_ids()} == samples
 
 
 def test_validate_reflection_citation_rules():

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -493,6 +494,22 @@ def test_scrape_runs_repeat_across_the_cells_of_an_eval_column_and_never_within_
     assert cluster._run_values.cache_info()[:2] == (0, 42)
 
 
+def test_a_seed_7_trial_clones_only_to_validate_its_command_skills(tmp_path, monkeypatch):
+    """Each of the trial's 10 clones comes from the curator's Command validation."""
+    callers = []
+
+    def counted(state):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(state)
+
+    original = cluster.clone
+    for module in [m for name, m in sys.modules.items() if name.startswith("opslearn")]:
+        if getattr(module, "clone", None) is original:
+            monkeypatch.setattr(module, "clone", counted)
+    run_trial(TrialConfig(seed=7, out_dir=str(tmp_path)))
+    assert callers == ["_validate_command"] * 10
+
+
 def test_assemble_grid_shapes_rows_and_columns():
     column_a = {"tasks": ["t1", "t2"], "cells": {"t1": [0, 3], "t2": [3, 3]}, "repeats": 3}
     column_b = {"tasks": ["t1", "t2"], "cells": {"t1": [3, 3], "t2": [3, 3]}, "repeats": 3}
@@ -565,9 +582,17 @@ def test_seed_1009_trial_fingerprints(tmp_path):
 
 @pytest.mark.parametrize("flags", SCRIPTED_RUN_FINGERPRINTS)
 def test_scripted_run_fingerprints(flags, tmp_path, capsys):
+    """Each run writes its pinned artifacts, and a replay of its own log rebuilds its library
+    byte for byte and ends at its report's clock and mutation count."""
     argv = [fixture_path(word) if word.startswith("scripts/") else word for word in flags.split()]
     assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 0
     assert _fingerprints(tmp_path, SCRIPTED_RUN_FINGERPRINTS[flags]) == SCRIPTED_RUN_FINGERPRINTS[flags]
+    seed = int(argv[argv.index("--seed") + 1])
+    library, state = replay_history(str(tmp_path / "history.log"), str(fixture_path("sock_shop.yaml")), seed=seed)
+    library.save(str(tmp_path / "replayed.json"))
+    assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (state.sim_time, state.mutation_count) == (report["final_sim_time"], report["mutation_count"])
 
 
 def test_seed_7_report_fingerprints(golden_trial, tmp_path, capsys):

@@ -189,6 +189,59 @@ def test_listing_and_flag_errors_exact_output(gateway, line, stderr):
     assert (result.stdout, result.stderr, result.exit_code) == ("", stderr, 1)
 
 
+# One row per usage error an agent can get back: (command line, stdout, stderr, exit code).
+_PROM_FAILED = (
+    'error: prometheus query failed: {"status": "error", "errorType": "bad_data", '
+    '"error": "invalid parameter \\"query\\": parse error at char 4: empty expression"}'
+)
+_USAGE_ERRORS = [
+    ("kubectl scale deployment catalogue -n sock-shop", "", "error: --replicas is required", 1),
+    ("kubectl scale pod catalogue --replicas=1", "", "error: scale takes: deployment NAME --replicas=K", 1),
+    ("kubectl patch deployment catalogue -n sock-shop", "", "error: -p is required", 1),
+    ("kubectl patch pod catalogue -p '{}'", "", "error: patch takes: deployment NAME -p '<json>'", 1),
+    ("kubectl patch deployment catalogue -n sock-shop -p '{bad'", "",
+     "error: cannot parse patch: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", 1),
+    ("kubectl set resources deployment catalogue -n sock-shop", "",
+     "error: at least one of --requests or --limits is required", 1),
+    ("kubectl set image deployment catalogue", "", "error: set supports: resources deployment NAME", 1),
+    ("kubectl label deployment catalogue -n sock-shop tier", "", "error: bad label spec 'tier'", 1),
+    ("kubectl label deployment catalogue -n sock-shop =web", "", "error: bad label spec '=web'", 1),
+    ("kubectl label deployment catalogue", "", "error: label takes: deployment NAME KEY=VALUE", 1),
+    ("kubectl delete deployment catalogue -n sock-shop", "", "error: delete supports pods only", 1),
+    ("kubectl describe deployment", "", "error: describe takes a resource type and a name", 1),
+    ("kubectl get", "", "error: you must specify the type of resource to get", 1),
+    ("kubectl get pods catalogue extra", "", 'error: unknown command "extra"', 1),
+    ("kubectl top deployments", "", "error: top supports pods only", 1),
+    ("kubectl top", "", "error: top supports pods only", 1),
+    ("kubectl top pods -n sock-shop", "", "Metrics API not available", 1),
+    ("kubectl", "", 'error: unknown command "kubectl"', 1),
+    ("kubectl get pods 'open", "", "error: No closing quotation", 1),
+    ("kubectl get pods -n sock-shop | grep a b", "", "error: grep takes exactly one pattern", 1),
+    ("kubectl get pods -n sock-shop | grep 'a", "", "error: No closing quotation", 1),
+    ("kubectl get pods -n sock-shop | sort", "", 'error: unknown command "sort"', 1),
+    ("curl", "", "error: curl takes exactly one URL", 1),
+    ("curl http://prometheus:9090/ http://prometheus:9090/", "", "error: curl takes exactly one URL", 1),
+    ("curl ftp://prometheus/api", "", "curl: (3) URL rejected: ftp://prometheus/api", 1),
+    ("report_result(component='catalogue', hello)", "", "error: cannot parse argument near ' hello'", 1),
+    ("report_result(component='catalogue')", "", "error: report_result missing ['message', 'message_type']", 1),
+    ("report_result(component='catalogue', message='hi', message_type='SHOUT')", "",
+     "error: unknown message_type 'SHOUT'", 1),
+    ("shout()", "", 'error: unknown command "shout"', 1),
+    ("query_prometheus()", "", "error: query_prometheus needs promQL='...'", 1),
+    ("query_prometheus(promQL='')", "", "error: query_prometheus needs promQL='...'", 1),
+    ("query_prometheus(promQL='sum(')", "", _PROM_FAILED, 1),
+]
+
+
+@pytest.mark.parametrize("line, stdout, stderr, exit_code", _USAGE_ERRORS)
+def test_usage_errors_exact_output(gateway, line, stdout, stderr, exit_code):
+    """Each reply as an agent reads it. The state has no Metrics API, which only `top` asks for,
+    after its usage check; no row changes the state."""
+    gateway.state.metrics_available = False
+    result = gateway.execute(line)
+    assert (result.stdout, result.stderr, result.exit_code, result.state_mutated) == (stdout, stderr, exit_code, False)
+
+
 def test_pipe_grep_filters_stdout(gateway):
     result = gateway.execute("kubectl get deployments --all-namespaces | grep catalogue")
     assert result.exit_code == 0

@@ -8,8 +8,6 @@ and the progression check dispose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .datalayer import ACTION, TASK_BLOCK, InteractionRecord, Task, task_close
 from .llm import BaseGateway, ask_until_parsed, parse_blocks
 from .resources import conform, prompt_template
@@ -22,57 +20,38 @@ class RoundGenerationFailed(Exception):
     pass
 
 
-@dataclass
-class TaskSummary:
-    task_id: str
-    description: str
-    outcome: str
-    last_feedback: str | None
-
-
-def summarize_history(records: list[InteractionRecord]) -> list[TaskSummary]:
-    """Fold the raw log into one block per task, oldest first.
-
-    The manager closes every task with a task-close record (see
-    `datalayer.task_close`); feedback records in between supply the most
-    recent refinement signal.
-    """
-    order: list[str] = []
-    summaries: dict[str, TaskSummary] = {}
+def _task_block(task_id: str, records: list[InteractionRecord]) -> str:
+    """One task's lines of the context: the description and outcome of its
+    task-close record (see `datalayer.task_close`), and its latest feedback."""
+    description, outcome, feedback = "", "unknown", None
     for record in records:
-        if record.task_id and record.task_id not in summaries:
-            order.append(record.task_id)
-            summaries[record.task_id] = TaskSummary(record.task_id, "", "unknown", None)
         if record.payload_kind == "feedback":
-            summaries[record.task_id].last_feedback = record.payload
+            feedback = record.payload
         closed = task_close(record)
-        if closed and closed[0] == record.task_id:
-            summary = summaries[record.task_id]
-            summary.outcome, summary.description = closed[1], closed[2]
-    return [summaries[tid] for tid in order]
+        if closed and closed[0] == task_id:
+            outcome, description = closed[1], closed[2]
+    block = f"- {task_id}: {description or '(description unavailable)'}\n  outcome: {outcome}"
+    return f"{block}\n  last feedback: {feedback}" if feedback else block
 
 
-def build_context(snapshot: str, history: list[InteractionRecord]) -> str:
-    """Deterministic prompt context: the running-state snapshot text, then history."""
+def build_context(snapshot: str, tasks: dict[str, list[InteractionRecord]]) -> str:
+    """Deterministic prompt context: the running-state snapshot text, then one block per task
+    of `History.tasks` (the records between tasks left out), oldest first. Only the newest
+    blocks that fit are kept: the text before them, the blocks and the newlines between them
+    come to at most CONTEXT_CHAR_BUDGET, and a first line counts the tasks left out."""
     sections = ["== running state ==", snapshot, "", "== interaction history =="]
-    summaries = summarize_history(history)
-    if not summaries:
-        sections.append(f"({NO_HISTORY_MARKER})")
-    else:
-        blocks = []
-        for s in summaries:
-            block = f"- {s.task_id}: {s.description or '(description unavailable)'}\n  outcome: {s.outcome}"
-            if s.last_feedback:
-                block += f"\n  last feedback: {s.last_feedback}"
-            blocks.append(block)
-        fixed = "\n".join(sections)
-        dropped = 0
-        while blocks and len(fixed) + len("\n".join(blocks)) > CONTEXT_CHAR_BUDGET:
-            blocks.pop(0)  # oldest summaries go first
-            dropped += 1
-        if dropped:
-            blocks.insert(0, f"({dropped} earlier tasks omitted)")
-        sections.extend(blocks)
+    blocks: list[str] = []  # newest first
+    length = len("\n".join(sections)) - 1  # the text before the blocks, less the first newline
+    for task_id in filter(None, reversed(tasks)):  # rendered newest first, until one does not fit
+        block = _task_block(task_id, tasks[task_id])
+        length += 1 + len(block)
+        if length > CONTEXT_CHAR_BUDGET:
+            break
+        blocks.append(block)
+    omitted = len(tasks) - ("" in tasks) - len(blocks)
+    if omitted:
+        blocks.append(f"({omitted} earlier tasks omitted)")
+    sections.extend(reversed(blocks) if blocks else [f"({NO_HISTORY_MARKER})"])
     return "\n".join(sections)
 
 

@@ -91,16 +91,23 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)  # one encoder for every hist
 
 
 class History:
-    """Append-only, totally ordered interaction log.
+    """Append-only, totally ordered interaction log, grouped by task.
 
     The history stamps each record itself: with the task opened by
     `open_task` (empty between tasks) and the simulation time `clock()`.
+    `tasks` maps each task id to its records in log order, ids in the order
+    of their first record (`""` between tasks); `add` and `load` fill it.
     """
 
     def __init__(self, clock: Callable[[], float] = lambda: 0.0) -> None:
         self.records: list[InteractionRecord] = []
+        self.tasks: dict[str, list[InteractionRecord]] = {}
         self.clock = clock
         self.task_id = ""
+
+    def _append(self, record: InteractionRecord) -> None:
+        self.records.append(record)
+        self.tasks.setdefault(record.task_id, []).append(record)
 
     def open_task(self, task_id: str) -> None:
         self.task_id = task_id
@@ -118,7 +125,7 @@ class History:
             feedback_kind=feedback_kind,
             timestamp=self.clock(),
         )
-        self.records.append(record)
+        self._append(record)
         return record
 
     def close_task(self, task: Task) -> InteractionRecord:
@@ -130,7 +137,8 @@ class History:
         return record
 
     def for_task(self, task_id: str) -> list[InteractionRecord]:
-        return [r for r in self.records if r.task_id == task_id]
+        """The task's records in log order, as a new list: changing it leaves the history alone."""
+        return list(self.tasks.get(task_id, ()))
 
     def dump(self, path: str) -> None:
         lines = [json.dumps({"history_schema": HISTORY_SCHEMA})]
@@ -145,7 +153,8 @@ class History:
         or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
         history = cls()
         docs = read_input("history", path, _history_lines, parse=parse_json_lines)
-        history.records = [InteractionRecord(**doc) for doc in docs]
+        for doc in docs:
+            history._append(InteractionRecord(**doc))
         return history
 
 

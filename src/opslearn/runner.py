@@ -230,7 +230,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                 truncation_reason = "time"
                 break
             tick(state, ROUND_TICK_SECONDS)
-            context = build_context(build_snapshot(state), history.records)
+            context = build_context(build_snapshot(state), history.tasks)
             tasks = builder.generate_round(
                 context, round_no, config.tasks_per_round, prev_round
             )
@@ -243,7 +243,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
                 outcome = planner.run_task(task, skills)
                 all_tasks.append(task)
                 if outcome.succeeded and outcome.solution is not None:
-                    trajectory = list(history.for_task(task.id))
+                    trajectory = history.for_task(task.id)
                     curator.curate(
                         task,
                         trajectory,

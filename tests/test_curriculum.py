@@ -13,9 +13,8 @@ from opslearn.curriculum import (
     build_context,
     difficulty_progression_check,
     parse_round,
-    summarize_history,
 )
-from opslearn.datalayer import History, Task
+from opslearn.datalayer import History, Task, task_close
 from opslearn.llm import GatewayConfig, ScriptRecord, ScriptedGateway
 
 
@@ -179,7 +178,7 @@ _SNAPSHOT = "2 deployments, 2 pods"
 
 
 def test_build_context_without_history():
-    text = build_context(_SNAPSHOT, [])
+    text = build_context(_SNAPSHOT, {})
     assert "== running state ==" in text
     assert "2 deployments, 2 pods" in text
     assert NO_HISTORY_MARKER in text
@@ -195,17 +194,67 @@ def test_build_context_summarizes_and_trims(monkeypatch):
         if i == 2:
             history.add("environment", "command failed: exit 22", "feedback", feedback_kind="environment")
         history.close_task(task)
-    summaries = summarize_history(history.records)
-    assert [s.task_id for s in summaries] == ["r1t1", "r1t2", "r1t3"]
-    assert summaries[1].last_feedback == "command failed: exit 22"
-    assert summaries[0].outcome == "succeeded"
-
-    text = build_context(_SNAPSHOT, history.records)
-    assert "- r1t2: step 2" in text
+    text = build_context(_SNAPSHOT, history.tasks)
+    assert text.split("== interaction history ==\n")[1] == "\n".join([
+        "- r1t1: step 1\n  outcome: succeeded",
+        "- r1t2: step 2\n  outcome: succeeded\n  last feedback: command failed: exit 22",
+        "- r1t3: step 3\n  outcome: succeeded",
+    ])
 
     # A tight budget drops the oldest summaries first and says so.
     monkeypatch.setattr(curriculum, "CONTEXT_CHAR_BUDGET", 170)
-    tight = build_context(_SNAPSHOT, history.records)
+    tight = build_context(_SNAPSHOT, history.tasks)
     assert "earlier tasks omitted" in tight
     assert "- r1t1" not in tight
     assert "- r1t3: step 3" in tight
+
+
+def _dropped_oldest_first(snapshot: str, history: list, budget: int) -> str:
+    """The context as an oldest-first drop loop writes it, from one fold over the whole log."""
+    sections = ["== running state ==", snapshot, "", "== interaction history =="]
+    tasks = {}  # task id -> [description, outcome, last feedback]
+    for record in history:
+        if record.task_id:
+            summary = tasks.setdefault(record.task_id, ["", "unknown", None])
+            if record.payload_kind == "feedback":
+                summary[2] = record.payload
+            closed = task_close(record)
+            if closed and closed[0] == record.task_id:
+                summary[1], summary[0] = closed[1], closed[2]
+    blocks = [
+        f"- {tid}: {d or '(description unavailable)'}\n  outcome: {o}" + (f"\n  last feedback: {f}" if f else "")
+        for tid, (d, o, f) in tasks.items()
+    ]
+    dropped = 0
+    while blocks and len("\n".join(sections)) + len("\n".join(blocks)) > budget:
+        blocks.pop(0)
+        dropped += 1
+    if dropped:
+        blocks.insert(0, f"({dropped} earlier tasks omitted)")
+    return "\n".join(sections + (blocks or [f"({NO_HISTORY_MARKER})"]))
+
+
+def test_build_context_keeps_what_an_oldest_first_drop_keeps_at_every_budget(monkeypatch):
+    """Records between tasks, a task reopened after its close, an empty last feedback, a
+    task without a close record and one whose close names another task included."""
+    history = History()
+    history.add("curriculum", "round 1", "prompt")
+    for i, status in enumerate(["succeeded", "failed", "succeeded", "failed"], start=1):
+        task = Task(id=f"r1t{i}", round=1, kind="observation", difficulty=1, description=f"step {i} " * i)
+        task.status = status
+        history.open_task(task.id)
+        history.add("manager", f"prompt {i}", "prompt")
+        history.add("environment", f"exit {i}", "feedback", feedback_kind="environment")
+        if i == 3:
+            history.add("front-end", "", "feedback", feedback_kind="peer")
+        history.close_task(task)
+    history.open_task("r1t2")
+    history.add("manager", "handoff rejected", "feedback", feedback_kind="hierarchical")
+    history.open_task("r2t1")
+    history.add("manager", "task=r1t1 status=failed description=not mine", "report")
+    history.open_task("")
+    history.add("curriculum", "round 2", "prompt")
+    full = _dropped_oldest_first(_SNAPSHOT, history.records, 10**6)
+    for budget in range(len(full) + 2):
+        monkeypatch.setattr(curriculum, "CONTEXT_CHAR_BUDGET", budget)
+        assert build_context(_SNAPSHOT, history.tasks) == _dropped_oldest_first(_SNAPSHOT, history.records, budget)

@@ -80,6 +80,44 @@ def test_history_round_trip(tmp_path):
     assert [r.id for r in loaded.for_task("r1t1")] == [1, 2, 3]
 
 
+GROUPING_EXAMPLES = 100  # about 0.5 s
+_TASK_IDS = ("", "r1t1", "r1t2", "r2t1")
+_history_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.sampled_from(_TASK_IDS)),
+        st.tuples(st.just("add"), st.sampled_from(["prompt", "command", "feedback", "report"])),
+        st.tuples(st.just("close"), st.sampled_from(_TASK_IDS[1:])),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=GROUPING_EXAMPLES, deadline=None)
+@given(steps=_history_steps)
+def test_for_task_reads_the_records_of_a_scan_before_and_after_a_round_trip(steps, tmp_path_factory):
+    """Tasks reopened after a close and records between tasks included; changing the
+    list `for_task` returns leaves the history's grouping alone."""
+    history = History()
+    for step, arg in steps:
+        if step == "open":
+            history.open_task(arg)
+        elif step == "add":
+            history.add("manager", arg, arg, "peer" if arg == "feedback" else None)
+        else:
+            history.close_task(Task(id=arg, round=1, kind="observation", difficulty=1, description=arg))
+    path = str(tmp_path_factory.mktemp("history") / "history.log")
+    history.dump(path)
+    loaded = History.load(path)
+    for grouped in (history, loaded):
+        assert list(grouped.tasks) == list(dict.fromkeys(r.task_id for r in grouped.records))
+        for task_id in _TASK_IDS:
+            scanned = [r.to_doc() for r in grouped.records if r.task_id == task_id]
+            records = grouped.for_task(task_id)
+            assert [r.to_doc() for r in records] == scanned
+            records.clear()
+            assert [r.to_doc() for r in grouped.for_task(task_id)] == scanned
+
+
 def test_history_dump_writes_the_sort_keys_json_of_each_record(tmp_path):
     """The dump's lines are pinned to `json.dumps(asdict(record), sort_keys=True)`:
     non-ASCII text, embedded newlines and quotes, a None feedback kind and

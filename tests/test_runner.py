@@ -14,10 +14,11 @@ from unittest import mock
 import pytest
 import yaml
 
-from opslearn import cluster, runner
+import long_trial
+from opslearn import cluster, curriculum, runner
 from opslearn.cli import main
 from opslearn.cluster import load_topology, tick
-from opslearn.datalayer import History, SkillEntry, SkillLibrary
+from opslearn.datalayer import History, SkillEntry, SkillLibrary, task_close
 from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, parse_yaml
 from opslearn.runner import (
@@ -614,6 +615,47 @@ def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
     )
     library.save(str(tmp_path / "library.json"))
     assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
+
+
+# The seed-7 trial on the golden script repeated 4 times: 20 rounds, 60 tasks.
+REPEATED_GOLDEN_FINGERPRINTS = {
+    "history.log": "b55ec74c661db145",
+    "library.json": "03b15a663ed6eb34",
+    "report.json": "c6f20f8f5fa3d77d",
+}
+
+
+def _repeated_golden_trial(tmp_path, k):
+    script = str(tmp_path / f"golden_x{k}.yaml")
+    long_trial.write_repeated_script(script, k)
+    out_dir = tmp_path / f"trial_x{k}"
+    assert run_trial(long_trial.repeated_config(script, k, str(out_dir))).exit_code == 0
+    return out_dir
+
+
+def test_repeated_golden_trial_fingerprints_and_byte_identical_replay(tmp_path):
+    out_dir = _repeated_golden_trial(tmp_path, 4)
+    assert _fingerprints(out_dir, REPEATED_GOLDEN_FINGERPRINTS) == REPEATED_GOLDEN_FINGERPRINTS
+    library, _ = replay_history(str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7)
+    assert library.export_json() + "\n" == (out_dir / "library.json").read_text()
+
+
+def test_the_records_a_round_context_reads_per_task_stay_flat_as_the_trial_grows(tmp_path, monkeypatch):
+    """A count of work, not a time: the context reads each record of the tasks whose blocks
+    it renders once, and renders only the newest blocks that fit its budget."""
+    reads = [0]
+
+    def counted(record):
+        reads[0] += 1
+        return task_close(record)
+
+    monkeypatch.setattr(curriculum, "task_close", counted)
+    per_task = {}
+    for k in (8, 16):
+        reads[0] = 0
+        _repeated_golden_trial(tmp_path, k)
+        per_task[k] = reads[0] / (15 * k)
+    assert per_task[16] <= 1.25 * per_task[8], per_task
 
 
 # The seed-7 evaluation grid, one column for the round-1 library of the

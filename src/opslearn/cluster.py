@@ -729,10 +729,11 @@ def _canonical(dep: Deployment) -> tuple:
 def _digest_moved(old: Deployment, new: Deployment) -> bool:
     """Whether one deployment's part of the digest differs. A change replaces a value whole, so a
     record whose fields are all still the same objects is unchanged; otherwise the canonical forms
-    are compared as the digest reads them, by `repr`, which tells a `-0.0` from a `0`."""
+    differ if they differ by `==` or, as the digest reads them, by `repr`, which tells a `-0.0` from a `0`."""
     if all(map(is_, vars(old).values(), vars(new).values())):
         return False
-    return repr(_canonical(old)) != repr(_canonical(new))
+    before, after = _canonical(old), _canonical(new)
+    return before != after or repr(before) != repr(after)
 
 
 def state_digest(state: ClusterState) -> str:

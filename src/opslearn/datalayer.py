@@ -152,8 +152,7 @@ class History:
         """The history a `dump` wrote; a refusal names the first line that is not JSON
         or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
         history = cls()
-        docs = read_input("history", path, _history_lines, parse=parse_json_lines)
-        for doc in docs:
+        for doc in read_input("history", path, _history_lines, parse=parse_json_lines):
             history._append(InteractionRecord(**doc))
         return history
 

@@ -112,7 +112,9 @@ class GatewayConfig:
     api_key_env: str = "OPENAI_API_KEY"
     budget_usd: float = 10.0
     routes: dict[str, ModelRoute] = field(default_factory=lambda: dict(DEFAULT_ROUTES))
-    cost_table: dict[str, dict[str, float]] = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COST_TABLE)))
+    cost_table: dict[str, dict[str, float]] = field(
+        default_factory=lambda: {model: dict(prices) for model, prices in DEFAULT_COST_TABLE.items()}
+    )
 
 
 # An `--llm-config` file holds only the keys of _CONFIG. The backend, the budget

@@ -289,7 +289,7 @@ class ShellGateway:
             self.state.metrics, httpapi.encode_query(expr), self.state.sim_time
         )
         if not response.ok:
-            raise _CommandError(f"error: prometheus query failed: {response.body}")
+            raise _CommandError(f"error: prometheus query failed: {_error_detail(response.body)}")
         return response.body
 
     # -- curl -----------------------------------------------------------------

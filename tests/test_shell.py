@@ -190,10 +190,7 @@ def test_listing_and_flag_errors_exact_output(gateway, line, stderr):
 
 
 # One row per usage error an agent can get back: (command line, stdout, stderr, exit code).
-_PROM_FAILED = (
-    'error: prometheus query failed: {"status": "error", "errorType": "bad_data", '
-    '"error": "invalid parameter \\"query\\": parse error at char 4: empty expression"}'
-)
+_PROM_FAILED = 'error: prometheus query failed: invalid parameter "query": parse error at char 4: empty expression'
 _USAGE_ERRORS = [
     ("kubectl scale deployment catalogue -n sock-shop", "", "error: --replicas is required", 1),
     ("kubectl scale pod catalogue --replicas=1", "", "error: scale takes: deployment NAME --replicas=K", 1),

@@ -300,7 +300,7 @@ class ShellGateway:
         url = tokens[0]
         m = re.match(r"^https?://[^/]+(/.*)?$", url)
         if m is None:
-            raise _CommandError(f"curl: (3) URL rejected: {url}")
+            raise _CommandError(f"curl: (3) URL rejected: {url}", exit_code=3)
         path_and_query = m.group(1) or "/"
         response = httpapi.handle_request(self.state.metrics, path_and_query, self.state.sim_time)
         if not response.ok:

@@ -218,7 +218,7 @@ _USAGE_ERRORS = [
     ("kubectl get pods -n sock-shop | sort", "", 'error: unknown command "sort"', 1),
     ("curl", "", "error: curl takes exactly one URL", 1),
     ("curl http://prometheus:9090/ http://prometheus:9090/", "", "error: curl takes exactly one URL", 1),
-    ("curl ftp://prometheus/api", "", "curl: (3) URL rejected: ftp://prometheus/api", 1),
+    ("curl ftp://prometheus/api", "", "curl: (3) URL rejected: ftp://prometheus/api", 3),
     ("report_result(component='catalogue', hello)", "", "error: cannot parse argument near ' hello'", 1),
     ("report_result(component='catalogue')", "", "error: report_result missing ['message', 'message_type']", 1),
     ("report_result(component='catalogue', message='hi', message_type='SHOUT')", "",

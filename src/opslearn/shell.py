@@ -467,7 +467,7 @@ class ShellGateway:
         if not positionals or _RESOURCES.get(positionals[0]) != _PODS:
             raise _CommandError("error: top supports pods only")
         if not self.state.metrics_available:
-            raise _CommandError("Metrics API not available")
+            raise _CommandError("error: Metrics API not available")
         name = positionals[1] if len(positionals) > 1 else None
         header = ["NAME", "CPU(cores)", "MEMORY(bytes)"]
         return self._list(_PODS, self.state.all_pods(), name, flags, header, self._top_row)

@@ -210,7 +210,7 @@ _USAGE_ERRORS = [
     ("kubectl get pods catalogue extra", "", 'error: unknown command "extra"', 1),
     ("kubectl top deployments", "", "error: top supports pods only", 1),
     ("kubectl top", "", "error: top supports pods only", 1),
-    ("kubectl top pods -n sock-shop", "", "Metrics API not available", 1),
+    ("kubectl top pods -n sock-shop", "", "error: Metrics API not available", 1),
     ("kubectl", "", 'error: unknown command "kubectl"', 1),
     ("kubectl get pods 'open", "", "error: No closing quotation", 1),
     ("kubectl get pods -n sock-shop | grep a b", "", "error: grep takes exactly one pattern", 1),

@@ -42,7 +42,7 @@ def build_context(snapshot: str, tasks: dict[str, list[InteractionRecord]]) -> s
     sections = ["== running state ==", snapshot, "", "== interaction history =="]
     blocks: list[str] = []  # newest first
     length = len("\n".join(sections)) - 1  # the text before the blocks, less the first newline
-    for task_id in filter(None, reversed(tasks)):  # rendered newest first, until one does not fit
+    for task_id in filter(None, reversed(tasks)):
         block = _task_block(task_id, tasks[task_id])
         length += 1 + len(block)
         if length > CONTEXT_CHAR_BUDGET:

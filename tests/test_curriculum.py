@@ -201,7 +201,7 @@ def test_build_context_summarizes_and_trims(monkeypatch):
         "- r1t3: step 3\n  outcome: succeeded",
     ])
 
-    # A tight budget drops the oldest summaries first and says so.
+    # A tight budget drops the oldest task blocks first and says so.
     monkeypatch.setattr(curriculum, "CONTEXT_CHAR_BUDGET", 170)
     tight = build_context(_SNAPSHOT, history.tasks)
     assert "earlier tasks omitted" in tight

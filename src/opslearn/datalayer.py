@@ -13,7 +13,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import promql
 from .cluster import ClusterState, Deployment
@@ -141,26 +141,26 @@ class History:
         return list(self.tasks.get(task_id, ()))
 
     def dump(self, path: str) -> None:
-        lines = [json.dumps({"history_schema": HISTORY_SCHEMA})]
-        lines.extend(_RECORD_ENCODER.encode(record.to_doc()) for record in self.records)
-        lines.append("")  # the file ends with a newline
+        """Write the log a line at a time: the header, then one line per record."""
         with open(path, "w") as fh:
-            fh.write("\n".join(lines))
+            fh.write(json.dumps({"history_schema": HISTORY_SCHEMA}) + "\n")
+            fh.writelines(_RECORD_ENCODER.encode(record.to_doc()) + "\n" for record in self.records)
 
     @classmethod
     def load(cls, path: str) -> "History":
-        """The history a `dump` wrote; a refusal names the first line that is not JSON
-        or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
-        history = cls()
-        for doc in read_input("history", path, _history_lines, parse=parse_json_lines):
-            history._append(InteractionRecord(**doc))
-        return history
+        """The history a `dump` wrote, read a line at a time; a refusal names the first line that
+        is not JSON or does not fit its schema, as in `line 3.payload: expected str, got 5`."""
+        return read_input("history", path, _history_lines, parse=parse_json_lines)
 
 
-def _history_lines(lines: dict[int, Any]) -> list[dict[str, Any]]:
-    """The record documents of a history's lines, once line 1 holds the header."""
-    conform(_HEADER, lines.pop(1, None), "line 1")
-    return [conform(_record, doc, f"line {number}") for number, doc in lines.items()]
+def _history_lines(lines: Iterator[tuple[int, Any]]) -> History:
+    """The history on a log's (line number, document) pairs, once line 1 holds the header."""
+    number, header = next(lines, (1, None))
+    conform(_HEADER, header if number == 1 else None, "line 1")
+    history = History()
+    for number, doc in lines:
+        history._append(InteractionRecord(**conform(_record, doc, f"line {number}")))
+    return history
 
 
 def _record(doc: Any) -> dict[str, Any]:

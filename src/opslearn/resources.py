@@ -10,7 +10,7 @@ import math
 import os
 import re
 import reprlib
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 import yaml
 
@@ -50,22 +50,24 @@ def read_input(
     shared: bool = False,
 ) -> Any:
     """`build(conform(spec, doc))` for the document in the file at path `source`, parsed from
-    its text with `parse` (`parse_yaml` by default), or for `source` itself when it is not a
-    path. Unusable input is one ConfigurationError worded `<what> <file>: [<path>: ]<reason>`;
-    a TypeError or KeyError out of `build` is a bug, not an input error, and propagates. A
-    `shared` build returns an immutable value, built once for each file text and kept; a
-    refused text is not kept, and a mapping handed over is read on every call."""
+    the open file with `parse` (`parse_yaml` by default), or for `source` itself when it is not
+    a path. Only `\\n` ends a line of the file, and `conform` runs while the file is open, so a
+    parser may read it lazily. Unusable input is one ConfigurationError worded `<what> <file>:
+    [<path>: ]<reason>`; a TypeError or KeyError out of `build` is a bug, not an input error, and
+    propagates. A `shared` build reads the file's text first, and returns an immutable value,
+    built once for each file text and kept; a refused text is not kept, and a mapping handed
+    over is read on every call."""
     name = f"{what} {source}" if isinstance(source, str) else what
     try:
         if not isinstance(source, str):
-            doc = source
+            checked = conform(spec, source)
         else:
-            with open(source) as fh:
-                text = fh.read()
-            if shared and (build, text) in _shared:
-                return _shared[build, text]
-            doc = (parse or parse_yaml)(text)
-        checked = conform(spec, doc)
+            with open(source, newline="\n") as fh:
+                if shared:
+                    text = fh.read()
+                    if (build, text) in _shared:
+                        return _shared[build, text]
+                checked = conform(spec, (parse or parse_yaml)(text if shared else fh))
         built = checked if build is None else build(checked)
         if shared and isinstance(source, str):
             _shared[build, text] = built
@@ -78,11 +80,16 @@ def read_input(
         raise ConfigurationError(f"{name}: {exc}") from None
 
 
-def parse_yaml(text: str) -> Any:
-    """The document in a YAML text, parsed with libyaml when it is installed; a
-    yaml.YAMLError worded `line L, column C: problem` when it does not parse, nests
-    deeper than MAX_DEPTH or holds an alias."""
+def _text(source: str | TextIO) -> str:
+    return source if isinstance(source, str) else source.read()
+
+
+def parse_yaml(source: str | TextIO) -> Any:
+    """The document in a YAML text or open file, parsed with libyaml when it is installed; a
+    yaml.YAMLError worded `line L, column C: problem` when it does not parse, nests deeper
+    than MAX_DEPTH or holds an alias."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = _text(source)
     try:
         _check_depth(text, loader)
         return yaml.load(text, Loader=loader)
@@ -106,15 +113,20 @@ def _check_depth(text: str, loader: Any) -> None:
             raise yaml.MarkedYAMLError(problem=f"nests deeper than {MAX_DEPTH} levels", problem_mark=event.start_mark)
 
 
-def parse_json(text: str) -> Any:
-    """The document in a JSON text; a ValueError worded `line L, column C: problem` when it does not parse."""
-    return _json(text, 1)
+def parse_json(source: str | TextIO) -> Any:
+    """The document in a JSON text or open file; a ValueError worded `line L, column C: problem` when it does not parse."""
+    return _json(_text(source), 1)
 
 
-def parse_json_lines(text: str) -> dict[int, Any]:
-    """The JSON document on each line that is not blank, by line number; refused as `parse_json`
-    refuses. Only `\\n` ends a line (`str.splitlines` would also split at U+2028 and the like)."""
-    return {number: _json(line, number) for number, line in enumerate(text.split("\n"), start=1) if line.strip()}
+def parse_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
+    """(line number, JSON document) for each line of an open file that is not blank, one
+    line at a time; refused as `parse_json` refuses. Only `\\n` ends a line: the file is open
+    with `newline="\\n"`, as `read_input` opens it (`str.splitlines` would also split at
+    U+2028 and the like)."""
+    for number, line in enumerate(lines, start=1):
+        line = line.removesuffix("\n")  # else an error at the line's end would name the next line
+        if line.strip():
+            yield number, _json(line, number)
 
 
 def _json(text: str, line: int) -> Any:

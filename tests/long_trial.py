@@ -8,7 +8,9 @@ For each k (default 1, 4, 16 and 64) it writes the bundled golden script with it
 records repeated k times, runs the seed-7 trial of 5k rounds (15k tasks) on it with
 the budgets raised out of reach, and replays the trial's log. It prints the time per
 task of the trial and of the replay in ms, each the best of 3 runs in this process,
-and the sha256 prefixes of `history.log`, `library.json` and `report.json`. The
+the process's peak RSS so far (`ru_maxrss`) in MB, and the sha256 prefixes of
+`history.log`, `library.json` and `report.json`. It runs the ks in ascending order,
+so each peak is that k's own; the first line gives the peak before any trial. The
 replayed library must equal the trial's byte for byte. The script is pure
 Python, so it times any tree put first on PYTHONPATH; pytest does not collect it.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -69,7 +72,12 @@ def measure(k: int, scratch: str) -> str:
     config = repeated_config(script, k, out_dir)
     trial_s = _best(lambda: run_trial(config))
     replayed: list = []
-    replay_s = _best(lambda: replayed.append(replay_history(os.path.join(out_dir, "history.log"), config.fixture_file(), 7)))
+
+    def replay() -> None:
+        replayed.clear()  # so the peak RSS holds one replay's state, not every run's
+        replayed.append(replay_history(os.path.join(out_dir, "history.log"), config.fixture_file(), 7))
+
+    replay_s = _best(replay)
     replayed_path = os.path.join(scratch, f"replayed_x{k}.json")
     replayed[-1][0].save(replayed_path)
     with open(replayed_path, "rb") as a, open(os.path.join(out_dir, "library.json"), "rb") as b:
@@ -77,11 +85,18 @@ def measure(k: int, scratch: str) -> str:
     tasks = 15 * k
     digests = " ".join(f"{name} {digest}" for name, digest in fingerprints(out_dir).items())
     return (f"k={k:<3} tasks={tasks:<5} trial {1000 * trial_s / tasks:6.2f} ms/task  "
-            f"replay {1000 * replay_s / tasks:6.2f} ms/task  {digests}  replay identical: {identical}")
+            f"replay {1000 * replay_s / tasks:6.2f} ms/task  peak RSS {peak_rss_mb():6.1f} MB  "
+            f"{digests}  replay identical: {identical}")
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (Linux reports `ru_maxrss` in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv: list[str]) -> None:
-    ks = [int(word) for word in argv] or [1, 4, 16, 64]
+    ks = sorted(int(word) for word in argv) or [1, 4, 16, 64]
+    print(f"peak RSS before any trial {peak_rss_mb():.1f} MB", flush=True)
     with tempfile.TemporaryDirectory() as scratch:
         for k in ks:
             print(measure(k, scratch), flush=True)

@@ -18,6 +18,9 @@ from opslearn.cluster import (
     ScrapeSeries,
     clone,
     component_names,
+    format_age,
+    format_cpu,
+    format_mem,
     load_topology,
     mutate,
     state_digest,
@@ -62,6 +65,32 @@ def test_tick_advances_clock_and_scrapes():
     jobs = state.metrics.label_values("job")
     assert "sock-shop/catalogue" in jobs
     assert "sock-shop/front-end" in jobs
+
+
+@pytest.mark.parametrize("dt", [0.0, -15.0])
+def test_tick_refuses_a_step_that_is_not_positive(dt):
+    state = _fresh()
+    with pytest.raises(InvalidArgument) as excinfo:
+        tick(state, dt)
+    assert str(excinfo.value) == "dt must be positive"
+    assert state.sim_time == 0.0
+
+
+# The quantity and age layouts that no listing of the bundled topology reaches, each as it is.
+@pytest.mark.parametrize(
+    "layout, value, text",
+    [
+        (format_cpu, 2000, "2"),
+        (format_mem, 1000, "1000"),
+        (format_age, -5, "0s"),
+        (format_age, 48 * 3600, "2d"),
+        (format_age, 53 * 3600 + 59, "2d5h"),
+        (format_age, 8 * 86400 - 1, "7d23h"),
+        (format_age, 8 * 86400 + 3600, "8d"),
+    ],
+)
+def test_quantities_and_ages_format_exactly(layout, value, text):
+    assert layout(value) == text
 
 
 def test_digest_ignores_time_but_not_configuration():

@@ -163,6 +163,27 @@ def test_a_history_refusal_names_its_own_line_past_raw_line_separators(tmp_path)
             History.load(str(path))
 
 
+def test_a_history_refusal_names_its_first_bad_line_though_a_later_line_is_not_json(tmp_path):
+    path = tmp_path / "history.log"
+    path.write_text(
+        '{"history_schema": 1}\n'
+        '{"actor": "m", "id": "1", "payload": "p", "payload_kind": "report", "task_id": ""}\n'
+        "{not json\n"
+    )
+    with pytest.raises(ConfigurationError, match=f"^history {path}: line 2.id: expected int, got '1'$"):
+        History.load(str(path))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_only_a_newline_ends_a_history_line(tmp_path, end):
+    """A raw carriage return inside a line is JSON whitespace, and one before each newline too."""
+    lines = ['{"history_schema": 1}', '{"id": 1,\r"task_id": "", "actor": "m", "payload": "p", "payload_kind": "report"}']
+    path = tmp_path / "history.log"
+    path.write_bytes("".join(line + end for line in lines).encode())
+    [record] = History.load(str(path)).records
+    assert (record.id, record.task_id, record.actor, record.payload) == (1, "", "m", "p")
+
+
 def test_an_empty_history_dumps_only_its_header(tmp_path):
     path = tmp_path / "history.log"
     History().dump(str(path))

@@ -5,7 +5,8 @@ read back (`library.json` and `history.log`).
 Each loader reads its bundled document with one node spoiled: a key or list
 item dropped, a value replaced by one of another type, or a key added to a
 mapping. The spoiled document is handed to the loader where the one reader,
-`resources.read_input`, parses its file's text. Whatever the spoiling, the loader
+`resources.read_input`, parses its file: the text for a shared build, else the
+open file. Whatever the spoiling, the loader
 returns a value or raises a ConfigurationError, one line that names the
 file; it never raises anything else. Spoiled mutation arguments either apply
 or are refused with the state left as it was. The compiled `conform` reads
@@ -107,7 +108,13 @@ def test_a_spoiled_document_loads_or_fails_with_the_loaders_error(tmp_path_facto
             message = str(exc)
             assert message.startswith(f"{what} {path}: ")
             assert "\n" not in message
-    parse.assert_called_once_with(text)
+    parse.assert_called_once()
+    (source,), keywords = parse.call_args
+    assert not keywords
+    if isinstance(source, str):  # a shared build keys on the text, so it parses the text
+        assert source == text
+    else:  # any other build parses the file while it is open
+        assert (source.name, source.mode, source.closed) == (str(path), "r", True)
 
 
 _TARGET = {"namespace": "sock-shop", "name": "catalogue"}

@@ -252,6 +252,27 @@ def test_grammar_violations_raise_parse_error(text):
         evaluate(store, text, 0.0)
 
 
+# One row for each of the parser's refusals that the rows above do not reach, with its reply as it is.
+@pytest.mark.parametrize(
+    "text, reply",
+    [
+        ("sum by (job", "parse error at char 11: unexpected end of expression"),
+        (")", "parse error at char 0: unexpected token ')'"),
+        ('up{job="a"', "parse error at char 10: unterminated matcher list"),
+        ('up{"a"="b"}', "parse error at char 3: expected label name, got 'a'"),
+        ('up{job "a"}', "parse error at char 7: expected = or =~, got 'a'"),
+        ("up{job=a}", "parse error at char 7: matcher value must be a quoted string"),
+        ("rate(up[m])", "parse error at char 8: expected duration, got 'm'"),
+        ("histogram_quantile(x, up)", "parse error at char 19: quantile must be a number, got 'x'"),
+        ("sum by (1)(up)", "parse error at char 8: expected label name, got '1'"),
+    ],
+)
+def test_each_parse_error_replies_exactly(text, reply):
+    with pytest.raises(ParseError) as excinfo:
+        evaluate(MetricStore(), text, 0.0)
+    assert str(excinfo.value) == reply
+
+
 @functools.cache
 def _fixture_store() -> MetricStore:
     return tick(load_topology(fixture_path("sock_shop.yaml"), seed=7), 300.0).metrics

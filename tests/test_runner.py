@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import sys
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,7 +18,7 @@ import yaml
 import long_trial
 from opslearn import cluster, curriculum, runner
 from opslearn.cli import main
-from opslearn.cluster import load_topology, tick
+from opslearn.cluster import load_topology, state_digest, tick
 from opslearn.datalayer import History, SkillEntry, SkillLibrary, task_close
 from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, parse_yaml
@@ -39,11 +40,39 @@ from opslearn.runner import (
 from opslearn.shell import ShellGateway
 
 
+def _loaded_states(monkeypatch):
+    """The states `runner.load_topology` returns from now on, in the order it returns them."""
+    states = []
+
+    def loaded(*args, **kwargs):
+        states.append(load_topology(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(runner, "load_topology", loaded)
+    return states
+
+
+def _assert_same_final_state(replayed, trial):
+    """The same configuration, by digest, and the same samples in every series."""
+    assert state_digest(replayed) == state_digest(trial)
+    assert {sid: replayed.metrics.samples(sid) for sid in replayed.metrics.series_ids()} == {
+        sid: trial.metrics.samples(sid) for sid in trial.metrics.series_ids()
+    }
+
+
 @pytest.fixture(scope="module")
-def golden_trial(tmp_path_factory):
+def golden_run(tmp_path_factory):
+    """The seed-7 trial's result, its out dir and its cluster's final state."""
     out_dir = tmp_path_factory.mktemp("trial")
-    result = run_trial(TrialConfig(seed=7, out_dir=str(out_dir)))
-    return result, out_dir
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        states = _loaded_states(monkeypatch)
+        result = run_trial(TrialConfig(seed=7, out_dir=str(out_dir)))
+    return result, out_dir, states[0]
+
+
+@pytest.fixture(scope="module")
+def golden_trial(golden_run):
+    return golden_run[:2]
 
 
 def _skill(kind: str, body: str, validated: bool = True) -> SkillEntry:
@@ -582,11 +611,13 @@ def test_seed_1009_trial_fingerprints(tmp_path):
 
 
 @pytest.mark.parametrize("flags", SCRIPTED_RUN_FINGERPRINTS)
-def test_scripted_run_fingerprints(flags, tmp_path, capsys):
+def test_scripted_run_fingerprints(flags, tmp_path, capsys, monkeypatch):
     """Each run writes its pinned artifacts, and a replay of its own log rebuilds its library
-    byte for byte and ends at its report's clock and mutation count."""
+    byte for byte and ends at the run's final state, its report's clock and its mutation count."""
     argv = [fixture_path(word) if word.startswith("scripts/") else word for word in flags.split()]
+    states = _loaded_states(monkeypatch)
     assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 0
+    [trial_state] = states
     assert _fingerprints(tmp_path, SCRIPTED_RUN_FINGERPRINTS[flags]) == SCRIPTED_RUN_FINGERPRINTS[flags]
     seed = int(argv[argv.index("--seed") + 1])
     library, state = replay_history(str(tmp_path / "history.log"), str(fixture_path("sock_shop.yaml")), seed=seed)
@@ -594,6 +625,7 @@ def test_scripted_run_fingerprints(flags, tmp_path, capsys):
     assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "library.json").read_bytes()
     report = json.loads((tmp_path / "report.json").read_text())
     assert (state.sim_time, state.mutation_count) == (report["final_sim_time"], report["mutation_count"])
+    _assert_same_final_state(state, trial_state)
 
 
 def test_seed_7_report_fingerprints(golden_trial, tmp_path, capsys):
@@ -603,18 +635,19 @@ def test_seed_7_report_fingerprints(golden_trial, tmp_path, capsys):
     assert _fingerprints(tmp_path, SEED_7_REPORT_FINGERPRINTS) == SEED_7_REPORT_FINGERPRINTS
 
 
-def test_seed_7_fingerprints_and_byte_identical_replay(golden_trial, tmp_path):
-    _, out_dir = golden_trial
+def test_seed_7_fingerprints_and_byte_identical_replay(golden_run, tmp_path):
+    _, out_dir, trial_state = golden_run
     digests = {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
         for name in SEED_7_FINGERPRINTS
     }
     assert digests == SEED_7_FINGERPRINTS
-    library, _ = replay_history(
+    library, state = replay_history(
         str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7
     )
     library.save(str(tmp_path / "library.json"))
     assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
+    _assert_same_final_state(state, trial_state)
 
 
 # The seed-7 trial on the golden script repeated 4 times: 20 rounds, 60 tasks.
@@ -633,11 +666,41 @@ def _repeated_golden_trial(tmp_path, k):
     return out_dir
 
 
-def test_repeated_golden_trial_fingerprints_and_byte_identical_replay(tmp_path):
-    out_dir = _repeated_golden_trial(tmp_path, 4)
+@pytest.fixture(scope="module")
+def repeated_golden_trial(tmp_path_factory):
+    return _repeated_golden_trial(tmp_path_factory.mktemp("repeated"), 4)
+
+
+def test_repeated_golden_trial_fingerprints_and_byte_identical_replay(repeated_golden_trial):
+    out_dir = repeated_golden_trial
     assert _fingerprints(out_dir, REPEATED_GOLDEN_FINGERPRINTS) == REPEATED_GOLDEN_FINGERPRINTS
     library, _ = replay_history(str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7)
     assert library.export_json() + "\n" == (out_dir / "library.json").read_text()
+
+
+def _traced_peak(call):
+    """The most memory `call()` held at once beyond what was held when it began, in bytes."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_history_log_is_read_and_written_a_line_at_a_time(repeated_golden_trial, tmp_path):
+    """Counts of memory, not times: loading the 60-task log holds its records and one line,
+    well under two copies of the file, and dumping it again holds hardly more than a line."""
+    log = repeated_golden_trial / "history.log"
+    size = log.stat().st_size
+    gc.collect()
+    assert _traced_peak(lambda: History.load(str(log))) <= 2 * size
+    history = History.load(str(log))
+    dumped = tmp_path / "history.log"
+    assert _traced_peak(lambda: history.dump(str(dumped))) <= 0.25 * size
+    assert dumped.read_bytes() == log.read_bytes()
 
 
 def test_the_records_a_round_context_reads_per_task_stay_flat_as_the_trial_grows(tmp_path, monkeypatch):

@@ -241,7 +241,7 @@ def _tokens(text: str) -> frozenset[str]:
     return frozenset(_TOKEN_RE.findall(text.lower()))
 
 
-_KIND_PRIORITY = {"Command": 0, "Configuration": 1, "Reflection": 2}
+_KIND_PRIORITY = {kind: rank for rank, kind in enumerate(SKILL_KINDS)}
 
 
 class SkillLibrary:

@@ -24,6 +24,7 @@ production Prometheus and documented where they diverge:
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 
@@ -114,6 +115,15 @@ class _Token:
     text: str
     pos: int
 
+    def is_punct(self, *texts: str) -> bool:
+        """A quoted string never stands for punctuation, even when its text is `(` or `=`."""
+        return self.kind == "punct" and self.text in texts
+
+    @property
+    def shown(self) -> str:
+        """The token as an error names it: a string in quotes, so it never reads as a name."""
+        return json.dumps(self.text, ensure_ascii=False) if self.kind == "string" else self.text
+
 
 # One alternative per token kind, tried in this order at each position; blanks
 # have no group and make no token, and any other character is `bad`. A string
@@ -166,15 +176,15 @@ class _Parser:
 
     def _expect(self, text: str) -> _Token:
         tok = self._next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.pos)
+        if not tok.is_punct(text):
+            raise ParseError(f"expected {text!r}, got {tok.shown!r}", tok.pos)
         return tok
 
     def parse(self) -> Expr:
         expr = self._parse_expr()
         tok = self._peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+            raise ParseError(f"trailing input {tok.shown!r}", tok.pos)
         return expr
 
     def _nest(self, pos: int) -> None:
@@ -189,7 +199,7 @@ class _Parser:
         left = self._parse_atom()
         while True:
             tok = self._peek()
-            if tok is None or tok.text != "/":
+            if tok is None or not tok.is_punct("/"):
                 self.depth = outer
                 return left
             self._next()
@@ -206,17 +216,17 @@ class _Parser:
             if tok.text in _FUNCTIONS:
                 return self._parse_function()
             nxt = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.text == "(":
+            if nxt is not None and nxt.is_punct("("):
                 raise ParseError(f"unknown function {tok.text!r}", tok.pos)
             return self._parse_selector()
-        if tok.text == "{":
+        if tok.is_punct("{"):
             return self._parse_selector()
-        if tok.text == "(":
+        if tok.is_punct("("):
             self._next()
             inner = self._parse_expr()
             self._expect(")")
             return inner
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        raise ParseError(f"unexpected token {tok.shown!r}", tok.pos)
 
     def _parse_selector(self) -> Selector:
         tok = self._peek()
@@ -225,21 +235,21 @@ class _Parser:
             name = self._next().text
         matchers: list[Matcher] = []
         tok = self._peek()
-        if tok is not None and tok.text == "{":
+        if tok is not None and tok.is_punct("{"):
             self._next()
             while True:
                 tok = self._peek()
                 if tok is None:
                     raise ParseError("unterminated matcher list", len(self.text))
-                if tok.text == "}":
+                if tok.is_punct("}"):
                     self._next()
                     break
                 label_tok = self._next()
                 if label_tok.kind != "ident":
-                    raise ParseError(f"expected label name, got {label_tok.text!r}", label_tok.pos)
+                    raise ParseError(f"expected label name, got {label_tok.shown!r}", label_tok.pos)
                 op_tok = self._next()
-                if op_tok.text not in ("=", "=~"):
-                    raise ParseError(f"expected = or =~, got {op_tok.text!r}", op_tok.pos)
+                if not op_tok.is_punct("=", "=~"):
+                    raise ParseError(f"expected = or =~, got {op_tok.shown!r}", op_tok.pos)
                 value_tok = self._next()
                 if value_tok.kind != "string":
                     raise ParseError("matcher value must be a quoted string", value_tok.pos)
@@ -250,7 +260,7 @@ class _Parser:
                         raise ParseError(f"bad regex: {exc}", value_tok.pos) from None
                 matchers.append(Matcher(label_tok.text, op_tok.text, value_tok.text))
                 tok = self._peek()
-                if tok is not None and tok.text == ",":
+                if tok is not None and tok.is_punct(","):
                     self._next()
         if name is None and not matchers:
             raise ParseError("selector needs a metric name or at least one matcher", tok.pos if tok else 0)
@@ -259,10 +269,10 @@ class _Parser:
     def _parse_duration(self) -> float:
         tok = self._next()
         if tok.kind != "number":
-            raise ParseError(f"expected duration, got {tok.text!r}", tok.pos)
+            raise ParseError(f"expected duration, got {tok.shown!r}", tok.pos)
         unit_tok = self._next()
         if unit_tok.kind != "ident" or unit_tok.text not in _DURATION_UNITS:
-            raise ParseError(f"bad duration unit {unit_tok.text!r}", unit_tok.pos)
+            raise ParseError(f"bad duration unit {unit_tok.shown!r}", unit_tok.pos)
         return float(tok.text) * _DURATION_UNITS[unit_tok.text]
 
     def _parse_function(self) -> Expr:
@@ -278,7 +288,7 @@ class _Parser:
         # histogram_quantile
         q_tok = self._next()
         if q_tok.kind != "number":
-            raise ParseError(f"quantile must be a number, got {q_tok.text!r}", q_tok.pos)
+            raise ParseError(f"quantile must be a number, got {q_tok.shown!r}", q_tok.pos)
         self._expect(",")
         arg = self._parse_expr()
         self._expect(")")
@@ -305,13 +315,13 @@ class _Parser:
         labels: list[str] = []
         while True:
             tok = self._next()
-            if tok.text == ")":
+            if tok.is_punct(")"):
                 break
             if tok.kind != "ident":
-                raise ParseError(f"expected label name, got {tok.text!r}", tok.pos)
+                raise ParseError(f"expected label name, got {tok.shown!r}", tok.pos)
             labels.append(tok.text)
             tok = self._peek()
-            if tok is not None and tok.text == ",":
+            if tok is not None and tok.is_punct(","):
                 self._next()
         return tuple(labels)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .cluster import (
     ACTIONS,
@@ -30,7 +30,9 @@ from .cluster import (
 )
 from .curator import KnowledgeCurator
 from .curriculum import CurriculumBuilder, RoundGenerationFailed, build_context
-from .datalayer import ACTION, OBSERVATION, History, SkillLibrary, Task, build_snapshot, json_text, task_close
+from .datalayer import (
+    ACTION, OBSERVATION, SKILL_KINDS, History, SkillLibrary, Task, build_snapshot, json_text, task_close
+)
 from .llm import (
     BaseGateway,
     BudgetExhausted,
@@ -109,64 +111,37 @@ class TrialConfig:
 # ---------------------------------------------------------------------------
 # Knowledge points
 
-
-@dataclass
-class KnowledgePoint:
-    id: int
-    label: str
-    category: str  # kubectl | prometheus
-    acquired_round: int | None = None
-    acquired_task: str | None = None
-
-    def to_doc(self) -> dict[str, Any]:
-        return asdict(self)
-
-
-def default_knowledge_points() -> list[KnowledgePoint]:
-    return [
-        KnowledgePoint(1, "kubectl-command-construction", "kubectl"),
-        KnowledgePoint(2, "kubectl-resource-usage", "kubectl"),
-        KnowledgePoint(3, "prometheus-config", "prometheus"),
-        KnowledgePoint(4, "prometheus-query-encoding", "prometheus"),
-        KnowledgePoint(5, "prometheus-metric-query", "prometheus"),
-    ]
+# Each milestone's label, in id order, with its category and the rule by which
+# a library entry's (kind, body) shows it.
+KNOWLEDGE_POINTS: dict[str, tuple[str, Callable[[str, str], bool]]] = {
+    "kubectl-command-construction": ("kubectl", lambda kind, body: kind == "Command" and body.startswith("kubectl ")),
+    "kubectl-resource-usage": ("kubectl", lambda kind, body: kind == "Command" and "kubectl top " in body),
+    "prometheus-config": ("prometheus", lambda kind, body: kind == "Command" and "/api/v1/label/" in body),
+    "prometheus-query-encoding": (
+        "prometheus",
+        lambda kind, body: kind == "Reflection" and any(mark in body.lower() for mark in ("%5b", "%5d", "encod")),
+    ),
+    "prometheus-metric-query": ("prometheus", lambda kind, body: kind == "Command" and "histogram_quantile" in body),
+}
 
 
-def _point_fires(point: KnowledgePoint, kind: str, body: str) -> bool:
-    if point.label == "kubectl-command-construction":
-        return kind == "Command" and body.startswith("kubectl ")
-    if point.label == "kubectl-resource-usage":
-        return kind == "Command" and "kubectl top " in body
-    if point.label == "prometheus-config":
-        return kind == "Command" and "/api/v1/label/" in body
-    if point.label == "prometheus-query-encoding":
-        low = body.lower()
-        return kind == "Reflection" and ("%5b" in low or "%5d" in low or "encod" in low)
-    if point.label == "prometheus-metric-query":
-        return kind == "Command" and "histogram_quantile" in body
-    return False
+def knowledge_points(library: SkillLibrary) -> tuple[list[dict[str, Any]], list[str]]:
+    """The knowledge points and the order they were acquired in, read off the library's provenance.
 
-
-class KnowledgeTracker:
-    """Maps validated library entries to learning milestones, first hit wins."""
-
-    def __init__(self, points: list[KnowledgePoint] | None = None):
-        self.points = points if points is not None else default_knowledge_points()
-        self.order: list[str] = []
-
-    def update(self, library: SkillLibrary, round_no: int, task_id: str) -> list[str]:
-        newly = []
-        for point in self.points:
-            if point.acquired_round is not None:
-                continue
-            for entry in library.entries:
-                if entry.validated and _point_fires(point, entry.kind, entry.body):
-                    point.acquired_round = round_no
-                    point.acquired_task = task_id
-                    self.order.append(point.label)
-                    newly.append(point.label)
-                    break
-        return newly
+    A point is acquired in the round and task of the first validated entry that
+    shows it. The order goes by the library position of the acquiring task, then by id."""
+    task_at: dict[str, int] = {}  # each task's first position in the library
+    for position, entry in enumerate(library.entries):
+        task_at.setdefault(entry.source_task, position)
+    points = []
+    for point_id, (label, (category, shows)) in enumerate(KNOWLEDGE_POINTS.items(), start=1):
+        first = next((e for e in library.entries if e.validated and shows(e.kind, e.body)), None)
+        round_no, task_id = (None, None) if first is None else (first.created_round, first.source_task)
+        points.append(
+            {"id": point_id, "label": label, "category": category, "acquired_round": round_no, "acquired_task": task_id}
+        )
+    acquired = [p for p in points if p["acquired_task"] is not None]
+    return points, [p["label"] for p in sorted(acquired, key=lambda p: (task_at[p["acquired_task"]], p["id"]))]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +173,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
     history = History(lambda: state.sim_time)
     gateway.history = history
     library = SkillLibrary()
-    tracker = KnowledgeTracker()
     planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state), history=history), history)
     builder = CurriculumBuilder(gateway, mode=config.mode)
     curator = KnowledgeCurator(gateway)
@@ -213,9 +187,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         return (time.monotonic() - started) > config.time_budget_min * 60.0
 
     def write_artifacts() -> dict[str, Any]:
-        report = _build_report(
-            config, state, all_tasks, tracker, library, gateway, completed_rounds, truncation_reason
-        )
+        report = _build_report(config, state, all_tasks, library, gateway, completed_rounds, truncation_reason)
         history.dump(os.path.join(config.out_dir, "history.log"))
         library.save(os.path.join(config.out_dir, "library.json"))
         with open(os.path.join(config.out_dir, "library.md"), "w") as fh:
@@ -252,7 +224,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
                         library,
                         round_no=round_no,
                     )
-                    tracker.update(library, round_no, task.id)
                 history.close_task(task)
             if truncation_reason:
                 break
@@ -280,15 +251,15 @@ def _build_report(
     config: TrialConfig,
     state: ClusterState,
     tasks: list[Task],
-    tracker: KnowledgeTracker,
     library: SkillLibrary,
     gateway: BaseGateway,
     completed_rounds: int,
     truncation_reason: str | None,
 ) -> dict[str, Any]:
-    skill_counts = {"Command": 0, "Configuration": 0, "Reflection": 0}
+    skill_counts = dict.fromkeys(SKILL_KINDS, 0)
     for entry in library.entries:
         skill_counts[entry.kind] += 1
+    points, order = knowledge_points(library)
     return {
         "report_schema": 1,
         "config": config.to_doc(),
@@ -296,8 +267,8 @@ def _build_report(
         "truncated": truncation_reason is not None,
         "truncation_reason": truncation_reason,
         "tasks": [{column: getattr(t, column) for column in _TASK_COLUMNS} for t in tasks],
-        "knowledge_points": [p.to_doc() for p in tracker.points],
-        "acquisition_order": list(tracker.order),
+        "knowledge_points": points,
+        "acquisition_order": order,
         "skill_counts": skill_counts,
         "conflicted_skills": sum(1 for e in library.entries if e.conflict_group),
         "library_size": len(library.entries),
@@ -504,7 +475,7 @@ def replay_history(history_path: str, fixture: str, seed: int) -> tuple[SkillLib
         task = Task(
             id=task_id,
             round=round_no,
-            kind="observation",
+            kind=OBSERVATION,
             difficulty=1,
             description=description,
         )

@@ -499,6 +499,11 @@ def test_report_rejects_unknown_format(finished_run, capsys):
     assert "unknown report format" in capsys.readouterr().err
 
 
+def test_report_with_no_format_named_replies_exactly(finished_run, capsys):
+    assert main(["report", "--out-dir", str(finished_run), "--formats", ","]) == 1
+    assert capsys.readouterr().err == "error: no report formats requested\n"
+
+
 def test_replay_restores_library(finished_run, tmp_path, capsys):
     code = main(
         [

@@ -168,6 +168,26 @@ def test_topology_refuses_negative_quantities_and_probe_durations(path, value, m
         load_topology(doc)
 
 
+@pytest.mark.parametrize(
+    "index, path, value, reply",
+    [
+        (1, ("traffic_profile", "latency_buckets"), [[0.0025, 30], [0.001, 20]],
+         "deployments[1].traffic_profile.latency_buckets: bucket bounds must ascend"),
+        (0, ("pod_suffixes",), ["g9tc4", "g9tc4"], "deployments[0].pod_suffixes: suffixes must be unique"),
+    ],
+    ids=["descending-buckets", "repeated-suffix"],
+)
+def test_each_topology_refusal_replies_exactly(index, path, value, reply):
+    doc = _document()
+    node = doc["deployments"][index]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigurationError) as caught:
+        load_topology(doc)
+    assert str(caught.value) == f"fixture: {reply}"
+
+
 _SCRAPED = (
     "process_cpu_seconds_total", "process_resident_memory_bytes", "http_requests_total",
     "request_duration_seconds_bucket", "request_duration_seconds_sum", "request_duration_seconds_count",
@@ -238,6 +258,18 @@ def test_patch_probe_validates_fields():
                 "patch": {"probes": {"startup": {"http_path": "/x"}}},
             },
         )
+
+
+def test_a_patched_new_probe_needs_an_http_path():
+    state = _fresh()
+    target = {"namespace": "kube-system", "name": "metrics-server"}  # the one deployment with no probes
+    with pytest.raises(InvalidArgument) as caught:
+        mutate(state, "patch", {**target, "patch": {"probes": {"liveness": {"initial_delay": 5}}}})
+    assert str(caught.value) == "patch.probes.liveness.http_path: required for a new probe"
+    assert state.find_deployment(**target).probes == ()
+    mutate(state, "patch", {**target, "patch": {"probes": {"liveness": {"http_path": "/healthz", "initial_delay": 5}}}})
+    (probe,) = state.find_deployment(**target).probes
+    assert (probe.kind, probe.http_path, probe.initial_delay) == ("liveness", "/healthz", 5)
 
 
 def test_clone_is_independent():

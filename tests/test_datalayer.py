@@ -327,6 +327,19 @@ def test_retrieval_on_empty_library():
     assert SkillLibrary().retrieve_skills("anything", 4) == []
 
 
+def test_the_library_refuses_an_unvalidated_entry_and_a_retrieval_of_no_skills():
+    library = SkillLibrary()
+    unvalidated = _command("kubectl get pods")
+    unvalidated.validated = False
+    with pytest.raises(ValueError) as caught:
+        library.store_skill(unvalidated)
+    assert str(caught.value) == "only validated entries may enter the library"
+    assert library.entries == []
+    with pytest.raises(ValueError) as caught:
+        library.retrieve_skills("anything", 0)
+    assert str(caught.value) == "k must be >= 1"
+
+
 RETRIEVAL_EXAMPLES = 60  # about 0.5 s
 
 

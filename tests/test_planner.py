@@ -179,8 +179,11 @@ def test_parse_plan_rejects_a_regex_expectation_that_does_not_compile():
     text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:(\n"
     with pytest.raises(ValueError, match=r"subtask 1.expects: bad expectation 'regex:\('"):
         parse_plan(text, AGENTS)
-    good = text.replace("regex:(", r"regex:^\d+$")
-    assert parse_plan(good, AGENTS)[0].expects == r"regex:^\d+$"
+
+
+def test_parse_plan_accepts_a_regex_expectation_that_compiles():
+    text = "Subtask 1:\nassignee: catalogue\ndescription: look\nexpects: regex:^\\d+$\n"
+    assert parse_plan(text, AGENTS)[0].expects == r"regex:^\d+$"
 
 
 def test_a_rejected_expectation_is_quoted_clipped_in_the_revision_note():

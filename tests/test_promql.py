@@ -259,12 +259,18 @@ def test_grammar_violations_raise_parse_error(text):
         ("sum by (job", "parse error at char 11: unexpected end of expression"),
         (")", "parse error at char 0: unexpected token ')'"),
         ('up{job="a"', "parse error at char 10: unterminated matcher list"),
-        ('up{"a"="b"}', "parse error at char 3: expected label name, got 'a'"),
-        ('up{job "a"}', "parse error at char 7: expected = or =~, got 'a'"),
+        ('up{"a"="b"}', """parse error at char 3: expected label name, got '"a"'"""),
+        ('up{job "a"}', """parse error at char 7: expected = or =~, got '"a"'"""),
         ("up{job=a}", "parse error at char 7: matcher value must be a quoted string"),
         ("rate(up[m])", "parse error at char 8: expected duration, got 'm'"),
         ("histogram_quantile(x, up)", "parse error at char 19: quantile must be a number, got 'x'"),
         ("sum by (1)(up)", "parse error at char 8: expected label name, got '1'"),
+        # a quoted string never stands for punctuation, as Prometheus refuses each of these
+        ('sum "(" up)', """parse error at char 4: expected '(', got '"("'"""),
+        ('up{job "=" "a"}', """parse error at char 7: expected = or =~, got '"="'"""),
+        ('rate(up"["5m])', """parse error at char 7: expected '[', got '"["'"""),
+        ('up "/" up', """parse error at char 3: trailing input '"/"'"""),
+        ('up{job="a" "}"', """parse error at char 11: expected label name, got '"}"'"""),
     ],
 )
 def test_each_parse_error_replies_exactly(text, reply):

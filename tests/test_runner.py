@@ -1,4 +1,4 @@
-"""Trial orchestration: knowledge tracking, evaluation, replay, and reports."""
+"""Trial orchestration: knowledge points, evaluation, replay, and reports."""
 
 from __future__ import annotations
 
@@ -24,14 +24,13 @@ from opslearn.llm import LiveGateway, ScriptedGateway
 from opslearn.resources import fixture_path, parse_yaml
 from opslearn.runner import (
     ConfigurationError,
-    KnowledgePoint,
-    KnowledgeTracker,
+    KNOWLEDGE_POINTS,
     TrialConfig,
     assemble_grid,
     check_post_conditions,
     component_names,
-    default_knowledge_points,
     emit_report,
+    knowledge_points,
     load_suite,
     replay_history,
     run_evaluation,
@@ -75,8 +74,8 @@ def golden_trial(golden_run):
     return golden_run[:2]
 
 
-def _skill(kind: str, body: str, validated: bool = True) -> SkillEntry:
-    entry = SkillEntry(id=0, kind=kind, body=body, description="", source_task="t1")
+def _skill(kind: str, body: str, validated: bool = True, created_round: int = 1, source_task: str = "t1") -> SkillEntry:
+    entry = SkillEntry(id=0, kind=kind, body=body, description="", source_task=source_task, created_round=created_round)
     entry.validated = validated
     return entry
 
@@ -118,16 +117,17 @@ def test_component_names_skip_system_namespace():
 
 
 def test_default_knowledge_points_cover_both_categories():
-    points = default_knowledge_points()
-    assert [p.label for p in points] == [
-        "kubectl-command-construction",
-        "kubectl-resource-usage",
-        "prometheus-config",
-        "prometheus-query-encoding",
-        "prometheus-metric-query",
+    points, order = knowledge_points(SkillLibrary())
+    assert [(p["id"], p["label"]) for p in points] == list(enumerate(KNOWLEDGE_POINTS, start=1)) == [
+        (1, "kubectl-command-construction"),
+        (2, "kubectl-resource-usage"),
+        (3, "prometheus-config"),
+        (4, "prometheus-query-encoding"),
+        (5, "prometheus-metric-query"),
     ]
-    assert [p.category for p in points] == ["kubectl", "kubectl", "prometheus", "prometheus", "prometheus"]
-    assert all(p.acquired_round is None for p in points)
+    assert [p["category"] for p in points] == ["kubectl", "kubectl", "prometheus", "prometheus", "prometheus"]
+    assert all(p["acquired_round"] is None and p["acquired_task"] is None for p in points)
+    assert order == []
 
 
 @pytest.mark.parametrize(
@@ -142,34 +142,48 @@ def test_default_knowledge_points_cover_both_categories():
     ],
 )
 def test_knowledge_points_fire_on_matching_skills(label, kind, body):
-    tracker = KnowledgeTracker()
-    newly = tracker.update(_library(_skill(kind, body)), round_no=2, task_id="r2t1")
-    assert label in newly
-    point = next(p for p in tracker.points if p.label == label)
-    assert point.acquired_round == 2
-    assert point.acquired_task == "r2t1"
+    points, order = knowledge_points(_library(_skill(kind, body, created_round=2, source_task="r2t1")))
+    assert label in order
+    point = next(p for p in points if p["label"] == label)
+    assert (point["acquired_round"], point["acquired_task"]) == (2, "r2t1")
 
 
 def test_knowledge_points_ignore_unvalidated_skills():
-    tracker = KnowledgeTracker()
     library = SkillLibrary()
-    # the store refuses unvalidated entries, but the tracker re-checks the
+    # the store refuses unvalidated entries, but the view re-checks the
     # flag anyway so imported or hand-built lists cannot fire milestones
     library.entries.append(_skill("Command", "kubectl get pods", validated=False))
-    assert tracker.update(library, 1, "r1t1") == []
-    assert all(p.acquired_round is None for p in tracker.points)
+    points, order = knowledge_points(library)
+    assert order == []
+    assert all(p["acquired_round"] is None for p in points)
 
 
 def test_knowledge_point_first_hit_wins():
-    tracker = KnowledgeTracker(
-        [KnowledgePoint(1, "kubectl-command-construction", "kubectl")]
+    library = _library(
+        _skill("Command", "kubectl get pods -n sock-shop", created_round=1, source_task="r1t1"),
+        _skill("Command", "kubectl get svc -n sock-shop", created_round=3, source_task="r3t2"),
     )
-    library = _library(_skill("Command", "kubectl get pods -n sock-shop"))
-    assert tracker.update(library, 1, "r1t1") == ["kubectl-command-construction"]
-    library.store_skill(_skill("Command", "kubectl get svc -n sock-shop"))
-    assert tracker.update(library, 3, "r3t2") == []
-    assert tracker.points[0].acquired_round == 1
-    assert tracker.order == ["kubectl-command-construction"]
+    points, order = knowledge_points(library)
+    assert (points[0]["acquired_round"], points[0]["acquired_task"]) == (1, "r1t1")
+    assert order == ["kubectl-command-construction"]
+
+
+def test_knowledge_points_are_ordered_by_task_then_by_id():
+    """Within one task the order goes by id, whatever order the entries were stored in
+    (by label, `prometheus-metric-query` would come first); across tasks, the earlier task wins."""
+    library = _library(
+        _skill("Command", "curl .../query?query=histogram_quantile%280.95...", source_task="r1t1"),
+        _skill("Reflection", "queries must be encoded before sending", source_task="r1t1"),
+        _skill("Command", "curl http://prometheus:9090/api/v1/label/__name__/values", created_round=2, source_task="r2t1"),
+        _skill("Command", "kubectl get pods -n sock-shop", created_round=2, source_task="r2t1"),
+    )
+    points, order = knowledge_points(library)
+    assert order == [
+        "prometheus-query-encoding", "prometheus-metric-query", "kubectl-command-construction", "prometheus-config"
+    ]
+    assert [(p["acquired_round"], p["acquired_task"]) for p in points] == [
+        (2, "r2t1"), (None, None), (2, "r2t1"), (1, "r1t1"), (1, "r1t1")
+    ]
 
 
 # -- evaluation suite loading --------------------------------------------------------
@@ -198,6 +212,25 @@ def test_load_suite_rejects_incomplete_tasks(tmp_path):
     bad.write_text("suite_schema: 1\ntasks:\n  - id: nameless\n")
     with pytest.raises(ConfigurationError, match=r"tasks\[0\]\.description: missing"):
         load_suite(str(bad))
+
+
+@pytest.mark.parametrize(
+    "args, reply",
+    [
+        ('{namespace: sock-shop, name: catalogue, key: "", value: x}', "tasks[0].setup[0].args.key: must not be empty"),
+        ("{1: x}", "tasks[0].setup[0].args: keys must be strings, got [1]"),
+    ],
+    ids=["empty-label-key", "integer-key"],
+)
+def test_each_suite_setup_refusal_replies_exactly(tmp_path, args, reply):
+    suite = tmp_path / "suite.yaml"
+    suite.write_text(
+        "suite_schema: 1\ntasks:\n  - id: t\n    description: d\n    setup:\n"
+        f"      - action: set_label\n        args: {args}\n"
+    )
+    with pytest.raises(ConfigurationError) as caught:
+        load_suite(str(suite))
+    assert str(caught.value) == f"suite {suite}: {reply}"
 
 
 # -- post-conditions -----------------------------------------------------------------
@@ -648,6 +681,24 @@ def test_seed_7_fingerprints_and_byte_identical_replay(golden_run, tmp_path):
     library.save(str(tmp_path / "library.json"))
     assert (tmp_path / "library.json").read_bytes() == (out_dir / "library.json").read_bytes()
     _assert_same_final_state(state, trial_state)
+
+
+def test_the_seed_7_knowledge_timeline_is_a_view_of_the_saved_and_the_replayed_library(golden_trial):
+    _, out_dir = golden_trial
+    report = json.loads((out_dir / "report.json").read_text())
+    timeline = (report["knowledge_points"], report["acquisition_order"])
+    assert knowledge_points(SkillLibrary.load(str(out_dir / "library.json"))) == timeline
+    library, _ = replay_history(str(out_dir / "history.log"), str(fixture_path("sock_shop.yaml")), seed=7)
+    assert knowledge_points(library) == timeline
+
+
+def test_a_trial_cut_by_its_budget_reports_the_view_of_the_library_it_wrote(tmp_path):
+    result = run_trial(TrialConfig(seed=7, budget_usd=0.3, out_dir=str(tmp_path)))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == result.report and report["truncation_reason"] == "budget"
+    assert report["acquisition_order"] == ["kubectl-command-construction", "kubectl-resource-usage"]
+    view = knowledge_points(SkillLibrary.load(str(tmp_path / "library.json")))
+    assert view == (report["knowledge_points"], report["acquisition_order"])
 
 
 # The seed-7 trial on the golden script repeated 4 times: 20 rounds, 60 tasks.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter, is_, itemgetter
@@ -93,8 +94,11 @@ def format_mem_mi(size: int) -> str:
 
 
 def format_age(seconds: float) -> str:
-    """kubectl-style human duration (90s, 5m, 67m, 3h20m, 2d)."""
+    """kubectl-style human duration (90s, 5m, 67m, 3h20m, 2d); as kubectl's `HumanDuration`,
+    it answers 0s for an age of -1 s, a clock skew it tolerates, and <invalid> below that."""
     s = int(seconds)
+    if s < -1:
+        return "<invalid>"
     if s < 0:
         return "0s"
     if s < 120:
@@ -183,7 +187,6 @@ class Deployment:
     args: tuple[str, ...]
     resources: ResourceSpec
     probes: tuple[ProbeSpec, ...]
-    replicas: int
     port: int
     pod_template_hash: str
     series: ScrapeSeries  # what its scrape writes; its job and traffic never change after loading
@@ -191,7 +194,7 @@ class Deployment:
     traffic: TrafficProfile = field(default_factory=TrafficProfile)
     scrape: bool = True
     next_ordinal: int = 0
-    pods: tuple[Pod, ...] = ()  # in spawn order
+    pods: tuple[Pod, ...] = ()  # in spawn order; their count is the replica count
     usage_cpu: int = 0  # millicores, at the last scrape
     usage_mem: int = 0  # bytes
 
@@ -248,7 +251,6 @@ class ClusterState:
     rng_seed: int = 0
     metrics: MetricStore = field(default_factory=MetricStore)
     metrics_available: bool = True
-    last_sample_time: float = 0.0
     mutation_count: int = 0  # successful mutate() calls
 
     def find_deployment(self, namespace: str, name: str) -> Deployment | None:
@@ -280,7 +282,7 @@ def component_names(state: ClusterState) -> tuple[str, ...]:
 # or `probes.<kind>.<field>` for a kind in PROBE_KINDS and a field in
 # PROBE_READS. An absent label or probe reads as "".
 FIELD_READS: dict[str, Callable[[Deployment], str]] = {
-    "replicas": lambda dep: str(dep.replicas),
+    "replicas": lambda dep: str(len(dep.pods)),
     "image": attrgetter("image"),
     "resources.cpu_request": lambda dep: format_cpu(dep.resources.cpu_request),
     "resources.cpu_limit": lambda dep: format_cpu(dep.resources.cpu_limit),
@@ -428,23 +430,23 @@ def compile_topology(doc: dict[str, Any]) -> Topology:
         resources = _resources(dep_doc["resources"], f"{path}.resources")
         probes = tuple(_probe(p, f"{path}.probes[{j}]") for j, p in enumerate(dep_doc["probes"]))
         traffic = _traffic(dep_doc.pop("traffic_profile"), f"{path}.traffic_profile")
+        replicas, template_hash = dep_doc.pop("replicas"), dep_doc["pod_template_hash"]
         dep_doc.update(
             labels=MappingProxyType(dep_doc["labels"]), args=tuple(dep_doc["args"]), pod_suffixes=tuple(suffixes),
             resources=resources, probes=probes, traffic=traffic, series=ScrapeSeries.of(f"{namespace}/{name}", traffic),
             usage_cpu=min(traffic.base_cpu_millicores, resources.cpu_limit),
-            usage_mem=min(traffic.base_mem_bytes, resources.mem_limit),
+            usage_mem=min(traffic.base_mem_bytes, resources.mem_limit), next_ordinal=replicas,
+            pods=tuple(Pod(_pod_name(name, template_hash, suffixes, i), namespace, name) for i in range(replicas)),
         )
         deployments[namespace, name] = tuple(dep_doc.items())
     return Topology(namespaces, doc["metrics_available"], tuple(deployments[key] for key in sorted(deployments)))
 
 
 def instantiate(topology: Topology, seed: int) -> ClusterState:
-    """A new state of `topology`, its pods and its first scrape; it shares the topology's values, all immutable."""
+    """A new state of `topology` and its first scrape; it shares the topology's values, first pods
+    included, all immutable."""
     deployments = [Deployment(**dict(fields)) for fields in topology.deployments]
     state = ClusterState(topology.namespaces, deployments, rng_seed=seed, metrics_available=topology.metrics_available)
-    for dep in deployments:
-        for _ in range(dep.replicas):
-            _spawn_pod(state, dep)
     _scrape(state, (state.sim_time,))
     return state
 
@@ -453,15 +455,18 @@ def instantiate(topology: Topology, seed: int) -> ClusterState:
 # Clock and traffic
 
 
-def _pod_suffix(dep: Deployment, ordinal: int) -> str:
-    if ordinal < len(dep.pod_suffixes):
-        return dep.pod_suffixes[ordinal]
-    digest = hashlib.sha256(f"{dep.name}-{dep.pod_template_hash}-{ordinal}".encode()).digest()
-    return "".join(_SUFFIX_ALPHABET[b % len(_SUFFIX_ALPHABET)] for b in digest[:5])
+def _pod_name(name: str, template_hash: str, suffixes: Sequence[str], ordinal: int) -> str:
+    """The name of a deployment's pod number `ordinal`, counting every pod it ever spawned."""
+    if ordinal < len(suffixes):
+        suffix = suffixes[ordinal]
+    else:
+        digest = hashlib.sha256(f"{name}-{template_hash}-{ordinal}".encode()).digest()
+        suffix = "".join(_SUFFIX_ALPHABET[b % len(_SUFFIX_ALPHABET)] for b in digest[:5])
+    return f"{name}-{template_hash}-{suffix}"
 
 
 def _spawn_pod(state: ClusterState, dep: Deployment) -> None:
-    name = f"{dep.name}-{dep.pod_template_hash}-{_pod_suffix(dep, dep.next_ordinal)}"
+    name = _pod_name(dep.name, dep.pod_template_hash, dep.pod_suffixes, dep.next_ordinal)
     dep.next_ordinal += 1
     dep.pods += (Pod(name, dep.namespace, dep.name, state.sim_time),)
 
@@ -558,14 +563,16 @@ def _format_le(le: float) -> str:
 
 
 def tick(state: ClusterState, dt: float) -> ClusterState:
-    """Advance the clock, emitting samples at every 15s boundary crossed."""
+    """Advance the clock, emitting samples at every 15s boundary crossed. The last sample was
+    taken at the last boundary the clock reached: `SAMPLE_INTERVAL * (sim_time // SAMPLE_INTERVAL)`."""
     if dt <= 0:
         raise InvalidArgument("dt must be positive")
+    if not math.isfinite(dt):
+        raise InvalidArgument("dt must be finite")
     target = state.sim_time + dt
-    times: list[float] = []
-    while state.last_sample_time + SAMPLE_INTERVAL <= target:
-        state.last_sample_time += SAMPLE_INTERVAL
-        times.append(state.last_sample_time)
+    # float `//` floors exactly and each product is exact, as the sums of SAMPLE_INTERVAL were
+    crossed = range(int(state.sim_time // SAMPLE_INTERVAL) + 1, int(target // SAMPLE_INTERVAL) + 1)
+    times = [SAMPLE_INTERVAL * k for k in crossed]
     if times:
         _scrape(state, times)
     state.sim_time = target
@@ -614,7 +621,6 @@ def _apply_scale(state: ClusterState, args: dict) -> None:
     dep.pods = dep.pods[:replicas]  # scaling down stops the newest pods
     for _ in range(replicas - len(dep.pods)):
         _spawn_pod(state, dep)
-    dep.replicas = replicas
 
 
 _QUANTITY_CHANGES = _optional(_QUANTITIES)
@@ -717,12 +723,12 @@ _POD_IDENTITY = attrgetter("name", "namespace", "deployment", "start_time")
 
 
 def _canonical(dep: Deployment) -> tuple:
-    """What the digest takes from a deployment: its 15 configuration fields, labels as sorted
+    """What the digest takes from a deployment: its 14 configuration fields, labels as sorted
     items and probes as tuples, then its pods' identities in name order."""
     res = dep.resources
     return (dep.name, dep.namespace, sorted(dep.labels.items()), dep.image, dep.command, dep.args,
             res.cpu_request, res.mem_request, res.cpu_limit, res.mem_limit, list(map(_PROBE_CONFIG, dep.probes)),
-            dep.replicas, dep.port, dep.pod_template_hash, dep.next_ordinal,
+            dep.port, dep.pod_template_hash, dep.next_ordinal,
             list(map(_POD_IDENTITY, sorted(dep.pods, key=attrgetter("name")))))
 
 

@@ -247,7 +247,6 @@ _KIND_PRIORITY = {kind: rank for rank, kind in enumerate(SKILL_KINDS)}
 class SkillLibrary:
     def __init__(self) -> None:
         self.entries: list[SkillEntry] = []
-        self._next_id = 1
 
     def store_skill(self, entry: SkillEntry) -> str:
         """Returns 'stored', 'merged' (exact duplicate), or 'conflicted'."""
@@ -257,8 +256,7 @@ class SkillLibrary:
             if existing.kind == entry.kind and existing.body == entry.body:
                 return "merged"
         if entry.id == 0:
-            entry.id = self._next_id
-        self._next_id = max(self._next_id, entry.id) + 1
+            entry.id = max((e.id for e in self.entries), default=0) + 1
 
         outcome = "stored"
         if entry.kind == "Configuration" and entry.subject:
@@ -299,7 +297,6 @@ class SkillLibrary:
     def _from_doc(cls, doc: dict[str, Any]) -> "SkillLibrary":
         library = cls()
         library.entries = [SkillEntry(**entry) for entry in doc["skills"]]
-        library._next_id = max([1] + [entry.id + 1 for entry in library.entries])
         return library
 
     def save(self, path: str) -> None:
@@ -352,8 +349,7 @@ class SkillLibrary:
 def _degradations(dep: Deployment) -> list[str]:
     """Why a deployment is degraded, each cause in its own words; none when it is not."""
     causes = {
-        "scaled to 0": dep.replicas == 0,
-        f"{dep.replicas - len(dep.pods)} pods missing": len(dep.pods) < dep.replicas,
+        "scaled to 0": not dep.pods,
         "memory near its limit": dep.usage_mem >= 0.9 * dep.resources.mem_limit,
         "CPU near its limit": dep.usage_cpu >= 0.9 * dep.resources.cpu_limit,
     }
@@ -375,7 +371,8 @@ def build_snapshot(state: ClusterState) -> str:
         rps = rates.get(dep.job, 0.0) if dep.scrape else 0.0
         deployments.append((dep.job, f"  - {dep.job}: {'degraded' if causes else 'ok'}, traffic {rps:.2f} req/s"))
         if causes:
-            anomalies.append(f"{dep.job}: {len(dep.pods)}/{dep.replicas} ready, {', '.join(causes)}")
+            replicas = len(dep.pods)
+            anomalies.append(f"{dep.job}: {replicas}/{replicas} ready, {', '.join(causes)}")
     lines = [f"Simulation time: {state.sim_time:.0f}s", "Deployments:"]
     lines.extend(line for _, line in sorted(deployments))
     if anomalies:

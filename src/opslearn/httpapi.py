@@ -95,7 +95,7 @@ def handle_request(store: MetricStore, path_and_query: str, at: float) -> HttpRe
             break
     if raw_expr is None or raw_expr == "":
         return _error(400, "bad_data", 'invalid parameter "query": query is required')
-    if any(c in _RESERVED_RAW for c in raw_expr):
+    if not _RESERVED_RAW.isdisjoint(raw_expr):
         return _error(
             400,
             "bad_data",

@@ -55,36 +55,28 @@ class ModelRoute:
 
 
 @dataclass
-class UsageEntry:
-    role: str
-    prompt_tokens: int
-    completion_tokens: int
-    cost_estimate: float
-
-
-@dataclass
 class UsageLedger:
-    """Every call's usage, and running totals of it.
+    """Running totals of every call's usage.
 
-    `record` adds to each total in entry order, starting from the integer
-    0, so a total is the left-to-right sum of the entries (what `sum` gives
-    on Python 3.11), and a budget check reads it in O(1).
+    `record` adds to each total in call order, starting from the integer
+    0, so a total is the left-to-right sum of the calls' figures (what
+    `sum` gives on Python 3.11), and a budget check reads it in O(1).
     """
 
-    entries: list[UsageEntry] = field(default_factory=list, init=False)
+    calls: int = field(default=0, init=False)
     total_cost: float = field(default=0, init=False)
     total_prompt_tokens: int = field(default=0, init=False)
     total_completion_tokens: int = field(default=0, init=False)
 
-    def record(self, role: str, prompt_tokens: int, completion_tokens: int, cost: float) -> None:
-        self.entries.append(UsageEntry(role, prompt_tokens, completion_tokens, cost))
+    def record(self, prompt_tokens: int, completion_tokens: int, cost: float) -> None:
+        self.calls += 1
         self.total_cost += cost
         self.total_prompt_tokens += prompt_tokens
         self.total_completion_tokens += completion_tokens
 
     def to_doc(self) -> dict[str, Any]:
         return {
-            "calls": len(self.entries),
+            "calls": self.calls,
             "prompt_tokens": self.total_prompt_tokens,
             "completion_tokens": self.total_completion_tokens,
             "cost_usd": round(self.total_cost, 6),
@@ -246,7 +238,7 @@ class BaseGateway:
         self._check_budget(route, prompt)
         self._note(actor or role, prompt, "prompt")
         completion, prompt_tokens, completion_tokens = self._complete(route, prompt)
-        self.ledger.record(role, prompt_tokens, completion_tokens, self._cost(route, prompt_tokens, completion_tokens))
+        self.ledger.record(prompt_tokens, completion_tokens, self._cost(route, prompt_tokens, completion_tokens))
         self._note(actor or role, completion, "completion")
         return completion
 

@@ -378,6 +378,7 @@ def run_evaluation(
     script_file = config.script or str(fixture_path("scripts/evaluation.yaml"))
     records = load_script(script_file)
     fixture = config.fixture_file()
+    uncapped = GatewayConfig(budget_usd=float("inf"))  # list-price estimates; gateways only read it
     cells: dict[str, list[int]] = {}
     for suite_task in suite:
         successes = 0
@@ -390,7 +391,7 @@ def run_evaluation(
                     mutate(state, setup["action"], setup.get("args", {}))
                 except (InvalidArgument, NotFound) as exc:
                     raise ConfigurationError(f"suite task {suite_task['id']}: setup: {exc}") from None
-            gateway = ScriptedGateway(GatewayConfig(budget_usd=float("inf")), records)  # list-price estimates: uncapped
+            gateway = ScriptedGateway(uncapped, records)
             planner = ExecutionPlanner(gateway, ShellGateway(state, component_names(state)), History())
             outcome = planner.run_task(_suite_task(suite_task, repeat + 1), skills)
             passed = outcome.succeeded and check_post_conditions(state, outcome.solution, suite_task["post_conditions"])

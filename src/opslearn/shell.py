@@ -374,9 +374,8 @@ class ShellGateway:
         return self._list(kind, self.state.all_pods(), name, flags, header, self._pod_row)
 
     def _deployment_row(self, dep: cl.Deployment) -> list[str]:
-        ready = len(dep.pods)
-        age = cl.format_age(self.state.sim_time)
-        return [dep.name, f"{ready}/{dep.replicas}", str(dep.replicas), str(ready), age]
+        replicas = len(dep.pods)
+        return [dep.name, f"{replicas}/{replicas}", str(replicas), str(replicas), cl.format_age(self.state.sim_time)]
 
     def _pod_row(self, pod: cl.Pod) -> list[str]:
         return [pod.name, "1/1", "Running", "0", cl.format_age(self.state.sim_time - pod.start_time)]
@@ -430,15 +429,15 @@ class ShellGateway:
         return lines
 
     def _describe_deployment(self, dep: cl.Deployment) -> str:
-        ready = len(dep.pods)
+        replicas = len(dep.pods)
         labels = ",".join(f"{k}={v}" for k, v in sorted(dep.labels.items())) or "<none>"
         lines = [
             f"Name:                   {dep.name}",
             f"Namespace:              {dep.namespace}",
             f"Labels:                 {labels}",
             f"Selector:               {labels}",
-            f"Replicas:               {dep.replicas} desired | {dep.replicas} updated | "
-            f"{ready} total | {ready} available | {dep.replicas - ready} unavailable",
+            f"Replicas:               {replicas} desired | {replicas} updated | "
+            f"{replicas} total | {replicas} available | 0 unavailable",
             "Pod Template:",
             f"  Labels:  {labels}",
             "  Containers:",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from types import MappingProxyType
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from opslearn.cluster import (
     ACTIONS,
     MAX_REPLICAS,
+    SAMPLE_INTERVAL,
     ClusterState,
     InvalidArgument,
     NotFound,
@@ -67,13 +69,46 @@ def test_tick_advances_clock_and_scrapes():
     assert "sock-shop/front-end" in jobs
 
 
-@pytest.mark.parametrize("dt", [0.0, -15.0])
+@pytest.mark.parametrize("dt", [0.0, -15.0, -math.inf, math.nan, math.inf])
 def test_tick_refuses_a_step_that_is_not_positive(dt):
     state = _fresh()
     with pytest.raises(InvalidArgument) as excinfo:
         tick(state, dt)
-    assert str(excinfo.value) == "dt must be positive"
+    assert str(excinfo.value) == ("dt must be positive" if dt <= 0 else "dt must be finite")
     assert state.sim_time == 0.0
+
+
+# A step is a span, or (boundaries ahead, side): a span ending one ulp below (-1), on (0) or
+# one ulp above (1) a sample boundary after the clock's next.
+_clock_steps = st.one_of(
+    st.floats(0.0, 200.0, exclude_min=True),
+    st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(_clock_steps, max_size=10))
+def test_tick_samples_at_the_times_a_running_sum_of_the_interval_reaches(steps):
+    """`tick` derives the crossed sample times from the clock; they are the floats a loop reaches
+    that adds SAMPLE_INTERVAL to the last sample while the sum is within the new clock."""
+    state = _fresh()
+    last, expected = 0.0, [0.0]  # the first scrape samples at 0
+    for step in steps:
+        dt = step
+        if isinstance(step, tuple):
+            ahead, side = step
+            boundary = SAMPLE_INTERVAL * (state.sim_time // SAMPLE_INTERVAL + 1 + ahead)
+            dt = math.nextafter(boundary, boundary + side) - state.sim_time
+            if dt == 0:  # the clock already stands one ulp below the next boundary
+                continue
+        target = state.sim_time + dt
+        while last + SAMPLE_INTERVAL <= target:
+            last += SAMPLE_INTERVAL
+            expected.append(last)
+        tick(state, dt)
+        assert state.sim_time == target
+    cpu = state.find_deployment("sock-shop", "front-end").series.cpu
+    assert [t for t, _ in state.metrics.samples(cpu)] == expected
 
 
 # The quantity and age layouts that no listing of the bundled topology reaches, each as it is.
@@ -82,7 +117,8 @@ def test_tick_refuses_a_step_that_is_not_positive(dt):
     [
         (format_cpu, 2000, "2"),
         (format_mem, 1000, "1000"),
-        (format_age, -5, "0s"),
+        (format_age, -5, "<invalid>"),
+        (format_age, -1.5, "0s"),
         (format_age, 48 * 3600, "2d"),
         (format_age, 53 * 3600 + 59, "2d5h"),
         (format_age, 8 * 86400 - 1, "7d23h"),
@@ -105,9 +141,8 @@ def test_digest_ignores_time_but_not_configuration():
 def test_scale_adjusts_pods_and_records_mutation():
     state = _fresh()
     dep = state.find_deployment("sock-shop", "catalogue")
-    assert dep.replicas == 1
+    assert len(dep.pods) == 1
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 3})
-    assert dep.replicas == 3
     assert len(dep.pods) == 3
     mutate(state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 1})
     assert len(dep.pods) == 1
@@ -278,7 +313,7 @@ def test_clone_is_independent():
     copy_state = clone(state)
     assert state_digest(copy_state) == state_digest(state)
     mutate(copy_state, "scale", {"namespace": "sock-shop", "name": "catalogue", "replicas": 2})
-    assert state.find_deployment("sock-shop", "catalogue").replicas == 1
+    assert len(state.find_deployment("sock-shop", "catalogue").pods) == 1
     assert state_digest(copy_state) != state_digest(state)
 
 

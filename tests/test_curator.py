@@ -182,7 +182,7 @@ def test_extract_accepts_empty_harvest():
     curator, _ = _curator(records)
     entries = curator.extract(_task(), TRAJECTORY, "solution")
     assert entries == []
-    assert len(curator.gateway.ledger.entries) == 1  # the documented empty answer needs no re-ask
+    assert curator.gateway.ledger.calls == 1  # the documented empty answer needs no re-ask
 
 
 # -- validation ----------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_validate_command_rejects_failing_line():
     curator, _ = _curator([])
     entry = _entry("Command", "kubectl get pods -n nope")
     assert curator.validate(entry, _state(), TRAJECTORY) == "rejected"
-    assert curator.gateway.ledger.entries == []  # no judge call for a broken command
+    assert curator.gateway.ledger.calls == 0  # no judge call for a broken command
 
 
 def test_validate_command_judge_decides():
@@ -227,7 +227,7 @@ def test_validate_command_runs_on_a_clone():
     state = _state()
     entry = _entry("Command", "kubectl scale deployment catalogue --replicas=5 -n sock-shop")
     assert curator.validate(entry, state, TRAJECTORY) == "validated"
-    assert state.find_deployment("sock-shop", "catalogue").replicas == 1
+    assert len(state.find_deployment("sock-shop", "catalogue").pods) == 1
 
 
 @pytest.mark.parametrize(
@@ -280,6 +280,15 @@ def test_validate_configuration_known_facets(facet, good_body, bad_body):
     assert curator.validate(bad, state, TRAJECTORY) == "rejected"
 
 
+def test_a_probes_skill_for_a_deployment_without_probes_is_rejected():
+    """A claim about probes that a deployment does not have checks nothing, so it is refused
+    without a judge call; metrics-server has no probes."""
+    curator, _ = _curator([])
+    entry = _entry("Configuration", "metrics-server has no probes", subject="kube-system/metrics-server/probes")
+    assert curator.validate(entry, _state(), TRAJECTORY) == "rejected"
+    assert curator.gateway.ledger.calls == 0
+
+
 def test_validate_configuration_replicas_tracks_current_state():
     from opslearn.cluster import mutate
 
@@ -319,7 +328,7 @@ def test_validate_reflection_citation_rules():
     assert curator.validate(no_cites, _state(), TRAJECTORY) == "rejected"
     out_of_range = _entry("Reflection", "lesson", cites=[2, 99])
     assert curator.validate(out_of_range, _state(), TRAJECTORY) == "rejected"
-    assert curator.gateway.ledger.entries == []  # neither reached the judge
+    assert curator.gateway.ledger.calls == 0  # neither reached the judge
 
 
 def test_validate_reflection_judge_decides():

@@ -502,10 +502,10 @@ def test_the_snapshot_names_each_degraded_deployment_and_its_causes(steps):
         for dep in state.deployments:
             res = dep.resources
             causes = [
-                *(["scaled to 0"] if dep.replicas == 0 else []),
+                *(["scaled to 0"] if not dep.pods else []),
                 *(["memory near its limit"] if dep.usage_mem >= 0.9 * res.mem_limit else []),
                 *(["CPU near its limit"] if dep.usage_cpu >= 0.9 * res.cpu_limit else []),
             ]
             if causes:
-                expected.append(f"  - {dep.job}: {len(dep.pods)}/{dep.replicas} ready, {', '.join(causes)}")
+                expected.append(f"  - {dep.job}: {len(dep.pods)}/{len(dep.pods)} ready, {', '.join(causes)}")
         assert _open_anomalies(build_snapshot(state)) == expected

@@ -251,16 +251,15 @@ def test_ledger_and_history_capture():
     prompt_text = "please do the thing"
     gateway.complete("planner", _messages(prompt_text), actor="manager")
 
-    assert len(gateway.ledger.entries) == 1
-    entry = gateway.ledger.entries[0]
-    assert entry.role == "planner"
-    prices = gateway.config.cost_table["gpt-4o"]
+    ledger = gateway.ledger
+    assert ledger.calls == 1
+    prices = gateway.config.cost_table["gpt-4o"]  # the planner's model
     expected_cost = (
-        entry.prompt_tokens / 1000 * prices["prompt_per_1k"]
-        + entry.completion_tokens / 1000 * prices["completion_per_1k"]
+        ledger.total_prompt_tokens / 1000 * prices["prompt_per_1k"]
+        + ledger.total_completion_tokens / 1000 * prices["completion_per_1k"]
     )
-    assert entry.cost_estimate == pytest.approx(expected_cost)
-    doc = gateway.ledger.to_doc()
+    assert ledger.total_cost == pytest.approx(expected_cost)
+    doc = ledger.to_doc()
     assert doc["calls"] == 1
     assert doc["cost_usd"] == pytest.approx(expected_cost, abs=1e-6)
 
@@ -273,7 +272,6 @@ def test_ledger_and_history_capture():
 @given(
     calls=st.lists(
         st.tuples(
-            st.sampled_from(["curriculum", "planner", "curator"]),
             st.integers(0, 10**6),
             st.integers(0, 10**6),
             st.floats(0.0, 1e3, allow_nan=False),
@@ -283,22 +281,23 @@ def test_ledger_and_history_capture():
 )
 def test_ledger_running_totals_equal_a_fresh_sum(calls):
     """The totals a budget check reads in O(1) are the left-to-right sums of
-    the entries from the integer 0 (what `sum` gives on Python 3.11), so
-    `to_doc`, and with it report.json, keeps its bytes."""
+    the calls' figures from the integer 0 (what `sum` gives on Python 3.11),
+    so `to_doc`, and with it report.json, keeps its bytes."""
     ledger = UsageLedger()
-    for role, prompt_tokens, completion_tokens, cost in calls:
-        ledger.record(role, prompt_tokens, completion_tokens, cost)
-        entries = ledger.entries
-        assert ledger.total_cost == functools.reduce(operator.add, (e.cost_estimate for e in entries), 0)
-        assert ledger.total_prompt_tokens == sum(e.prompt_tokens for e in entries)
-        assert ledger.total_completion_tokens == sum(e.completion_tokens for e in entries)
+    for n, (prompt_tokens, completion_tokens, cost) in enumerate(calls, 1):
+        ledger.record(prompt_tokens, completion_tokens, cost)
+        seen = calls[:n]
+        assert ledger.calls == n
+        assert ledger.total_cost == functools.reduce(operator.add, (c[2] for c in seen), 0)
+        assert ledger.total_prompt_tokens == sum(c[0] for c in seen)
+        assert ledger.total_completion_tokens == sum(c[1] for c in seen)
     doc = json.dumps(ledger.to_doc())
     assert doc == json.dumps(
         {
             "calls": len(calls),
-            "prompt_tokens": sum(c[1] for c in calls),
-            "completion_tokens": sum(c[2] for c in calls),
-            "cost_usd": round(functools.reduce(operator.add, (c[3] for c in calls), 0), 6),
+            "prompt_tokens": sum(c[0] for c in calls),
+            "completion_tokens": sum(c[1] for c in calls),
+            "cost_usd": round(functools.reduce(operator.add, (c[2] for c in calls), 0), 6),
         }
     )
 
@@ -309,7 +308,7 @@ def test_budget_precheck_blocks_oversized_first_call():
     gateway = _scripted([ScriptRecord(role="curriculum", response="x")], budget=0.01)
     with pytest.raises(BudgetExhausted):
         gateway.complete("curriculum", _messages("hello"))
-    assert gateway.ledger.entries == []
+    assert gateway.ledger.calls == 0
 
 
 class _PricyGateway(ScriptedGateway):
@@ -334,7 +333,7 @@ def test_budget_crossing_aborts_next_call():
     assert gateway.ledger.total_cost > 10.0
     with pytest.raises(BudgetExhausted):
         gateway.complete("curriculum", _messages("hello again"))
-    assert len(gateway.ledger.entries) == 1
+    assert gateway.ledger.calls == 1
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -384,12 +383,12 @@ def test_live_gateway_round_trip(stub_server, monkeypatch):
     assert call["body"]["model"] == "gpt-4o"
     assert call["body"]["max_tokens"] == 1024
 
-    entry = gateway.ledger.entries[0]
+    ledger = gateway.ledger
     # Costs come from the usage block the server reported.
-    assert entry.prompt_tokens == 100
-    assert entry.completion_tokens == 20
+    assert ledger.total_prompt_tokens == 100
+    assert ledger.total_completion_tokens == 20
     prices = config.cost_table["gpt-4o"]
-    assert entry.cost_estimate == pytest.approx(
+    assert ledger.total_cost == pytest.approx(
         100 / 1000 * prices["prompt_per_1k"] + 20 / 1000 * prices["completion_per_1k"]
     )
 

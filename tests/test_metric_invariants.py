@@ -101,7 +101,7 @@ def _observed(state: ClusterState) -> tuple:
     sample, with the series in the order the store keeps them."""
     usage = [(dep.usage_cpu, dep.usage_mem, dep.pods) for dep in state.deployments]
     samples = [(sid, state.metrics.samples(sid)) for sid in state.metrics.series_ids()]
-    return state_digest(state), state.sim_time, state.last_sample_time, usage, samples
+    return state_digest(state), state.sim_time, usage, samples
 
 
 def _value_at(state: ClusterState, sid, at: float) -> float:
@@ -142,7 +142,7 @@ def _scrape_per_sample(state: ClusterState) -> None:
     """The scrape that runs of samples replaced: one sample per series per call, at `state.sim_time`."""
     store = state.metrics
     now = state.sim_time
-    step_index = int(state.last_sample_time // SAMPLE_INTERVAL)
+    step_index = int(now // SAMPLE_INTERVAL)
     for dep in state.deployments:
         if not (dep.scrape and dep.pods):
             continue
@@ -199,9 +199,10 @@ def _scrape_per_sample(state: ClusterState) -> None:
 
 def _tick_per_sample(state: ClusterState, dt: float) -> None:
     target = state.sim_time + dt
-    while state.last_sample_time + SAMPLE_INTERVAL <= target:
-        state.last_sample_time += SAMPLE_INTERVAL
-        state.sim_time = state.last_sample_time
+    last_sample = SAMPLE_INTERVAL * (state.sim_time // SAMPLE_INTERVAL)
+    while last_sample + SAMPLE_INTERVAL <= target:
+        last_sample += SAMPLE_INTERVAL
+        state.sim_time = last_sample
         _scrape_per_sample(state)
     state.sim_time = target
 

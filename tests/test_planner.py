@@ -345,7 +345,7 @@ def test_execute_subtask_caps_total_completions(monkeypatch):
     assert planner.execute_subtask(st, _task("cap check"), "(none)", None) is False
     assert st.status == "failed"
     assert st.attempts == 2 * 4 + 2
-    assert len(planner.gateway.ledger.entries) == 2 * 4 + 2
+    assert planner.gateway.ledger.calls == 2 * 4 + 2
 
 
 def test_observation_task_aborts_on_mutating_command():
@@ -365,7 +365,7 @@ def test_observation_task_aborts_on_mutating_command():
     assert fb.feedback_kind == "environment"
     assert fb.payload.startswith("observation-safety violation: command mutated cluster state:")
     # the scale itself landed before the guard tripped
-    assert shell.state.find_deployment("sock-shop", "catalogue").replicas == 2
+    assert len(shell.state.find_deployment("sock-shop", "catalogue").pods) == 2
 
 
 def test_action_task_allows_mutations():

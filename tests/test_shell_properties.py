@@ -298,7 +298,6 @@ def _digest_document(state) -> str:
                     [p.kind, p.http_path, p.initial_delay, p.timeout, p.period, p.success_threshold, p.failure_threshold]
                     for p in d.probes
                 ],
-                "replicas": d.replicas,
                 "port": d.port,
                 "pod_template_hash": d.pod_template_hash,
                 "next_ordinal": d.next_ordinal,
